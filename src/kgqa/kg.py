@@ -19,9 +19,6 @@ from .io_utils import read_container, write_container
 
 DELETE = "DELETE"
 
-FORWARD = False
-REVERSE = True
-
 
 class IngestError(ValueError):
     """Raised when ingestion cannot produce a usable graph."""
@@ -120,16 +117,6 @@ class KnowledgeGraph:
             (int(self._adj_nbr[i]), int(self._adj_rel[i]), bool(self._adj_rev[i]))
             for i in range(lo, hi)
         ]
-
-    def degree(self, concept: int) -> int:
-        c = int(concept)
-        return int(self._adj_ptr[c + 1] - self._adj_ptr[c])
-
-    def has_triple(self, head: int, rel: int, tail: int) -> bool:
-        for nbr, r, rev in self.neighbors(head):
-            if nbr == tail and r == rel and rev is FORWARD:
-                return True
-        return False
 
     def save(self, path: str | Path, extra_meta: dict | None = None) -> None:
         meta = {

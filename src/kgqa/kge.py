@@ -39,10 +39,6 @@ class EmbeddingTable:
     def rel_vec(self, rel: int, reverse: bool = False) -> np.ndarray:
         return -self.rel[rel] if reverse else self.rel[rel]
 
-    def signed_rel_matrix(self) -> np.ndarray:
-        """(2 * n_relations, d) view: row r forward, row n_relations + r reversed."""
-        return np.concatenate([self.rel, -self.rel], axis=0)
-
     def triple_distance(self, h: np.ndarray, r: np.ndarray, t: np.ndarray,
                         reverse: bool = False) -> np.ndarray:
         rv = -self.rel[r] if reverse else self.rel[r]

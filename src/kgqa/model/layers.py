@@ -14,14 +14,13 @@ import numpy as np
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function, overflow-safe on both tails."""
-    x = np.asarray(x)
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function in tanh form: overflow-free on both tails.
+
+    Accurate in absolute terms (within about 2e-16), not relative ones: far
+    into the negative tail it rounds to 0 where 1 / (1 + exp(-x)) would
+    still resolve tiny values.
+    """
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
@@ -138,10 +137,9 @@ class LSTM(Layer):
         steps = []
         for t in range(T):
             a = x[:, t] @ self.Wx + h @ self.Wh + self.b
-            i = sigmoid(a[:, :H])
-            f = sigmoid(a[:, H:2 * H])
+            gates = sigmoid(a)  # one call for i, f and o; the g block is unused
+            i, f, o = gates[:, :H], gates[:, H:2 * H], gates[:, 3 * H:]
             g = np.tanh(a[:, 2 * H:3 * H])
-            o = sigmoid(a[:, 3 * H:])
             c_new = f * c + i * g
             hc = np.tanh(c_new)
             steps.append((i, f, g, o, c, hc, h))

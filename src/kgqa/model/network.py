@@ -3,13 +3,18 @@
 One forward pass scores a single (question, candidate) instance:
 
   1. GCN layers contextualize the schema-graph node vectors.
-  2. Each path is encoded per step as [source state; signed relation vector;
-     destination state] and run through a bidirectional LSTM; the path vector
-     concatenates the bi-hidden states at the first and last steps (4H dims).
-  3. Per concept pair (i, j): T_ij = MLP([s; c_i; c_j]); path attention
-     alpha_ijk = T_ij W1 pathvec_k, softmaxed within the pair, gives the
-     attended relation vector R_ij (mean when path attention is disabled;
-     a fixed per-pair random vector when the pair has no paths).
+  2. The instance's paths form one flat list, numbered pair by pair, with
+     ``owner`` giving each path's pair. Each step is encoded as [source
+     state; signed relation vector; destination state]; paths of equal
+     length run through the bidirectional LSTM as one batch, and a path
+     vector concatenates the bi-hidden states at its first and last steps
+     (4H dims). The path vectors form one (K, d_path) matrix V.
+  3. Per concept pair (i, j): T_ij = MLP([s; c_i; c_j]), one batch over all
+     pairs. Path attention alpha = T W1 V^T, softmaxed per row over the
+     pair's own paths (a masked (P, K) matrix; uniform when path attention
+     is disabled), gives the attended relation vectors R = alpha V. A pair
+     with no paths has a zero row and takes a fixed per-pair random vector
+     as its R.
   4. Pair attention beta_ij = s W2 T_ij, softmaxed over all pairs, pools
      [R_ij; T_ij] into the graph vector g.
   5. score = sigmoid(MLP(g)).
@@ -21,7 +26,7 @@ relation vectors, so upstream encoders and embedding tables can train too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -168,6 +173,17 @@ def instance_from_schema_graph(
 
 @dataclass
 class ForwardTrace:
+    """Everything backward() needs, with the instance's paths in one flat list.
+
+    Paths are numbered k = 0..K-1 pair by pair, in each pair's own order, so
+    ``owner`` is sorted and ``V[owner == p]`` are pair p's path vectors.
+    Their steps sit end to end in the flat ``steps`` arrays; each entry of
+    ``groups`` is one BiLSTM run over the paths of one length: (path
+    indices, (B, L) step positions, LSTM cache). ``alpha`` holds the path
+    attention of pair p over its own paths in row p and zero elsewhere; a
+    pair with no paths has a zero row and its fallback vector as ``R_hat``.
+    """
+
     inst: Instance
     s: np.ndarray
     node_init: np.ndarray
@@ -175,11 +191,15 @@ class ForwardTrace:
     adj: np.ndarray
     gcn_caches: list
     node_states: list[np.ndarray]       # per layer, [0] = input
-    groups: list[dict]                  # batched LSTM runs keyed by path length
-    pathvecs: list[np.ndarray]          # per pair, (k, d_path)
+    steps: tuple[np.ndarray, ...]       # (S,) heads, rels, signs, tails
+    groups: list[tuple]                 # per path length
+    q_rows: np.ndarray                  # (P,)
+    a_rows: np.ndarray                  # (P,)
+    owner: np.ndarray                   # (K,) pair of each path
+    V: np.ndarray                       # (K, d_path) path vectors
     t_cache: object
     T: np.ndarray                       # (P, d_t)
-    alpha_hat: list[np.ndarray]         # per pair, (k,)
+    alpha: np.ndarray                   # (P, K) path attention
     R_hat: np.ndarray                   # (P, d_path)
     beta: np.ndarray
     beta_hat: np.ndarray
@@ -238,56 +258,51 @@ class PathAttentionScorer(Layer):
             gcn_caches.append(cache)
             node_states.append(h)
 
-        # batch path LSTM runs by length
-        pathvecs = [np.zeros((len(p.paths), c.d_path)) for p in inst.pairs]
-        by_len: dict[int, list[tuple[int, int]]] = {}
-        for pi, pair in enumerate(inst.pairs):
-            for ki, (heads, _, _, _) in enumerate(pair.paths):
-                by_len.setdefault(len(heads), []).append((pi, ki))
-        groups = []
-        H2 = c.lstm_hidden * 2
-        for length in sorted(by_len):
-            members = by_len[length]
-            B = len(members)
-            heads = np.zeros((B, length), dtype=np.int64)
-            rels = np.zeros((B, length), dtype=np.int64)
-            signs = np.zeros((B, length))
-            tails = np.zeros((B, length), dtype=np.int64)
-            for b, (pi, ki) in enumerate(members):
-                ph, pr, psg, pt = inst.pairs[pi].paths[ki]
-                heads[b], rels[b], signs[b], tails[b] = ph, pr, psg, pt
-            x = np.concatenate(
-                [h[heads], signs[:, :, None] * rel_emb[rels], h[tails]], axis=2)
-            y, lstm_cache = self.path_lstm.forward(x)
-            for b, (pi, ki) in enumerate(members):
-                pathvecs[pi][ki, :H2] = y[b, 0]
-                pathvecs[pi][ki, H2:] = y[b, length - 1]
-            groups.append({"length": length, "members": members, "heads": heads,
-                           "rels": rels, "signs": signs, "tails": tails,
-                           "cache": lstm_cache})
+        paths = [p for pair in inst.pairs for p in pair.paths]
+        counts = np.array([len(pair.paths) for pair in inst.pairs], dtype=np.int64)
+        P, K = len(counts), len(paths)
+        owner = np.repeat(np.arange(P), counts)
+        lengths = np.array([len(p[0]) for p in paths], dtype=np.int64)
+        starts = np.cumsum(lengths) - lengths
+        steps = tuple(
+            np.concatenate([p[f] for p in paths]) if K else np.zeros(0, dtype)
+            for f, dtype in enumerate((np.int64, np.int64, np.float64, np.int64)))
+        heads, rels, signs, tails = steps
+        x = np.concatenate(
+            [h[heads], signs[:, None] * rel_emb[rels], h[tails]], axis=1)
 
-        P = len(inst.pairs)
-        t_in = np.zeros((P, c.d_s + 2 * c.d_gcn_out))
-        for pi, pair in enumerate(inst.pairs):
-            t_in[pi] = np.concatenate([s, h[pair.q_row], h[pair.a_row]])
+        # one BiLSTM run per path length; a path vector joins the bi-states
+        # at its first and last steps
+        H2 = c.lstm_hidden * 2
+        V = np.zeros((K, c.d_path))
+        groups = []
+        for length in np.unique(lengths):
+            index = np.flatnonzero(lengths == length)
+            pos = starts[index, None] + np.arange(length)
+            y, lstm_cache = self.path_lstm.forward(x[pos])
+            V[index, :H2] = y[:, 0]
+            V[index, H2:] = y[:, -1]
+            groups.append((index, pos, lstm_cache))
+
+        q_rows = np.array([pair.q_row for pair in inst.pairs], dtype=np.int64)
+        a_rows = np.array([pair.a_row for pair in inst.pairs], dtype=np.int64)
+        t_in = np.concatenate(
+            [np.broadcast_to(s, (P, c.d_s)), h[q_rows], h[a_rows]], axis=1)
         T, t_cache = self.t_mlp.forward(t_in)
 
-        alpha_hat: list[np.ndarray] = []
-        R_hat = np.zeros((P, c.d_path))
-        for pi, pair in enumerate(inst.pairs):
-            k = len(pair.paths)
-            if k == 0:
-                if pair.fallback is None:
-                    raise ValueError(f"pair {pi} has no paths and no fallback vector")
-                alpha_hat.append(np.zeros(0))
-                R_hat[pi] = pair.fallback
-                continue
-            if c.path_attention:
-                a_hat = softmax(pathvecs[pi] @ (T[pi] @ self.W1))
-            else:
-                a_hat = np.full(k, 1.0 / k)
-            alpha_hat.append(a_hat)
-            R_hat[pi] = a_hat @ pathvecs[pi]
+        # path attention: softmax over each pair's own paths, as masked rows
+        with_paths = counts > 0
+        alpha = np.zeros((P, K))
+        if K:
+            logits = (T @ self.W1) @ V.T if c.path_attention else np.zeros((P, K))
+            masked = np.where(owner == np.arange(P)[:, None], logits, -np.inf)
+            alpha[with_paths] = softmax(masked[with_paths])
+        R_hat = alpha @ V
+        for pi in np.flatnonzero(~with_paths):
+            fallback = inst.pairs[pi].fallback
+            if fallback is None:
+                raise ValueError(f"pair {pi} has no paths and no fallback vector")
+            R_hat[pi] = fallback
 
         if c.pair_attention:
             beta = (s @ self.W2) @ T.T
@@ -302,10 +317,11 @@ class PathAttentionScorer(Layer):
         score = float(np.clip(sigmoid(np.array([raw]))[0], SCORE_EPS, 1.0 - SCORE_EPS))
         return ForwardTrace(
             inst=inst, s=s, node_init=node_init, rel_emb=rel_emb, adj=adj,
-            gcn_caches=gcn_caches, node_states=node_states, groups=groups,
-            pathvecs=pathvecs, t_cache=t_cache, T=T, alpha_hat=alpha_hat,
-            R_hat=R_hat, beta=beta, beta_hat=beta_hat, g_hat=g_hat,
-            score_cache=score_cache, raw=raw, score=score)
+            gcn_caches=gcn_caches, node_states=node_states, steps=steps,
+            groups=groups, q_rows=q_rows, a_rows=a_rows, owner=owner, V=V,
+            t_cache=t_cache, T=T, alpha=alpha, R_hat=R_hat, beta=beta,
+            beta_hat=beta_hat, g_hat=g_hat, score_cache=score_cache, raw=raw,
+            score=score)
 
     # ---------------- backward ----------------
 
@@ -316,15 +332,14 @@ class PathAttentionScorer(Layer):
         defined on raw directly (logit form) so the chain stays exact.
         """
         c = self.config
-        inst = trace.inst
-        P = len(inst.pairs)
         H2 = c.lstm_hidden * 2
+        d = c.d_gcn_out
         d_g = self.score_mlp.backward(np.array([float(d_raw)]), trace.score_cache)
 
         u = np.concatenate([trace.R_hat, trace.T], axis=1)
         d_beta_hat = u @ d_g
         du = np.outer(trace.beta_hat, d_g)
-        dR_hat = du[:, :c.d_path].copy()
+        dR_hat = du[:, :c.d_path]
         dT = du[:, c.d_path:].copy()
 
         ds = np.zeros(c.d_s)
@@ -336,47 +351,33 @@ class PathAttentionScorer(Layer):
             dT += np.outer(d_beta, sW2)
             self._grads["W2"] += np.outer(trace.s, trace.T.T @ d_beta)
 
-        d_pathvecs = [np.zeros_like(v) for v in trace.pathvecs]
-        for pi, pair in enumerate(inst.pairs):
-            k = len(pair.paths)
-            if k == 0:
-                continue  # fallback vector is a constant input
-            V = trace.pathvecs[pi]
-            a_hat = trace.alpha_hat[pi]
-            d_a_hat = V @ dR_hat[pi]
-            d_pathvecs[pi] += np.outer(a_hat, dR_hat[pi])
-            if c.path_attention:
-                d_alpha = softmax_backward(a_hat, d_a_hat)
-                w1v = self.W1 @ (V.T @ d_alpha)       # d alpha_k / d T
-                dT[pi] += w1v
-                d_pathvecs[pi] += np.outer(d_alpha, self.W1.T @ trace.T[pi])
-                self._grads["W1"] += np.outer(trace.T[pi], d_alpha @ V)
+        # rows of pairs without paths are zero in alpha: their fallback
+        # vectors are constant inputs and take no gradient
+        V, alpha = trace.V, trace.alpha
+        dV = alpha.T @ dR_hat
+        if c.path_attention:
+            d_logits = softmax_backward(alpha, dR_hat @ V.T)
+            dT += d_logits @ (V @ self.W1.T)
+            dV += d_logits.T @ (trace.T @ self.W1)
+            self._grads["W1"] += trace.T.T @ (d_logits @ V)
 
-        d_node = np.zeros((inst.n_nodes, c.d_gcn_out))
+        heads, rels, signs, tails = trace.steps
+        d_x = np.zeros((len(heads), c.d_step))
+        for index, pos, lstm_cache in trace.groups:
+            dy = np.zeros(pos.shape + (H2,))
+            dy[:, 0] = dV[index, :H2]
+            dy[:, -1] += dV[index, H2:]
+            d_x[pos] = self.path_lstm.backward(dy, lstm_cache)
+        d_node = np.zeros((trace.inst.n_nodes, d))
         d_rel = np.zeros_like(trace.rel_emb)
-        h = trace.node_states[-1]
-        for grp in trace.groups:
-            members = grp["members"]
-            B, L = grp["heads"].shape
-            dy = np.zeros((B, L, H2))
-            for b, (pi, ki) in enumerate(members):
-                dy[b, 0] += d_pathvecs[pi][ki, :H2]
-                dy[b, L - 1] += d_pathvecs[pi][ki, H2:]
-            dx = self.path_lstm.backward(dy, grp["cache"])
-            flat_heads = grp["heads"].ravel()
-            flat_tails = grp["tails"].ravel()
-            flat_rels = grp["rels"].ravel()
-            dx_flat = dx.reshape(B * L, -1)
-            np.add.at(d_node, flat_heads, dx_flat[:, :c.d_gcn_out])
-            signed = grp["signs"].ravel()[:, None] * dx_flat[:, c.d_gcn_out:c.d_gcn_out + c.d_rel]
-            np.add.at(d_rel, flat_rels, signed)
-            np.add.at(d_node, flat_tails, dx_flat[:, c.d_gcn_out + c.d_rel:])
+        np.add.at(d_node, heads, d_x[:, :d])
+        np.add.at(d_rel, rels, signs[:, None] * d_x[:, d:d + c.d_rel])
+        np.add.at(d_node, tails, d_x[:, d + c.d_rel:])
 
         d_t_in = self.t_mlp.backward(dT, trace.t_cache)
         ds += d_t_in[:, :c.d_s].sum(axis=0)
-        for pi, pair in enumerate(inst.pairs):
-            d_node[pair.q_row] += d_t_in[pi, c.d_s:c.d_s + c.d_gcn_out]
-            d_node[pair.a_row] += d_t_in[pi, c.d_s + c.d_gcn_out:]
+        np.add.at(d_node, trace.q_rows, d_t_in[:, c.d_s:c.d_s + d])
+        np.add.at(d_node, trace.a_rows, d_t_in[:, c.d_s + d:])
 
         dh = d_node
         for layer, cache in zip(reversed(self.gcn), reversed(trace.gcn_caches)):
@@ -384,13 +385,18 @@ class PathAttentionScorer(Layer):
         return InputGrads(ds=ds, d_node_init=dh, d_rel_emb=d_rel)
 
 
-def bce_loss(raw: float, label: int) -> tuple[float, float]:
-    """Binary cross-entropy on the logit; returns (loss, dloss/draw).
+def bce_loss(raw: float | np.ndarray,
+             label: float | np.ndarray) -> tuple[float, float | np.ndarray]:
+    """Binary cross-entropy on logits; returns (loss, dloss/draw).
 
-    Computed in logit form (softplus) so extreme raw values stay finite.
+    ``raw`` and ``label`` are scalars or equal-shape arrays, such as one
+    question's candidate logits and their 0/1 labels: the loss is summed and
+    the gradient has the shape of ``raw``. Computed in logit form (softplus)
+    so extreme raw values stay finite.
     """
-    loss = max(raw, 0.0) - raw * label + np.log1p(np.exp(-abs(raw)))
-    return float(loss), float(sigmoid(np.array([raw]))[0] - label)
+    raw = np.asarray(raw, dtype=np.float64)
+    loss = np.sum(np.maximum(raw, 0.0) - raw * label + np.log1p(np.exp(-np.abs(raw))))
+    return float(loss), sigmoid(raw) - label
 
 
 def listwise_loss(raws: np.ndarray, label: int) -> tuple[float, np.ndarray]:

@@ -137,15 +137,8 @@ class SchemaGraph:
     paths: dict[tuple[int, int], list[Path]] = field(default_factory=dict)
     truncated: set[tuple[int, int]] = field(default_factory=set)
 
-    @property
-    def n_pairs(self) -> int:
-        return len(self.cq) * len(self.ca)
-
     def pair_indices(self) -> list[tuple[int, int]]:
         return [(i, j) for i in range(len(self.cq)) for j in range(len(self.ca))]
-
-    def total_paths(self) -> int:
-        return sum(len(p) for p in self.paths.values())
 
     def rebuild_cover(self) -> None:
         """Recompute nodes/edges to exactly cover current paths + intra edges."""

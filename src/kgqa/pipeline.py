@@ -215,7 +215,6 @@ class ModelState:
             blocks[f"net.{k}"] = v
         blocks["rel_emb"] = self.rel_emb
         if self.encoder is not None:
-            meta["vocab"] = self.encoder.vocab
             meta["enc_meta"] = self.encoder.save_extra_meta()
             for k, v in sorted(self.encoder.params().items()):
                 blocks[f"enc.{k}"] = v
@@ -272,7 +271,7 @@ def load_model_state(path, emb: EmbeddingTable,
     if meta["encoder"] == "toy":
         em = meta["enc_meta"]
         encoder = ToyStatementEncoder(
-            {k: int(i) for k, i in meta["vocab"].items()},
+            {k: int(i) for k, i in em["vocab"].items()},
             em["d_embed"], em["d_hidden"], rng)
         for k, v in encoder.params().items():
             v[...] = blocks[f"enc.{k}"]
@@ -405,13 +404,8 @@ def train(
                 if cfg.loss == "listwise":
                     loss, d_raws = listwise_loss(raws, ex.label)
                 else:
-                    losses, d_list = [], []
-                    for ci, raw in enumerate(raws):
-                        l, d = bce_loss(float(raw), 1 if ci == ex.label else 0)
-                        losses.append(l)
-                        d_list.append(d)
-                    loss = float(np.sum(losses))
-                    d_raws = np.asarray(d_list)
+                    labels = (np.arange(len(raws)) == ex.label).astype(np.float64)
+                    loss, d_raws = bce_loss(raws, labels)
                 if not np.isfinite(loss):
                     raise FloatingPointError(
                         f"non-finite loss on example {ex.id} (epoch {epoch})")
@@ -492,7 +486,7 @@ def explain(state: ModelState, kg: KnowledgeGraph, example: QAExample,
     pairs_out = []
     for pi in pair_order:
         pair = inst.pairs[int(pi)]
-        a_hat = trace.alpha_hat[int(pi)]
+        a_hat = trace.alpha[pi, trace.owner == pi]
         path_order = np.argsort(-a_hat, kind="stable")[:top_paths]
         paths_out = []
         for ki in path_order:

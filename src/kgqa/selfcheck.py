@@ -321,7 +321,7 @@ def degeneracy_suite(seed: int = 0, n_instances: int = 25,
         rows = []
         for pi, pair in enumerate(inst.pairs):
             if pair.paths:
-                r = np.mean(trace.pathvecs[pi], axis=0)
+                r = np.mean(trace.V[trace.owner == pi], axis=0)
             else:
                 r = pair.fallback
             rows.append(np.concatenate([r, trace.T[pi]]))
@@ -350,8 +350,9 @@ def normalization_suite(seed: int = 0, n_instances: int = 50,
             for name in ("W1", "W2"):
                 net.params()[name][...] *= 1e3
         trace = net.forward(inst, s, node_init, rel_emb)
-        for a_hat in trace.alpha_hat:
-            if len(a_hat):
+        for pi, pair in enumerate(inst.pairs):
+            if pair.paths:
+                a_hat = trace.alpha[pi, trace.owner == pi]
                 worst = max(worst, abs(float(np.sum(a_hat)) - 1.0))
                 finite &= bool(np.all(np.isfinite(a_hat)))
         worst = max(worst, abs(float(np.sum(trace.beta_hat)) - 1.0))

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 import scipy.special
 
+from kgqa.model.gradcheck import check_gradients
 from kgqa.model.network import (Instance, PathAttentionScorer, ModelConfig, PairData,
                                 bce_loss, fallback_vector,
                                 instance_from_schema_graph, listwise_loss)
 from kgqa.paths import build_schema_graph
+from kgqa.pipeline import _anchor_instance
 from kgqa.selfcheck import CHECK_CONFIG, random_instance
 
 from conftest import make_chain_kg
@@ -37,9 +39,7 @@ def test_zero_lstm_weights_give_zero_path_vectors():
         if name.startswith("path_lstm."):
             p[:] = 0
     trace = net.forward(inst, s, node_init, rel_emb)
-    for vecs in trace.pathvecs:
-        if vecs is not None and len(vecs):
-            assert np.allclose(vecs, 0.0)
+    assert np.allclose(trace.V, 0.0)
 
 
 def test_single_step_path_duplicates_its_only_position():
@@ -50,7 +50,7 @@ def test_single_step_path_duplicates_its_only_position():
     node_init = rng.standard_normal((3, CFG.d_node))
     rel_emb = rng.standard_normal((2, CFG.d_rel))
     trace = net.forward(inst, s, node_init, rel_emb)
-    v = trace.pathvecs[0][0]
+    v = trace.V[0]
     H2 = 2 * CFG.lstm_hidden
     assert np.allclose(v[:H2], v[H2:])
 
@@ -63,7 +63,7 @@ def test_reversed_step_changes_the_path_vector():
     rel_emb = rng.standard_normal((2, CFG.d_rel))
     fwd = net.forward(single_path_instance(CFG, sign=1.0), s, node_init, rel_emb)
     rev = net.forward(single_path_instance(CFG, sign=-1.0), s, node_init, rel_emb)
-    assert not np.allclose(fwd.pathvecs[0][0], rev.pathvecs[0][0])
+    assert not np.allclose(fwd.V[0], rev.V[0])
     assert abs(fwd.score - rev.score) > 0
 
 
@@ -73,8 +73,9 @@ def test_path_attention_off_means_plain_mean():
     net, inst, s, node_init, rel_emb = fresh(seed=5, config=cfg,
                                              allow_zero_paths=False)
     trace = net.forward(inst, s, node_init, rel_emb)
-    for pi, vecs in enumerate(trace.pathvecs):
-        if vecs is not None and len(vecs):
+    for pi in range(len(inst.pairs)):
+        vecs = trace.V[trace.owner == pi]
+        if len(vecs):
             assert np.allclose(trace.R_hat[pi], vecs.mean(axis=0), atol=1e-12)
 
 
@@ -88,13 +89,13 @@ def test_mean_degeneracy_one_and_two_identical_paths():
     rel_emb = rng.standard_normal((2, CFG.d_rel))
     inst = single_path_instance(CFG)
     trace = net.forward(inst, s, node_init, rel_emb)
-    assert np.allclose(trace.R_hat[0], trace.pathvecs[0][0], atol=1e-12)
+    assert np.allclose(trace.R_hat[0], trace.V[0], atol=1e-12)
     path = (np.array([0]), np.array([0]), np.array([1.0]), np.array([1]))
     inst2 = Instance(example_id="x", cand_index=0, node_ids=np.arange(3),
                      und_edges=[(0, 1)],
                      pairs=[PairData(q_row=0, a_row=1, paths=[path, path])])
     trace2 = net.forward(inst2, s, node_init, rel_emb)
-    assert np.allclose(trace2.R_hat[0], trace2.pathvecs[0][0], atol=1e-12)
+    assert np.allclose(trace2.R_hat[0], trace2.V[0], atol=1e-12)
 
 
 def test_statement_mlp_zero_weights_bias_only():
@@ -165,6 +166,48 @@ def test_forward_requires_fallback_for_pathless_pair():
         net.forward(inst, rng.standard_normal(CFG.d_s),
                     rng.standard_normal((2, CFG.d_node)),
                     rng.standard_normal((2, CFG.d_rel)))
+
+
+@pytest.mark.parametrize("path_attention", [True, False])
+def test_instance_without_any_path_scores_and_backpropagates(path_attention):
+    # the ungrounded anchor form: one pair, no paths anywhere (K = 0)
+    cfg = ModelConfig(**{**CHECK_CONFIG.to_dict(), "path_attention": path_attention,
+                         "gcn_dims": tuple(CHECK_CONFIG.gcn_dims)})
+    rng = np.random.default_rng(12)
+    net = PathAttentionScorer(cfg, rng)
+    inst = _anchor_instance("x", 0, cfg.d_path, seed=0, label=1)
+    s = rng.standard_normal(cfg.d_s)
+    node_init = rng.standard_normal((1, cfg.d_node))
+    rel_emb = rng.standard_normal((3, cfg.d_rel))
+    trace = net.forward(inst, s, node_init, rel_emb)
+    assert trace.V.shape == (0, cfg.d_path)
+    assert trace.alpha.shape == (1, 0)
+    assert np.array_equal(trace.R_hat[0], inst.pairs[0].fallback)
+    assert 0.0 < trace.score < 1.0
+
+    def loss_fn():
+        return bce_loss(net.forward(inst, s, node_init, rel_emb).raw, 1)[0]
+
+    net.zero_grad()
+    in_grads = net.backward(trace, bce_loss(trace.raw, 1)[1])
+    assert np.all(in_grads.d_rel_emb == 0.0)
+    assert np.allclose(net.grads()["W1"], 0.0)
+    tensors = {f"net.{k}": v for k, v in net.params().items()}
+    tensors.update(s=s, node_init=node_init)
+    analytic = {f"net.{k}": v for k, v in net.grads().items()}
+    analytic.update(s=in_grads.ds, node_init=in_grads.d_node_init)
+    report = check_gradients(loss_fn, tensors, analytic)
+    assert max(report.values()) < 1e-4, report
+
+
+def test_bce_loss_over_candidates_sums_scalar_losses():
+    raws = np.array([-30.0, -2.0, 0.0, 0.7, 25.0])
+    labels = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
+    loss, grad = bce_loss(raws, labels)
+    parts = [bce_loss(float(r), int(y)) for r, y in zip(raws, labels)]
+    assert loss == pytest.approx(sum(p[0] for p in parts), rel=1e-12, abs=1e-12)
+    assert grad.shape == raws.shape
+    assert np.allclose(grad, [p[1] for p in parts], rtol=0, atol=1e-15)
 
 
 def test_bce_loss_matches_reference_and_gradient():

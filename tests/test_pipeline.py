@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from kgqa import io_utils
 from kgqa.config import RunConfig
 from kgqa.data import QAExample, accuracy, load_dataset, split_held_out
 from kgqa.ground import load_stopwords
@@ -115,6 +116,31 @@ def test_preprocess_cache_round_trip(mini, tmp_path):
             assert len(pa.paths) == len(pb.paths)
             for arrs_a, arrs_b in zip(pa.paths, pb.paths):
                 for x, y in zip(arrs_a, arrs_b):
+                    assert np.array_equal(x, y)
+
+
+def test_parallel_preprocess_equals_serial(mini):
+    examples = mini.world.dev[:4]
+    serial = preprocess(mini.world.kg, mini.emb, examples, mini.cfg, mini.stop)
+    parallel = preprocess(mini.world.kg, mini.emb, examples, mini.cfg,
+                          mini.stop, jobs=2)
+    assert list(serial) == list(parallel)
+    for key in serial:
+        a, b = serial[key], parallel[key]
+        assert (a.example_id, a.cand_index, a.label, a.ungrounded) == \
+            (b.example_id, b.cand_index, b.label, b.ungrounded)
+        assert np.array_equal(a.node_ids, b.node_ids)
+        assert a.und_edges == b.und_edges
+        assert len(a.pairs) == len(b.pairs)
+        for pa, pb in zip(a.pairs, b.pairs):
+            assert (pa.q_row, pa.a_row) == (pb.q_row, pb.a_row)
+            assert (pa.fallback is None) == (pb.fallback is None)
+            if pa.fallback is not None:
+                assert np.array_equal(pa.fallback, pb.fallback)
+            assert len(pa.paths) == len(pb.paths)
+            for arrs_a, arrs_b in zip(pa.paths, pb.paths):
+                for x, y in zip(arrs_a, arrs_b):
+                    assert x.dtype == y.dtype
                     assert np.array_equal(x, y)
 
 
@@ -252,3 +278,24 @@ def test_model_state_save_load_round_trip(mini, tmp_path):
     for a, b in zip(p1, p2):
         assert a.scores == b.scores
         assert a.chosen == b.chosen
+
+
+def test_checkpoint_stores_vocab_once_and_loads_older_layout(mini, tmp_path):
+    state = fresh_state(mini)
+    train(state, mini.world.train[:8], mini.world.dev[:4],
+          mini.train_inst, mini.dev_inst)
+    new_path = tmp_path / "model.bin"
+    state.save(new_path)
+    meta, blocks = io_utils.read_container(new_path, kind="model")
+    assert "vocab" not in meta
+    assert meta["enc_meta"]["vocab"] == state.encoder.vocab
+    # the older layout also carried a top-level copy of the vocabulary
+    old_path = tmp_path / "model-old.bin"
+    io_utils.write_container(old_path, "model",
+                             {**meta, "vocab": meta["enc_meta"]["vocab"]}, blocks)
+    want = predict(state, mini.world.dev, mini.dev_inst)
+    for path in (new_path, old_path):
+        got = predict(load_model_state(path, mini.emb), mini.world.dev, mini.dev_inst)
+        for a, b in zip(want, got):
+            assert a.scores == b.scores
+            assert a.chosen == b.chosen
