@@ -19,9 +19,9 @@ from .config import RunConfig, resolve_config
 from .data import load_dataset
 from .ground import load_stopwords, recognize
 from .kg import KnowledgeGraph, default_merge_map_path, ingest, load_merge_map
-from .kge import EmbeddingTable, load_word_vectors, train_transe
-from .pipeline import (build_model_state, explain, load_model_state,
-                       predict, preprocess, train)
+from .kge import EmbeddingTable, PruneReport, load_word_vectors, train_transe
+from .pipeline import (build_model_state, explain, ground_candidate,
+                       load_model_state, predict, preprocess, train)
 from .selfcheck import run_selfcheck
 from .statement import FeatureStore
 
@@ -51,6 +51,13 @@ def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
         if name.endswith("?"):
             spec.pop("required", None)
         p.add_argument(f"--{name.rstrip('?')}", **spec)
+
+
+def _positive_int(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _config_from_args(args) -> RunConfig:
@@ -119,47 +126,28 @@ def cmd_ground(args) -> int:
     return 0
 
 
-def _schema_graph_rows(args, cfg: RunConfig, emb: EmbeddingTable | None):
-    from .pipeline import ground_candidate
+def cmd_schema_graphs(args) -> int:
+    """`paths` writes unpruned schema graphs; `prune` prunes them with --kge
+    and adds the summed prune report as a `.stats.json` sidecar and on stdout."""
+    cfg = _config_from_args(args)
+    cfg.prune = args.command == "prune"
+    emb = EmbeddingTable.load(args.kge) if cfg.prune else None
     kg = KnowledgeGraph.load(args.kg)
     stop = _stopwords(args)
-    examples = load_dataset(args.dataset)
-    for ex in examples:
-        for ci in range(len(ex.candidates)):
-            payload = ground_candidate(kg, stop, cfg, ex, ci, emb)
-            yield {"id": ex.id, "candidate": ci, **payload}
-
-
-def cmd_paths(args) -> int:
-    cfg = _config_from_args(args)
-    cfg.prune = False
+    total = PruneReport()
     with open(args.out, "w", encoding="utf-8") as fh:
-        for row in _schema_graph_rows(args, cfg, None):
-            fh.write(io_utils.canonical_json(row) + "\n")
-    _manifest(args, args.out, cfg, "kg", "dataset", "stopwords")
-    return 0
-
-
-def cmd_prune(args) -> int:
-    cfg = _config_from_args(args)
-    cfg.prune = True
-    emb = EmbeddingTable.load(args.kge)
-    totals = {"pairs_total": 0, "pairs_exempt": 0,
-              "paths_before": 0, "paths_after": 0}
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for row in _schema_graph_rows(args, cfg, emb):
-            stats = row.get("prune")
-            if stats:
-                for key in totals:
-                    totals[key] += stats[key]
-            fh.write(io_utils.canonical_json(row) + "\n")
-    kept = (totals["paths_after"] / totals["paths_before"]
-            if totals["paths_before"] else 1.0)
-    stats_obj = {**totals, "kept_fraction": kept, "threshold": cfg.threshold}
-    Path(str(args.out) + ".stats.json").write_text(
-        io_utils.canonical_json(stats_obj) + "\n", encoding="utf-8")
+        for ex in load_dataset(args.dataset):
+            for ci in range(len(ex.candidates)):
+                payload = ground_candidate(kg, stop, cfg, ex, ci, emb)
+                if "prune" in payload:
+                    total += PruneReport.from_dict(payload["prune"])
+                row = {"id": ex.id, "candidate": ci, **payload}
+                fh.write(io_utils.canonical_json(row) + "\n")
     _manifest(args, args.out, cfg, "kg", "kge", "dataset", "stopwords")
-    print(io_utils.canonical_json(stats_obj))
+    if cfg.prune:
+        stats = io_utils.canonical_json({**total.to_dict(), "threshold": cfg.threshold})
+        Path(str(args.out) + ".stats.json").write_text(stats + "\n", encoding="utf-8")
+        print(stats)
     return 0
 
 
@@ -316,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("paths", help="build unpruned schema graphs")
     _add_common(p, "kg", "dataset", "stopwords?", "config?", "out", "seed?",
                 "max-edges?", "cap?")
-    p.set_defaults(func=cmd_paths)
+    p.set_defaults(func=cmd_schema_graphs)
 
     p = sub.add_parser("train-kge", help="train translational triple embeddings")
     _add_common(p, "kg", "config?", "out", "seed?")
@@ -326,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prune", help="score and prune schema-graph paths")
     _add_common(p, "kg", "kge", "dataset", "stopwords?", "config?", "out",
                 "seed?", "threshold?", "max-edges?", "cap?")
-    p.set_defaults(func=cmd_prune)
+    p.set_defaults(func=cmd_schema_graphs)
 
     p = sub.add_parser("encode", help="export statement vectors from a checkpoint")
     _add_common(p, "kg", "kge", "checkpoint", "dataset", "out")
@@ -347,8 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
                 "stopwords?", "out", "cache?")
     p.add_argument("--id", required=True, help="example id to explain")
     p.add_argument("--candidate", type=int, help="candidate index (default: predicted)")
-    p.add_argument("--top-pairs", type=int, default=3)
-    p.add_argument("--top-paths", type=int, default=2)
+    p.add_argument("--top-pairs", type=_positive_int, default=3)
+    p.add_argument("--top-paths", type=_positive_int, default=2)
     p.set_defaults(func=cmd_explain)
 
     p = sub.add_parser("selfcheck", help="run built-in oracle and property suites")

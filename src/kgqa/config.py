@@ -50,11 +50,11 @@ class RunConfig:
     train_rel_emb: bool = True
     train_node_emb: bool = False
 
-    # statement encoder: "toy" trains in-process, "features" reads a file
+    # statement encoder: "toy" trains in-process, "features" reads a file;
+    # the statement width is 2 * enc_hidden or the feature file's width
     encoder: str = "toy"
     enc_embed: int = 32
     enc_hidden: int = 64
-    d_s: int = 128  # used only in features mode; toy mode uses 2*enc_hidden
 
     # training
     lr: float = 1e-3

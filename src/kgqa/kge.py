@@ -12,7 +12,7 @@ minibatch SGD, L2-renormalizing entity rows after each epoch.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path as FsPath
 
 import numpy as np
@@ -245,6 +245,13 @@ class PruneReport:
     @property
     def kept_fraction(self) -> float:
         return self.paths_after / self.paths_before if self.paths_before else 1.0
+
+    def __add__(self, other: "PruneReport") -> "PruneReport":
+        return PruneReport(*(a + b for a, b in zip(astuple(self), astuple(other))))
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "PruneReport":
+        return cls(**{f.name: d[f.name] for f in fields(cls)})
 
     def to_dict(self) -> dict:
         return {

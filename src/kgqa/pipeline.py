@@ -27,9 +27,10 @@ from .data import LABELS, QAExample, accuracy
 from .ground import recognize
 from .kg import KnowledgeGraph
 from .kge import EmbeddingTable, PruneReport, prune_schema_graph
-from .model.network import (Instance, PathAttentionScorer, ModelConfig, PairData, bce_loss,
-                            fallback_vector, instance_from_schema_graph,
-                            listwise_loss)
+from .model.layers import Layer
+from .model.network import (ForwardTrace, Instance, ModelConfig, PairData,
+                            PathAttentionScorer, bce_loss, fallback_vector,
+                            instance_from_schema_graph, listwise_loss)
 from .model.optim import Adam
 from .paths import GroundingError, SchemaGraph, build_schema_graph
 from .statement import FeatureStore, ToyStatementEncoder, build_vocab
@@ -165,17 +166,48 @@ def _parallel_ground(kg, stopwords, cfg, pending, emb, jobs) -> list[dict]:
 
 # ---------------------------------------------------------------- model state
 
-@dataclass
-class ModelState:
-    """Everything needed to score: network, embeddings, statement encoder."""
+class ModelState(Layer):
+    """Everything needed to score: network, embeddings, statement encoder.
 
-    cfg: RunConfig
-    model_config: ModelConfig
-    net: PathAttentionScorer
-    rel_emb: np.ndarray
-    node_emb: np.ndarray              # entity table; trained copy or read-only view
-    encoder: Optional[ToyStatementEncoder] = None
-    features: Optional[FeatureStore] = None
+    Its registry holds every trainable tensor once, under the name the
+    checkpoint uses: ``net.*``, ``enc.*`` for the toy encoder, and ``rel_emb``
+    / ``node_emb`` when the configuration trains them. The optimizer, the
+    gradient buffers and the checkpoint all read that one registry.
+    """
+
+    def __init__(self, cfg: RunConfig, emb: EmbeddingTable, rng: np.random.Generator,
+                 vocab: Optional[dict[str, int]] = None,
+                 features: Optional[FeatureStore] = None,
+                 model_config: Optional[ModelConfig] = None) -> None:
+        """Encoder from ``vocab`` (else ``features``), then network, from ``rng``.
+
+        ``model_config`` defaults to the one ``cfg`` gives for the statement
+        width; a loaded checkpoint passes the one it stored.
+        """
+        super().__init__()
+        self.cfg = cfg
+        self.features = features
+        self.encoder = None
+        if vocab is not None:
+            self.encoder = ToyStatementEncoder(vocab, cfg.enc_embed, cfg.enc_hidden, rng)
+            self._adopt("enc", self.encoder)
+            d_s = self.encoder.d_s
+        elif features is not None:
+            d_s = features.dim
+        else:
+            raise ValueError("model needs a vocabulary or a feature store")
+        mc = model_config if model_config is not None else cfg.model_config(d_s)
+        if emb.dim != mc.d_node:
+            raise ValueError(f"embedding dim {emb.dim} != configured kge_dim {mc.d_node}")
+        self.model_config = mc
+        self.net = PathAttentionScorer(mc, rng)
+        self._adopt("net", self.net)
+        self.rel_emb = emb.rel.copy()
+        self.node_emb = emb.ent.copy() if mc.train_node_emb else emb.ent
+        if mc.train_rel_emb:
+            self._register("rel_emb", self.rel_emb)
+        if mc.train_node_emb:
+            self._register("node_emb", self.node_emb)
 
     def statement(self, example: QAExample, cand_index: int):
         """Returns (s, encoder_cache_or_None)."""
@@ -191,18 +223,16 @@ class ModelState:
                 f"{s.shape}, model expects ({self.model_config.d_s},)")
         return s, None
 
-    def node_init(self, inst: Instance) -> np.ndarray:
-        return self.node_emb[inst.node_ids]
+    def forward(self, example: QAExample, cand_index: int,
+                inst: Instance) -> tuple[ForwardTrace, object]:
+        """Scores one candidate; returns (trace, encoder_cache_or_None)."""
+        s, enc_cache = self.statement(example, cand_index)
+        trace = self.net.forward(inst, s, self.node_emb[inst.node_ids], self.rel_emb)
+        return trace, enc_cache
 
-    def trainable_tensors(self) -> dict[str, np.ndarray]:
-        out = {f"net.{k}": v for k, v in self.net.params().items()}
-        if self.encoder is not None:
-            out.update({f"enc.{k}": v for k, v in self.encoder.params().items()})
-        if self.model_config.train_rel_emb:
-            out["rel_emb"] = self.rel_emb
-        if self.model_config.train_node_emb:
-            out["node_emb"] = self.node_emb
-        return out
+    def checkpoint_blocks(self) -> dict[str, np.ndarray]:
+        """The registry plus ``rel_emb``, which is stored even when frozen."""
+        return dict(sorted({**self.params(), "rel_emb": self.rel_emb}.items()))
 
     def save(self, path) -> None:
         meta = {
@@ -210,17 +240,9 @@ class ModelState:
             "model_config": self.model_config.to_dict(),
             "encoder": "toy" if self.encoder is not None else "features",
         }
-        blocks: dict[str, np.ndarray] = {}
-        for k, v in sorted(self.net.params().items()):
-            blocks[f"net.{k}"] = v
-        blocks["rel_emb"] = self.rel_emb
         if self.encoder is not None:
             meta["enc_meta"] = self.encoder.save_extra_meta()
-            for k, v in sorted(self.encoder.params().items()):
-                blocks[f"enc.{k}"] = v
-        if self.model_config.train_node_emb:
-            blocks["node_emb"] = self.node_emb
-        io_utils.write_container(path, "model", meta, blocks)
+        io_utils.write_container(path, "model", meta, self.checkpoint_blocks())
 
 
 def build_model_state(
@@ -231,7 +253,6 @@ def build_model_state(
 ) -> ModelState:
     """Fresh, seeded model state for training."""
     rng = np.random.default_rng(io_utils.stable_seed("model-init", cfg.seed))
-    encoder = None
     if cfg.encoder == "toy":
         if examples_for_vocab is None:
             raise ValueError("toy encoder needs examples to build its vocabulary")
@@ -239,50 +260,37 @@ def build_model_state(
         for ex in examples_for_vocab:
             texts.append(ex.question)
             texts.extend(ex.candidates)
-        encoder = ToyStatementEncoder(build_vocab(texts), cfg.enc_embed,
-                                      cfg.enc_hidden, rng)
-        d_s = encoder.d_s
-    elif cfg.encoder == "features":
+        return ModelState(cfg, emb, rng, vocab=build_vocab(texts), features=features)
+    if cfg.encoder == "features":
         if features is None:
             raise ValueError("features encoder needs a feature store")
-        d_s = features.dim
-    else:
-        raise ValueError(f"unknown encoder kind {cfg.encoder!r}")
-    mc = cfg.model_config(d_s)
-    if emb.dim != mc.d_node:
-        raise ValueError(f"embedding dim {emb.dim} != configured kge_dim {mc.d_node}")
-    net = PathAttentionScorer(mc, rng)
-    rel_emb = emb.rel.copy()
-    node_emb = emb.ent.copy() if mc.train_node_emb else emb.ent
-    return ModelState(cfg=cfg, model_config=mc, net=net, rel_emb=rel_emb,
-                      node_emb=node_emb, encoder=encoder, features=features)
+        return ModelState(cfg, emb, rng, features=features)
+    raise ValueError(f"unknown encoder kind {cfg.encoder!r}")
+
+
+# run_config keys that older checkpoints store and nothing reads any more
+_RETIRED_RUN_CONFIG_KEYS = ("d_s",)
 
 
 def load_model_state(path, emb: EmbeddingTable,
                      features: Optional[FeatureStore] = None) -> ModelState:
     meta, blocks = io_utils.read_container(path, kind="model")
-    cfg = RunConfig(**meta["run_config"])
-    mc = ModelConfig.from_dict(meta["model_config"])
-    rng = np.random.default_rng(0)  # shapes overwritten below
-    net = PathAttentionScorer(mc, rng)
-    for k, v in net.params().items():
-        v[...] = blocks[f"net.{k}"]
-    encoder = None
+    cfg = RunConfig(**{k: v for k, v in meta["run_config"].items()
+                       if k not in _RETIRED_RUN_CONFIG_KEYS})
+    vocab = None
     if meta["encoder"] == "toy":
-        em = meta["enc_meta"]
-        encoder = ToyStatementEncoder(
-            {k: int(i) for k, i in em["vocab"].items()},
-            em["d_embed"], em["d_hidden"], rng)
-        for k, v in encoder.params().items():
-            v[...] = blocks[f"enc.{k}"]
+        vocab = {k: int(i) for k, i in meta["enc_meta"]["vocab"].items()}
     elif features is None:
         raise ValueError("checkpoint uses feature files; pass --features")
-    rel_emb = blocks["rel_emb"]
-    node_emb = blocks["node_emb"] if "node_emb" in blocks else emb.ent
-    if node_emb.shape[1] != mc.d_node:
-        raise ValueError("entity table dim does not match checkpoint config")
-    return ModelState(cfg=cfg, model_config=mc, net=net, rel_emb=rel_emb,
-                      node_emb=node_emb, encoder=encoder, features=features)
+    state = ModelState(cfg, emb, np.random.default_rng(0), vocab=vocab,
+                       features=features,
+                       model_config=ModelConfig.from_dict(meta["model_config"]))
+    for name, v in state.checkpoint_blocks().items():
+        if blocks[name].shape != v.shape:
+            raise ValueError(f"checkpoint block {name!r} has shape "
+                             f"{blocks[name].shape}, model expects {v.shape}")
+        v[...] = blocks[name]
+    return state
 
 
 # ---------------------------------------------------------------- training
@@ -312,38 +320,30 @@ class TrainResult:
 
 def _example_forward(state: ModelState, example: QAExample,
                      instances: dict) -> tuple[list, np.ndarray]:
-    """Forward every candidate; returns (per-candidate contexts, raw logits)."""
-    ctxs = []
-    raws = []
-    for ci in range(len(example.candidates)):
-        inst = instances[(example.id, ci)]
-        s, enc_cache = state.statement(example, ci)
-        trace = state.net.forward(inst, s, state.node_init(inst), state.rel_emb)
-        ctxs.append((inst, enc_cache, trace))
-        raws.append(trace.raw)
-    return ctxs, np.asarray(raws)
+    """Forward every candidate; returns ((trace, encoder cache) each, raw logits)."""
+    ctxs = [state.forward(example, ci, instances[(example.id, ci)])
+            for ci in range(len(example.candidates))]
+    return ctxs, np.asarray([trace.raw for trace, _ in ctxs])
 
 
-def _example_backward(state: ModelState, ctxs: list, d_raws: np.ndarray,
-                      rel_grad: np.ndarray, node_grad: Optional[np.ndarray]) -> None:
-    for (inst, enc_cache, trace), d_raw in zip(ctxs, d_raws):
+def _example_backward(state: ModelState, ctxs: list, d_raws: np.ndarray) -> None:
+    """Accumulates every candidate's gradients into the state's registry."""
+    grads = state.grads()
+    for (trace, enc_cache), d_raw in zip(ctxs, d_raws):
         if d_raw == 0.0:
             continue
         in_grads = state.net.backward(trace, float(d_raw))
         if state.encoder is not None:
             state.encoder.backward(in_grads.ds, enc_cache)
-        if state.model_config.train_rel_emb:
-            rel_grad += in_grads.d_rel_emb
-        if node_grad is not None:
-            np.add.at(node_grad, inst.node_ids, in_grads.d_node_init)
+        if "rel_emb" in grads:
+            grads["rel_emb"] += in_grads.d_rel_emb
+        if "node_emb" in grads:
+            np.add.at(grads["node_emb"], trace.inst.node_ids, in_grads.d_node_init)
 
 
 def evaluate(state: ModelState, examples: list[QAExample],
              instances: dict) -> tuple[float, dict[str, int]]:
-    preds: dict[str, int] = {}
-    for ex in examples:
-        _, raws = _example_forward(state, ex, instances)
-        preds[ex.id] = int(np.argmax(raws))  # argmax takes the lowest tied index
+    preds = {p.example_id: p.chosen for p in predict(state, examples, instances)}
     return accuracy(preds, examples), preds
 
 
@@ -359,31 +359,9 @@ def train(
     for ex in train_examples:
         if ex.label is None:
             raise ValueError(f"{ex.id}: training example lacks a label")
-    tensors = state.trainable_tensors()
+    tensors = state.params()
     opt = Adam(tensors, lr=cfg.lr)
     rng = np.random.default_rng(io_utils.stable_seed("train-shuffle", cfg.seed))
-
-    rel_grad = np.zeros_like(state.rel_emb)
-    node_grad = (np.zeros_like(state.node_emb)
-                 if state.model_config.train_node_emb else None)
-
-    def gather_grads() -> dict[str, np.ndarray]:
-        g = {f"net.{k}": v for k, v in state.net.grads().items()}
-        if state.encoder is not None:
-            g.update({f"enc.{k}": v for k, v in state.encoder.grads().items()})
-        if state.model_config.train_rel_emb:
-            g["rel_emb"] = rel_grad
-        if node_grad is not None:
-            g["node_emb"] = node_grad
-        return g
-
-    def zero_grads() -> None:
-        state.net.zero_grad()
-        if state.encoder is not None:
-            state.encoder.zero_grad()
-        rel_grad[...] = 0.0
-        if node_grad is not None:
-            node_grad[...] = 0.0
 
     metrics: list[EpochMetrics] = []
     best_acc = -1.0
@@ -397,7 +375,7 @@ def train(
         n_loss_terms = 0
         for lo in range(0, len(order), cfg.batch_examples):
             batch = [train_examples[int(i)] for i in order[lo:lo + cfg.batch_examples]]
-            zero_grads()
+            state.zero_grad()
             scale = 1.0 / len(batch)
             for ex in batch:
                 ctxs, raws = _example_forward(state, ex, train_instances)
@@ -411,8 +389,8 @@ def train(
                         f"non-finite loss on example {ex.id} (epoch {epoch})")
                 total_loss += loss
                 n_loss_terms += 1
-                _example_backward(state, ctxs, d_raws * scale, rel_grad, node_grad)
-            opt.step(gather_grads())
+                _example_backward(state, ctxs, d_raws * scale)
+            opt.step(state.grads())
 
         dev_acc, _ = evaluate(state, dev_examples, dev_instances)
         m = EpochMetrics(epoch=epoch,
@@ -464,12 +442,12 @@ def predict(state: ModelState, examples: list[QAExample],
     out = []
     for ex in examples:
         ctxs, raws = _example_forward(state, ex, instances)
-        scores = [c[2].score for c in ctxs]
         out.append(Prediction(
             example_id=ex.id,
-            scores=scores,
-            chosen=int(np.argmax(raws)),
-            ungrounded=[ci for ci, c in enumerate(ctxs) if c[0].ungrounded]))
+            scores=[trace.score for trace, _ in ctxs],
+            chosen=int(np.argmax(raws)),  # argmax takes the lowest tied index
+            ungrounded=[ci for ci, (trace, _) in enumerate(ctxs)
+                        if trace.inst.ungrounded]))
     return out
 
 
@@ -479,8 +457,7 @@ def explain(state: ModelState, kg: KnowledgeGraph, example: QAExample,
             cand_index: int, inst: Instance,
             top_pairs: int = 3, top_paths: int = 2) -> dict:
     """Attention report for one candidate, numbers straight off the trace."""
-    s, _ = state.statement(example, cand_index)
-    trace = state.net.forward(inst, s, state.node_init(inst), state.rel_emb)
+    trace, _ = state.forward(example, cand_index, inst)
     rel_names = kg.relations
     pair_order = np.argsort(-trace.beta_hat, kind="stable")[:top_pairs]
     pairs_out = []

@@ -184,3 +184,38 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def explain_args(run, cli_world, *extra):
+    return ["explain", "--kg", str(run.kg), "--kge", str(run.kge),
+            "--checkpoint", str(run.model_dir / "model.bin"),
+            "--dataset", str(cli_world.dev_jsonl), "--id", run.example_id,
+            "--out", str(run.out / "explain-extra.json"), *extra]
+
+
+@pytest.mark.parametrize("flag", ["--top-pairs", "--top-paths"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_explain_top_counts_below_one_are_usage_errors(run, cli_world, flag, value,
+                                                       capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(explain_args(run, cli_world, flag, value))
+    assert exc.value.code == 2
+    assert "at least 1" in capsys.readouterr().err
+
+
+def test_explain_top_counts_bound_the_report(run, cli_world):
+    code = main(explain_args(run, cli_world, "--top-pairs", "1", "--top-paths", "1"))
+    assert code == 0
+    report = json.loads((run.out / "explain-extra.json").read_text())
+    assert len(report["pairs"]) == 1
+    assert len(report["pairs"][0]["paths"]) <= 1
+
+
+def test_parallel_predict_output_is_byte_identical(run, cli_world):
+    parallel = run.out / "preds-jobs2.jsonl"
+    code = main(["predict", "--kg", str(run.kg), "--kge", str(run.kge),
+                 "--checkpoint", str(run.model_dir / "model.bin"),
+                 "--dataset", str(cli_world.dev_jsonl), "--jobs", "2",
+                 "--out", str(parallel)])
+    assert code == 0
+    assert parallel.read_bytes() == run.preds.read_bytes()

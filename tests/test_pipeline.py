@@ -12,6 +12,7 @@ from kgqa.ground import load_stopwords
 from kgqa.kge import train_transe
 from kgqa.pipeline import (build_model_state, evaluate, explain,
                            load_model_state, predict, preprocess, train)
+from kgqa.statement import FeatureStore
 from kgqa.toy import EVIDENCE, build_toy_world
 
 GLUE_LINE = json.dumps({
@@ -158,11 +159,11 @@ def test_ungroundable_candidate_becomes_flagged_anchor(mini):
 
 def test_zero_epochs_leaves_weights_at_init(mini):
     state = fresh_state(mini, epochs=0)
-    before = {k: v.copy() for k, v in state.trainable_tensors().items()}
+    before = {k: v.copy() for k, v in state.params().items()}
     result = train(state, mini.world.train, mini.world.dev,
                    mini.train_inst, mini.dev_inst)
     assert result.metrics == []
-    for k, v in state.trainable_tensors().items():
+    for k, v in state.params().items():
         assert np.array_equal(before[k], v)
 
 
@@ -208,9 +209,7 @@ def test_candidate_score_independent_of_other_candidates(mini):
     state = fresh_state(mini)
     ex = mini.world.dev[0]
     preds = predict(state, [ex], mini.dev_inst)
-    inst = mini.dev_inst[(ex.id, 0)]
-    s, _ = state.statement(ex, 0)
-    trace = state.net.forward(inst, s, state.node_init(inst), state.rel_emb)
+    trace, _ = state.forward(ex, 0, mini.dev_inst[(ex.id, 0)])
     assert preds[0].scores[0] == pytest.approx(trace.score, abs=0, rel=0)
 
 
@@ -233,8 +232,7 @@ def test_explain_matches_trace_and_normalizes(mini):
     inst = mini.dev_inst[(ex.id, ci)]
     report = explain(state, mini.world.kg, ex, ci, inst,
                      top_pairs=len(inst.pairs), top_paths=50)
-    s, _ = state.statement(ex, ci)
-    trace = state.net.forward(inst, s, state.node_init(inst), state.rel_emb)
+    trace, _ = state.forward(ex, ci, inst)
     assert report["score"] == pytest.approx(trace.score, rel=1e-12)
     assert report["candidate_text"] == ex.candidates[ci]
     total_beta = sum(p["beta"] for p in report["pairs"])
@@ -299,3 +297,84 @@ def test_checkpoint_stores_vocab_once_and_loads_older_layout(mini, tmp_path):
         for a, b in zip(want, got):
             assert a.scores == b.scores
             assert a.chosen == b.chosen
+
+
+def test_checkpoint_with_retired_d_s_key_loads(mini, tmp_path):
+    state = fresh_state(mini)
+    train(state, mini.world.train[:8], mini.world.dev[:4],
+          mini.train_inst, mini.dev_inst)
+    path = tmp_path / "model.bin"
+    state.save(path)
+    meta, blocks = io_utils.read_container(path, kind="model")
+    assert "d_s" not in meta["run_config"]
+    # older checkpoints carried a run_config field nothing read
+    old_path = tmp_path / "model-old.bin"
+    io_utils.write_container(
+        old_path, "model", {**meta, "run_config": {**meta["run_config"], "d_s": 128}},
+        blocks)
+    loaded = load_model_state(old_path, mini.emb)
+    assert loaded.cfg == state.cfg
+    want = predict(state, mini.world.dev, mini.dev_inst)
+    got = predict(loaded, mini.world.dev, mini.dev_inst)
+    for a, b in zip(want, got):
+        assert a.scores == b.scores
+        assert a.chosen == b.chosen
+
+
+def test_registry_names_trainable_tensors_as_the_checkpoint_does(mini, tmp_path):
+    frozen = fresh_state(mini, train_rel_emb=False)
+    assert all(k.startswith(("net.", "enc.")) for k in frozen.params())
+    state = fresh_state(mini, train_node_emb=True)
+    assert state.params()["rel_emb"] is state.rel_emb
+    assert state.params()["node_emb"] is state.node_emb
+    assert state.params().keys() == state.grads().keys()
+    path = tmp_path / "model.bin"
+    frozen.save(path)
+    _, blocks = io_utils.read_container(path, kind="model")
+    assert set(blocks) == set(frozen.params()) | {"rel_emb"}
+
+
+def test_training_node_embeddings_with_frozen_relations(mini, tmp_path):
+    state = fresh_state(mini, train_node_emb=True, train_rel_emb=False)
+    train(state, mini.world.train, mini.world.dev,
+          mini.train_inst, mini.dev_inst)
+    assert np.array_equal(state.rel_emb, mini.emb.rel)
+    used = np.zeros(len(mini.emb.ent), dtype=bool)
+    for inst in mini.train_inst.values():
+        used[inst.node_ids] = True
+    changed = np.any(state.node_emb != mini.emb.ent, axis=1)
+    assert changed.any()
+    assert not np.any(changed & ~used)
+    path = tmp_path / "model.bin"
+    state.save(path)
+    loaded = load_model_state(path, mini.emb)
+    assert np.array_equal(loaded.node_emb, state.node_emb)
+    want = predict(state, mini.world.dev, mini.dev_inst)
+    got = predict(loaded, mini.world.dev, mini.dev_inst)
+    for a, b in zip(want, got):
+        assert a.scores == b.scores
+        assert a.chosen == b.chosen
+
+
+def test_feature_mode_state_trains_saves_and_loads(mini, tmp_path):
+    keys = {}
+    for ex in mini.world.train + mini.world.dev:
+        for ci in range(len(ex.candidates)):
+            keys[(ex.id, ci)] = len(keys)
+    features = FeatureStore(keys, np.random.default_rng(3).standard_normal((len(keys), 6)))
+    cfg = RunConfig(**{**mini.cfg.to_dict(), "encoder": "features"})
+    state = build_model_state(cfg, mini.emb, features=features)
+    assert state.encoder is None and state.model_config.d_s == 6
+    assert not any(k.startswith("enc.") for k in state.params())
+    train(state, mini.world.train[:8], mini.world.dev[:4],
+          mini.train_inst, mini.dev_inst)
+    path = tmp_path / "model.bin"
+    state.save(path)
+    with pytest.raises(ValueError, match="pass --features"):
+        load_model_state(path, mini.emb)
+    want = predict(state, mini.world.dev, mini.dev_inst)
+    got = predict(load_model_state(path, mini.emb, features=features),
+                  mini.world.dev, mini.dev_inst)
+    for a, b in zip(want, got):
+        assert a.scores == b.scores
+        assert a.chosen == b.chosen
