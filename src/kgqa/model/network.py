@@ -1,14 +1,14 @@
 """Graph-and-path scoring network with hierarchical attention.
 
-One forward pass scores a single (question, candidate) instance:
+One forward pass scores a single (question, candidate) Instance: the flat
+path table built once from its schema-graph JSON (see ``Instance``).
 
   1. GCN layers contextualize the schema-graph node vectors.
-  2. The instance's paths form one flat list, numbered pair by pair, with
-     ``owner`` giving each path's pair. Each step is encoded as [source
-     state; signed relation vector; destination state]; paths of equal
-     length run through the bidirectional LSTM as one batch, and a path
-     vector concatenates the bi-hidden states at its first and last steps
-     (4H dims). The path vectors form one (K, d_path) matrix V.
+  2. Each step is encoded as [source state; signed relation vector;
+     destination state]; paths of equal length run through the
+     bidirectional LSTM as one batch, and a path vector concatenates the
+     bi-hidden states at its first and last steps (4H dims). The path
+     vectors form one (K, d_path) matrix V.
   3. Per concept pair (i, j): T_ij = MLP([s; c_i; c_j]), one batch over all
      pairs. Path attention alpha = T W1 V^T, softmaxed per row over the
      pair's own paths (a masked (P, K) matrix; uniform when path attention
@@ -27,12 +27,12 @@ relation vectors, so upstream encoders and embedding tables can train too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import partial
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from ..io_utils import stable_seed
-from ..paths import SchemaGraph
 from .layers import (BiLSTM, GCNLayer, Layer, MLP, glorot, normalized_adjacency,
                      sigmoid, softmax, softmax_backward)
 
@@ -85,37 +85,72 @@ class ModelConfig:
         return cls(**d)
 
 
-@dataclass
-class PairData:
-    """One (question concept, answer concept) pair in local node rows.
+ANCHOR_CONCEPT = 0  # arbitrary fixed concept anchoring ungroundable candidates
 
-    Each path is four aligned int arrays over its steps: source row, relation
-    id, sign (+1 forward, -1 reversed), destination row. ``fallback`` stands
-    in for the attended path vector when the pair has no paths; it is drawn
-    once at instance-build time and never trained.
+
+class PairView(NamedTuple):
+    """One pair of an instance, read off its path table.
+
+    Each path is its (heads, rels, signs, tails) step slices; ``fallback`` is
+    None when the pair has paths.
     """
 
     q_row: int
     a_row: int
     paths: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
-    fallback: Optional[np.ndarray] = None
+    fallback: Optional[np.ndarray]
 
 
 @dataclass
 class Instance:
-    """A grounded (question, candidate) input in model-ready form."""
+    """A grounded (question, candidate) input as one flat path table.
+
+    Pairs p = 0..P-1 are the (question concept, answer concept) pairs in
+    schema-graph order, at local node rows ``q_rows[p]`` and ``a_rows[p]``.
+    Paths k = 0..K-1 are numbered pair by pair, so ``owner`` (the pair of each
+    path) is sorted; path k's steps are ``offsets[k]:offsets[k + 1]`` of the
+    step arrays, laid end to end. ``fallback`` holds one vector per pair
+    without paths, in pair order: it stands in for that pair's attended path
+    vector, is drawn once when the instance is built and is never trained.
+    """
 
     example_id: str
     cand_index: int
     node_ids: np.ndarray            # (N,) global concept ids
     und_edges: list[tuple[int, int]]  # unique undirected local row pairs
-    pairs: list[PairData]
+    q_rows: np.ndarray              # (P,) int64
+    a_rows: np.ndarray              # (P,) int64
+    owner: np.ndarray               # (K,) int64 pair of each path
+    offsets: np.ndarray             # (K + 1,) int64 step bounds of each path
+    heads: np.ndarray               # (S,) int64 source row of each step
+    rels: np.ndarray                # (S,) int64 relation id
+    signs: np.ndarray               # (S,) float64, +1 forward, -1 reversed
+    tails: np.ndarray               # (S,) int64 destination row
+    fallback: np.ndarray            # (pairs without paths, d_path)
     label: Optional[int] = None     # 1 correct candidate, 0 distractor
     ungrounded: bool = False        # True for the single-anchor fallback form
+
+    def __post_init__(self) -> None:
+        pathless = np.flatnonzero(np.bincount(self.owner, minlength=len(self.q_rows)) == 0)
+        if len(self.fallback) < len(pathless):
+            raise ValueError(f"pair {pathless[len(self.fallback)]} has no paths "
+                             f"and no fallback vector")
 
     @property
     def n_nodes(self) -> int:
         return len(self.node_ids)
+
+    @property
+    def pairs(self) -> list[PairView]:
+        """Read-only per-pair view of the table, built on each access."""
+        steps = (self.heads, self.rels, self.signs, self.tails)
+        bounds = self.offsets.tolist()
+        paths = [tuple(a[lo:hi] for a in steps) for lo, hi in zip(bounds, bounds[1:])]
+        ends = np.searchsorted(self.owner, np.arange(len(self.q_rows) + 1)).tolist()
+        fallbacks = iter(self.fallback)
+        return [PairView(q, a, paths[lo:hi], None if hi > lo else next(fallbacks))
+                for q, a, lo, hi in zip(self.q_rows.tolist(), self.a_rows.tolist(),
+                                        ends, ends[1:])]
 
 
 def fallback_vector(d_path: int, *seed_parts) -> np.ndarray:
@@ -125,83 +160,83 @@ def fallback_vector(d_path: int, *seed_parts) -> np.ndarray:
 
 
 def instance_from_schema_graph(
-    sg: SchemaGraph,
+    sg: Optional[dict],
     example_id: str,
     cand_index: int,
     d_path: int,
     seed: int = 0,
     label: Optional[int] = None,
 ) -> Instance:
-    """Convert a schema graph to local-row arrays the network consumes.
+    """Build the path table of a schema graph's JSON (``SchemaGraph.to_dict``).
 
-    Fallback vectors are keyed by the global concept ids of the pair, so
-    relabeling or reordering nodes later cannot change them.
+    ``sg`` None builds the ungrounded anchor: concept ANCHOR_CONCEPT
+    alone, one pair on it and no paths. Fallback vectors are keyed by the
+    global concept ids of the pair, so relabeling or reordering nodes later
+    cannot change them.
     """
-    row = {c: i for i, c in enumerate(sg.nodes)}
+    ungrounded = sg is None
+    if ungrounded:
+        anchor = [ANCHOR_CONCEPT]
+        sg = {"cq": anchor, "ca": anchor, "nodes": anchor, "edges": [],
+              "paths": {"0,0": []}}
+    row = {c: i for i, c in enumerate(sg["nodes"])}
     und = sorted({
         (min(row[h], row[t]), max(row[h], row[t]))
-        for h, _, t in sg.edges if h != t
+        for h, _, t in sg["edges"] if h != t
     })
-    pairs = []
-    for i, j in sg.pair_indices():
-        qc, ac = sg.cq[i], sg.ca[j]
-        arrs = []
-        for path in sg.paths[(i, j)]:
-            heads, rels, signs, tails = [], [], [], []
-            cur = path.start
-            for step in path.steps:
-                heads.append(row[cur])
-                rels.append(step.rel)
-                signs.append(-1.0 if step.reverse else 1.0)
-                tails.append(row[step.node])
-                cur = step.node
-            arrs.append((np.asarray(heads), np.asarray(rels),
-                         np.asarray(signs, dtype=np.float64), np.asarray(tails)))
-        fb = None
-        if not arrs:
-            fb = fallback_vector(d_path, seed, example_id, cand_index, qc, ac)
-        pairs.append(PairData(q_row=row[qc], a_row=row[ac], paths=arrs, fallback=fb))
+    q_rows, a_rows, owner, offsets, fallback = [], [], [], [0], []
+    heads, rels, signs, tails = [], [], [], []
+    for i, qc in enumerate(sg["cq"]):
+        for j, ac in enumerate(sg["ca"]):
+            plist = sg["paths"][f"{i},{j}"]
+            if not plist:
+                key = ("anchor",) if ungrounded else (qc, ac)
+                fallback.append(fallback_vector(
+                    d_path, seed, example_id, cand_index, *key))
+            for path in plist:
+                cur = path["start"]
+                for rel, reverse, node in path["steps"]:
+                    heads.append(row[cur])
+                    rels.append(rel)
+                    signs.append(-1.0 if reverse else 1.0)
+                    tails.append(row[node])
+                    cur = node
+                owner.append(len(q_rows))
+                offsets.append(len(heads))
+            q_rows.append(row[qc])
+            a_rows.append(row[ac])
+    ints = partial(np.array, dtype=np.int64)
     return Instance(
-        example_id=example_id,
-        cand_index=cand_index,
-        node_ids=np.asarray(sg.nodes, dtype=np.int64),
-        und_edges=und,
-        pairs=pairs,
-        label=label,
-    )
+        example_id, cand_index, node_ids=ints(sg["nodes"]), und_edges=und,
+        q_rows=ints(q_rows), a_rows=ints(a_rows), owner=ints(owner),
+        offsets=ints(offsets), heads=ints(heads), rels=ints(rels),
+        signs=np.array(signs, dtype=np.float64), tails=ints(tails),
+        fallback=np.array(fallback, dtype=np.float64).reshape(-1, d_path),
+        label=label, ungrounded=ungrounded)
 
 
 @dataclass
 class ForwardTrace:
-    """Everything backward() needs, with the instance's paths in one flat list.
+    """Everything backward() needs beyond the instance's own path table.
 
-    Paths are numbered k = 0..K-1 pair by pair, in each pair's own order, so
-    ``owner`` is sorted and ``V[owner == p]`` are pair p's path vectors.
-    Their steps sit end to end in the flat ``steps`` arrays; each entry of
-    ``groups`` is one BiLSTM run over the paths of one length: (path
-    indices, (B, L) step positions, LSTM cache). ``alpha`` holds the path
-    attention of pair p over its own paths in row p and zero elsewhere; a
-    pair with no paths has a zero row and its fallback vector as ``R_hat``.
+    Rows of ``V`` and columns of ``alpha`` follow the table's path order, so
+    ``V[inst.owner == p]`` are pair p's path vectors. Each entry of ``groups``
+    is one BiLSTM run over the paths of one length: (path indices, (B, L)
+    step positions, LSTM cache). ``alpha`` holds the path attention of pair p
+    over its own paths in row p and zero elsewhere; a pair with no paths has
+    a zero row and its fallback vector as ``R_hat``.
     """
 
     inst: Instance
     s: np.ndarray
-    node_init: np.ndarray
     rel_emb: np.ndarray
-    adj: np.ndarray
     gcn_caches: list
-    node_states: list[np.ndarray]       # per layer, [0] = input
-    steps: tuple[np.ndarray, ...]       # (S,) heads, rels, signs, tails
     groups: list[tuple]                 # per path length
-    q_rows: np.ndarray                  # (P,)
-    a_rows: np.ndarray                  # (P,)
-    owner: np.ndarray                   # (K,) pair of each path
     V: np.ndarray                       # (K, d_path) path vectors
     t_cache: object
     T: np.ndarray                       # (P, d_t)
     alpha: np.ndarray                   # (P, K) path attention
     R_hat: np.ndarray                   # (P, d_path)
-    beta: np.ndarray
     beta_hat: np.ndarray
     g_hat: np.ndarray
     score_cache: object
@@ -252,24 +287,15 @@ class PathAttentionScorer(Layer):
         adj = normalized_adjacency(n, inst.und_edges)
         h = node_init
         gcn_caches = []
-        node_states = [h]
         for layer in self.gcn:
             h, cache = layer.forward(h, adj)
             gcn_caches.append(cache)
-            node_states.append(h)
 
-        paths = [p for pair in inst.pairs for p in pair.paths]
-        counts = np.array([len(pair.paths) for pair in inst.pairs], dtype=np.int64)
-        P, K = len(counts), len(paths)
-        owner = np.repeat(np.arange(P), counts)
-        lengths = np.array([len(p[0]) for p in paths], dtype=np.int64)
-        starts = np.cumsum(lengths) - lengths
-        steps = tuple(
-            np.concatenate([p[f] for p in paths]) if K else np.zeros(0, dtype)
-            for f, dtype in enumerate((np.int64, np.int64, np.float64, np.int64)))
-        heads, rels, signs, tails = steps
+        lengths = np.diff(inst.offsets)
+        P, K = len(inst.q_rows), len(lengths)
         x = np.concatenate(
-            [h[heads], signs[:, None] * rel_emb[rels], h[tails]], axis=1)
+            [h[inst.heads], inst.signs[:, None] * rel_emb[inst.rels], h[inst.tails]],
+            axis=1)
 
         # one BiLSTM run per path length; a path vector joins the bi-states
         # at its first and last steps
@@ -278,31 +304,25 @@ class PathAttentionScorer(Layer):
         groups = []
         for length in np.unique(lengths):
             index = np.flatnonzero(lengths == length)
-            pos = starts[index, None] + np.arange(length)
+            pos = inst.offsets[index, None] + np.arange(length)
             y, lstm_cache = self.path_lstm.forward(x[pos])
             V[index, :H2] = y[:, 0]
             V[index, H2:] = y[:, -1]
             groups.append((index, pos, lstm_cache))
 
-        q_rows = np.array([pair.q_row for pair in inst.pairs], dtype=np.int64)
-        a_rows = np.array([pair.a_row for pair in inst.pairs], dtype=np.int64)
         t_in = np.concatenate(
-            [np.broadcast_to(s, (P, c.d_s)), h[q_rows], h[a_rows]], axis=1)
+            [np.broadcast_to(s, (P, c.d_s)), h[inst.q_rows], h[inst.a_rows]], axis=1)
         T, t_cache = self.t_mlp.forward(t_in)
 
         # path attention: softmax over each pair's own paths, as masked rows
-        with_paths = counts > 0
+        with_paths = np.bincount(inst.owner, minlength=P) > 0
         alpha = np.zeros((P, K))
         if K:
             logits = (T @ self.W1) @ V.T if c.path_attention else np.zeros((P, K))
-            masked = np.where(owner == np.arange(P)[:, None], logits, -np.inf)
+            masked = np.where(inst.owner == np.arange(P)[:, None], logits, -np.inf)
             alpha[with_paths] = softmax(masked[with_paths])
         R_hat = alpha @ V
-        for pi in np.flatnonzero(~with_paths):
-            fallback = inst.pairs[pi].fallback
-            if fallback is None:
-                raise ValueError(f"pair {pi} has no paths and no fallback vector")
-            R_hat[pi] = fallback
+        R_hat[~with_paths] = inst.fallback
 
         if c.pair_attention:
             beta = (s @ self.W2) @ T.T
@@ -316,11 +336,8 @@ class PathAttentionScorer(Layer):
         raw = float(raw_arr[0])
         score = float(np.clip(sigmoid(np.array([raw]))[0], SCORE_EPS, 1.0 - SCORE_EPS))
         return ForwardTrace(
-            inst=inst, s=s, node_init=node_init, rel_emb=rel_emb, adj=adj,
-            gcn_caches=gcn_caches, node_states=node_states, steps=steps,
-            groups=groups, q_rows=q_rows, a_rows=a_rows, owner=owner, V=V,
-            t_cache=t_cache, T=T, alpha=alpha, R_hat=R_hat, beta=beta,
-            beta_hat=beta_hat, g_hat=g_hat, score_cache=score_cache, raw=raw,
+            inst=inst, s=s, rel_emb=rel_emb, gcn_caches=gcn_caches, groups=groups,
+            V=V, t_cache=t_cache, T=T, alpha=alpha, R_hat=R_hat, beta_hat=beta_hat, g_hat=g_hat, score_cache=score_cache, raw=raw,
             score=score)
 
     # ---------------- backward ----------------
@@ -361,23 +378,23 @@ class PathAttentionScorer(Layer):
             dV += d_logits.T @ (trace.T @ self.W1)
             self._grads["W1"] += trace.T.T @ (d_logits @ V)
 
-        heads, rels, signs, tails = trace.steps
-        d_x = np.zeros((len(heads), c.d_step))
+        inst = trace.inst
+        d_x = np.zeros((len(inst.heads), c.d_step))
         for index, pos, lstm_cache in trace.groups:
             dy = np.zeros(pos.shape + (H2,))
             dy[:, 0] = dV[index, :H2]
             dy[:, -1] += dV[index, H2:]
             d_x[pos] = self.path_lstm.backward(dy, lstm_cache)
-        d_node = np.zeros((trace.inst.n_nodes, d))
+        d_node = np.zeros((inst.n_nodes, d))
         d_rel = np.zeros_like(trace.rel_emb)
-        np.add.at(d_node, heads, d_x[:, :d])
-        np.add.at(d_rel, rels, signs[:, None] * d_x[:, d:d + c.d_rel])
-        np.add.at(d_node, tails, d_x[:, d + c.d_rel:])
+        np.add.at(d_node, inst.heads, d_x[:, :d])
+        np.add.at(d_rel, inst.rels, inst.signs[:, None] * d_x[:, d:d + c.d_rel])
+        np.add.at(d_node, inst.tails, d_x[:, d + c.d_rel:])
 
         d_t_in = self.t_mlp.backward(dT, trace.t_cache)
         ds += d_t_in[:, :c.d_s].sum(axis=0)
-        np.add.at(d_node, trace.q_rows, d_t_in[:, c.d_s:c.d_s + d])
-        np.add.at(d_node, trace.a_rows, d_t_in[:, c.d_s + d:])
+        np.add.at(d_node, inst.q_rows, d_t_in[:, c.d_s:c.d_s + d])
+        np.add.at(d_node, inst.a_rows, d_t_in[:, c.d_s + d:])
 
         dh = d_node
         for layer, cache in zip(reversed(self.gcn), reversed(trace.gcn_caches)):

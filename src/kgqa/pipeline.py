@@ -28,14 +28,11 @@ from .ground import recognize
 from .kg import KnowledgeGraph
 from .kge import EmbeddingTable, PruneReport, prune_schema_graph
 from .model.layers import Layer
-from .model.network import (ForwardTrace, Instance, ModelConfig, PairData,
-                            PathAttentionScorer, bce_loss, fallback_vector,
-                            instance_from_schema_graph, listwise_loss)
+from .model.network import (ForwardTrace, Instance, ModelConfig, PathAttentionScorer,
+                            bce_loss, instance_from_schema_graph, listwise_loss)
 from .model.optim import Adam
-from .paths import GroundingError, SchemaGraph, build_schema_graph
+from .paths import GroundingError, build_schema_graph
 from .statement import FeatureStore, ToyStatementEncoder, build_vocab
-
-ANCHOR_CONCEPT = 0  # arbitrary fixed concept anchoring ungroundable candidates
 
 
 # ---------------------------------------------------------------- preprocess
@@ -63,28 +60,6 @@ def ground_candidate(
     if report is not None:
         out["prune"] = report.to_dict()
     return out
-
-
-def _anchor_instance(example_id: str, cand_index: int, d_path: int,
-                     seed: int, label: Optional[int]) -> Instance:
-    fb = fallback_vector(d_path, seed, example_id, cand_index, "anchor")
-    pair = PairData(q_row=0, a_row=0, paths=[], fallback=fb)
-    return Instance(
-        example_id=example_id, cand_index=cand_index,
-        node_ids=np.asarray([ANCHOR_CONCEPT], dtype=np.int64),
-        und_edges=[], pairs=[pair], label=label, ungrounded=True)
-
-
-def _payload_to_instance(payload: dict, example: QAExample, cand_index: int,
-                         d_path: int, seed: int) -> Instance:
-    label = None
-    if example.label is not None:
-        label = 1 if example.label == cand_index else 0
-    if payload.get("ungrounded"):
-        return _anchor_instance(example.id, cand_index, d_path, seed, label)
-    sg = SchemaGraph.from_dict(payload["sg"])
-    return instance_from_schema_graph(
-        sg, example.id, cand_index, d_path, seed=seed, label=label)
 
 
 def preprocess(
@@ -136,8 +111,11 @@ def preprocess(
 
     out: dict[tuple[str, int], Instance] = {}
     for n, (ex, ci) in enumerate(tasks):
-        out[(ex.id, ci)] = _payload_to_instance(
-            payloads[(ex.id, ci)], ex, ci, d_path, cfg.seed)
+        label = None if ex.label is None else int(ex.label == ci)
+        # an ungrounded payload has no "sg" and becomes the anchor instance
+        out[(ex.id, ci)] = instance_from_schema_graph(
+            payloads[(ex.id, ci)].get("sg"), ex.id, ci, d_path, seed=cfg.seed,
+            label=label)
         if progress is not None:
             progress(n + 1, len(tasks))
     return out
@@ -456,14 +434,22 @@ def predict(state: ModelState, examples: list[QAExample],
 def explain(state: ModelState, kg: KnowledgeGraph, example: QAExample,
             cand_index: int, inst: Instance,
             top_pairs: int = 3, top_paths: int = 2) -> dict:
-    """Attention report for one candidate, numbers straight off the trace."""
+    """Attention report for one candidate, numbers straight off the trace.
+
+    It lists the ``top_pairs`` most attended pairs and, in each, the
+    ``top_paths`` most attended paths; both counts must be at least 1.
+    """
+    if top_pairs < 1 or top_paths < 1:
+        raise ValueError(f"top_pairs and top_paths must be at least 1, "
+                         f"got {top_pairs} and {top_paths}")
     trace, _ = state.forward(example, cand_index, inst)
     rel_names = kg.relations
     pair_order = np.argsort(-trace.beta_hat, kind="stable")[:top_pairs]
+    pairs = inst.pairs
     pairs_out = []
     for pi in pair_order:
-        pair = inst.pairs[int(pi)]
-        a_hat = trace.alpha[pi, trace.owner == pi]
+        pair = pairs[int(pi)]
+        a_hat = trace.alpha[pi, inst.owner == pi]
         path_order = np.argsort(-a_hat, kind="stable")[:top_paths]
         paths_out = []
         for ki in path_order:

@@ -20,8 +20,8 @@ from .io_utils import stable_seed
 from .kg import KnowledgeGraph, build_graph
 from .kge import EmbeddingTable, prune_schema_graph
 from .model.gradcheck import check_gradients
-from .model.network import (Instance, PathAttentionScorer, ModelConfig, PairData, bce_loss,
-                            fallback_vector)
+from .model.network import (Instance, PathAttentionScorer, ModelConfig, bce_loss,
+                            instance_from_schema_graph)
 from .paths import SchemaGraph, build_schema_graph, find_paths
 from .statement import ToyStatementEncoder
 
@@ -87,50 +87,42 @@ def random_instance(
 ) -> tuple[Instance, np.ndarray, np.ndarray, np.ndarray]:
     """Random model input: (instance, s, node_init, rel_emb).
 
-    Paths are random simple walks over the node rows; their hops are added
-    to the undirected edge set so the graph covers them.
+    Paths are random simple walks over the nodes, whose concept ids equal
+    their rows; their hops are added to the edge set so the graph covers
+    them. The instance is built with the default fallback seed.
     """
     n = int(rng.integers(3, max_nodes + 1))
     n_q = int(rng.integers(1, 3))
     n_a = int(rng.integers(1, 3))
     rows = rng.permutation(n)
-    q_rows = [int(r) for r in rows[:n_q]]
-    a_rows = [int(r) for r in rows[n_q:n_q + n_a]]
-    edges = set()
-    pairs = []
-    for qi in q_rows:
-        for aj in a_rows:
+    cq = [int(r) for r in rows[:n_q]]
+    ca = [int(r) for r in rows[n_q:n_q + n_a]]
+    edges = []
+    paths = {}
+    for i, qi in enumerate(cq):
+        for j, aj in enumerate(ca):
             k = int(rng.integers(0, max_paths + 1)) if allow_zero_paths \
                 else int(rng.integers(1, max_paths + 1))
-            paths = []
+            plist = []
             for _ in range(k):
                 length = int(rng.integers(1, 4))
                 mids = [int(x) for x in
                         rng.choice([r for r in range(n) if r not in (qi, aj)],
                                    size=min(length - 1, n - 2), replace=False)]
                 seq = [qi] + mids + [aj]
-                heads = np.asarray(seq[:-1])
-                tails = np.asarray(seq[1:])
-                rels = rng.integers(0, n_relations, size=len(heads))
-                signs = np.where(rng.random(len(heads)) < 0.5, 1.0, -1.0)
-                for hh, tt in zip(heads, tails):
-                    edges.add((min(int(hh), int(tt)), max(int(hh), int(tt))))
-                paths.append((heads, rels.astype(np.int64), signs, tails))
-            fb = None
-            if not paths:
-                fb = fallback_vector(config.d_path, int(rng.integers(2**31)), qi, aj)
-            pairs.append(PairData(q_row=qi, a_row=aj, paths=paths, fallback=fb))
-    # a few extra background edges
+                rels = rng.integers(0, n_relations, size=len(seq) - 1)
+                reverse = rng.random(len(seq) - 1) >= 0.5
+                edges += [[hh, 0, tt] for hh, tt in zip(seq, seq[1:])]
+                plist.append({"start": qi, "steps": [
+                    [int(r), bool(v), t] for r, v, t in zip(rels, reverse, seq[1:])]})
+            paths[f"{i},{j}"] = plist
+    # a few extra background edges; the instance drops loops and repeats
     for _ in range(n):
         a, b = rng.integers(0, n, size=2)
-        if a != b:
-            edges.add((min(int(a), int(b)), max(int(a), int(b))))
-    inst = Instance(
-        example_id=f"rand-{int(rng.integers(1 << 30))}",
-        cand_index=0,
-        node_ids=np.arange(n, dtype=np.int64),
-        und_edges=sorted(edges),
-        pairs=pairs)
+        edges.append([int(a), 0, int(b)])
+    sg = {"cq": cq, "ca": ca, "nodes": list(range(n)), "edges": edges, "paths": paths}
+    inst = instance_from_schema_graph(
+        sg, f"rand-{int(rng.integers(1 << 30))}", 0, config.d_path)
     s = rng.standard_normal(config.d_s)
     node_init = rng.standard_normal((n, config.d_node))
     rel_emb = rng.standard_normal((n_relations, config.d_rel))
@@ -140,34 +132,33 @@ def random_instance(
 def permute_instance(
     inst: Instance, node_init: np.ndarray, rng: np.random.Generator,
 ) -> tuple[Instance, np.ndarray]:
-    """Relabel node rows and shuffle pair/path list order; same semantics."""
-    n = inst.n_nodes
-    perm = rng.permutation(n)          # old row i -> new row perm[i]
+    """Relabel node rows and shuffle concept and path order; same semantics.
+
+    The question concepts, the answer concepts and each pair's paths are
+    shuffled, which reorders the pairs. The fallback vectors are drawn again
+    with the default seed, so they equal the originals for instances built
+    with it, as ``random_instance`` builds them.
+    """
+    perm = rng.permutation(inst.n_nodes)  # old row i -> new row perm[i]
     new_ids = np.empty_like(inst.node_ids)
     new_init = np.empty_like(node_init)
-    for old in range(n):
-        new_ids[perm[old]] = inst.node_ids[old]
-        new_init[perm[old]] = node_init[old]
-    edges = sorted({(min(int(perm[a]), int(perm[b])),
-                     max(int(perm[a]), int(perm[b])))
-                    for a, b in inst.und_edges})
-    pairs = []
-    for pair in inst.pairs:
-        paths = [
-            (perm[h].astype(np.int64), r.copy(), sg.copy(), perm[t].astype(np.int64))
-            for h, r, sg, t in pair.paths
-        ]
-        order = rng.permutation(len(paths))
-        paths = [paths[int(k)] for k in order]
-        pairs.append(PairData(
-            q_row=int(perm[pair.q_row]), a_row=int(perm[pair.a_row]),
-            paths=paths,
-            fallback=None if pair.fallback is None else pair.fallback.copy()))
-    pair_order = rng.permutation(len(pairs))
-    pairs = [pairs[int(k)] for k in pair_order]
-    return Instance(
-        example_id=inst.example_id, cand_index=inst.cand_index,
-        node_ids=new_ids, und_edges=edges, pairs=pairs,
+    new_ids[perm] = inst.node_ids
+    new_init[perm] = node_init
+    ids = inst.node_ids.tolist()
+    by_pair = {(ids[pair.q_row], ids[pair.a_row]): pair.paths for pair in inst.pairs}
+    cq = rng.permutation(list(dict.fromkeys(q for q, _ in by_pair))).tolist()
+    ca = rng.permutation(list(dict.fromkeys(a for _, a in by_pair))).tolist()
+    paths = {}
+    for i, qc in enumerate(cq):
+        for j, ac in enumerate(ca):
+            plist = [{"start": qc, "steps": [[r, s < 0, ids[t]] for r, s, t in
+                                             zip(rels.tolist(), signs.tolist(), tails.tolist())]}
+                     for _, rels, signs, tails in by_pair[(qc, ac)]]
+            paths[f"{i},{j}"] = [plist[int(k)] for k in rng.permutation(len(plist))]
+    sg = {"cq": cq, "ca": ca, "nodes": new_ids.tolist(),
+          "edges": [[ids[a], 0, ids[b]] for a, b in inst.und_edges], "paths": paths}
+    return instance_from_schema_graph(
+        sg, inst.example_id, inst.cand_index, inst.fallback.shape[1],
         label=inst.label), new_init
 
 
@@ -321,7 +312,7 @@ def degeneracy_suite(seed: int = 0, n_instances: int = 25,
         rows = []
         for pi, pair in enumerate(inst.pairs):
             if pair.paths:
-                r = np.mean(trace.V[trace.owner == pi], axis=0)
+                r = np.mean(trace.V[inst.owner == pi], axis=0)
             else:
                 r = pair.fallback
             rows.append(np.concatenate([r, trace.T[pi]]))
@@ -352,7 +343,7 @@ def normalization_suite(seed: int = 0, n_instances: int = 50,
         trace = net.forward(inst, s, node_init, rel_emb)
         for pi, pair in enumerate(inst.pairs):
             if pair.paths:
-                a_hat = trace.alpha[pi, trace.owner == pi]
+                a_hat = trace.alpha[pi, inst.owner == pi]
                 worst = max(worst, abs(float(np.sum(a_hat)) - 1.0))
                 finite &= bool(np.all(np.isfinite(a_hat)))
         worst = max(worst, abs(float(np.sum(trace.beta_hat)) - 1.0))

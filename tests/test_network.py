@@ -1,16 +1,20 @@
 """Scoring-network behavior: encodings, attention, losses, gradients."""
 
+import json
+
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from kgqa import io_utils
 from kgqa.model.gradcheck import check_gradients
-from kgqa.model.network import (Instance, PathAttentionScorer, ModelConfig, PairData,
+from kgqa.model.network import (Instance, PathAttentionScorer, ModelConfig,
                                 bce_loss, fallback_vector,
                                 instance_from_schema_graph, listwise_loss)
-from kgqa.paths import build_schema_graph
-from kgqa.pipeline import _anchor_instance
-from kgqa.selfcheck import CHECK_CONFIG, random_instance
+from kgqa.paths import Path, PathStep, build_schema_graph
+from kgqa.selfcheck import CHECK_CONFIG, random_instance, random_kg
 
 from conftest import make_chain_kg
 
@@ -25,12 +29,16 @@ def fresh(seed=0, config=CFG, **kw):
     return net, inst, s, node_init, rel_emb
 
 
+def one_pair_instance(config, paths, n_nodes=3, label=None):
+    # concept 0 to concept 1; concept ids equal node rows
+    sg = {"cq": [0], "ca": [1], "nodes": list(range(n_nodes)),
+          "edges": [[0, 0, 1]], "paths": {"0,0": paths}}
+    return instance_from_schema_graph(sg, "x", 0, config.d_path, label=label)
+
+
 def single_path_instance(config, rel=0, sign=1.0, n_nodes=3):
-    path = (np.array([0]), np.array([rel]), np.array([sign]), np.array([1]))
-    pair = PairData(q_row=0, a_row=1, paths=[path])
-    return Instance(example_id="x", cand_index=0,
-                    node_ids=np.arange(n_nodes),
-                    und_edges=[(0, 1)], pairs=[pair], label=1)
+    path = {"start": 0, "steps": [[rel, sign < 0, 1]]}
+    return one_pair_instance(config, [path], n_nodes=n_nodes, label=1)
 
 
 def test_zero_lstm_weights_give_zero_path_vectors():
@@ -74,7 +82,7 @@ def test_path_attention_off_means_plain_mean():
                                              allow_zero_paths=False)
     trace = net.forward(inst, s, node_init, rel_emb)
     for pi in range(len(inst.pairs)):
-        vecs = trace.V[trace.owner == pi]
+        vecs = trace.V[inst.owner == pi]
         if len(vecs):
             assert np.allclose(trace.R_hat[pi], vecs.mean(axis=0), atol=1e-12)
 
@@ -90,10 +98,8 @@ def test_mean_degeneracy_one_and_two_identical_paths():
     inst = single_path_instance(CFG)
     trace = net.forward(inst, s, node_init, rel_emb)
     assert np.allclose(trace.R_hat[0], trace.V[0], atol=1e-12)
-    path = (np.array([0]), np.array([0]), np.array([1.0]), np.array([1]))
-    inst2 = Instance(example_id="x", cand_index=0, node_ids=np.arange(3),
-                     und_edges=[(0, 1)],
-                     pairs=[PairData(q_row=0, a_row=1, paths=[path, path])])
+    path = {"start": 0, "steps": [[0, False, 1]]}
+    inst2 = one_pair_instance(CFG, [path, path])
     trace2 = net.forward(inst2, s, node_init, rel_emb)
     assert np.allclose(trace2.R_hat[0], trace2.V[0], atol=1e-12)
 
@@ -158,14 +164,12 @@ def test_doubling_loss_grad_doubles_every_gradient():
 
 
 def test_forward_requires_fallback_for_pathless_pair():
-    rng = np.random.default_rng(11)
-    net = PathAttentionScorer(CFG, rng)
-    inst = Instance(example_id="x", cand_index=0, node_ids=np.arange(2),
-                    und_edges=[], pairs=[PairData(q_row=0, a_row=1, paths=[])])
+    none = np.zeros(0, dtype=np.int64)
     with pytest.raises(ValueError, match="no paths and no fallback"):
-        net.forward(inst, rng.standard_normal(CFG.d_s),
-                    rng.standard_normal((2, CFG.d_node)),
-                    rng.standard_normal((2, CFG.d_rel)))
+        Instance(example_id="x", cand_index=0, node_ids=np.arange(2), und_edges=[],
+                 q_rows=np.array([0]), a_rows=np.array([1]), owner=none,
+                 offsets=np.zeros(1, dtype=np.int64), heads=none, rels=none,
+                 signs=np.zeros(0), tails=none, fallback=np.zeros((0, CFG.d_path)))
 
 
 @pytest.mark.parametrize("path_attention", [True, False])
@@ -175,7 +179,7 @@ def test_instance_without_any_path_scores_and_backpropagates(path_attention):
                          "gcn_dims": tuple(CHECK_CONFIG.gcn_dims)})
     rng = np.random.default_rng(12)
     net = PathAttentionScorer(cfg, rng)
-    inst = _anchor_instance("x", 0, cfg.d_path, seed=0, label=1)
+    inst = instance_from_schema_graph(None, "x", 0, cfg.d_path, seed=0, label=1)
     s = rng.standard_normal(cfg.d_s)
     node_init = rng.standard_normal((1, cfg.d_node))
     rel_emb = rng.standard_normal((3, cfg.d_rel))
@@ -252,7 +256,7 @@ def test_fallback_vector_deterministic_and_keyed():
 def test_instance_from_schema_graph_maps_rows_and_fallbacks():
     kg = make_chain_kg(4)
     sg = build_schema_graph(kg, {0}, {3}, max_edges=3, cap=10)
-    inst = instance_from_schema_graph(sg, "ex", 1, d_path=8, seed=0, label=0)
+    inst = instance_from_schema_graph(sg.to_dict(), "ex", 1, d_path=8, seed=0, label=0)
     assert inst.label == 0
     assert list(inst.node_ids) == sorted(sg.nodes)
     local = {g: i for i, g in enumerate(inst.node_ids)}
@@ -274,13 +278,42 @@ def test_instance_pathless_pair_gets_seeded_fallback():
     kg = make_chain_kg(3)
     sg = build_schema_graph(kg, {0}, {2}, max_edges=3, cap=10)
     sg.paths[(0, 0)] = []
-    inst_a = instance_from_schema_graph(sg, "ex", 0, d_path=8, seed=0)
-    inst_b = instance_from_schema_graph(sg, "ex", 0, d_path=8, seed=0)
-    inst_c = instance_from_schema_graph(sg, "ex", 0, d_path=8, seed=1)
+    inst_a = instance_from_schema_graph(sg.to_dict(), "ex", 0, d_path=8, seed=0)
+    inst_b = instance_from_schema_graph(sg.to_dict(), "ex", 0, d_path=8, seed=0)
+    inst_c = instance_from_schema_graph(sg.to_dict(), "ex", 0, d_path=8, seed=1)
     assert inst_a.pairs[0].fallback is not None
     assert np.array_equal(inst_a.pairs[0].fallback, inst_b.pairs[0].fallback)
     assert not np.array_equal(inst_a.pairs[0].fallback,
                               inst_c.pairs[0].fallback)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), n_q=st.integers(1, 12),
+       n_a=st.integers(1, 3), density=st.floats(0.05, 0.3))
+@example(seed=0, n_q=12, n_a=2, density=0.2)
+def test_path_table_reproduces_schema_graph_paths(seed, n_q, n_a, density):
+    # up to 12 question concepts, so the cached JSON key "10,0" sorts before "2,0"
+    rng = np.random.default_rng(seed)
+    n = n_q + n_a + int(rng.integers(0, 4))
+    kg = random_kg(rng, n, density)
+    picks = rng.permutation(n).tolist()
+    sg = build_schema_graph(kg, picks[:n_q], picks[n_q:n_q + n_a], max_edges=3, cap=20)
+    cached = json.loads(io_utils.canonical_json(sg.to_dict()))
+    inst = instance_from_schema_graph(cached, "ex", 0, d_path=4)
+    ids = inst.node_ids.tolist()
+    assert len(inst.pairs) == len(sg.pair_indices())
+    for (i, j), pair in zip(sg.pair_indices(), inst.pairs):
+        assert (ids[pair.q_row], ids[pair.a_row]) == (sg.cq[i], sg.ca[j])
+        got = []
+        for heads, rels, signs, tails in pair.paths:
+            assert heads.dtype == rels.dtype == tails.dtype == np.int64
+            assert signs.dtype == np.float64
+            assert heads[1:].tolist() == tails[:-1].tolist()
+            got.append(Path(ids[heads[0]], tuple(
+                PathStep(r, s < 0, ids[t])
+                for r, s, t in zip(rels.tolist(), signs.tolist(), tails.tolist()))))
+        assert got == sg.paths[(i, j)]
+        assert (pair.fallback is None) == bool(sg.paths[(i, j)])
+    assert len(inst.fallback) == sum(not plist for plist in sg.paths.values())
 
 
 def test_model_config_round_trip():

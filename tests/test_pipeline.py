@@ -245,6 +245,15 @@ def test_explain_matches_trace_and_normalizes(mini):
             assert len(path["steps"]) >= 1
 
 
+@pytest.mark.parametrize("top_pairs, top_paths", [(0, 2), (-1, 2), (3, 0), (3, -2)])
+def test_explain_rejects_top_counts_below_one(mini, top_pairs, top_paths):
+    state = fresh_state(mini)
+    ex = mini.world.dev[0]
+    with pytest.raises(ValueError, match="at least 1"):
+        explain(state, mini.world.kg, ex, 0, mini.dev_inst[(ex.id, 0)],
+                top_pairs=top_pairs, top_paths=top_paths)
+
+
 def test_toy_explanations_surface_planted_evidence(toy_run):
     state = toy_run.state
     world = toy_run.world
