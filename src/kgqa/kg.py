@@ -113,10 +113,11 @@ class KnowledgeGraph:
         if not 0 <= c < self.n_concepts:
             raise IndexError(f"concept id {concept} out of range")
         lo, hi = self._adj_ptr[c], self._adj_ptr[c + 1]
-        return [
-            (int(self._adj_nbr[i]), int(self._adj_rel[i]), bool(self._adj_rev[i]))
-            for i in range(lo, hi)
-        ]
+        return list(zip(
+            self._adj_nbr[lo:hi].tolist(),
+            self._adj_rel[lo:hi].tolist(),
+            self._adj_rev[lo:hi].astype(bool).tolist(),
+        ))
 
     def save(self, path: str | Path, extra_meta: dict | None = None) -> None:
         meta = {

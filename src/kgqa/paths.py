@@ -2,9 +2,13 @@
 
 Paths run from a question concept to an answer concept, at most ``max_edges``
 edges (default 3), traversing triples in either direction with a per-step
-``reverse`` flag. Each (question concept, answer concept) pair is searched
-independently with a depth-limited DFS over the immutable graph, so pairs can
-be farmed out in parallel; results merge deterministically by pair index.
+``reverse`` flag. Each (question concept, answer concept) pair is searched on
+its own by a depth-limited DFS that starts from whichever endpoint has fewer
+incident edges; paths found from the answer side are walked back before they
+are sorted. The last hop is a dictionary lookup in the edges incident to the
+target, so no node on the last level lists its neighbours, and a hub endpoint
+costs one neighbour list rather than one per node two hops away. Results merge
+deterministically by pair index.
 """
 
 from __future__ import annotations
@@ -93,31 +97,52 @@ def find_paths(
         if not 0 <= c < kg.n_concepts:
             raise IndexError(f"concept id {c} out of range")
 
-    found: list[Path] = []
-    steps: list[PathStep] = []
-    on_path = {src}
+    src, dst = int(src), int(dst)  # no numpy scalar may reach a path's JSON
+    # Search from the endpoint with fewer incident edges, then reverse.
+    ptr = kg._adj_ptr
+    flip = bool(ptr[src + 1] - ptr[src] > ptr[dst + 1] - ptr[dst])
+    start, goal = (dst, src) if flip else (src, dst)
+    # Every edge into the goal, keyed by the node it leaves: the last hop of
+    # a path is a lookup, so no node on the last level lists its neighbours.
+    into_goal: dict[int, list[PathStep]] = {}
+    for nbr, rel, rev in kg.neighbors(goal):
+        into_goal.setdefault(nbr, []).append(PathStep(rel, not rev, goal))
 
-    def dfs(node: int) -> None:
-        if len(steps) >= max_edges:
+    found: list[tuple[PathStep, ...]] = []
+    on_path = {start}
+
+    def extend(node: int, prefix: tuple[PathStep, ...]) -> None:
+        found.extend(prefix + (last,) for last in into_goal.get(node, ()))
+        if len(prefix) + 2 > max_edges:
+            return
+        if len(prefix) + 2 == max_edges:  # every neighbour is on the last level
+            for nbr, rel, rev in kg.neighbors(node):
+                tails = into_goal.get(nbr)
+                if tails and nbr != goal and nbr not in on_path:
+                    mid = prefix + (PathStep(rel, rev, nbr),)
+                    found.extend(mid + (last,) for last in tails)
             return
         for nbr, rel, rev in kg.neighbors(node):
-            if nbr == dst:
-                found.append(Path(src, tuple(steps) + (PathStep(rel, rev, nbr),)))
+            if nbr == goal or nbr in on_path:
                 continue
-            if nbr in on_path:
-                continue
-            if len(steps) + 1 >= max_edges:
-                continue  # a dead end: nbr != dst and no room to extend
             on_path.add(nbr)
-            steps.append(PathStep(rel, rev, nbr))
-            dfs(nbr)
-            steps.pop()
+            extend(nbr, prefix + (PathStep(rel, rev, nbr),))
             on_path.remove(nbr)
 
-    dfs(src)
-    unique = sorted(set(found), key=Path.sort_key)
+    extend(start, ())
+    paths = {_reversed(start, steps) if flip else Path(start, steps) for steps in found}
+    unique = sorted(paths, key=Path.sort_key)
     truncated = len(unique) > cap
     return unique[:cap], truncated
+
+
+def _reversed(start: int, steps: tuple[PathStep, ...]) -> Path:
+    """The same path walked from its end: step i of the result crosses the
+    edge of step ``-1 - i`` the other way and lands on the node it left."""
+    left = (start, *(s.node for s in steps[:-1]))
+    return Path(steps[-1].node, tuple(
+        PathStep(s.rel, not s.reverse, node)
+        for s, node in zip(reversed(steps), reversed(left))))
 
 
 @dataclass

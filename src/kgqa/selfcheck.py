@@ -1,7 +1,8 @@
 """Built-in verification suites: oracles and property checks.
 
 Each suite pits a component against an independent reference: the path
-finder against exhaustive permutation enumeration over the raw triple list,
+finder against exhaustive permutation enumeration over the raw triple list
+and against the plain DFS it replaced,
 analytic gradients against central finite differences, attention against its
 closed-form degenerate cases. The CLI `selfcheck` subcommand runs them all
 and reports pass/fail; the test suite calls the same functions with the
@@ -22,7 +23,7 @@ from .kge import EmbeddingTable, prune_schema_graph
 from .model.gradcheck import check_gradients
 from .model.network import (Instance, PathAttentionScorer, ModelConfig, bce_loss,
                             instance_from_schema_graph)
-from .paths import SchemaGraph, build_schema_graph, find_paths
+from .paths import Path, PathStep, SchemaGraph, build_schema_graph, find_paths
 from .statement import ToyStatementEncoder
 
 # small dims keep finite differences affordable while exercising every tensor
@@ -196,8 +197,55 @@ def brute_force_paths(
     return found
 
 
+def reference_find_paths(
+    kg: KnowledgeGraph,
+    src: int,
+    dst: int,
+    max_edges: int = 3,
+    cap: int = 100,
+) -> tuple[list[Path], bool]:
+    """The plain depth-limited DFS from ``src`` that ``paths.find_paths``
+    replaced, kept as its oracle: same contract, same output order."""
+    if src == dst:
+        raise ValueError("src and dst must differ")
+    if max_edges < 1 or cap < 1:
+        raise ValueError("max_edges and cap must be >= 1")
+    for c in (src, dst):
+        if not 0 <= c < kg.n_concepts:
+            raise IndexError(f"concept id {c} out of range")
+
+    found: list[Path] = []
+    steps: list[PathStep] = []
+    on_path = {src}
+
+    def dfs(node: int) -> None:
+        if len(steps) >= max_edges:
+            return
+        for nbr, rel, rev in kg.neighbors(node):
+            if nbr == dst:
+                found.append(Path(src, tuple(steps) + (PathStep(rel, rev, nbr),)))
+                continue
+            if nbr in on_path:
+                continue
+            if len(steps) + 1 >= max_edges:
+                continue  # a dead end: nbr != dst and no room to extend
+            on_path.add(nbr)
+            steps.append(PathStep(rel, rev, nbr))
+            dfs(nbr)
+            steps.pop()
+            on_path.remove(nbr)
+
+    dfs(src)
+    unique = sorted(set(found), key=Path.sort_key)
+    truncated = len(unique) > cap
+    return unique[:cap], truncated
+
+
 def path_oracle_suite(seed: int = 0, n_graphs: int = 200, max_nodes: int = 12,
                       density: float = 0.3, max_edges: int = 3) -> CheckResult:
+    """``find_paths`` against brute-force enumeration (as a set), and against
+    ``reference_find_paths`` exactly: ordered list and ``truncated`` flag, in
+    full and at a cap that truncates."""
     rng = np.random.default_rng(stable_seed("path-oracle", seed))
     mismatches = 0
     compared = 0
@@ -216,7 +264,11 @@ def path_oracle_suite(seed: int = 0, n_graphs: int = 200, max_nodes: int = 12,
                            for p in got}
                 want = brute_force_paths(n, kg.triples, q, a, max_edges)
                 compared += 1
-                if got_set != want:
+                exact = all(
+                    find_paths(kg, q, a, max_edges=max_edges, cap=cap)
+                    == reference_find_paths(kg, q, a, max_edges=max_edges, cap=cap)
+                    for cap in (3, 10 ** 9))
+                if got_set != want or not exact:
                     mismatches += 1
     return CheckResult(
         name="path-enumeration-oracle",

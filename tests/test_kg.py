@@ -136,6 +136,17 @@ def test_neighbors_sorted_deterministically():
     assert nbrs == sorted(nbrs)
 
 
+def test_neighbors_are_python_scalars(tmp_path):
+    # uint32 triples and uint8 flags must not leak out as numpy scalars
+    triples = [(0, 1, 2), (2, 0, 0), (1, 1, 1), (0, 0, 1)]
+    kg = build_graph(list("abc"), ["r0", "r1"], triples, np.ones(len(triples)))
+    kg.save(tmp_path / "kg.bin")
+    for graph in (kg, KnowledgeGraph.load(tmp_path / "kg.bin")):
+        for c in range(graph.n_concepts):
+            for entry in graph.neighbors(c):
+                assert tuple(map(type, entry)) == (int, int, bool)
+
+
 def test_invalid_id_raises():
     kg = build_graph(["a", "b"], ["r"], [(0, 0, 1)], [1.0])
     with pytest.raises((IndexError, ValueError)):

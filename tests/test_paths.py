@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgqa.kg import build_graph
+from kgqa.kg import KnowledgeGraph, build_graph
 from kgqa.paths import (GroundingError, Path, PathStep, SchemaGraph,
                         build_schema_graph, find_paths)
-from kgqa.selfcheck import brute_force_paths
+from kgqa.selfcheck import brute_force_paths, reference_find_paths
 
 from conftest import make_chain_kg
 
@@ -130,6 +130,123 @@ def test_symmetry_under_endpoint_swap(seed):
     # same underlying triple sequences, reversed, with orientation flipped
     assert {tuple(reversed(p.triples())) for p in fwd} == \
         {tuple(p.triples()) for p in bwd}
+
+
+def degree(kg, c):
+    return len(kg.neighbors(c))
+
+
+def assert_matches_reference(kg, a, b, max_edges=3, cap=10 ** 9):
+    """Exact agreement with the plain DFS, in both argument orders."""
+    for src, dst in ((a, b), (b, a)):
+        assert find_paths(kg, src, dst, max_edges=max_edges, cap=cap) == \
+            reference_find_paths(kg, src, dst, max_edges=max_edges, cap=cap)
+
+
+@st.composite
+def hub_graphs(draw):
+    """Random multigraph-like KGs with self-loops, antiparallel triples and
+    several relations on one (head, tail), plus leaves hung on one hub until
+    its degree is at least 3x that of every other node."""
+    n = draw(st.integers(3, 8))
+    raw = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 2),
+                                  st.integers(0, n - 1)), min_size=1, max_size=24))
+    triples = set(raw)
+    h, t = draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
+    triples |= {(h, 0, t), (h, 1, t), (t, 2, h), (h, 0, h)}
+    hub = draw(st.integers(0, n - 1))
+    deg = np.zeros(n, dtype=int)
+    for a, _, b in triples:
+        deg[a] += 1
+        deg[b] += 1
+    others = max(int(deg[c]) for c in range(n) if c != hub)
+    leaf_rel = draw(st.lists(st.tuples(st.integers(0, 2), st.booleans()),
+                             min_size=1, max_size=4))
+    leaf = n
+    while deg[hub] < 3 * max(others, 1):
+        rel, into_hub = leaf_rel[leaf % len(leaf_rel)]
+        triples.add((leaf, rel, hub) if into_hub else (hub, rel, leaf))
+        deg[hub] += 1
+        leaf += 1
+    kg = build_graph([f"c{i}" for i in range(leaf)], ["r0", "r1", "r2"],
+                     sorted(triples), np.ones(len(triples)))
+    return kg, hub
+
+
+@settings(max_examples=60)
+@given(hub_graphs(), st.data(), st.integers(1, 4), st.integers(1, 50))
+def test_find_paths_equals_reference_dfs(graph, data, max_edges, cap):
+    kg, hub = graph
+    n = kg.n_concepts
+    a = data.draw(st.sampled_from([hub, *range(n)]))
+    b = data.draw(st.integers(0, n - 1).filter(lambda c: c != a))
+    assert_matches_reference(kg, a, b, max_edges=max_edges, cap=cap)
+
+
+def test_self_loop_on_dst_is_never_walked():
+    # dst = 2 carries a self-loop and is the lower-degree end
+    triples = [(0, 0, 1), (0, 1, 1), (1, 0, 2), (2, 1, 2), (0, 1, 3), (3, 0, 1),
+               (0, 0, 2), (0, 0, 4)]
+    kg = build_graph(list("abcde"), ["r0", "r1"], triples, np.ones(len(triples)))
+    assert degree(kg, 0) > degree(kg, 2)
+    got, _ = find_paths(kg, 0, 2)
+    assert all(s.node != 2 for p in got for s in p.steps[:-1])
+    assert keyset(got) == brute_force_paths(5, kg.triples, 0, 2, 3)
+    assert_matches_reference(kg, 0, 2)
+
+
+def test_self_loop_on_src_is_never_walked():
+    # src = 0 carries two self-loops, raising its degree above dst's
+    triples = [(0, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 2), (0, 1, 2)]
+    kg = build_graph(list("abc"), ["r0", "r1"], triples, np.ones(len(triples)))
+    assert degree(kg, 0) > degree(kg, 2)
+    got, _ = find_paths(kg, 0, 2)
+    assert all(p.start == 0 and 0 not in [s.node for s in p.steps] for p in got)
+    assert keyset(got) == brute_force_paths(3, kg.triples, 0, 2, 3)
+    assert_matches_reference(kg, 0, 2)
+
+
+def test_degree_tie_searches_either_way_alike():
+    triples = [(0, 0, 1), (1, 0, 3), (0, 1, 2), (2, 1, 3), (0, 0, 3)]
+    kg = build_graph(list("abcd"), ["r0", "r1"], triples, np.ones(len(triples)))
+    assert degree(kg, 0) == degree(kg, 3)
+    got, _ = find_paths(kg, 0, 3)
+    assert [[s.to_list() for s in p.steps] for p in got] == [
+        [[0, False, 3]], [[0, False, 1], [0, False, 3]],
+        [[1, False, 2], [1, False, 3]]]
+    assert_matches_reference(kg, 0, 3, cap=2)
+
+
+def test_hub_endpoint_costs_no_hub_expansion(monkeypatch):
+    # a hub with 300 leaves, and a 3-edge path hub-x-y-leaf0
+    n_leaves = 300
+    x, y = n_leaves + 1, n_leaves + 2
+    triples = [(0, 0, leaf) for leaf in range(1, n_leaves + 1)]
+    triples += [(0, 1, x), (x, 1, y), (y, 1, 1)]
+    kg = build_graph([f"c{i}" for i in range(n_leaves + 3)], ["r0", "r1"],
+                     triples, np.ones(len(triples)))
+    want = reference_find_paths(kg, 0, 1)
+    calls = []
+    plain = KnowledgeGraph.neighbors
+
+    def counted(self, concept):
+        calls.append(concept)
+        return plain(self, concept)
+
+    monkeypatch.setattr(KnowledgeGraph, "neighbors", counted)
+    got = find_paths(kg, 0, 1)
+    assert got == want
+    assert [[s.node for s in p.steps] for p in got[0]] == [[1], [x, y, 1]]
+    assert len(calls) < 10
+
+
+def test_paths_hold_python_scalars_for_numpy_endpoints():
+    kg = make_chain_kg(4)
+    for src, dst in ((np.int64(0), np.uint32(3)), (np.uint32(3), np.int64(0))):
+        (path,), _ = find_paths(kg, src, dst)
+        assert type(path.start) is int
+        for s in path.steps:
+            assert (type(s.rel), type(s.reverse), type(s.node)) == (int, bool, int)
 
 
 def test_path_dict_round_trip():
