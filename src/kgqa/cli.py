@@ -17,7 +17,7 @@ from pathlib import Path
 from . import __version__, io_utils
 from .config import RunConfig, resolve_config
 from .data import load_dataset
-from .ground import load_stopwords, recognize
+from .ground import default_stopwords_path, load_stopwords, recognize
 from .kg import KnowledgeGraph, default_merge_map_path, ingest, load_merge_map
 from .kge import EmbeddingTable, PruneReport, load_word_vectors, train_transe
 from .pipeline import (build_model_state, explain, ground_candidate,
@@ -84,6 +84,16 @@ def _manifest(args, out_path, cfg: RunConfig | None, *input_flags: str) -> None:
 
 def _stopwords(args) -> frozenset[str]:
     return load_stopwords(getattr(args, "stopwords", None))
+
+
+def _cache_dir(args, dataset) -> str | None:
+    """`--cache DIR` in a subdirectory named by the hashes of the KG, KGE,
+    stopword and ``dataset`` files, so a changed input misses the cache."""
+    if args.cache is None:
+        return None
+    inputs = (args.kg, args.kge, args.stopwords or default_stopwords_path(), dataset)
+    digests = "".join(io_utils.sha256_file(p) for p in inputs)
+    return str(Path(args.cache) / io_utils.sha256_bytes(digests.encode())[:16])
 
 
 # ---------------------------------------------------------------- commands
@@ -191,9 +201,9 @@ def cmd_train(args) -> int:
                               examples_for_vocab=train_examples + dev_examples,
                               features=features)
     train_inst = preprocess(kg, emb, train_examples, cfg, stop,
-                            cache_dir=args.cache, jobs=args.jobs)
+                            cache_dir=_cache_dir(args, args.dataset), jobs=args.jobs)
     dev_inst = preprocess(kg, emb, dev_examples, cfg, stop,
-                          cache_dir=args.cache, jobs=args.jobs)
+                          cache_dir=_cache_dir(args, args.dev), jobs=args.jobs)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     result = train(state, train_examples, dev_examples, train_inst, dev_inst,
@@ -214,12 +224,10 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     kg, emb, features, state = _load_state_inputs(args, need_checkpoint=True)
     cfg = state.cfg
-    if args.seed is not None:
-        cfg.seed = args.seed
     examples = load_dataset(args.dataset)
     stop = _stopwords(args)
     instances = preprocess(kg, emb, examples, cfg, stop,
-                           cache_dir=args.cache, jobs=args.jobs)
+                           cache_dir=_cache_dir(args, args.dataset), jobs=args.jobs)
     predictions = predict(state, examples, instances)
     with open(args.out, "w", encoding="utf-8") as fh:
         for pred in predictions:
@@ -241,7 +249,8 @@ def cmd_explain(args) -> int:
         raise ValueError(f"example id {args.id!r} not found in {args.dataset}")
     ex = examples[0]
     stop = _stopwords(args)
-    instances = preprocess(kg, emb, [ex], cfg, stop, cache_dir=args.cache)
+    instances = preprocess(kg, emb, [ex], cfg, stop,
+                           cache_dir=_cache_dir(args, args.dataset))
     if args.candidate is not None:
         cand = args.candidate
     else:
@@ -327,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="score candidates and pick answers")
     _add_common(p, "kg", "kge", "checkpoint", "dataset", "features?",
-                "stopwords?", "out", "seed?", "cache?", "jobs")
+                "stopwords?", "out", "cache?", "jobs")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("explain", help="attention report for one example")

@@ -12,7 +12,6 @@ from dataclasses import dataclass, fields
 from typing import get_type_hints
 
 from .io_utils import config_hash
-from .model.network import ModelConfig
 
 
 @dataclass
@@ -63,18 +62,24 @@ class RunConfig:
     loss: str = "bce"  # or "listwise"
     patience: int = 3
 
-    def model_config(self, d_s: int) -> ModelConfig:
-        dims = tuple(int(x) for x in self.gcn_dims.split(",") if x.strip()) \
-            if self.gcn_dims.strip() else ()
-        return ModelConfig(
-            d_node=self.kge_dim, gcn_dims=dims, d_rel=self.kge_dim,
-            lstm_hidden=self.lstm_hidden, d_t=self.d_t, t_hidden=self.t_hidden,
-            d_s=d_s, score_hidden=self.score_hidden,
-            path_attention=self.path_attention,
-            pair_attention=self.pair_attention,
-            train_rel_emb=self.train_rel_emb,
-            train_node_emb=self.train_node_emb,
-        )
+    # network widths derived from the keys above; kge_dim is both the node
+    # and the relation width
+    @property
+    def gcn_layers(self) -> tuple[int, ...]:
+        return tuple(int(x) for x in self.gcn_dims.split(",") if x.strip())
+
+    @property
+    def d_gcn_out(self) -> int:
+        layers = self.gcn_layers
+        return layers[-1] if layers else self.kge_dim
+
+    @property
+    def d_path(self) -> int:
+        return 4 * self.lstm_hidden
+
+    @property
+    def d_step(self) -> int:
+        return 2 * self.d_gcn_out + self.kge_dim
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

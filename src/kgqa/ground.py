@@ -43,10 +43,14 @@ def _load_exceptions() -> dict[str, str]:
 _EXCEPTIONS = _load_exceptions()
 
 
+def default_stopwords_path() -> Path:
+    return Path(__file__).parent / "data" / "stopwords.txt"
+
+
 def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
     """One word per line; default list ships with the package."""
     if path is None:
-        path = Path(__file__).parent / "data" / "stopwords.txt"
+        path = default_stopwords_path()
     words = Path(path).read_text(encoding="utf-8").split()
     return frozenset(w.lower() for w in words)
 

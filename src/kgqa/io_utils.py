@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -76,7 +77,8 @@ def write_container(path: str | Path, kind: str, meta: dict, blocks: dict) -> No
             dtype = str(arr.dtype)
             if dtype not in _DTYPES:
                 raise ContainerError(f"unsupported block dtype {dtype!r} for {name!r}")
-            arr = np.ascontiguousarray(arr, dtype=_DTYPES[dtype])
+            # asarray keeps a 0-d shape; tobytes writes C order regardless
+            arr = np.asarray(arr, dtype=_DTYPES[dtype])
             entries.append({"name": name, "dtype": dtype, "shape": list(arr.shape)})
             payloads.append(arr.tobytes())
     header = canonical_json(
@@ -90,30 +92,46 @@ def write_container(path: str | Path, kind: str, meta: dict, blocks: dict) -> No
             f.write(payload)
 
 
+def _read_exact(f, n: int, size: int, path, what: str) -> bytes:
+    left = size - f.tell()
+    if n > left:
+        raise ContainerError(f"{path}: truncated {what}: {n} bytes needed, {left} left")
+    return f.read(n)
+
+
 def read_container(path: str | Path, kind: str | None = None) -> tuple[dict, dict]:
-    """Read back (meta, blocks); verifies magic and, if given, the kind."""
+    """Read back (meta, blocks); verifies magic and, if given, the kind.
+
+    A file cut short anywhere, an unreadable header or an unknown block dtype
+    raises ContainerError.
+    """
     with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
         magic = f.read(8)
         if magic != MAGIC:
             raise ContainerError(f"{path}: not a kgqa binary artifact")
-        (hlen,) = struct.unpack("<Q", f.read(8))
-        header = json.loads(f.read(hlen).decode("utf-8"))
+        (hlen,) = struct.unpack("<Q", _read_exact(f, 8, size, path, "header length"))
+        raw_header = _read_exact(f, hlen, size, path, "header")
+        try:
+            header = json.loads(raw_header.decode("utf-8"))
+        except ValueError as exc:  # bad UTF-8 or JSON
+            raise ContainerError(f"{path}: unreadable header: {exc}") from None
         if kind is not None and header["kind"] != kind:
             raise ContainerError(
                 f"{path}: expected kind {kind!r}, found {header['kind']!r}"
             )
         blocks = {}
         for entry in header["blocks"]:
-            if entry["dtype"] == "bytes":
-                blocks[entry["name"]] = f.read(entry["shape"][0])
-            else:
-                dt = _DTYPES[entry["dtype"]]
-                n = int(np.prod(entry["shape"])) if entry["shape"] else 1
-                raw = f.read(n * dt.itemsize)
-                # copy: frombuffer views are read-only and callers mutate
-                blocks[entry["name"]] = (
-                    np.frombuffer(raw, dtype=dt).reshape(entry["shape"]).copy()
-                )
+            name, dtype = entry["name"], entry["dtype"]
+            if dtype != "bytes" and dtype not in _DTYPES:
+                raise ContainerError(
+                    f"{path}: block {name!r} has unknown dtype {dtype!r}")
+            itemsize = 1 if dtype == "bytes" else _DTYPES[dtype].itemsize
+            raw = _read_exact(f, int(np.prod(entry["shape"])) * itemsize, size, path,
+                              f"block {name!r}")
+            # copy: frombuffer views are read-only and callers mutate
+            blocks[name] = raw if dtype == "bytes" else \
+                np.frombuffer(raw, dtype=_DTYPES[dtype]).reshape(entry["shape"]).copy()
     return header["meta"], blocks
 
 

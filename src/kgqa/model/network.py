@@ -32,57 +32,12 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from ..config import RunConfig
 from ..io_utils import stable_seed
 from .layers import (BiLSTM, GCNLayer, Layer, MLP, glorot, normalized_adjacency,
                      sigmoid, softmax, softmax_backward)
 
 SCORE_EPS = 1e-15  # reported scores stay inside the open interval (0, 1)
-
-
-@dataclass
-class ModelConfig:
-    d_node: int = 100
-    gcn_dims: tuple[int, ...] = (100, 50)
-    d_rel: int = 100
-    lstm_hidden: int = 128
-    d_t: int = 128
-    t_hidden: int = 128
-    d_s: int = 128
-    score_hidden: int = 64
-    path_attention: bool = True
-    pair_attention: bool = True
-    train_rel_emb: bool = True
-    train_node_emb: bool = False
-
-    @property
-    def d_gcn_out(self) -> int:
-        return self.gcn_dims[-1] if self.gcn_dims else self.d_node
-
-    @property
-    def d_path(self) -> int:
-        return 4 * self.lstm_hidden
-
-    @property
-    def d_step(self) -> int:
-        return 2 * self.d_gcn_out + self.d_rel
-
-    def to_dict(self) -> dict:
-        return {
-            "d_node": self.d_node, "gcn_dims": list(self.gcn_dims),
-            "d_rel": self.d_rel, "lstm_hidden": self.lstm_hidden,
-            "d_t": self.d_t, "t_hidden": self.t_hidden, "d_s": self.d_s,
-            "score_hidden": self.score_hidden,
-            "path_attention": self.path_attention,
-            "pair_attention": self.pair_attention,
-            "train_rel_emb": self.train_rel_emb,
-            "train_node_emb": self.train_node_emb,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        d["gcn_dims"] = tuple(d.get("gcn_dims", (100, 50)))
-        return cls(**d)
 
 
 ANCHOR_CONCEPT = 0  # arbitrary fixed concept anchoring ungroundable candidates
@@ -252,37 +207,44 @@ class InputGrads:
 
 
 class PathAttentionScorer(Layer):
-    def __init__(self, config: ModelConfig, rng: np.random.Generator) -> None:
+    """The scoring network, sized and switched by the ``RunConfig`` it reads.
+
+    ``kge_dim`` is the node and relation width; ``d_s``, the statement width,
+    comes from the statement encoder or the feature file. Parameters are
+    drawn from ``rng`` in a fixed order: GCN, BiLSTM, T-MLP, W1, W2, score MLP.
+    """
+
+    def __init__(self, cfg: RunConfig, d_s: int, rng: np.random.Generator) -> None:
         super().__init__()
-        self.config = config
-        c = config
+        self.cfg = cfg
+        self.d_s = d_s
         self.gcn: list[GCNLayer] = []
-        d_prev = c.d_node
-        for li, d_out in enumerate(c.gcn_dims):
+        d_prev = cfg.kge_dim
+        for li, d_out in enumerate(cfg.gcn_layers):
             layer = GCNLayer(rng, d_prev, d_out)
             self.gcn.append(layer)
             self._adopt(f"gcn{li}", layer)
             d_prev = d_out
-        self.path_lstm = BiLSTM(rng, c.d_step, c.lstm_hidden)
+        self.path_lstm = BiLSTM(rng, cfg.d_step, cfg.lstm_hidden)
         self._adopt("path_lstm", self.path_lstm)
-        self.t_mlp = MLP(rng, [c.d_s + 2 * c.d_gcn_out, c.t_hidden, c.d_t])
+        self.t_mlp = MLP(rng, [d_s + 2 * cfg.d_gcn_out, cfg.t_hidden, cfg.d_t])
         self._adopt("t_mlp", self.t_mlp)
-        self.W1 = self._register("W1", glorot(rng, c.d_t, c.d_path))
-        self.W2 = self._register("W2", glorot(rng, c.d_s, c.d_t))
-        self.score_mlp = MLP(rng, [c.d_path + c.d_t, c.score_hidden, 1])
+        self.W1 = self._register("W1", glorot(rng, cfg.d_t, cfg.d_path))
+        self.W2 = self._register("W2", glorot(rng, d_s, cfg.d_t))
+        self.score_mlp = MLP(rng, [cfg.d_path + cfg.d_t, cfg.score_hidden, 1])
         self._adopt("score_mlp", self.score_mlp)
 
     # ---------------- forward ----------------
 
     def forward(self, inst: Instance, s: np.ndarray,
                 node_init: np.ndarray, rel_emb: np.ndarray) -> ForwardTrace:
-        c = self.config
+        c = self.cfg
         n = inst.n_nodes
-        if node_init.shape != (n, c.d_node):
+        if node_init.shape != (n, c.kge_dim):
             raise ValueError(f"node_init shape {node_init.shape}, "
-                             f"expected {(n, c.d_node)}")
-        if s.shape != (c.d_s,):
-            raise ValueError(f"statement vector shape {s.shape}, expected ({c.d_s},)")
+                             f"expected {(n, c.kge_dim)}")
+        if s.shape != (self.d_s,):
+            raise ValueError(f"statement vector shape {s.shape}, expected ({self.d_s},)")
 
         adj = normalized_adjacency(n, inst.und_edges)
         h = node_init
@@ -311,7 +273,7 @@ class PathAttentionScorer(Layer):
             groups.append((index, pos, lstm_cache))
 
         t_in = np.concatenate(
-            [np.broadcast_to(s, (P, c.d_s)), h[inst.q_rows], h[inst.a_rows]], axis=1)
+            [np.broadcast_to(s, (P, self.d_s)), h[inst.q_rows], h[inst.a_rows]], axis=1)
         T, t_cache = self.t_mlp.forward(t_in)
 
         # path attention: softmax over each pair's own paths, as masked rows
@@ -348,7 +310,7 @@ class PathAttentionScorer(Layer):
         d_raw is dLoss/dRaw where raw is the pre-sigmoid scalar; losses are
         defined on raw directly (logit form) so the chain stays exact.
         """
-        c = self.config
+        c = self.cfg
         H2 = c.lstm_hidden * 2
         d = c.d_gcn_out
         d_g = self.score_mlp.backward(np.array([float(d_raw)]), trace.score_cache)
@@ -359,7 +321,7 @@ class PathAttentionScorer(Layer):
         dR_hat = du[:, :c.d_path]
         dT = du[:, c.d_path:].copy()
 
-        ds = np.zeros(c.d_s)
+        ds = np.zeros(self.d_s)
         if c.pair_attention:
             d_beta = softmax_backward(trace.beta_hat, d_beta_hat)
             # beta_p = (s W2) . T_p
@@ -388,13 +350,13 @@ class PathAttentionScorer(Layer):
         d_node = np.zeros((inst.n_nodes, d))
         d_rel = np.zeros_like(trace.rel_emb)
         np.add.at(d_node, inst.heads, d_x[:, :d])
-        np.add.at(d_rel, inst.rels, inst.signs[:, None] * d_x[:, d:d + c.d_rel])
-        np.add.at(d_node, inst.tails, d_x[:, d + c.d_rel:])
+        np.add.at(d_rel, inst.rels, inst.signs[:, None] * d_x[:, d:d + c.kge_dim])
+        np.add.at(d_node, inst.tails, d_x[:, d + c.kge_dim:])
 
         d_t_in = self.t_mlp.backward(dT, trace.t_cache)
-        ds += d_t_in[:, :c.d_s].sum(axis=0)
-        np.add.at(d_node, inst.q_rows, d_t_in[:, c.d_s:c.d_s + d])
-        np.add.at(d_node, inst.a_rows, d_t_in[:, c.d_s + d:])
+        ds += d_t_in[:, :self.d_s].sum(axis=0)
+        np.add.at(d_node, inst.q_rows, d_t_in[:, self.d_s:self.d_s + d])
+        np.add.at(d_node, inst.a_rows, d_t_in[:, self.d_s + d:])
 
         dh = d_node
         for layer, cache in zip(reversed(self.gcn), reversed(trace.gcn_caches)):

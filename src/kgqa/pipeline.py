@@ -28,7 +28,7 @@ from .ground import recognize
 from .kg import KnowledgeGraph
 from .kge import EmbeddingTable, PruneReport, prune_schema_graph
 from .model.layers import Layer
-from .model.network import (ForwardTrace, Instance, ModelConfig, PathAttentionScorer,
+from .model.network import (ForwardTrace, Instance, PathAttentionScorer,
                             bce_loss, instance_from_schema_graph, listwise_loss)
 from .model.optim import Adam
 from .paths import GroundingError, build_schema_graph
@@ -70,10 +70,8 @@ def preprocess(
     stopwords: frozenset[str],
     cache_dir=None,
     jobs: int = 1,
-    progress: Optional[Callable[[int, int], None]] = None,
 ) -> dict[tuple[str, int], Instance]:
     """Instances for every (example, candidate), cache-backed when dir given."""
-    d_path = 4 * cfg.lstm_hidden
     tasks = [(ex, ci) for ex in examples for ci in range(len(ex.candidates))]
     payloads: dict[tuple[str, int], dict] = {}
 
@@ -110,14 +108,12 @@ def preprocess(
                 cp.write_text(io_utils.canonical_json(payload) + "\n", encoding="utf-8")
 
     out: dict[tuple[str, int], Instance] = {}
-    for n, (ex, ci) in enumerate(tasks):
+    for ex, ci in tasks:
         label = None if ex.label is None else int(ex.label == ci)
         # an ungrounded payload has no "sg" and becomes the anchor instance
         out[(ex.id, ci)] = instance_from_schema_graph(
-            payloads[(ex.id, ci)].get("sg"), ex.id, ci, d_path, seed=cfg.seed,
+            payloads[(ex.id, ci)].get("sg"), ex.id, ci, cfg.d_path, seed=cfg.seed,
             label=label)
-        if progress is not None:
-            progress(n + 1, len(tasks))
     return out
 
 
@@ -147,6 +143,10 @@ def _parallel_ground(kg, stopwords, cfg, pending, emb, jobs) -> list[dict]:
 class ModelState(Layer):
     """Everything needed to score: network, embeddings, statement encoder.
 
+    ``cfg`` sizes and switches all of it. ``d_s``, the statement width, is
+    the toy encoder's or the feature file's, so a checkpoint is rebuilt from
+    its ``run_config`` and vocabulary (or the feature file) alone.
+
     Its registry holds every trainable tensor once, under the name the
     checkpoint uses: ``net.*``, ``enc.*`` for the toy encoder, and ``rel_emb``
     / ``node_emb`` when the configuration trains them. The optimizer, the
@@ -155,13 +155,8 @@ class ModelState(Layer):
 
     def __init__(self, cfg: RunConfig, emb: EmbeddingTable, rng: np.random.Generator,
                  vocab: Optional[dict[str, int]] = None,
-                 features: Optional[FeatureStore] = None,
-                 model_config: Optional[ModelConfig] = None) -> None:
-        """Encoder from ``vocab`` (else ``features``), then network, from ``rng``.
-
-        ``model_config`` defaults to the one ``cfg`` gives for the statement
-        width; a loaded checkpoint passes the one it stored.
-        """
+                 features: Optional[FeatureStore] = None) -> None:
+        """Encoder from ``vocab`` (else ``features``), then network, from ``rng``."""
         super().__init__()
         self.cfg = cfg
         self.features = features
@@ -169,22 +164,21 @@ class ModelState(Layer):
         if vocab is not None:
             self.encoder = ToyStatementEncoder(vocab, cfg.enc_embed, cfg.enc_hidden, rng)
             self._adopt("enc", self.encoder)
-            d_s = self.encoder.d_s
+            self.d_s = self.encoder.d_s
         elif features is not None:
-            d_s = features.dim
+            self.d_s = features.dim
         else:
             raise ValueError("model needs a vocabulary or a feature store")
-        mc = model_config if model_config is not None else cfg.model_config(d_s)
-        if emb.dim != mc.d_node:
-            raise ValueError(f"embedding dim {emb.dim} != configured kge_dim {mc.d_node}")
-        self.model_config = mc
-        self.net = PathAttentionScorer(mc, rng)
+        if emb.dim != cfg.kge_dim:
+            raise ValueError(
+                f"embedding dim {emb.dim} != configured kge_dim {cfg.kge_dim}")
+        self.net = PathAttentionScorer(cfg, self.d_s, rng)
         self._adopt("net", self.net)
         self.rel_emb = emb.rel.copy()
-        self.node_emb = emb.ent.copy() if mc.train_node_emb else emb.ent
-        if mc.train_rel_emb:
+        self.node_emb = emb.ent.copy() if cfg.train_node_emb else emb.ent
+        if cfg.train_rel_emb:
             self._register("rel_emb", self.rel_emb)
-        if mc.train_node_emb:
+        if cfg.train_node_emb:
             self._register("node_emb", self.node_emb)
 
     def statement(self, example: QAExample, cand_index: int):
@@ -192,14 +186,8 @@ class ModelState(Layer):
         if self.encoder is not None:
             ids = self.encoder.token_ids(example.question,
                                          example.candidates[cand_index])
-            s, cache = self.encoder.forward(ids)
-            return s, cache
-        s = self.features.get(example.id, cand_index)
-        if s.shape != (self.model_config.d_s,):
-            raise ValueError(
-                f"feature vector for ({example.id}, {cand_index}) has shape "
-                f"{s.shape}, model expects ({self.model_config.d_s},)")
-        return s, None
+            return self.encoder.forward(ids)
+        return self.features.get(example.id, cand_index), None
 
     def forward(self, example: QAExample, cand_index: int,
                 inst: Instance) -> tuple[ForwardTrace, object]:
@@ -215,7 +203,6 @@ class ModelState(Layer):
     def save(self, path) -> None:
         meta = {
             "run_config": self.cfg.to_dict(),
-            "model_config": self.model_config.to_dict(),
             "encoder": "toy" if self.encoder is not None else "features",
         }
         if self.encoder is not None:
@@ -246,7 +233,9 @@ def build_model_state(
     raise ValueError(f"unknown encoder kind {cfg.encoder!r}")
 
 
-# run_config keys that older checkpoints store and nothing reads any more
+# run_config keys that older checkpoints store and nothing reads any more;
+# older checkpoints also carry a top-level "model_config", which is ignored
+# because every width it held follows from run_config and the encoder
 _RETIRED_RUN_CONFIG_KEYS = ("d_s",)
 
 
@@ -261,9 +250,10 @@ def load_model_state(path, emb: EmbeddingTable,
     elif features is None:
         raise ValueError("checkpoint uses feature files; pass --features")
     state = ModelState(cfg, emb, np.random.default_rng(0), vocab=vocab,
-                       features=features,
-                       model_config=ModelConfig.from_dict(meta["model_config"]))
+                       features=features)
     for name, v in state.checkpoint_blocks().items():
+        if name not in blocks:
+            raise ValueError(f"checkpoint {path} has no block {name!r}")
         if blocks[name].shape != v.shape:
             raise ValueError(f"checkpoint block {name!r} has shape "
                              f"{blocks[name].shape}, model expects {v.shape}")

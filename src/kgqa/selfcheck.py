@@ -17,19 +17,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import RunConfig
 from .io_utils import stable_seed
 from .kg import KnowledgeGraph, build_graph
 from .kge import EmbeddingTable, prune_schema_graph
 from .model.gradcheck import check_gradients
-from .model.network import (Instance, PathAttentionScorer, ModelConfig, bce_loss,
+from .model.network import (Instance, PathAttentionScorer, bce_loss,
                             instance_from_schema_graph)
 from .paths import Path, PathStep, SchemaGraph, build_schema_graph, find_paths
 from .statement import ToyStatementEncoder
 
 # small dims keep finite differences affordable while exercising every tensor
-CHECK_CONFIG = ModelConfig(
-    d_node=6, gcn_dims=(5, 4), d_rel=6, lstm_hidden=4, d_t=6, t_hidden=7,
-    d_s=8, score_hidden=5, train_rel_emb=True, train_node_emb=True)
+CHECK_CONFIG = RunConfig(kge_dim=6, gcn_dims="5,4", lstm_hidden=4, d_t=6,
+                         t_hidden=7, score_hidden=5)
+CHECK_D_S = 8  # statement width
 
 
 @dataclass
@@ -80,7 +81,8 @@ def random_kg(rng: np.random.Generator, n_nodes: int, density: float,
 
 def random_instance(
     rng: np.random.Generator,
-    config: ModelConfig,
+    cfg: RunConfig,
+    d_s: int,
     max_nodes: int = 6,
     max_paths: int = 4,
     n_relations: int = 3,
@@ -123,10 +125,10 @@ def random_instance(
         edges.append([int(a), 0, int(b)])
     sg = {"cq": cq, "ca": ca, "nodes": list(range(n)), "edges": edges, "paths": paths}
     inst = instance_from_schema_graph(
-        sg, f"rand-{int(rng.integers(1 << 30))}", 0, config.d_path)
-    s = rng.standard_normal(config.d_s)
-    node_init = rng.standard_normal((n, config.d_node))
-    rel_emb = rng.standard_normal((n_relations, config.d_rel))
+        sg, f"rand-{int(rng.integers(1 << 30))}", 0, cfg.d_path)
+    s = rng.standard_normal(d_s)
+    node_init = rng.standard_normal((n, cfg.kge_dim))
+    rel_emb = rng.standard_normal((n_relations, cfg.kge_dim))
     return inst, s, node_init, rel_emb
 
 
@@ -283,7 +285,7 @@ def _enc_inputs(rng: np.random.Generator) -> tuple[ToyStatementEncoder, np.ndarr
     vocab = {"<sep>": 0, "<unk>": 1}
     for i in range(8):
         vocab[f"w{i}"] = len(vocab)
-    enc = ToyStatementEncoder(vocab, d_embed=5, d_hidden=CHECK_CONFIG.d_s // 2,
+    enc = ToyStatementEncoder(vocab, d_embed=5, d_hidden=CHECK_D_S // 2,
                               rng=rng)
     ids = rng.integers(0, len(vocab), size=int(rng.integers(3, 7)))
     return enc, ids.astype(np.int64)
@@ -302,12 +304,12 @@ def gradient_suite(seed: int = 0, n_instances: int = 20,
     worst_name = ""
     for idx in range(n_instances):
         cfg = CHECK_CONFIG
-        net = PathAttentionScorer(cfg, rng)
+        net = PathAttentionScorer(cfg, CHECK_D_S, rng)
         enc, ids = _enc_inputs(rng)
-        inst, _, node_init, rel_emb = random_instance(rng, cfg)
-        node_table = np.zeros((inst.n_nodes + 2, cfg.d_node))
+        inst, _, node_init, rel_emb = random_instance(rng, cfg, CHECK_D_S)
+        node_table = np.zeros((inst.n_nodes + 2, cfg.kge_dim))
         node_table[:inst.n_nodes] = node_init
-        node_table[inst.n_nodes:] = rng.standard_normal((2, cfg.d_node))
+        node_table[inst.n_nodes:] = rng.standard_normal((2, cfg.kge_dim))
         label = idx % 2
 
         def loss_fn() -> float:
@@ -356,10 +358,10 @@ def degeneracy_suite(seed: int = 0, n_instances: int = 25,
     worst = 0.0
     for _ in range(n_instances):
         cfg = CHECK_CONFIG
-        net = PathAttentionScorer(cfg, rng)
+        net = PathAttentionScorer(cfg, CHECK_D_S, rng)
         net.params()["W1"][...] = 0.0
         net.params()["W2"][...] = 0.0
-        inst, s, node_init, rel_emb = random_instance(rng, cfg)
+        inst, s, node_init, rel_emb = random_instance(rng, cfg, CHECK_D_S)
         trace = net.forward(inst, s, node_init, rel_emb)
         rows = []
         for pi, pair in enumerate(inst.pairs):
@@ -384,8 +386,8 @@ def normalization_suite(seed: int = 0, n_instances: int = 50,
     finite = True
     for idx in range(n_instances):
         cfg = CHECK_CONFIG
-        net = PathAttentionScorer(cfg, rng)
-        inst, s, node_init, rel_emb = random_instance(rng, cfg)
+        net = PathAttentionScorer(cfg, CHECK_D_S, rng)
+        inst, s, node_init, rel_emb = random_instance(rng, cfg, CHECK_D_S)
         if idx % 3 == 0:  # push magnitudes to the 1e3 regime
             s = s * 1e3
             node_init = node_init * 1e3
@@ -414,8 +416,8 @@ def permutation_suite(seed: int = 0, n_instances: int = 30,
     worst = 0.0
     for _ in range(n_instances):
         cfg = CHECK_CONFIG
-        net = PathAttentionScorer(cfg, rng)
-        inst, s, node_init, rel_emb = random_instance(rng, cfg)
+        net = PathAttentionScorer(cfg, CHECK_D_S, rng)
+        inst, s, node_init, rel_emb = random_instance(rng, cfg, CHECK_D_S)
         base = net.forward(inst, s, node_init, rel_emb).score
         for _ in range(3):
             p_inst, p_init = permute_instance(inst, node_init, rng)

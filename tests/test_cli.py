@@ -1,11 +1,14 @@
 """Command-line behavior: every stage wired end to end on a small world."""
 
 import json
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
 
 from kgqa.cli import main
+from kgqa.data import save_dataset
+from kgqa.kge import EmbeddingTable
 
 MERGE_MAP = "evidence_of\tevidence_of\ncommon_trait\tcommon_trait\nvariant_of\tvariant_of\n"
 
@@ -219,3 +222,72 @@ def test_parallel_predict_output_is_byte_identical(run, cli_world):
                  "--out", str(parallel)])
     assert code == 0
     assert parallel.read_bytes() == run.preds.read_bytes()
+
+
+def predict_args(run, cli_world, out, *extra, kge=None):
+    return ["predict", "--kg", str(run.kg), "--kge", str(kge or run.kge),
+            "--checkpoint", str(run.model_dir / "model.bin"),
+            "--dataset", str(cli_world.dev_jsonl), "--out", str(out), *extra]
+
+
+def cache_files(cache):
+    return {p: p.stat().st_mtime_ns for p in cache.rglob("*") if p.is_file()}
+
+
+def test_predict_cache_equals_no_cache_and_rerun_writes_nothing(run, cli_world,
+                                                                tmp_path):
+    cache = tmp_path / "cache"
+    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    assert main(predict_args(run, cli_world, first, "--cache", str(cache))) == 0
+    assert first.read_bytes() == run.preds.read_bytes()
+    written = cache_files(cache)
+    assert written
+    assert main(predict_args(run, cli_world, second, "--cache", str(cache))) == 0
+    assert second.read_bytes() == run.preds.read_bytes()
+    assert cache_files(cache) == written
+
+
+def test_cache_misses_on_a_kge_table_differing_only_in_gamma(run, cli_world,
+                                                              tmp_path):
+    cache = tmp_path / "cache"
+    assert main(predict_args(run, cli_world, tmp_path / "warm.jsonl",
+                             "--cache", str(cache))) == 0
+    before = cache_files(cache)
+    table = EmbeddingTable.load(run.kge)
+    table.gamma = 0.5  # prunes most of the paths the trained table keeps
+    kge = tmp_path / "kge-gamma.bin"
+    table.save(kge)
+    cached, fresh = tmp_path / "cached.jsonl", tmp_path / "fresh.jsonl"
+    assert main(predict_args(run, cli_world, cached, "--cache", str(cache),
+                             kge=kge)) == 0
+    assert main(predict_args(run, cli_world, fresh, kge=kge)) == 0
+    assert cached.read_bytes() == fresh.read_bytes()
+    assert fresh.read_bytes() != run.preds.read_bytes()
+    assert set(cache_files(cache)) > set(before)
+
+
+def test_predict_takes_no_seed(run, cli_world, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(predict_args(run, cli_world, tmp_path / "p.jsonl", "--seed", "1"))
+    assert exc.value.code == 2
+
+
+def test_ungrounded_candidate_scores_alike_in_predict_and_explain(run, cli_world,
+                                                                  tmp_path):
+    ex = cli_world.world.dev[0]
+    ex = replace(ex, candidates=[*ex.candidates[:1], "qqzx vvrk",
+                                 *ex.candidates[2:]])
+    dataset = tmp_path / "dev.jsonl"
+    save_dataset(dataset, [ex])
+    preds, report = tmp_path / "preds.jsonl", tmp_path / "explain.json"
+    common = ["--kg", str(run.kg), "--kge", str(run.kge),
+              "--checkpoint", str(run.model_dir / "model.bin"),
+              "--dataset", str(dataset)]
+    assert main(["predict", *common, "--out", str(preds)]) == 0
+    assert main(["explain", *common, "--id", ex.id, "--candidate", "1",
+                 "--out", str(report)]) == 0
+    row = json.loads(preds.read_text())
+    explained = json.loads(report.read_text())
+    assert row["ungrounded_candidates"] == [1]
+    assert explained["ungrounded"] is True
+    assert row["scores"][1] == round(explained["score"], 10)

@@ -1,6 +1,7 @@
 """Scoring-network behavior: encodings, attention, losses, gradients."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,23 +10,24 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from kgqa import io_utils
+from kgqa.config import RunConfig
 from kgqa.model.gradcheck import check_gradients
-from kgqa.model.network import (Instance, PathAttentionScorer, ModelConfig,
-                                bce_loss, fallback_vector,
+from kgqa.model.network import (Instance, PathAttentionScorer, bce_loss, fallback_vector,
                                 instance_from_schema_graph, listwise_loss)
 from kgqa.paths import Path, PathStep, build_schema_graph
-from kgqa.selfcheck import CHECK_CONFIG, random_instance, random_kg
+from kgqa.selfcheck import CHECK_CONFIG, CHECK_D_S, random_instance, random_kg
 
 from conftest import make_chain_kg
 
-CFG = ModelConfig(d_node=6, gcn_dims=(5, 4), d_rel=6, lstm_hidden=4,
-                  d_t=6, t_hidden=7, d_s=8, score_hidden=5)
+CFG = RunConfig(kge_dim=6, gcn_dims="5,4", lstm_hidden=4, d_t=6, t_hidden=7,
+                score_hidden=5)
+D_S = 8
 
 
 def fresh(seed=0, config=CFG, **kw):
     rng = np.random.default_rng(seed)
-    inst, s, node_init, rel_emb = random_instance(rng, config, **kw)
-    net = PathAttentionScorer(config, np.random.default_rng(seed + 1))
+    inst, s, node_init, rel_emb = random_instance(rng, config, D_S, **kw)
+    net = PathAttentionScorer(config, D_S, np.random.default_rng(seed + 1))
     return net, inst, s, node_init, rel_emb
 
 
@@ -53,10 +55,10 @@ def test_zero_lstm_weights_give_zero_path_vectors():
 def test_single_step_path_duplicates_its_only_position():
     rng = np.random.default_rng(3)
     inst = single_path_instance(CFG)
-    net = PathAttentionScorer(CFG, rng)
-    s = rng.standard_normal(CFG.d_s)
-    node_init = rng.standard_normal((3, CFG.d_node))
-    rel_emb = rng.standard_normal((2, CFG.d_rel))
+    net = PathAttentionScorer(CFG, D_S, rng)
+    s = rng.standard_normal(D_S)
+    node_init = rng.standard_normal((3, CFG.kge_dim))
+    rel_emb = rng.standard_normal((2, CFG.kge_dim))
     trace = net.forward(inst, s, node_init, rel_emb)
     v = trace.V[0]
     H2 = 2 * CFG.lstm_hidden
@@ -65,10 +67,10 @@ def test_single_step_path_duplicates_its_only_position():
 
 def test_reversed_step_changes_the_path_vector():
     rng = np.random.default_rng(4)
-    net = PathAttentionScorer(CFG, rng)
-    s = rng.standard_normal(CFG.d_s)
-    node_init = rng.standard_normal((3, CFG.d_node))
-    rel_emb = rng.standard_normal((2, CFG.d_rel))
+    net = PathAttentionScorer(CFG, D_S, rng)
+    s = rng.standard_normal(D_S)
+    node_init = rng.standard_normal((3, CFG.kge_dim))
+    rel_emb = rng.standard_normal((2, CFG.kge_dim))
     fwd = net.forward(single_path_instance(CFG, sign=1.0), s, node_init, rel_emb)
     rev = net.forward(single_path_instance(CFG, sign=-1.0), s, node_init, rel_emb)
     assert not np.allclose(fwd.V[0], rev.V[0])
@@ -76,8 +78,7 @@ def test_reversed_step_changes_the_path_vector():
 
 
 def test_path_attention_off_means_plain_mean():
-    cfg = ModelConfig(**{**CFG.to_dict(), "path_attention": False,
-                         "gcn_dims": tuple(CFG.gcn_dims)})
+    cfg = replace(CFG, path_attention=False)
     net, inst, s, node_init, rel_emb = fresh(seed=5, config=cfg,
                                              allow_zero_paths=False)
     trace = net.forward(inst, s, node_init, rel_emb)
@@ -90,11 +91,11 @@ def test_path_attention_off_means_plain_mean():
 def test_mean_degeneracy_one_and_two_identical_paths():
     # one path: R equals that path vector; two equal vectors: R equals them
     rng = np.random.default_rng(6)
-    net = PathAttentionScorer(CFG, rng)
+    net = PathAttentionScorer(CFG, D_S, rng)
     net.W1[:] = 0
-    s = rng.standard_normal(CFG.d_s)
-    node_init = rng.standard_normal((3, CFG.d_node))
-    rel_emb = rng.standard_normal((2, CFG.d_rel))
+    s = rng.standard_normal(D_S)
+    node_init = rng.standard_normal((3, CFG.kge_dim))
+    rel_emb = rng.standard_normal((2, CFG.kge_dim))
     inst = single_path_instance(CFG)
     trace = net.forward(inst, s, node_init, rel_emb)
     assert np.allclose(trace.R_hat[0], trace.V[0], atol=1e-12)
@@ -106,16 +107,16 @@ def test_mean_degeneracy_one_and_two_identical_paths():
 
 def test_statement_mlp_zero_weights_bias_only():
     rng = np.random.default_rng(7)
-    net = PathAttentionScorer(CFG, rng)
+    net = PathAttentionScorer(CFG, D_S, rng)
     for name, p in net.params().items():
         if name.startswith("t_mlp."):
             p[:] = 0
     bias = net.t_mlp.layers[-1].b
     bias[:] = np.arange(CFG.d_t, dtype=float)
     inst = single_path_instance(CFG)
-    s = rng.standard_normal(CFG.d_s)
-    trace = net.forward(inst, s, rng.standard_normal((3, CFG.d_node)),
-                        rng.standard_normal((2, CFG.d_rel)))
+    s = rng.standard_normal(D_S)
+    trace = net.forward(inst, s, rng.standard_normal((3, CFG.kge_dim)),
+                        rng.standard_normal((2, CFG.kge_dim)))
     assert trace.T.shape == (1, CFG.d_t)
     assert np.allclose(trace.T[0], np.arange(CFG.d_t, dtype=float))
 
@@ -175,14 +176,13 @@ def test_forward_requires_fallback_for_pathless_pair():
 @pytest.mark.parametrize("path_attention", [True, False])
 def test_instance_without_any_path_scores_and_backpropagates(path_attention):
     # the ungrounded anchor form: one pair, no paths anywhere (K = 0)
-    cfg = ModelConfig(**{**CHECK_CONFIG.to_dict(), "path_attention": path_attention,
-                         "gcn_dims": tuple(CHECK_CONFIG.gcn_dims)})
+    cfg = replace(CHECK_CONFIG, path_attention=path_attention)
     rng = np.random.default_rng(12)
-    net = PathAttentionScorer(cfg, rng)
+    net = PathAttentionScorer(cfg, CHECK_D_S, rng)
     inst = instance_from_schema_graph(None, "x", 0, cfg.d_path, seed=0, label=1)
-    s = rng.standard_normal(cfg.d_s)
-    node_init = rng.standard_normal((1, cfg.d_node))
-    rel_emb = rng.standard_normal((3, cfg.d_rel))
+    s = rng.standard_normal(CHECK_D_S)
+    node_init = rng.standard_normal((1, cfg.kge_dim))
+    rel_emb = rng.standard_normal((3, cfg.kge_dim))
     trace = net.forward(inst, s, node_init, rel_emb)
     assert trace.V.shape == (0, cfg.d_path)
     assert trace.alpha.shape == (1, 0)
@@ -316,15 +316,15 @@ def test_path_table_reproduces_schema_graph_paths(seed, n_q, n_a, density):
     assert len(inst.fallback) == sum(not plist for plist in sg.paths.values())
 
 
-def test_model_config_round_trip():
-    cfg = ModelConfig(d_node=7, gcn_dims=(5,), d_rel=3, lstm_hidden=2,
-                      d_t=4, t_hidden=4, d_s=6, score_hidden=3,
-                      path_attention=False)
-    back = ModelConfig.from_dict(cfg.to_dict())
+def test_run_config_derived_dims():
+    cfg = RunConfig(kge_dim=3, gcn_dims="5", lstm_hidden=2, d_t=4, t_hidden=4,
+                    score_hidden=3, path_attention=False)
+    back = RunConfig(**cfg.to_dict())
     assert back == cfg
+    assert cfg.gcn_layers == (5,)
     assert cfg.d_path == 8
     assert cfg.d_step == 2 * 5 + 3
-    assert ModelConfig(gcn_dims=()).d_gcn_out == 100
+    assert RunConfig(gcn_dims="").d_gcn_out == 100
 
 
 def test_check_config_gradients_full_tolerance():

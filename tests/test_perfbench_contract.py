@@ -8,7 +8,8 @@ fields. Renaming either breaks the benchmark; this test breaks first.
 from kgqa.config import RunConfig
 from kgqa.ground import load_stopwords
 from kgqa.kge import train_transe
-from kgqa.pipeline import build_model_state, explain, predict, preprocess
+from kgqa.pipeline import (build_model_state, explain, load_model_state, predict,
+                           preprocess)
 from kgqa.toy import build_toy_world
 from perfbench.spans import Tracer, instrument
 from perfbench.workloads import instance_fingerprint
@@ -43,3 +44,15 @@ def test_perfbench_readers_see_the_program(tmp_path):
     assert tracer.counters["network.nodes"] == sum(inst.n_nodes for inst in scored)
     assert tracer.total_calls("network.forward") == len(scored)
     assert tracer.total_calls("network.instance_from_schema_graph") == 2 * len(cold)
+
+    # the setup and checkpoint stages: save, then reload through the wrapped
+    # loader and predict with the loaded state
+    model_path = tmp_path / "model.bin"
+    reload_tracer = Tracer()
+    with instrument(reload_tracer):
+        state.save(model_path)
+        loaded = load_model_state(model_path, emb)
+        got = predict(loaded, examples, warm)
+    want = predict(state, examples, warm)
+    assert [(p.scores, p.chosen) for p in got] == [(p.scores, p.chosen) for p in want]
+    assert reload_tracer.total_calls("network.forward") == len(warm)

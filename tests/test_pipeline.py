@@ -330,6 +330,62 @@ def test_checkpoint_with_retired_d_s_key_loads(mini, tmp_path):
         assert a.chosen == b.chosen
 
 
+def feature_store(mini, width=6):
+    keys = {}
+    for ex in mini.world.train + mini.world.dev:
+        for ci in range(len(ex.candidates)):
+            keys[(ex.id, ci)] = len(keys)
+    return FeatureStore(keys, np.random.default_rng(3).standard_normal((len(keys), width)))
+
+
+@pytest.mark.parametrize("encoder", ["toy", "features"])
+def test_checkpoint_with_model_config_key_loads(mini, tmp_path, encoder):
+    features = feature_store(mini) if encoder == "features" else None
+    cfg = RunConfig(**{**mini.cfg.to_dict(), "encoder": encoder})
+    state = build_model_state(cfg, mini.emb, examples_for_vocab=mini.world.train,
+                              features=features)
+    train(state, mini.world.train[:8], mini.world.dev[:4],
+          mini.train_inst, mini.dev_inst)
+    path = tmp_path / "model.bin"
+    state.save(path)
+    meta, blocks = io_utils.read_container(path, kind="model")
+    assert "model_config" not in meta
+    # older checkpoints also described the network a second time
+    model_config = {
+        "d_node": cfg.kge_dim, "gcn_dims": list(cfg.gcn_layers), "d_rel": cfg.kge_dim,
+        "lstm_hidden": cfg.lstm_hidden, "d_t": cfg.d_t, "t_hidden": cfg.t_hidden,
+        "d_s": state.d_s, "score_hidden": cfg.score_hidden,
+        "path_attention": cfg.path_attention, "pair_attention": cfg.pair_attention,
+        "train_rel_emb": cfg.train_rel_emb, "train_node_emb": cfg.train_node_emb}
+    old_path = tmp_path / "model-old.bin"
+    io_utils.write_container(old_path, "model", {**meta, "model_config": model_config},
+                             blocks)
+    want = predict(state, mini.world.dev, mini.dev_inst)
+    got = predict(load_model_state(old_path, mini.emb, features=features),
+                  mini.world.dev, mini.dev_inst)
+    for a, b in zip(want, got):
+        assert a.scores == b.scores
+        assert a.chosen == b.chosen
+
+
+def test_checkpoint_missing_block_is_named(mini, tmp_path):
+    path = tmp_path / "model.bin"
+    fresh_state(mini).save(path)
+    meta, blocks = io_utils.read_container(path, kind="model")
+    del blocks["net.W1"]
+    io_utils.write_container(path, "model", meta, blocks)
+    with pytest.raises(ValueError, match="no block 'net.W1'"):
+        load_model_state(path, mini.emb)
+
+
+def test_feature_file_of_another_width_fails_to_load(mini, tmp_path):
+    cfg = RunConfig(**{**mini.cfg.to_dict(), "encoder": "features"})
+    path = tmp_path / "model.bin"
+    build_model_state(cfg, mini.emb, features=feature_store(mini)).save(path)
+    with pytest.raises(ValueError, match="checkpoint block 'net.W2' has shape"):
+        load_model_state(path, mini.emb, features=feature_store(mini, width=7))
+
+
 def test_registry_names_trainable_tensors_as_the_checkpoint_does(mini, tmp_path):
     frozen = fresh_state(mini, train_rel_emb=False)
     assert all(k.startswith(("net.", "enc.")) for k in frozen.params())
@@ -366,14 +422,10 @@ def test_training_node_embeddings_with_frozen_relations(mini, tmp_path):
 
 
 def test_feature_mode_state_trains_saves_and_loads(mini, tmp_path):
-    keys = {}
-    for ex in mini.world.train + mini.world.dev:
-        for ci in range(len(ex.candidates)):
-            keys[(ex.id, ci)] = len(keys)
-    features = FeatureStore(keys, np.random.default_rng(3).standard_normal((len(keys), 6)))
+    features = feature_store(mini)
     cfg = RunConfig(**{**mini.cfg.to_dict(), "encoder": "features"})
     state = build_model_state(cfg, mini.emb, features=features)
-    assert state.encoder is None and state.model_config.d_s == 6
+    assert state.encoder is None and state.d_s == 6
     assert not any(k.startswith("enc.") for k in state.params())
     train(state, mini.world.train[:8], mini.world.dev[:4],
           mini.train_inst, mini.dev_inst)
