@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -99,11 +100,32 @@ def _read_exact(f, n: int, size: int, path, what: str) -> bytes:
     return f.read(n)
 
 
+def _check_header(header, path) -> None:
+    """Raise ContainerError unless the header has the layout written above."""
+    if not isinstance(header, dict):
+        raise ContainerError(f"{path}: header is not a JSON object")
+    for key, typ in (("kind", str), ("meta", dict), ("blocks", list)):
+        if key not in header:
+            raise ContainerError(f"{path}: header has no {key!r}")
+        if not isinstance(header[key], typ):
+            raise ContainerError(f"{path}: header {key!r} is not a {typ.__name__}")
+    for i, entry in enumerate(header["blocks"]):
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("dtype"), str)):
+            raise ContainerError(f"{path}: block entry {i} lacks a string name or dtype")
+        shape = entry.get("shape")
+        if not (isinstance(shape, list)
+                and all(type(n) is int and n >= 0 for n in shape)):
+            raise ContainerError(
+                f"{path}: block {entry['name']!r} has shape {shape!r}, "
+                "not a list of non-negative ints")
+
+
 def read_container(path: str | Path, kind: str | None = None) -> tuple[dict, dict]:
     """Read back (meta, blocks); verifies magic and, if given, the kind.
 
-    A file cut short anywhere, an unreadable header or an unknown block dtype
-    raises ContainerError.
+    A file cut short anywhere, an unreadable or malformed header or an unknown
+    block dtype raises ContainerError.
     """
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
@@ -116,6 +138,7 @@ def read_container(path: str | Path, kind: str | None = None) -> tuple[dict, dic
             header = json.loads(raw_header.decode("utf-8"))
         except ValueError as exc:  # bad UTF-8 or JSON
             raise ContainerError(f"{path}: unreadable header: {exc}") from None
+        _check_header(header, path)
         if kind is not None and header["kind"] != kind:
             raise ContainerError(
                 f"{path}: expected kind {kind!r}, found {header['kind']!r}"
@@ -127,12 +150,23 @@ def read_container(path: str | Path, kind: str | None = None) -> tuple[dict, dic
                 raise ContainerError(
                     f"{path}: block {name!r} has unknown dtype {dtype!r}")
             itemsize = 1 if dtype == "bytes" else _DTYPES[dtype].itemsize
-            raw = _read_exact(f, int(np.prod(entry["shape"])) * itemsize, size, path,
+            raw = _read_exact(f, math.prod(entry["shape"]) * itemsize, size, path,
                               f"block {name!r}")
             # copy: frombuffer views are read-only and callers mutate
             blocks[name] = raw if dtype == "bytes" else \
                 np.frombuffer(raw, dtype=_DTYPES[dtype]).reshape(entry["shape"]).copy()
     return header["meta"], blocks
+
+
+def require(path, meta: dict, blocks: dict, meta_keys=(), block_names=()) -> None:
+    """Raise ContainerError naming the first meta key or block that a loader
+    needs and a container read by ``read_container`` lacks."""
+    for key in meta_keys:
+        if key not in meta:
+            raise ContainerError(f"{path}: missing meta key {key!r}")
+    for name in block_names:
+        if name not in blocks:
+            raise ContainerError(f"{path}: missing block {name!r}")
 
 
 def write_manifest(out_path: str | Path, command: str, cfg_hash: str,

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .io_utils import read_container, write_container
+from .io_utils import read_container, require, write_container
 
 DELETE = "DELETE"
 
@@ -119,14 +119,12 @@ class KnowledgeGraph:
             self._adj_rev[lo:hi].astype(bool).tolist(),
         ))
 
-    def save(self, path: str | Path, extra_meta: dict | None = None) -> None:
+    def save(self, path: str | Path) -> None:
         meta = {
             "n_concepts": self.n_concepts,
             "n_relations": self.n_relations,
             "n_triples": self.n_triples,
         }
-        if extra_meta:
-            meta.update(extra_meta)
         write_container(
             path,
             "kg-snapshot",
@@ -141,7 +139,8 @@ class KnowledgeGraph:
 
     @classmethod
     def load(cls, path: str | Path) -> "KnowledgeGraph":
-        _, blocks = read_container(path, "kg-snapshot")
+        meta, blocks = read_container(path, "kg-snapshot")
+        require(path, meta, blocks, (), ("concepts", "relations", "triples", "weights"))
         concepts = blocks["concepts"].decode("utf-8").split("\n") if blocks["concepts"] else []
         relations = blocks["relations"].decode("utf-8").split("\n") if blocks["relations"] else []
         return build_graph(concepts, relations, blocks["triples"], blocks["weights"])

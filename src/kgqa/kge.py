@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import astuple, dataclass, fields
-from pathlib import Path as FsPath
+from pathlib import Path
 
 import numpy as np
 
 from . import io_utils
 from .kg import KnowledgeGraph
-from .paths import Path, SchemaGraph
+from .paths import SchemaGraph, path_triples
 
 DEFAULT_GAMMA = 2.0
 DEFAULT_THRESHOLD = 0.15
@@ -36,9 +36,6 @@ class EmbeddingTable:
     def dim(self) -> int:
         return self.ent.shape[1]
 
-    def rel_vec(self, rel: int, reverse: bool = False) -> np.ndarray:
-        return -self.rel[rel] if reverse else self.rel[rel]
-
     def triple_distance(self, h: np.ndarray, r: np.ndarray, t: np.ndarray,
                         reverse: bool = False) -> np.ndarray:
         rv = -self.rel[r] if reverse else self.rel[r]
@@ -54,9 +51,10 @@ class EmbeddingTable:
         out = np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
         return out[()]
 
-    def path_score(self, path: Path) -> float:
+    def path_score(self, path: dict) -> float:
+        """Product of the triple confidences along a path record."""
         conf = 1.0
-        for h, r, t in path.triples():
+        for h, r, t in path_triples(path):
             conf *= float(self.triple_confidence(h, r, t))
         return conf
 
@@ -71,6 +69,7 @@ class EmbeddingTable:
     @classmethod
     def load(cls, path) -> "EmbeddingTable":
         meta, blocks = io_utils.read_container(path, kind="kge")
+        io_utils.require(path, meta, blocks, ("gamma",), ("ent", "rel"))
         return cls(ent=blocks["ent"], rel=blocks["rel"], gamma=float(meta["gamma"]))
 
 
@@ -96,6 +95,12 @@ def load_word_vectors(path) -> dict[str, np.ndarray] | None:
     return vecs
 
 
+def _renorm_entities(ent: np.ndarray) -> None:
+    norms = np.linalg.norm(ent, axis=1, keepdims=True)
+    np.maximum(norms, 1e-12, out=norms)  # guard all-zero rows
+    ent /= norms
+
+
 def init_embeddings(
     kg: KnowledgeGraph,
     dim: int,
@@ -118,16 +123,8 @@ def init_embeddings(
             toks = [word_vectors[t] for t in surface.split("_") if t in word_vectors]
             if toks:
                 ent[i] = np.mean(toks, axis=0)
-    norms = np.linalg.norm(ent, axis=1, keepdims=True)
-    np.maximum(norms, 1e-12, out=norms)
-    ent /= norms
+    _renorm_entities(ent)
     return EmbeddingTable(ent=ent, rel=rel)
-
-
-def _renorm_entities(ent: np.ndarray) -> None:
-    norms = np.linalg.norm(ent, axis=1, keepdims=True)
-    np.maximum(norms, 1e-12, out=norms)  # guard all-zero rows
-    ent /= norms
 
 
 def train_transe(
@@ -139,8 +136,7 @@ def train_transe(
     batch_size: int = 512,
     neg_per_pos: int = 1,
     seed: int = 0,
-    word_vectors: dict[str, np.ndarray] | str | FsPath | None = None,
-    log_every: int = 0,
+    word_vectors: dict[str, np.ndarray] | str | Path | None = None,
 ) -> tuple[EmbeddingTable, list[float]]:
     """Margin-ranking SGD over the graph's triples.
 
@@ -148,7 +144,7 @@ def train_transe(
     entity. Returns the table plus mean epoch loss history; epochs=0 returns
     the initial table untouched.
     """
-    if isinstance(word_vectors, (str, FsPath)):
+    if isinstance(word_vectors, (str, Path)):
         word_vectors = load_word_vectors(word_vectors)
     rng = np.random.default_rng(seed)
     table = init_embeddings(kg, dim, rng, word_vectors)
@@ -204,8 +200,6 @@ def train_transe(
         history.append(mean_loss)
         if not np.isfinite(mean_loss):
             raise FloatingPointError(f"non-finite loss at epoch {epoch}")
-        if log_every and (epoch + 1) % log_every == 0:
-            print(f"epoch {epoch + 1}/{epochs} loss {mean_loss:.4f}")
     return table, history
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from pathlib import Path as FsPath
+from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
@@ -77,10 +77,10 @@ def preprocess(
 
     cache_root = None
     if cache_dir is not None:
-        cache_root = FsPath(cache_dir) / cfg.hash()
+        cache_root = Path(cache_dir) / cfg.hash()
         cache_root.mkdir(parents=True, exist_ok=True)
 
-    def cache_path(ex_id: str, ci: int) -> Optional[FsPath]:
+    def cache_path(ex_id: str, ci: int) -> Optional[Path]:
         if cache_root is None:
             return None
         return cache_root / f"{io_utils.sha256_bytes(ex_id.encode())[:24]}_{ci}.json"

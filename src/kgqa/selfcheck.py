@@ -11,6 +11,7 @@ sizes and tolerances pinned in the acceptance tests.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -24,7 +25,7 @@ from .kge import EmbeddingTable, prune_schema_graph
 from .model.gradcheck import check_gradients
 from .model.network import (Instance, PathAttentionScorer, bce_loss,
                             instance_from_schema_graph)
-from .paths import Path, PathStep, SchemaGraph, build_schema_graph, find_paths
+from .paths import build_schema_graph, find_paths, path_sort_key
 from .statement import ToyStatementEncoder
 
 # small dims keep finite differences affordable while exercising every tensor
@@ -205,9 +206,10 @@ def reference_find_paths(
     dst: int,
     max_edges: int = 3,
     cap: int = 100,
-) -> tuple[list[Path], bool]:
+) -> tuple[list[dict], bool]:
     """The plain depth-limited DFS from ``src`` that ``paths.find_paths``
-    replaced, kept as its oracle: same contract, same output order."""
+    replaced, kept as its oracle: same contract, same path records, same
+    output order."""
     if src == dst:
         raise ValueError("src and dst must differ")
     if max_edges < 1 or cap < 1:
@@ -216,8 +218,8 @@ def reference_find_paths(
         if not 0 <= c < kg.n_concepts:
             raise IndexError(f"concept id {c} out of range")
 
-    found: list[Path] = []
-    steps: list[PathStep] = []
+    found: list[tuple] = []
+    steps: list[tuple[int, bool, int]] = []
     on_path = {src}
 
     def dfs(node: int) -> None:
@@ -225,20 +227,21 @@ def reference_find_paths(
             return
         for nbr, rel, rev in kg.neighbors(node):
             if nbr == dst:
-                found.append(Path(src, tuple(steps) + (PathStep(rel, rev, nbr),)))
+                found.append(tuple(steps) + ((rel, rev, nbr),))
                 continue
             if nbr in on_path:
                 continue
             if len(steps) + 1 >= max_edges:
                 continue  # a dead end: nbr != dst and no room to extend
             on_path.add(nbr)
-            steps.append(PathStep(rel, rev, nbr))
+            steps.append((rel, rev, nbr))
             dfs(nbr)
             steps.pop()
             on_path.remove(nbr)
 
     dfs(src)
-    unique = sorted(set(found), key=Path.sort_key)
+    unique = sorted(({"start": int(src), "steps": [list(s) for s in path]}
+                     for path in set(found)), key=path_sort_key)
     truncated = len(unique) > cap
     return unique[:cap], truncated
 
@@ -262,8 +265,7 @@ def path_oracle_suite(seed: int = 0, n_graphs: int = 200, max_nodes: int = 12,
                 got, truncated = find_paths(kg, q, a, max_edges=max_edges,
                                             cap=10 ** 9)
                 assert not truncated
-                got_set = {tuple((s.rel, s.reverse, s.node) for s in p.steps)
-                           for p in got}
+                got_set = {tuple(map(tuple, p["steps"])) for p in got}
                 want = brute_force_paths(n, kg.triples, q, a, max_edges)
                 compared += 1
                 exact = all(
@@ -454,14 +456,14 @@ def pruning_suite(seed: int = 0, n_graphs: int = 40) -> CheckResult:
     problems = []
     for gi, (sg, table) in enumerate(_random_schema_graphs(rng, n_graphs)):
         t1, t2 = sorted(rng.uniform(0.05, 0.9, size=2))
-        copies = {t: SchemaGraph.from_dict(sg.to_dict()) for t in (0.0, t1, t2)}
+        copies = {t: copy.deepcopy(sg) for t in (0.0, t1, t2)}
         for t, copy_sg in copies.items():
             prune_schema_graph(copy_sg, table, threshold=t)
         for key, orig in sg.paths.items():
-            keys = {p.sort_key() for p in orig}
-            zero = {p.sort_key() for p in copies[0.0].paths[key]}
-            k1 = {p.sort_key() for p in copies[t1].paths[key]}
-            k2 = {p.sort_key() for p in copies[t2].paths[key]}
+            keys = {path_sort_key(p) for p in orig}
+            zero = {path_sort_key(p) for p in copies[0.0].paths[key]}
+            k1 = {path_sort_key(p) for p in copies[t1].paths[key]}
+            k2 = {path_sort_key(p) for p in copies[t2].paths[key]}
             if zero != keys:
                 problems.append(f"g{gi}{key}: threshold 0 not identity")
             if len(orig) < 3 and (k1 != keys or k2 != keys):
@@ -470,7 +472,7 @@ def pruning_suite(seed: int = 0, n_graphs: int = 40) -> CheckResult:
                 problems.append(f"g{gi}{key}: higher threshold kept extra paths")
             if orig and (not k1 or not k2):
                 problems.append(f"g{gi}{key}: pair lost all paths")
-            scores = {p.sort_key(): table.path_score(p) for p in orig}
+            scores = {path_sort_key(p): table.path_score(p) for p in orig}
             if len(orig) >= 3:
                 best = max(scores.values())
                 for t, kept in ((t1, k1), (t2, k2)):

@@ -102,6 +102,7 @@ class FeatureStore:
         if path.suffix == ".jsonl":
             return cls._load_jsonl(path)
         meta, blocks = io_utils.read_container(path, kind="features")
+        io_utils.require(path, meta, blocks, ("keys",), ("rows",))
         keys = {}
         for pos, key in enumerate(meta["keys"]):
             ex_id, idx = key.rsplit("#", 1)

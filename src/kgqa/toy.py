@@ -21,7 +21,6 @@ import numpy as np
 
 from .data import QAExample
 from .kg import KnowledgeGraph, build_graph
-from .paths import Path, SchemaGraph
 
 EVIDENCE = "evidence_of"
 HUB_REL = "common_trait"
@@ -122,15 +121,16 @@ def build_toy_world(seed: int = 0, n_families: int = 18, items_per_family: int =
     return ToyWorld(kg=kg, train=train, dev=dev)
 
 
-def is_pure_evidence(path: Path, kg: KnowledgeGraph) -> bool:
-    rel = kg.relations.index(EVIDENCE)
-    return all(step.rel == rel and not step.reverse for step in path.steps)
+def is_pure_evidence(path: dict, kg: KnowledgeGraph) -> bool:
+    evidence = kg.relations.index(EVIDENCE)
+    return all(rel == evidence and not reverse for rel, reverse, _ in path["steps"])
 
 
-def rule_candidate_plausible(sg: SchemaGraph, kg: KnowledgeGraph) -> bool:
-    """The hand rule: some pair owns an all-evidence forward chain."""
+def rule_candidate_plausible(sg: dict, kg: KnowledgeGraph) -> bool:
+    """The hand rule: some pair of a schema graph's JSON (as cached) owns an
+    all-evidence forward chain."""
     return any(
         is_pure_evidence(p, kg)
-        for plist in sg.paths.values()
+        for plist in sg["paths"].values()
         for p in plist
     )

@@ -12,7 +12,6 @@ from kgqa.data import save_dataset
 from kgqa.ground import load_stopwords
 from kgqa.kg import build_graph
 from kgqa.kge import train_transe
-from kgqa.paths import SchemaGraph
 from kgqa.pipeline import (build_model_state, evaluate, ground_candidate,
                            preprocess, train)
 from kgqa.toy import build_toy_world, rule_candidate_plausible
@@ -91,8 +90,7 @@ def toy_run():
         plausible = []
         for ci in range(len(ex.candidates)):
             payload = ground_candidate(world.kg, stop, rule_cfg, ex, ci, None)
-            ok = ("sg" in payload and rule_candidate_plausible(
-                SchemaGraph.from_dict(payload["sg"]), world.kg))
+            ok = "sg" in payload and rule_candidate_plausible(payload["sg"], world.kg)
             plausible.append(ok)
         if plausible.count(True) == 1 and plausible.index(True) == ex.label:
             rule_hits += 1

@@ -1,4 +1,5 @@
-"""Binary container: valid files round-trip, damaged ones raise ContainerError."""
+"""Binary container: valid files round-trip, damaged or malformed ones raise
+ContainerError, and each loader names a block or meta key it needs."""
 
 import json
 import struct
@@ -11,7 +12,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kgqa.io_utils import MAGIC, ContainerError, read_container, write_container
+from kgqa.kg import KnowledgeGraph, build_graph
 from kgqa.kge import EmbeddingTable
+from kgqa.statement import FeatureStore
 
 BLOCK_SPECS = st.lists(
     st.tuples(st.sampled_from(["float64", "float32", "uint32", "int64", "bytes"]),
@@ -77,3 +80,81 @@ def test_garbled_header_raises_container_error(tmp_path):
     path.write_bytes(MAGIC + struct.pack("<Q", 4) + b"\xff{]x")
     with pytest.raises(ContainerError, match="unreadable header"):
         read_container(path)
+
+
+def write_raw(path, header) -> None:
+    raw = json.dumps(header).encode()
+    path.write_bytes(MAGIC + struct.pack("<Q", len(raw)) + raw + bytes(16))
+
+
+def block(shape, name="x", dtype="float64"):
+    return {"name": name, "dtype": dtype, "shape": shape}
+
+
+@pytest.mark.parametrize("header, message", [
+    ({}, "header has no 'kind'"),
+    ([], "header is not a JSON object"),
+    ({"kind": "test", "version": 1, "blocks": []}, "header has no 'meta'"),
+    ({"kind": "test", "version": 1, "meta": {}}, "header has no 'blocks'"),
+    ({"kind": "test", "meta": [], "blocks": []}, "header 'meta' is not a dict"),
+    ({"kind": "test", "meta": {}, "blocks": {}}, "header 'blocks' is not a list"),
+    ({"kind": "test", "meta": {}, "blocks": [["x", "float64", [1]]]},
+     "block entry 0 lacks a string name or dtype"),
+    ({"kind": "test", "meta": {}, "blocks": [block("2")]}, "block 'x' has shape '2'"),
+    ({"kind": "test", "meta": {}, "blocks": [block([-1])]}, r"block 'x' has shape \[-1\]"),
+    ({"kind": "test", "meta": {}, "blocks": [block([1.0])]}, r"block 'x' has shape \[1.0\]"),
+    ({"kind": "test", "meta": {}, "blocks": [block([2**40, 2**40])]}, "truncated block 'x'"),
+])
+def test_malformed_header_raises_container_error(tmp_path, header, message):
+    path = tmp_path / "c.bin"
+    write_raw(path, header)
+    with pytest.raises(ContainerError, match=message):
+        read_container(path)
+
+
+def save_kge(path):
+    EmbeddingTable(ent=np.ones((3, 4)), rel=np.ones((2, 4))).save(path)
+
+
+def save_kg(path):
+    build_graph(["a", "b"], ["r"], [(0, 0, 1)], [1.0]).save(path)
+
+
+def save_features(path):
+    FeatureStore.write(path, {("q", 0): np.ones(3)})
+
+
+# loader name -> (save a valid container, container kind, load)
+LOADERS = {
+    "kge": (save_kge, "kge", EmbeddingTable.load),
+    "kg": (save_kg, "kg-snapshot", KnowledgeGraph.load),
+    "features": (save_features, "features", FeatureStore.load),
+}
+
+
+def load_without(tmp_path, loader, block_name=None, meta_key=None):
+    """Load a valid container rewritten without one block or meta key."""
+    save, kind, load = LOADERS[loader]
+    path = tmp_path / "c.bin"
+    save(path)
+    meta, blocks = read_container(path, kind=kind)
+    assert block_name in (None, *blocks) and meta_key in (None, *meta)
+    blocks.pop(block_name, None)
+    meta.pop(meta_key, None)
+    write_container(path, kind, meta, blocks)
+    return load(path)
+
+
+@pytest.mark.parametrize("loader, block_name", [
+    ("kge", "ent"), ("kge", "rel"), ("kg", "concepts"), ("kg", "relations"),
+    ("kg", "triples"), ("kg", "weights"), ("features", "rows"),
+])
+def test_loader_names_a_missing_block(tmp_path, loader, block_name):
+    with pytest.raises(ContainerError, match=f"missing block '{block_name}'"):
+        load_without(tmp_path, loader, block_name=block_name)
+
+
+@pytest.mark.parametrize("loader, meta_key", [("kge", "gamma"), ("features", "keys")])
+def test_loader_names_a_missing_meta_key(tmp_path, loader, meta_key):
+    with pytest.raises(ContainerError, match=f"missing meta key '{meta_key}'"):
+        load_without(tmp_path, loader, meta_key=meta_key)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from kgqa.kg import build_graph
 from kgqa.kge import (EmbeddingTable, eval_tail_mrr, init_embeddings,
                       prune_schema_graph, train_transe)
-from kgqa.paths import build_schema_graph
+from kgqa.paths import build_schema_graph, path_triples
 
 from conftest import make_chain_kg, planted_kg
 
@@ -61,13 +61,6 @@ def test_reverse_consistency(seed):
     f = table.triple_confidence(0, 1, 3, reverse=False)
     r = table.triple_confidence(3, 1, 0, reverse=True)
     assert f == pytest.approx(r, rel=1e-12)
-
-
-def test_reverse_vector_is_negation():
-    table = table_with_distances([1.0, 2.0])
-    for k in range(2):
-        assert np.array_equal(table.rel_vec(k, reverse=True),
-                              -table.rel_vec(k, reverse=False))
 
 
 def path_for(kg, src, dst, **kw):
@@ -170,7 +163,7 @@ def test_prune_rebuilds_node_cover():
     assert len(sg.paths[(0, 0)]) == 2
     cover = {0, 3}
     for p in sg.paths[(0, 0)]:
-        cover |= set(p.nodes())
+        cover |= {p["start"], *(node for _, _, node in p["steps"])}
     assert set(sg.nodes) == cover
 
 
@@ -184,8 +177,8 @@ def test_prune_monotone_in_threshold(seed):
     _, table2, sg2 = multi_edge_world(list(scores))
     prune_schema_graph(sg1, table, threshold=t1)
     prune_schema_graph(sg2, table2, threshold=t2)
-    low = {tuple(p.triples()) for p in sg1.paths[(0, 0)]}
-    high = {tuple(p.triples()) for p in sg2.paths[(0, 0)]}
+    low = {tuple(path_triples(p)) for p in sg1.paths[(0, 0)]}
+    high = {tuple(path_triples(p)) for p in sg2.paths[(0, 0)]}
     assert high <= low
 
 

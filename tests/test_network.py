@@ -14,7 +14,7 @@ from kgqa.config import RunConfig
 from kgqa.model.gradcheck import check_gradients
 from kgqa.model.network import (Instance, PathAttentionScorer, bce_loss, fallback_vector,
                                 instance_from_schema_graph, listwise_loss)
-from kgqa.paths import Path, PathStep, build_schema_graph
+from kgqa.paths import build_schema_graph
 from kgqa.selfcheck import CHECK_CONFIG, CHECK_D_S, random_instance, random_kg
 
 from conftest import make_chain_kg
@@ -300,17 +300,18 @@ def test_path_table_reproduces_schema_graph_paths(seed, n_q, n_a, density):
     cached = json.loads(io_utils.canonical_json(sg.to_dict()))
     inst = instance_from_schema_graph(cached, "ex", 0, d_path=4)
     ids = inst.node_ids.tolist()
-    assert len(inst.pairs) == len(sg.pair_indices())
-    for (i, j), pair in zip(sg.pair_indices(), inst.pairs):
+    pair_indices = [(i, j) for i in range(len(sg.cq)) for j in range(len(sg.ca))]
+    assert len(inst.pairs) == len(pair_indices)
+    for (i, j), pair in zip(pair_indices, inst.pairs):
         assert (ids[pair.q_row], ids[pair.a_row]) == (sg.cq[i], sg.ca[j])
         got = []
         for heads, rels, signs, tails in pair.paths:
             assert heads.dtype == rels.dtype == tails.dtype == np.int64
             assert signs.dtype == np.float64
             assert heads[1:].tolist() == tails[:-1].tolist()
-            got.append(Path(ids[heads[0]], tuple(
-                PathStep(r, s < 0, ids[t])
-                for r, s, t in zip(rels.tolist(), signs.tolist(), tails.tolist()))))
+            got.append({"start": ids[heads[0]], "steps": [
+                [r, s < 0, ids[t]]
+                for r, s, t in zip(rels.tolist(), signs.tolist(), tails.tolist())]})
         assert got == sg.paths[(i, j)]
         assert (pair.fallback is None) == bool(sg.paths[(i, j)])
     assert len(inst.fallback) == sum(not plist for plist in sg.paths.values())

@@ -1,20 +1,24 @@
 """Schema-graph construction and bounded simple-path search."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kgqa.io_utils import canonical_json
 from kgqa.kg import KnowledgeGraph, build_graph
-from kgqa.paths import (GroundingError, Path, PathStep, SchemaGraph,
-                        build_schema_graph, find_paths)
-from kgqa.selfcheck import brute_force_paths, reference_find_paths
+from kgqa.kge import EmbeddingTable, prune_schema_graph
+from kgqa.paths import (GroundingError, build_schema_graph, find_paths,
+                        path_sort_key, path_triples)
+from kgqa.selfcheck import brute_force_paths, random_kg, reference_find_paths
 
 from conftest import make_chain_kg
 
 
 def keyset(paths):
-    return {tuple((s.rel, s.reverse, s.node) for s in p.steps) for p in paths}
+    return {tuple(map(tuple, p["steps"])) for p in paths}
 
 
 def test_chain_exactly_one_path():
@@ -23,7 +27,7 @@ def test_chain_exactly_one_path():
     assert not truncated
     assert keyset(got) == brute_force_paths(4, kg.triples, 0, 3, 3)
     assert len(got) == 1
-    assert [s.node for s in got[0].steps] == [1, 2, 3]
+    assert [node for _, _, node in got[0]["steps"]] == [1, 2, 3]
 
 
 def test_chain_too_long_gives_empty():
@@ -38,14 +42,14 @@ def test_direct_edge_single_forward_step():
     kg = build_graph(["a", "b"], ["r"], [(0, 0, 1)], [1.0])
     got, _ = find_paths(kg, 0, 1, max_edges=3, cap=100)
     assert len(got) == 1
-    assert got[0].steps == (PathStep(rel=0, reverse=False, node=1),)
+    assert got[0] == {"start": 0, "steps": [[0, False, 1]]}
 
 
 def test_reverse_traversal_flagged():
     kg = build_graph(["a", "b"], ["r"], [(1, 0, 0)], [1.0])
     got, _ = find_paths(kg, 0, 1, max_edges=3, cap=100)
     assert len(got) == 1
-    assert got[0].steps[0].reverse is True
+    assert got[0]["steps"][0][1] is True
 
 
 def test_destination_never_intermediate():
@@ -54,17 +58,17 @@ def test_destination_never_intermediate():
     kg = build_graph(list("abcd"), ["r"], triples, np.ones(len(triples)))
     got, _ = find_paths(kg, 0, 3, max_edges=3, cap=100)
     for p in got:
-        assert 3 not in [s.node for s in p.steps[:-1]]
-        assert p.steps[-1].node == 3
+        assert 3 not in [node for _, _, node in p["steps"][:-1]]
+        assert p["steps"][-1][2] == 3
 
 
 def test_order_shorter_first_then_lexicographic():
     triples = [(0, 0, 1), (0, 1, 1), (0, 0, 2), (2, 0, 1)]
     kg = build_graph(list("abc"), ["r0", "r1"], triples, np.ones(len(triples)))
     got, _ = find_paths(kg, 0, 1, max_edges=3, cap=100)
-    lengths = [p.n_edges for p in got]
+    lengths = [len(p["steps"]) for p in got]
     assert lengths == sorted(lengths)
-    keys = [p.sort_key() for p in got]
+    keys = [path_sort_key(p) for p in got]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
 
@@ -107,9 +111,9 @@ def test_matches_bruteforce_on_random_graphs(seed):
     assert keyset(got) == brute_force_paths(n, kg.triples, int(src),
                                             int(dst), 3)
     for p in got:
-        nodes = [p.start] + [s.node for s in p.steps]
+        nodes = [p["start"]] + [node for _, _, node in p["steps"]]
         assert len(set(nodes)) == len(nodes)  # simple
-        assert 1 <= p.n_edges <= 3
+        assert 1 <= len(p["steps"]) <= 3
 
 
 @settings(max_examples=30)
@@ -128,8 +132,8 @@ def test_symmetry_under_endpoint_swap(seed):
     fwd, _ = find_paths(kg, src, dst, max_edges=3, cap=10 ** 9)
     bwd, _ = find_paths(kg, dst, src, max_edges=3, cap=10 ** 9)
     # same underlying triple sequences, reversed, with orientation flipped
-    assert {tuple(reversed(p.triples())) for p in fwd} == \
-        {tuple(p.triples()) for p in bwd}
+    assert {tuple(reversed(path_triples(p))) for p in fwd} == \
+        {tuple(path_triples(p)) for p in bwd}
 
 
 def degree(kg, c):
@@ -190,7 +194,7 @@ def test_self_loop_on_dst_is_never_walked():
     kg = build_graph(list("abcde"), ["r0", "r1"], triples, np.ones(len(triples)))
     assert degree(kg, 0) > degree(kg, 2)
     got, _ = find_paths(kg, 0, 2)
-    assert all(s.node != 2 for p in got for s in p.steps[:-1])
+    assert all(node != 2 for p in got for _, _, node in p["steps"][:-1])
     assert keyset(got) == brute_force_paths(5, kg.triples, 0, 2, 3)
     assert_matches_reference(kg, 0, 2)
 
@@ -201,7 +205,8 @@ def test_self_loop_on_src_is_never_walked():
     kg = build_graph(list("abc"), ["r0", "r1"], triples, np.ones(len(triples)))
     assert degree(kg, 0) > degree(kg, 2)
     got, _ = find_paths(kg, 0, 2)
-    assert all(p.start == 0 and 0 not in [s.node for s in p.steps] for p in got)
+    assert all(p["start"] == 0 and 0 not in [node for _, _, node in p["steps"]]
+               for p in got)
     assert keyset(got) == brute_force_paths(3, kg.triples, 0, 2, 3)
     assert_matches_reference(kg, 0, 2)
 
@@ -211,7 +216,7 @@ def test_degree_tie_searches_either_way_alike():
     kg = build_graph(list("abcd"), ["r0", "r1"], triples, np.ones(len(triples)))
     assert degree(kg, 0) == degree(kg, 3)
     got, _ = find_paths(kg, 0, 3)
-    assert [[s.to_list() for s in p.steps] for p in got] == [
+    assert [p["steps"] for p in got] == [
         [[0, False, 3]], [[0, False, 1], [0, False, 3]],
         [[1, False, 2], [1, False, 3]]]
     assert_matches_reference(kg, 0, 3, cap=2)
@@ -236,7 +241,7 @@ def test_hub_endpoint_costs_no_hub_expansion(monkeypatch):
     monkeypatch.setattr(KnowledgeGraph, "neighbors", counted)
     got = find_paths(kg, 0, 1)
     assert got == want
-    assert [[s.node for s in p.steps] for p in got[0]] == [[1], [x, y, 1]]
+    assert [[node for _, _, node in p["steps"]] for p in got[0]] == [[1], [x, y, 1]]
     assert len(calls) < 10
 
 
@@ -244,14 +249,9 @@ def test_paths_hold_python_scalars_for_numpy_endpoints():
     kg = make_chain_kg(4)
     for src, dst in ((np.int64(0), np.uint32(3)), (np.uint32(3), np.int64(0))):
         (path,), _ = find_paths(kg, src, dst)
-        assert type(path.start) is int
-        for s in path.steps:
-            assert (type(s.rel), type(s.reverse), type(s.node)) == (int, bool, int)
-
-
-def test_path_dict_round_trip():
-    p = Path(start=0, steps=(PathStep(1, False, 2), PathStep(0, True, 3)))
-    assert Path.from_dict(p.to_dict()) == p
+        assert type(path["start"]) is int
+        for rel, reverse, node in path["steps"]:
+            assert (type(rel), type(reverse), type(node)) == (int, bool, int)
 
 
 def test_schema_graph_chain():
@@ -289,13 +289,25 @@ def test_schema_graph_ungroundable():
         build_schema_graph(kg, set(), {1}, max_edges=3, cap=100)
 
 
-def test_schema_graph_dict_round_trip():
-    kg = make_chain_kg(4)
-    sg = build_schema_graph(kg, {0, 1}, {3}, max_edges=3, cap=100)
-    sg2 = SchemaGraph.from_dict(sg.to_dict())
-    assert sg2.cq == sg.cq
-    assert sg2.ca == sg.ca
-    assert sg2.nodes == sg.nodes
-    assert sg2.edges == sg.edges
-    assert sg2.paths == sg.paths
-    assert sg2.truncated == sg.truncated
+@settings(max_examples=40)
+@given(st.integers(0, 10_000), st.floats(0.0, 0.9))
+def test_schema_graph_dict_round_trip(seed, threshold):
+    # the cached JSON reads back equal to to_dict, before and after pruning
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 10))
+    kg = random_kg(rng, n, float(rng.uniform(0.1, 0.5)))
+    picks = rng.permutation(n).tolist()
+    n_q = int(rng.integers(1, 3))
+    sg = build_schema_graph(kg, picks[:n_q], picks[n_q:n_q + int(rng.integers(1, 3))],
+                            max_edges=3, cap=int(rng.integers(1, 30)))
+    table = EmbeddingTable(ent=rng.standard_normal((n, 4)),
+                           rel=rng.standard_normal((kg.n_relations, 4)), gamma=2.0)
+    for prune in (False, True):
+        if prune:
+            prune_schema_graph(sg, table, threshold=threshold)
+        d = sg.to_dict()
+        assert json.loads(canonical_json(d)) == d
+        assert (d["cq"], d["ca"], d["nodes"]) == (sg.cq, sg.ca, sg.nodes)
+        assert [tuple(e) for e in d["edges"]] == sg.edges
+        assert d["paths"] == {f"{i},{j}": plist for (i, j), plist in sg.paths.items()}
+        assert {tuple(t) for t in d["truncated"]} == sg.truncated

@@ -2,17 +2,28 @@
 
 ``perfbench.spans.instrument`` wraps kgqa functions by attribute name and its
 hooks, like ``perfbench.workloads.instance_fingerprint``, read instance
-fields. Renaming either breaks the benchmark; this test breaks first.
+fields. Renaming either breaks the benchmark; this test breaks first. The
+benchmark also refuses to run when the schema-graph JSON of its reference
+worlds drifts from ``perfbench/reference.json``; so does this test.
 """
+
+import json
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
 
 from kgqa.config import RunConfig
 from kgqa.ground import load_stopwords
-from kgqa.kge import train_transe
-from kgqa.pipeline import (build_model_state, explain, load_model_state, predict,
-                           preprocess)
+from kgqa.kge import PruneReport, train_transe
+from kgqa.pipeline import (build_model_state, explain, ground_candidate,
+                           load_model_state, predict, preprocess)
 from kgqa.toy import build_toy_world
 from perfbench.spans import Tracer, instrument
-from perfbench.workloads import instance_fingerprint
+from perfbench.workloads import WORKLOADS, instance_fingerprint, reference_digest
+
+REFERENCE = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "reference.json").read_text())
 
 
 def test_perfbench_readers_see_the_program(tmp_path):
@@ -45,6 +56,22 @@ def test_perfbench_readers_see_the_program(tmp_path):
     assert tracer.total_calls("network.forward") == len(scored)
     assert tracer.total_calls("network.instance_from_schema_graph") == 2 * len(cold)
 
+    # the path counters equal the path records and prune reports of the cold
+    # pass (the warm one reads the cache and searches nothing)
+    def records(cfg):
+        payloads = [ground_candidate(world.kg, stop, cfg, ex, ci, emb)
+                    for ex in examples for ci in range(len(ex.candidates))]
+        grounded = [p for p in payloads if "sg" in p]
+        return grounded, sum(len(plist) for p in grounded
+                             for plist in p["sg"]["paths"].values())
+
+    _, n_found = records(replace(cfg, prune=False))
+    pruned, n_kept = records(cfg)
+    assert tracer.counters["paths.paths_found"] == n_found > 0
+    report = sum((PruneReport.from_dict(p["prune"]) for p in pruned), PruneReport())
+    assert tracer.counters["kge.paths_before"] == report.paths_before == n_found
+    assert tracer.counters["kge.paths_after"] == report.paths_after == n_kept
+
     # the setup and checkpoint stages: save, then reload through the wrapped
     # loader and predict with the loaded state
     model_path = tmp_path / "model.bin"
@@ -56,3 +83,9 @@ def test_perfbench_readers_see_the_program(tmp_path):
     want = predict(state, examples, warm)
     assert [(p.scores, p.chosen) for p in got] == [(p.scores, p.chosen) for p in want]
     assert reload_tracer.total_calls("network.forward") == len(warm)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE["schema_graph_digest"]))
+def test_reference_schema_graph_digest(name, tmp_path):
+    assert reference_digest(WORKLOADS[name], tmp_path) == \
+        REFERENCE["schema_graph_digest"][name]
