@@ -195,8 +195,6 @@ def cmd_train(args) -> int:
     train_examples = load_dataset(args.dataset)
     dev_examples = load_dataset(args.dev)
     stop = _stopwords(args)
-    if features is not None:
-        cfg.encoder = "features"
     state = build_model_state(cfg, emb,
                               examples_for_vocab=train_examples + dev_examples,
                               features=features)

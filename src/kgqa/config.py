@@ -49,9 +49,8 @@ class RunConfig:
     train_rel_emb: bool = True
     train_node_emb: bool = False
 
-    # statement encoder: "toy" trains in-process, "features" reads a file;
-    # the statement width is 2 * enc_hidden or the feature file's width
-    encoder: str = "toy"
+    # toy statement encoder, used unless a feature file is given; the
+    # statement width is 2 * enc_hidden or the feature file's width
     enc_embed: int = 32
     enc_hidden: int = 64
 
@@ -59,7 +58,6 @@ class RunConfig:
     lr: float = 1e-3
     epochs: int = 10
     batch_examples: int = 16
-    loss: str = "bce"  # or "listwise"
     patience: int = 3
 
     # network widths derived from the keys above; kge_dim is both the node

@@ -1,12 +1,10 @@
-"""Multiple-choice QA dataset loading and splitting."""
+"""Multiple-choice QA dataset loading and scoring."""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 LABELS = "ABCDEFGH"
 
@@ -74,20 +72,6 @@ def save_dataset(path, examples: list[QAExample]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for ex in examples:
             fh.write(json.dumps(ex.to_json_obj(), sort_keys=True) + "\n")
-
-
-def split_held_out(
-    examples: list[QAExample], held_out: int, seed: int = 0,
-) -> tuple[list[QAExample], list[QAExample]]:
-    """Seeded split of a training set into (train, held-out dev/test)."""
-    if not 0 < held_out < len(examples):
-        raise ValueError(f"held_out must be in (0, {len(examples)})")
-    rng = np.random.default_rng(seed)
-    idx = rng.permutation(len(examples))
-    held_idx = set(int(i) for i in idx[:held_out])
-    train = [ex for i, ex in enumerate(examples) if i not in held_idx]
-    held = [ex for i, ex in enumerate(examples) if i in held_idx]
-    return train, held
 
 
 def accuracy(predictions: dict[str, int], examples: list[QAExample]) -> float:

@@ -158,15 +158,44 @@ def read_container(path: str | Path, kind: str | None = None) -> tuple[dict, dic
     return header["meta"], blocks
 
 
-def require(path, meta: dict, blocks: dict, meta_keys=(), block_names=()) -> None:
+BYTES = (("bytes",), None)
+FLOATS = ("float64", "float32")
+
+
+def require(path, meta: dict, blocks: dict, meta_keys=(), block_specs=None,
+            dims=None) -> None:
     """Raise ContainerError naming the first meta key or block that a loader
-    needs and a container read by ``read_container`` lacks."""
+    needs and a container read by ``read_container`` lacks, or the first
+    block whose dtype or shape is not the one the loader reads.
+
+    ``block_specs`` maps each needed block to (dtype names, shape), with
+    shape None for a bytes block. A shape entry is an int, None for any
+    length, or a name for a length that must be the same wherever the name
+    appears, and equal to ``dims[name]`` when ``dims`` gives one.
+    """
     for key in meta_keys:
         if key not in meta:
             raise ContainerError(f"{path}: missing meta key {key!r}")
-    for name in block_names:
+    dims = dict(dims or {})
+    for name, (dtypes, shape) in (block_specs or {}).items():
         if name not in blocks:
             raise ContainerError(f"{path}: missing block {name!r}")
+        value = blocks[name]
+        dtype = "bytes" if isinstance(value, bytes) else value.dtype.name
+        if dtype not in dtypes:
+            raise ContainerError(f"{path}: block {name!r} has dtype {dtype!r}, "
+                                 f"expected {' or '.join(map(repr, dtypes))}")
+        if shape is None:
+            continue
+        want = [dims.get(n) if isinstance(n, str) else n for n in shape]
+        if value.ndim != len(shape) or any(
+                w not in (None, size) for w, size in zip(want, value.shape)):
+            expected = ", ".join("*" if n is None else f"{n}={dims[n]}" if n in dims
+                                 else str(n) for n in shape)
+            raise ContainerError(f"{path}: block {name!r} has shape "
+                                 f"{list(value.shape)}, expected [{expected}]")
+        dims.update((n, size) for n, size in zip(shape, value.shape)
+                    if isinstance(n, str))
 
 
 def write_manifest(out_path: str | Path, command: str, cfg_hash: str,

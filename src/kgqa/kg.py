@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .io_utils import read_container, require, write_container
+from .io_utils import BYTES, read_container, require, write_container
 
 DELETE = "DELETE"
 
@@ -140,7 +140,9 @@ class KnowledgeGraph:
     @classmethod
     def load(cls, path: str | Path) -> "KnowledgeGraph":
         meta, blocks = read_container(path, "kg-snapshot")
-        require(path, meta, blocks, (), ("concepts", "relations", "triples", "weights"))
+        require(path, meta, blocks, (), {
+            "concepts": BYTES, "relations": BYTES,
+            "triples": (("uint32",), ("n", 3)), "weights": (("float32",), ("n",))})
         concepts = blocks["concepts"].decode("utf-8").split("\n") if blocks["concepts"] else []
         relations = blocks["relations"].decode("utf-8").split("\n") if blocks["relations"] else []
         return build_graph(concepts, relations, blocks["triples"], blocks["weights"])

@@ -69,7 +69,8 @@ class EmbeddingTable:
     @classmethod
     def load(cls, path) -> "EmbeddingTable":
         meta, blocks = io_utils.read_container(path, kind="kge")
-        io_utils.require(path, meta, blocks, ("gamma",), ("ent", "rel"))
+        io_utils.require(path, meta, blocks, ("gamma",), {
+            "ent": (io_utils.FLOATS, (None, "d")), "rel": (io_utils.FLOATS, (None, "d"))})
         return cls(ent=blocks["ent"], rel=blocks["rel"], gamma=float(meta["gamma"]))
 
 

@@ -376,13 +376,3 @@ def bce_loss(raw: float | np.ndarray,
     raw = np.asarray(raw, dtype=np.float64)
     loss = np.sum(np.maximum(raw, 0.0) - raw * label + np.log1p(np.exp(-np.abs(raw))))
     return float(loss), sigmoid(raw) - label
-
-
-def listwise_loss(raws: np.ndarray, label: int) -> tuple[float, np.ndarray]:
-    """Softmax cross-entropy over one question's candidate logits."""
-    p = softmax(raws)
-    z = raws - np.max(raws)
-    loss = float(np.log(np.sum(np.exp(z))) - z[label])
-    grad = p.copy()
-    grad[label] -= 1.0
-    return loss, grad

@@ -29,7 +29,7 @@ from .kg import KnowledgeGraph
 from .kge import EmbeddingTable, PruneReport, prune_schema_graph
 from .model.layers import Layer
 from .model.network import (ForwardTrace, Instance, PathAttentionScorer,
-                            bce_loss, instance_from_schema_graph, listwise_loss)
+                            bce_loss, instance_from_schema_graph)
 from .model.optim import Adam
 from .paths import GroundingError, build_schema_graph
 from .statement import FeatureStore, ToyStatementEncoder, build_vocab
@@ -216,27 +216,24 @@ def build_model_state(
     examples_for_vocab: Optional[list[QAExample]] = None,
     features: Optional[FeatureStore] = None,
 ) -> ModelState:
-    """Fresh, seeded model state for training."""
+    """Fresh, seeded model state for training.
+
+    Statement vectors come from ``features`` when given, else from a toy
+    encoder over the words of ``examples_for_vocab``.
+    """
     rng = np.random.default_rng(io_utils.stable_seed("model-init", cfg.seed))
-    if cfg.encoder == "toy":
-        if examples_for_vocab is None:
-            raise ValueError("toy encoder needs examples to build its vocabulary")
-        texts = []
-        for ex in examples_for_vocab:
-            texts.append(ex.question)
-            texts.extend(ex.candidates)
-        return ModelState(cfg, emb, rng, vocab=build_vocab(texts), features=features)
-    if cfg.encoder == "features":
-        if features is None:
-            raise ValueError("features encoder needs a feature store")
+    if features is not None:
         return ModelState(cfg, emb, rng, features=features)
-    raise ValueError(f"unknown encoder kind {cfg.encoder!r}")
+    if examples_for_vocab is None:
+        raise ValueError("toy encoder needs examples to build its vocabulary")
+    texts = [t for ex in examples_for_vocab for t in (ex.question, *ex.candidates)]
+    return ModelState(cfg, emb, rng, vocab=build_vocab(texts))
 
 
 # run_config keys that older checkpoints store and nothing reads any more;
 # older checkpoints also carry a top-level "model_config", which is ignored
 # because every width it held follows from run_config and the encoder
-_RETIRED_RUN_CONFIG_KEYS = ("d_s",)
+_RETIRED_RUN_CONFIG_KEYS = ("d_s", "encoder", "loss")
 
 
 def load_model_state(path, emb: EmbeddingTable,
@@ -347,11 +344,8 @@ def train(
             scale = 1.0 / len(batch)
             for ex in batch:
                 ctxs, raws = _example_forward(state, ex, train_instances)
-                if cfg.loss == "listwise":
-                    loss, d_raws = listwise_loss(raws, ex.label)
-                else:
-                    labels = (np.arange(len(raws)) == ex.label).astype(np.float64)
-                    loss, d_raws = bce_loss(raws, labels)
+                labels = (np.arange(len(raws)) == ex.label).astype(np.float64)
+                loss, d_raws = bce_loss(raws, labels)
                 if not np.isfinite(loss):
                     raise FloatingPointError(
                         f"non-finite loss on example {ex.id} (epoch {epoch})")

@@ -2,9 +2,10 @@
 
 Each suite pits a component against an independent reference: the path
 finder against exhaustive permutation enumeration over the raw triple list
-and against the plain DFS it replaced,
-analytic gradients against central finite differences, attention against its
-closed-form degenerate cases. The CLI `selfcheck` subcommand runs them all
+and against the plain DFS it replaced; the gradients of the training step,
+as ``pipeline.ModelState`` and ``pipeline._example_backward`` compute them,
+against central finite differences; attention against its closed-form
+degenerate cases. The CLI `selfcheck` subcommand runs them all
 and reports pass/fail; the test suite calls the same functions with the
 sizes and tolerances pinned in the acceptance tests.
 """
@@ -19,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import RunConfig
+from .data import QAExample
 from .io_utils import stable_seed
 from .kg import KnowledgeGraph, build_graph
 from .kge import EmbeddingTable, prune_schema_graph
@@ -26,12 +28,15 @@ from .model.gradcheck import check_gradients
 from .model.network import (Instance, PathAttentionScorer, bce_loss,
                             instance_from_schema_graph)
 from .paths import build_schema_graph, find_paths, path_sort_key
-from .statement import ToyStatementEncoder
+from .pipeline import ModelState, _example_backward
+from .statement import build_vocab
 
-# small dims keep finite differences affordable while exercising every tensor
+# small dims keep finite differences affordable while exercising every tensor;
+# training the entity table puts it in the gradient oracle's scope
 CHECK_CONFIG = RunConfig(kge_dim=6, gcn_dims="5,4", lstm_hidden=4, d_t=6,
-                         t_hidden=7, score_hidden=5)
-CHECK_D_S = 8  # statement width
+                         t_hidden=7, score_hidden=5, enc_embed=5, enc_hidden=4,
+                         train_node_emb=True)
+CHECK_D_S = 2 * CHECK_CONFIG.enc_hidden  # statement width
 
 
 @dataclass
@@ -283,62 +288,43 @@ def path_oracle_suite(seed: int = 0, n_graphs: int = 200, max_nodes: int = 12,
 
 # ------------------------------------------------------------ gradient suite
 
-def _enc_inputs(rng: np.random.Generator) -> tuple[ToyStatementEncoder, np.ndarray]:
-    vocab = {"<sep>": 0, "<unk>": 1}
-    for i in range(8):
-        vocab[f"w{i}"] = len(vocab)
-    enc = ToyStatementEncoder(vocab, d_embed=5, d_hidden=CHECK_D_S // 2,
-                              rng=rng)
-    ids = rng.integers(0, len(vocab), size=int(rng.integers(3, 7)))
-    return enc, ids.astype(np.int64)
-
-
 def gradient_suite(seed: int = 0, n_instances: int = 20,
                    tol: float = 1e-4) -> CheckResult:
-    """Finite-difference check over every trainable tensor.
+    """Finite-difference check of the training step over every trainable tensor.
 
-    The loss is binary cross-entropy on the network logit with the statement
-    vector produced by a live toy encoder, so encoder tensors, relation
-    vectors, and the entity table are all in scope.
+    Each instance is a fresh ``ModelState`` on ``CHECK_CONFIG``, so the toy
+    encoder, the relation vectors and the entity table all train. It scores
+    candidate 0 of a random example on a random instance; the loss is the
+    binary cross-entropy ``train`` takes for that candidate, and the analytic
+    gradients are what ``_example_backward`` accumulates in the registry.
     """
     rng = np.random.default_rng(stable_seed("gradcheck", seed))
+    cfg = CHECK_CONFIG
+    words = [f"w{i}" for i in range(8)]
+    vocab = build_vocab(words)
     worst = 0.0
     worst_name = ""
     for idx in range(n_instances):
-        cfg = CHECK_CONFIG
-        net = PathAttentionScorer(cfg, CHECK_D_S, rng)
-        enc, ids = _enc_inputs(rng)
         inst, _, node_init, rel_emb = random_instance(rng, cfg, CHECK_D_S)
-        node_table = np.zeros((inst.n_nodes + 2, cfg.kge_dim))
-        node_table[:inst.n_nodes] = node_init
-        node_table[inst.n_nodes:] = rng.standard_normal((2, cfg.kge_dim))
-        label = idx % 2
+        # two rows no instance node reads: their gradient must stay zero
+        ent = np.vstack([node_init, rng.standard_normal((2, cfg.kge_dim))])
+        state = ModelState(cfg, EmbeddingTable(ent=ent, rel=rel_emb), rng, vocab=vocab)
+        example = QAExample(
+            id=inst.example_id,
+            question=" ".join(rng.choice(words, size=int(rng.integers(1, 4)))),
+            candidates=[" ".join(rng.choice(words, size=int(rng.integers(1, 3))))
+                        for _ in range(2)],
+            label=idx % 2)
+        label = float(example.label == 0)
 
         def loss_fn() -> float:
-            s, _ = enc.forward(ids)
-            trace = net.forward(inst, s, node_table[inst.node_ids], rel_emb)
-            return bce_loss(trace.raw, label)[0]
+            return bce_loss(state.forward(example, 0, inst)[0].raw, label)[0]
 
-        net.zero_grad()
-        enc.zero_grad()
-        s, enc_cache = enc.forward(ids)
-        trace = net.forward(inst, s, node_table[inst.node_ids], rel_emb)
-        _, d_raw = bce_loss(trace.raw, label)
-        in_grads = net.backward(trace, d_raw)
-        enc.backward(in_grads.ds, enc_cache)
-        d_node_table = np.zeros_like(node_table)
-        np.add.at(d_node_table, inst.node_ids, in_grads.d_node_init)
-
-        tensors = {f"net.{k}": v for k, v in net.params().items()}
-        tensors.update({f"enc.{k}": v for k, v in enc.params().items()})
-        tensors["rel_emb"] = rel_emb
-        tensors["node_emb"] = node_table
-        analytic = {f"net.{k}": v for k, v in net.grads().items()}
-        analytic.update({f"enc.{k}": v for k, v in enc.grads().items()})
-        analytic["rel_emb"] = in_grads.d_rel_emb
-        analytic["node_emb"] = d_node_table
-
-        report = check_gradients(loss_fn, tensors, analytic,
+        state.zero_grad()
+        ctx = state.forward(example, 0, inst)
+        _, d_raw = bce_loss(ctx[0].raw, label)
+        _example_backward(state, [ctx], np.array([d_raw]))
+        report = check_gradients(loss_fn, state.params(), state.grads(),
                                  seed=stable_seed("gc-entries", seed, idx))
         for name, err in report.items():
             if err > worst:

@@ -74,8 +74,8 @@ class ToyStatementEncoder(Layer):
         return s
 
     def save_extra_meta(self) -> dict:
-        return {"vocab": self.vocab, "d_embed": int(self.emb.shape[1]),
-                "d_hidden": self.d_hidden}
+        """The vocabulary; the widths are the run config's enc_embed/enc_hidden."""
+        return {"vocab": self.vocab}
 
 
 class FeatureStore:
@@ -102,7 +102,9 @@ class FeatureStore:
         if path.suffix == ".jsonl":
             return cls._load_jsonl(path)
         meta, blocks = io_utils.read_container(path, kind="features")
-        io_utils.require(path, meta, blocks, ("keys",), ("rows",))
+        io_utils.require(path, meta, blocks, ("keys",),
+                         {"rows": (io_utils.FLOATS, ("keys", None))},
+                         dims={"keys": len(meta.get("keys", ()))})
         keys = {}
         for pos, key in enumerate(meta["keys"]):
             ex_id, idx = key.rsplit("#", 1)

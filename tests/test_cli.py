@@ -1,12 +1,18 @@
 """Command-line behavior: every stage wired end to end on a small world."""
 
+import itertools
 import json
-from dataclasses import replace
+import math
+import re
+from dataclasses import fields, replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+from kgqa import io_utils
 from kgqa.cli import main
+from kgqa.config import RunConfig
 from kgqa.data import save_dataset
 from kgqa.kge import EmbeddingTable
 
@@ -183,6 +189,28 @@ def test_stage_failure_prints_structured_error(tmp_path, capsys):
     assert "missing.tsv" in err["error"]["message"]
 
 
+@pytest.mark.parametrize("line", ["encoder = features", "loss = listwise"])
+def test_config_naming_a_retired_key_fails_with_structured_error(cli_world, tmp_path,
+                                                                 line, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text(cli_world.config.read_text() + line + "\n", encoding="utf-8")
+    code = main(["paths", "--kg", str(tmp_path / "kg.bin"),
+                 "--dataset", str(cli_world.dev_jsonl),
+                 "--config", str(config), "--out", str(tmp_path / "sgs.jsonl")])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "ValueError"
+    assert f"unknown config key {line.split()[0]!r}" in err["error"]["message"]
+
+
+def test_readme_config_table_names_only_run_config_fields():
+    lines = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("| key | default | meaning |") + 2
+    rows = itertools.takewhile(lambda line: line.startswith("|"), lines[start:])
+    keys = {k for row in rows for k in re.findall(r"`(\w+)`", row.split("|")[1])}
+    assert keys and keys <= {f.name for f in fields(RunConfig)}
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -291,3 +319,25 @@ def test_ungrounded_candidate_scores_alike_in_predict_and_explain(run, cli_world
     assert row["ungrounded_candidates"] == [1]
     assert explained["ungrounded"] is True
     assert row["scores"][1] == round(explained["score"], 10)
+
+
+def test_feature_mode_round_trip(run, cli_world, tmp_path):
+    both = tmp_path / "train-dev.jsonl"
+    save_dataset(both, cli_world.world.train + cli_world.world.dev)
+    features, model, preds = (tmp_path / "features.bin", tmp_path / "model" / "model.bin",
+                              tmp_path / "preds.jsonl")
+    common = ["--kg", str(run.kg), "--kge", str(run.kge)]
+    assert main(["encode", *common, "--checkpoint", str(run.model_dir / "model.bin"),
+                 "--dataset", str(both), "--out", str(features)]) == 0
+    assert main(["train", *common, "--dataset", str(cli_world.train_jsonl),
+                 "--dev", str(cli_world.dev_jsonl), "--features", str(features),
+                 "--config", str(cli_world.config), "--out", str(model.parent)]) == 0
+    meta, _ = io_utils.read_container(model, kind="model")
+    assert meta["encoder"] == "features"
+    assert "enc_meta" not in meta
+    assert main(["predict", *common, "--checkpoint", str(model),
+                 "--dataset", str(cli_world.dev_jsonl), "--features", str(features),
+                 "--out", str(preds)]) == 0
+    rows = [json.loads(l) for l in preds.read_text().splitlines()]
+    assert [r["id"] for r in rows] == [ex.id for ex in cli_world.world.dev]
+    assert all(math.isfinite(s) for r in rows for s in r["scores"])

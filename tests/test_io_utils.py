@@ -132,8 +132,9 @@ LOADERS = {
 }
 
 
-def load_without(tmp_path, loader, block_name=None, meta_key=None):
-    """Load a valid container rewritten without one block or meta key."""
+def load_rewritten(tmp_path, loader, block_name=None, meta_key=None, block=None):
+    """Load a valid container rewritten without one block or meta key, or
+    with ``block`` in place of block ``block_name``."""
     save, kind, load = LOADERS[loader]
     path = tmp_path / "c.bin"
     save(path)
@@ -141,6 +142,8 @@ def load_without(tmp_path, loader, block_name=None, meta_key=None):
     assert block_name in (None, *blocks) and meta_key in (None, *meta)
     blocks.pop(block_name, None)
     meta.pop(meta_key, None)
+    if block is not None:
+        blocks[block_name] = block
     write_container(path, kind, meta, blocks)
     return load(path)
 
@@ -151,10 +154,41 @@ def load_without(tmp_path, loader, block_name=None, meta_key=None):
 ])
 def test_loader_names_a_missing_block(tmp_path, loader, block_name):
     with pytest.raises(ContainerError, match=f"missing block '{block_name}'"):
-        load_without(tmp_path, loader, block_name=block_name)
+        load_rewritten(tmp_path, loader, block_name=block_name)
 
 
 @pytest.mark.parametrize("loader, meta_key", [("kge", "gamma"), ("features", "keys")])
 def test_loader_names_a_missing_meta_key(tmp_path, loader, meta_key):
     with pytest.raises(ContainerError, match=f"missing meta key '{meta_key}'"):
-        load_without(tmp_path, loader, meta_key=meta_key)
+        load_rewritten(tmp_path, loader, meta_key=meta_key)
+
+
+# the valid containers: kg with 2 concepts and 1 triple, kge with 3 x 4 entity
+# and 2 x 4 relation rows, features with 1 key of width 3
+WRONG_BLOCKS = [
+    ("kg", "concepts", np.zeros(2), "dtype 'float64', expected 'bytes'"),
+    ("kg", "relations", np.zeros(1, np.uint32), "dtype 'uint32', expected 'bytes'"),
+    ("kg", "triples", b"\0" * 12, "dtype 'bytes', expected 'uint32'"),
+    ("kg", "triples", np.zeros((1, 3)), "dtype 'float64', expected 'uint32'"),
+    ("kg", "triples", np.zeros((1, 2), np.uint32), r"shape \[1, 2\], expected \[n, 3\]"),
+    ("kg", "triples", np.zeros(3, np.uint32), r"shape \[3\], expected \[n, 3\]"),
+    ("kg", "weights", np.ones(2, np.float32), r"shape \[2\], expected \[n=1\]"),
+    ("kg", "weights", np.ones(1), "dtype 'float64', expected 'float32'"),
+    ("kge", "ent", np.ones((3, 4), np.int64), "dtype 'int64', expected 'float64' or 'float32'"),
+    ("kge", "ent", np.ones(4), r"shape \[4\], expected \[\*, d\]"),
+    ("kge", "rel", np.ones((2, 5)), r"shape \[2, 5\], expected \[\*, d=4\]"),
+    ("features", "rows", b"\0" * 12, "dtype 'bytes', expected 'float64' or 'float32'"),
+    ("features", "rows", np.ones(3, np.float32), r"shape \[3\], expected \[keys=1, \*\]"),
+    ("features", "rows", np.ones((2, 3), np.float32), r"shape \[2, 3\], expected \[keys=1, \*\]"),
+]
+
+
+@pytest.mark.parametrize(
+    "loader, block_name, block, message", WRONG_BLOCKS,
+    ids=[f"{loader}-{name}-" + ("bytes" if isinstance(block, bytes)
+                                else f"{block.dtype}{list(block.shape)}")
+         for loader, name, block, _ in WRONG_BLOCKS])
+def test_loader_names_a_block_of_the_wrong_dtype_or_shape(tmp_path, loader, block_name,
+                                                          block, message):
+    with pytest.raises(ContainerError, match=f"block '{block_name}' has {message}"):
+        load_rewritten(tmp_path, loader, block_name=block_name, block=block)

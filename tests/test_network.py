@@ -13,7 +13,7 @@ from kgqa import io_utils
 from kgqa.config import RunConfig
 from kgqa.model.gradcheck import check_gradients
 from kgqa.model.network import (Instance, PathAttentionScorer, bce_loss, fallback_vector,
-                                instance_from_schema_graph, listwise_loss)
+                                instance_from_schema_graph)
 from kgqa.paths import build_schema_graph
 from kgqa.selfcheck import CHECK_CONFIG, CHECK_D_S, random_instance, random_kg
 
@@ -227,22 +227,6 @@ def test_bce_loss_matches_reference_and_gradient():
             lp, _ = bce_loss(raw + eps, label)
             lm, _ = bce_loss(raw - eps, label)
             assert grad == pytest.approx((lp - lm) / (2 * eps), abs=1e-5)
-
-
-def test_listwise_loss_matches_reference_and_gradient():
-    raws = np.array([0.3, -1.2, 2.0, 0.0])
-    label = 2
-    loss, grad = listwise_loss(raws, label)
-    want = -scipy.special.log_softmax(raws)[label]
-    assert loss == pytest.approx(want, rel=1e-12)
-    assert grad.sum() == pytest.approx(0.0, abs=1e-12)
-    eps = 1e-6
-    for i in range(4):
-        rp, rm = raws.copy(), raws.copy()
-        rp[i] += eps
-        rm[i] -= eps
-        num = (listwise_loss(rp, label)[0] - listwise_loss(rm, label)[0]) / (2 * eps)
-        assert grad[i] == pytest.approx(num, abs=1e-6)
 
 
 def test_fallback_vector_deterministic_and_keyed():

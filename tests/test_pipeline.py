@@ -5,9 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from kgqa import io_utils
+from kgqa import io_utils, selfcheck
 from kgqa.config import RunConfig
-from kgqa.data import QAExample, accuracy, load_dataset, split_held_out
+from kgqa.data import QAExample, accuracy, load_dataset
 from kgqa.ground import load_stopwords
 from kgqa.kge import train_transe
 from kgqa.pipeline import (build_model_state, evaluate, explain,
@@ -78,16 +78,6 @@ def test_load_dataset_reports_bad_line_number(tmp_path):
     path = write_jsonl(tmp_path / "b.jsonl", [GLUE_LINE, '{"id": "broken"}'])
     with pytest.raises(ValueError, match="b.jsonl:2"):
         load_dataset(path)
-
-
-def test_split_counts_match_published_sizes():
-    examples = [QAExample(id=f"e{i}", question="q", candidates=["a", "b"],
-                          label=0) for i in range(9741)]
-    tr, held = split_held_out(examples, 1241, seed=0)
-    assert (len(tr), len(held)) == (8500, 1241)
-    assert {e.id for e in tr} | {e.id for e in held} == {e.id for e in examples}
-    tr2, held2 = split_held_out(examples, 1241, seed=0)
-    assert [e.id for e in held2] == [e.id for e in held]
 
 
 def test_accuracy_scoring_and_empty_error():
@@ -295,11 +285,15 @@ def test_checkpoint_stores_vocab_once_and_loads_older_layout(mini, tmp_path):
     state.save(new_path)
     meta, blocks = io_utils.read_container(new_path, kind="model")
     assert "vocab" not in meta
-    assert meta["enc_meta"]["vocab"] == state.encoder.vocab
-    # the older layout also carried a top-level copy of the vocabulary
+    assert meta["enc_meta"] == {"vocab": state.encoder.vocab}
+    # the older layout also carried a top-level copy of the vocabulary, and
+    # the encoder widths that run_config's enc_embed/enc_hidden hold
     old_path = tmp_path / "model-old.bin"
+    enc_meta = {**meta["enc_meta"], "d_embed": state.cfg.enc_embed,
+                "d_hidden": state.cfg.enc_hidden}
     io_utils.write_container(old_path, "model",
-                             {**meta, "vocab": meta["enc_meta"]["vocab"]}, blocks)
+                             {**meta, "vocab": enc_meta["vocab"], "enc_meta": enc_meta},
+                             blocks)
     want = predict(state, mini.world.dev, mini.dev_inst)
     for path in (new_path, old_path):
         got = predict(load_model_state(path, mini.emb), mini.world.dev, mini.dev_inst)
@@ -308,18 +302,19 @@ def test_checkpoint_stores_vocab_once_and_loads_older_layout(mini, tmp_path):
             assert a.chosen == b.chosen
 
 
-def test_checkpoint_with_retired_d_s_key_loads(mini, tmp_path):
+@pytest.mark.parametrize("key, value", [("d_s", 128), ("encoder", "toy"), ("loss", "bce")])
+def test_checkpoint_with_retired_run_config_key_loads(mini, tmp_path, key, value):
     state = fresh_state(mini)
     train(state, mini.world.train[:8], mini.world.dev[:4],
           mini.train_inst, mini.dev_inst)
     path = tmp_path / "model.bin"
     state.save(path)
     meta, blocks = io_utils.read_container(path, kind="model")
-    assert "d_s" not in meta["run_config"]
-    # older checkpoints carried a run_config field nothing read
+    assert key not in meta["run_config"]
+    # older checkpoints carried run_config fields nothing reads any more
     old_path = tmp_path / "model-old.bin"
     io_utils.write_container(
-        old_path, "model", {**meta, "run_config": {**meta["run_config"], "d_s": 128}},
+        old_path, "model", {**meta, "run_config": {**meta["run_config"], key: value}},
         blocks)
     loaded = load_model_state(old_path, mini.emb)
     assert loaded.cfg == state.cfg
@@ -341,9 +336,10 @@ def feature_store(mini, width=6):
 @pytest.mark.parametrize("encoder", ["toy", "features"])
 def test_checkpoint_with_model_config_key_loads(mini, tmp_path, encoder):
     features = feature_store(mini) if encoder == "features" else None
-    cfg = RunConfig(**{**mini.cfg.to_dict(), "encoder": encoder})
+    cfg = mini.cfg
     state = build_model_state(cfg, mini.emb, examples_for_vocab=mini.world.train,
                               features=features)
+    assert (state.encoder is None) == (features is not None)
     train(state, mini.world.train[:8], mini.world.dev[:4],
           mini.train_inst, mini.dev_inst)
     path = tmp_path / "model.bin"
@@ -379,9 +375,8 @@ def test_checkpoint_missing_block_is_named(mini, tmp_path):
 
 
 def test_feature_file_of_another_width_fails_to_load(mini, tmp_path):
-    cfg = RunConfig(**{**mini.cfg.to_dict(), "encoder": "features"})
     path = tmp_path / "model.bin"
-    build_model_state(cfg, mini.emb, features=feature_store(mini)).save(path)
+    build_model_state(mini.cfg, mini.emb, features=feature_store(mini)).save(path)
     with pytest.raises(ValueError, match="checkpoint block 'net.W2' has shape"):
         load_model_state(path, mini.emb, features=feature_store(mini, width=7))
 
@@ -421,10 +416,23 @@ def test_training_node_embeddings_with_frozen_relations(mini, tmp_path):
         assert a.chosen == b.chosen
 
 
+def test_gradient_oracle_checks_the_training_backward(monkeypatch):
+    real = selfcheck._example_backward
+
+    def without_node_emb_scatter(state, ctxs, d_raws):
+        before = state.grads()["node_emb"].copy()
+        real(state, ctxs, d_raws)
+        state.grads()["node_emb"][...] = before
+
+    monkeypatch.setattr(selfcheck, "_example_backward", without_node_emb_scatter)
+    res = selfcheck.gradient_suite(n_instances=2)
+    assert not res.passed
+    assert "(node_emb)" in res.detail
+
+
 def test_feature_mode_state_trains_saves_and_loads(mini, tmp_path):
     features = feature_store(mini)
-    cfg = RunConfig(**{**mini.cfg.to_dict(), "encoder": "features"})
-    state = build_model_state(cfg, mini.emb, features=features)
+    state = build_model_state(mini.cfg, mini.emb, features=features)
     assert state.encoder is None and state.d_s == 6
     assert not any(k.startswith("enc.") for k in state.params())
     train(state, mini.world.train[:8], mini.world.dev[:4],
