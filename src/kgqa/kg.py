@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .io_utils import BYTES, read_container, require, write_container
+from .io_utils import BYTES, ContainerError, read_container, require, write_container
 
 DELETE = "DELETE"
 
@@ -145,7 +145,15 @@ class KnowledgeGraph:
             "triples": (("uint32",), ("n", 3)), "weights": (("float32",), ("n",))})
         concepts = blocks["concepts"].decode("utf-8").split("\n") if blocks["concepts"] else []
         relations = blocks["relations"].decode("utf-8").split("\n") if blocks["relations"] else []
-        return build_graph(concepts, relations, blocks["triples"], blocks["weights"])
+        triples = blocks["triples"]
+        for col, name, size in ((0, "concepts", len(concepts)),
+                                (1, "relations", len(relations)),
+                                (2, "concepts", len(concepts))):
+            top = int(triples[:, col].max()) if len(triples) else -1
+            if top >= size:
+                raise ContainerError(f"{path}: block 'triples' holds id {top} "
+                                     f"of block {name!r}, which lists {size}")
+        return build_graph(concepts, relations, triples, blocks["weights"])
 
 
 def build_graph(concepts, relations, triples, weights) -> KnowledgeGraph:

@@ -1,7 +1,10 @@
 """Graph-and-path scoring network with hierarchical attention.
 
-One forward pass scores a single (question, candidate) Instance: the flat
-path table built once from its schema-graph JSON (see ``Instance``).
+One forward pass scores the candidates of one Instance: the flat path table
+built once from a candidate's schema-graph JSON, or the disjoint union of a
+question's candidates that ``Instance.concat`` builds (see ``Instance``).
+Candidates share no node rows, pairs or paths in the union, so each one is still
+scored independently; one pass only batches the work.
 
   1. GCN layers contextualize the schema-graph node vectors.
   2. Each step is encoded as [source state; signed relation vector;
@@ -9,18 +12,19 @@ path table built once from its schema-graph JSON (see ``Instance``).
      bidirectional LSTM as one batch, and a path vector concatenates the
      bi-hidden states at its first and last steps (4H dims). The path
      vectors form one (K, d_path) matrix V.
-  3. Per concept pair (i, j): T_ij = MLP([s; c_i; c_j]), one batch over all
-     pairs. Path attention alpha = T W1 V^T, softmaxed per row over the
-     pair's own paths (a masked (P, K) matrix; uniform when path attention
-     is disabled), gives the attended relation vectors R = alpha V. A pair
-     with no paths has a zero row and takes a fixed per-pair random vector
-     as its R.
-  4. Pair attention beta_ij = s W2 T_ij, softmaxed over all pairs, pools
-     [R_ij; T_ij] into the graph vector g.
-  5. score = sigmoid(MLP(g)).
+  3. Per concept pair (i, j): T_ij = MLP([s; c_i; c_j]), with the statement
+     vector s of the pair's candidate, one batch over all pairs. Path
+     attention alpha = T W1 V^T, softmaxed per row over the pair's own paths
+     (a masked (P, K) matrix; uniform when path attention is disabled),
+     gives the attended relation vectors R = alpha V. A pair with no paths
+     has a zero row and takes a fixed per-pair random vector as its R.
+  4. Pair attention beta_ij = s W2 T_ij, softmaxed over each candidate's own
+     pairs (a masked (G, P) matrix), pools [R_ij; T_ij] into the candidate's
+     graph vector g.
+  5. score = sigmoid(MLP(g)), one per candidate.
 
 backward() consumes the retained trace and yields exact gradients for every
-parameter tensor plus the statement vector, initial node vectors, and
+parameter tensor plus the statement vectors, initial node vectors, and
 relation vectors, so upstream encoders and embedding tables can train too.
 """
 
@@ -28,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -58,7 +62,7 @@ class PairView(NamedTuple):
 
 @dataclass
 class Instance:
-    """A grounded (question, candidate) input as one flat path table.
+    """Grounded (question, candidate) inputs as one flat path table.
 
     Pairs p = 0..P-1 are the (question concept, answer concept) pairs in
     schema-graph order, at local node rows ``q_rows[p]`` and ``a_rows[p]``.
@@ -67,6 +71,12 @@ class Instance:
     step arrays, laid end to end. ``fallback`` holds one vector per pair
     without paths, in pair order: it stands in for that pair's attended path
     vector, is drawn once when the instance is built and is never trained.
+
+    Candidates g = 0..G-1 own the pairs ``pair_bounds[g]:pair_bounds[g + 1]``.
+    An instance built from a schema graph holds one candidate; one built by
+    ``concat`` holds several, and its ``example_id`` and ``cand_index`` are
+    those of its first part, while ``label`` and ``ungrounded``, which
+    describe a single candidate, stay unset.
     """
 
     example_id: str
@@ -84,8 +94,11 @@ class Instance:
     fallback: np.ndarray            # (pairs without paths, d_path)
     label: Optional[int] = None     # 1 correct candidate, 0 distractor
     ungrounded: bool = False        # True for the single-anchor fallback form
+    pair_bounds: Optional[np.ndarray] = None  # (G + 1,) int64; None: [0, P]
 
     def __post_init__(self) -> None:
+        if self.pair_bounds is None:
+            self.pair_bounds = np.array([0, len(self.q_rows)], dtype=np.int64)
         pathless = np.flatnonzero(np.bincount(self.owner, minlength=len(self.q_rows)) == 0)
         if len(self.fallback) < len(pathless):
             raise ValueError(f"pair {pathless[len(self.fallback)]} has no paths "
@@ -94,6 +107,46 @@ class Instance:
     @property
     def n_nodes(self) -> int:
         return len(self.node_ids)
+
+    @property
+    def pair_cand(self) -> np.ndarray:
+        """(P,) candidate of each pair."""
+        return np.repeat(np.arange(len(self.pair_bounds) - 1), np.diff(self.pair_bounds))
+
+    @classmethod
+    def concat(cls, parts: Sequence["Instance"]) -> "Instance":
+        """The disjoint union of ``parts``, whose candidates keep their order.
+
+        The node rows, pairs and steps of each part are offset by those of the
+        parts before it, so ``und_edges`` and the row and pair indices are
+        shifted and the fallbacks stack in pair order. A single part is
+        returned as it is.
+        """
+        if len(parts) == 1:
+            return parts[0]
+        # where each part's node rows, pairs and steps start in the union
+        rows, pairs, steps = (np.cumsum((0,) + sizes[:-1]).tolist() for sizes in zip(
+            *[(p.n_nodes, len(p.q_rows), len(p.heads)) for p in parts]))
+
+        def join(field, starts=None):
+            arrays = [getattr(p, field) for p in parts]
+            if starts is not None:
+                arrays = [a + o for a, o in zip(arrays, starts)]
+            return np.concatenate(arrays)
+
+        return cls(
+            parts[0].example_id, parts[0].cand_index,
+            node_ids=join("node_ids"),
+            und_edges=[(a + o, b + o) for p, o in zip(parts, rows)
+                       for a, b in p.und_edges],
+            q_rows=join("q_rows", rows), a_rows=join("a_rows", rows),
+            owner=join("owner", pairs),
+            offsets=np.concatenate([[0]] + [p.offsets[1:] + o
+                                            for p, o in zip(parts, steps)]),
+            heads=join("heads", rows), rels=join("rels"), signs=join("signs"),
+            tails=join("tails", rows), fallback=join("fallback"),
+            pair_bounds=np.concatenate([[0]] + [p.pair_bounds[1:] + o
+                                                for p, o in zip(parts, pairs)]))
 
     @property
     def pairs(self) -> list[PairView]:
@@ -179,11 +232,14 @@ class ForwardTrace:
     is one BiLSTM run over the paths of one length: (path indices, (B, L)
     step positions, LSTM cache). ``alpha`` holds the path attention of pair p
     over its own paths in row p and zero elsewhere; a pair with no paths has
-    a zero row and its fallback vector as ``R_hat``.
+    a zero row and its fallback vector as ``R_hat``. In the same way
+    ``beta_hat`` holds the pair attention of candidate g over its own pairs
+    in row g, and row g of ``s``, ``g_hat``, ``raw`` and ``score`` is
+    candidate g's.
     """
 
     inst: Instance
-    s: np.ndarray
+    s: np.ndarray                       # (G, d_s) statement vectors
     rel_emb: np.ndarray
     gcn_caches: list
     groups: list[tuple]                 # per path length
@@ -192,16 +248,16 @@ class ForwardTrace:
     T: np.ndarray                       # (P, d_t)
     alpha: np.ndarray                   # (P, K) path attention
     R_hat: np.ndarray                   # (P, d_path)
-    beta_hat: np.ndarray
-    g_hat: np.ndarray
+    beta_hat: np.ndarray                # (G, P) pair attention
+    g_hat: np.ndarray                   # (G, d_path + d_t) graph vectors
     score_cache: object
-    raw: float
-    score: float
+    raw: np.ndarray                     # (G,) logits
+    score: np.ndarray                   # (G,) sigmoid of raw
 
 
 @dataclass
 class InputGrads:
-    ds: np.ndarray
+    ds: np.ndarray                      # (G, d_s)
     d_node_init: np.ndarray
     d_rel_emb: np.ndarray
 
@@ -238,13 +294,16 @@ class PathAttentionScorer(Layer):
 
     def forward(self, inst: Instance, s: np.ndarray,
                 node_init: np.ndarray, rel_emb: np.ndarray) -> ForwardTrace:
+        """Scores the instance's G candidates; ``s`` is (G, d_s)."""
         c = self.cfg
         n = inst.n_nodes
+        G = len(inst.pair_bounds) - 1
         if node_init.shape != (n, c.kge_dim):
             raise ValueError(f"node_init shape {node_init.shape}, "
                              f"expected {(n, c.kge_dim)}")
-        if s.shape != (self.d_s,):
-            raise ValueError(f"statement vector shape {s.shape}, expected ({self.d_s},)")
+        if s.shape != (G, self.d_s):
+            raise ValueError(f"statement vectors shape {s.shape}, "
+                             f"expected {(G, self.d_s)}")
 
         adj = normalized_adjacency(n, inst.und_edges)
         h = node_init
@@ -272,8 +331,8 @@ class PathAttentionScorer(Layer):
             V[index, H2:] = y[:, -1]
             groups.append((index, pos, lstm_cache))
 
-        t_in = np.concatenate(
-            [np.broadcast_to(s, (P, self.d_s)), h[inst.q_rows], h[inst.a_rows]], axis=1)
+        cand = inst.pair_cand
+        t_in = np.concatenate([s[cand], h[inst.q_rows], h[inst.a_rows]], axis=1)
         T, t_cache = self.t_mlp.forward(t_in)
 
         # path attention: softmax over each pair's own paths, as masked rows
@@ -286,49 +345,55 @@ class PathAttentionScorer(Layer):
         R_hat = alpha @ V
         R_hat[~with_paths] = inst.fallback
 
-        if c.pair_attention:
-            beta = (s @ self.W2) @ T.T
-        else:
-            beta = np.zeros(P)
-        beta_hat = softmax(beta)
+        # pair attention: softmax over each candidate's own pairs, as masked
+        # rows; every candidate has at least one pair
+        beta = (s @ self.W2) @ T.T if c.pair_attention else np.zeros((G, P))
+        beta_hat = softmax(np.where(cand == np.arange(G)[:, None], beta, -np.inf))
         u = np.concatenate([R_hat, T], axis=1)
         g_hat = beta_hat @ u
 
-        raw_arr, score_cache = self.score_mlp.forward(g_hat)
-        raw = float(raw_arr[0])
-        score = float(np.clip(sigmoid(np.array([raw]))[0], SCORE_EPS, 1.0 - SCORE_EPS))
+        raw_col, score_cache = self.score_mlp.forward(g_hat)
+        raw = raw_col[:, 0]
+        score = np.clip(sigmoid(raw), SCORE_EPS, 1.0 - SCORE_EPS)
         return ForwardTrace(
             inst=inst, s=s, rel_emb=rel_emb, gcn_caches=gcn_caches, groups=groups,
-            V=V, t_cache=t_cache, T=T, alpha=alpha, R_hat=R_hat, beta_hat=beta_hat, g_hat=g_hat, score_cache=score_cache, raw=raw,
-            score=score)
+            V=V, t_cache=t_cache, T=T, alpha=alpha, R_hat=R_hat, beta_hat=beta_hat,
+            g_hat=g_hat, score_cache=score_cache, raw=raw, score=score)
 
     # ---------------- backward ----------------
 
-    def backward(self, trace: ForwardTrace, d_raw: float) -> InputGrads:
+    def backward(self, trace: ForwardTrace, d_raw: np.ndarray) -> InputGrads:
         """Accumulate parameter gradients; return input-side gradients.
 
-        d_raw is dLoss/dRaw where raw is the pre-sigmoid scalar; losses are
-        defined on raw directly (logit form) so the chain stays exact.
+        d_raw, of the shape of ``trace.raw``, is dLoss/dRaw where raw is each
+        candidate's pre-sigmoid logit; losses are defined on raw directly
+        (logit form) so the chain stays exact.
         """
         c = self.cfg
         H2 = c.lstm_hidden * 2
         d = c.d_gcn_out
-        d_g = self.score_mlp.backward(np.array([float(d_raw)]), trace.score_cache)
+        d_raw = np.asarray(d_raw, dtype=np.float64)
+        if d_raw.shape != trace.raw.shape:
+            raise ValueError(f"d_raw shape {d_raw.shape}, expected {trace.raw.shape}")
+        d_g = self.score_mlp.backward(d_raw[:, None], trace.score_cache)
 
         u = np.concatenate([trace.R_hat, trace.T], axis=1)
-        d_beta_hat = u @ d_g
-        du = np.outer(trace.beta_hat, d_g)
+        d_beta_hat = d_g @ u.T
+        du = trace.beta_hat.T @ d_g
         dR_hat = du[:, :c.d_path]
         dT = du[:, c.d_path:].copy()
 
-        ds = np.zeros(self.d_s)
+        ds = np.zeros_like(trace.s)
         if c.pair_attention:
+            # entries outside a candidate's own pairs are zero in beta_hat,
+            # so they take no gradient
             d_beta = softmax_backward(trace.beta_hat, d_beta_hat)
-            # beta_p = (s W2) . T_p
+            # beta_gp = (s_g W2) . T_p
             sW2 = trace.s @ self.W2
-            ds += self.W2 @ (trace.T.T @ d_beta)
-            dT += np.outer(d_beta, sW2)
-            self._grads["W2"] += np.outer(trace.s, trace.T.T @ d_beta)
+            d_sW2 = d_beta @ trace.T
+            ds += d_sW2 @ self.W2.T
+            dT += d_beta.T @ sW2
+            self._grads["W2"] += trace.s.T @ d_sW2
 
         # rows of pairs without paths are zero in alpha: their fallback
         # vectors are constant inputs and take no gradient
@@ -354,7 +419,7 @@ class PathAttentionScorer(Layer):
         np.add.at(d_node, inst.tails, d_x[:, d + c.kge_dim:])
 
         d_t_in = self.t_mlp.backward(dT, trace.t_cache)
-        ds += d_t_in[:, :self.d_s].sum(axis=0)
+        np.add.at(ds, inst.pair_cand, d_t_in[:, :self.d_s])
         np.add.at(d_node, inst.q_rows, d_t_in[:, self.d_s:self.d_s + d])
         np.add.at(d_node, inst.a_rows, d_t_in[:, self.d_s + d:])
 

@@ -7,6 +7,11 @@ config hash). A candidate whose question or answer grounds to nothing gets a
 single-anchor fallback instance (one pseudo-pair, no paths) and is flagged in
 prediction output rather than dropped, so every candidate stays scorable.
 
+Training, prediction and evaluation score a question's candidates in one
+pass: one statement-encoder call and one network call over the union of the
+candidates' instances (``Instance.concat``), and one backward when training.
+Explanations score their one candidate as a pass of one.
+
 Training is single-threaded over the cached instances for determinism: fixed
 seeds drive init and shuffling, gradient accumulation follows a sorted tensor
 order, and metrics/checkpoint bytes are reproducible run to run.
@@ -17,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -181,18 +186,20 @@ class ModelState(Layer):
         if cfg.train_node_emb:
             self._register("node_emb", self.node_emb)
 
-    def statement(self, example: QAExample, cand_index: int):
-        """Returns (s, encoder_cache_or_None)."""
+    def statements(self, example: QAExample, cands: Sequence[int]):
+        """Returns ((G, d_s) statement vectors of ``cands``, encoder cache or None)."""
         if self.encoder is not None:
-            ids = self.encoder.token_ids(example.question,
-                                         example.candidates[cand_index])
-            return self.encoder.forward(ids)
-        return self.features.get(example.id, cand_index), None
+            return self.encoder.forward([
+                self.encoder.token_ids(example.question, example.candidates[ci])
+                for ci in cands])
+        return np.stack([self.features.get(example.id, ci) for ci in cands]), None
 
-    def forward(self, example: QAExample, cand_index: int,
-                inst: Instance) -> tuple[ForwardTrace, object]:
-        """Scores one candidate; returns (trace, encoder_cache_or_None)."""
-        s, enc_cache = self.statement(example, cand_index)
+    def forward(self, example: QAExample, cands: Sequence[int],
+                insts: Sequence[Instance]) -> tuple[ForwardTrace, object]:
+        """Scores candidates ``cands`` of ``example``, whose instances are
+        ``insts``, in one pass; returns (trace, encoder cache or None)."""
+        s, enc_cache = self.statements(example, cands)
+        inst = Instance.concat(insts)
         trace = self.net.forward(inst, s, self.node_emb[inst.node_ids], self.rel_emb)
         return trace, enc_cache
 
@@ -284,26 +291,24 @@ class TrainResult:
 
 
 def _example_forward(state: ModelState, example: QAExample,
-                     instances: dict) -> tuple[list, np.ndarray]:
-    """Forward every candidate; returns ((trace, encoder cache) each, raw logits)."""
-    ctxs = [state.forward(example, ci, instances[(example.id, ci)])
-            for ci in range(len(example.candidates))]
-    return ctxs, np.asarray([trace.raw for trace, _ in ctxs])
+                     instances: dict) -> tuple[ForwardTrace, object]:
+    """Scores every candidate of ``example`` in one pass; returns (trace,
+    encoder cache or None), with one row of ``trace.raw`` per candidate."""
+    cands = range(len(example.candidates))
+    return state.forward(example, cands, [instances[(example.id, ci)] for ci in cands])
 
 
-def _example_backward(state: ModelState, ctxs: list, d_raws: np.ndarray) -> None:
-    """Accumulates every candidate's gradients into the state's registry."""
+def _example_backward(state: ModelState, ctx: tuple, d_raws: np.ndarray) -> None:
+    """Accumulates the gradients of one pass into the state's registry."""
+    trace, enc_cache = ctx
     grads = state.grads()
-    for (trace, enc_cache), d_raw in zip(ctxs, d_raws):
-        if d_raw == 0.0:
-            continue
-        in_grads = state.net.backward(trace, float(d_raw))
-        if state.encoder is not None:
-            state.encoder.backward(in_grads.ds, enc_cache)
-        if "rel_emb" in grads:
-            grads["rel_emb"] += in_grads.d_rel_emb
-        if "node_emb" in grads:
-            np.add.at(grads["node_emb"], trace.inst.node_ids, in_grads.d_node_init)
+    in_grads = state.net.backward(trace, d_raws)
+    if state.encoder is not None:
+        state.encoder.backward(in_grads.ds, enc_cache)
+    if "rel_emb" in grads:
+        grads["rel_emb"] += in_grads.d_rel_emb
+    if "node_emb" in grads:
+        np.add.at(grads["node_emb"], trace.inst.node_ids, in_grads.d_node_init)
 
 
 def evaluate(state: ModelState, examples: list[QAExample],
@@ -343,7 +348,8 @@ def train(
             state.zero_grad()
             scale = 1.0 / len(batch)
             for ex in batch:
-                ctxs, raws = _example_forward(state, ex, train_instances)
+                ctx = _example_forward(state, ex, train_instances)
+                raws = ctx[0].raw
                 labels = (np.arange(len(raws)) == ex.label).astype(np.float64)
                 loss, d_raws = bce_loss(raws, labels)
                 if not np.isfinite(loss):
@@ -351,7 +357,7 @@ def train(
                         f"non-finite loss on example {ex.id} (epoch {epoch})")
                 total_loss += loss
                 n_loss_terms += 1
-                _example_backward(state, ctxs, d_raws * scale)
+                _example_backward(state, ctx, d_raws * scale)
             opt.step(state.grads())
 
         dev_acc, _ = evaluate(state, dev_examples, dev_instances)
@@ -403,13 +409,13 @@ def predict(state: ModelState, examples: list[QAExample],
             instances: dict) -> list[Prediction]:
     out = []
     for ex in examples:
-        ctxs, raws = _example_forward(state, ex, instances)
+        trace, _ = _example_forward(state, ex, instances)
         out.append(Prediction(
             example_id=ex.id,
-            scores=[trace.score for trace, _ in ctxs],
-            chosen=int(np.argmax(raws)),  # argmax takes the lowest tied index
-            ungrounded=[ci for ci, (trace, _) in enumerate(ctxs)
-                        if trace.inst.ungrounded]))
+            scores=trace.score.tolist(),
+            chosen=int(np.argmax(trace.raw)),  # argmax takes the lowest tied index
+            ungrounded=[ci for ci in range(len(ex.candidates))
+                        if instances[(ex.id, ci)].ungrounded]))
     return out
 
 
@@ -426,9 +432,10 @@ def explain(state: ModelState, kg: KnowledgeGraph, example: QAExample,
     if top_pairs < 1 or top_paths < 1:
         raise ValueError(f"top_pairs and top_paths must be at least 1, "
                          f"got {top_pairs} and {top_paths}")
-    trace, _ = state.forward(example, cand_index, inst)
+    trace, _ = state.forward(example, [cand_index], [inst])
+    beta_hat = trace.beta_hat[0]
     rel_names = kg.relations
-    pair_order = np.argsort(-trace.beta_hat, kind="stable")[:top_pairs]
+    pair_order = np.argsort(-beta_hat, kind="stable")[:top_pairs]
     pairs = inst.pairs
     pairs_out = []
     for pi in pair_order:
@@ -454,7 +461,7 @@ def explain(state: ModelState, kg: KnowledgeGraph, example: QAExample,
         pairs_out.append({
             "question_concept": kg.surface(int(inst.node_ids[pair.q_row])),
             "answer_concept": kg.surface(int(inst.node_ids[pair.a_row])),
-            "beta": float(trace.beta_hat[int(pi)]),
+            "beta": float(beta_hat[int(pi)]),
             "n_paths": len(pair.paths),
             "paths": paths_out,
         })
@@ -462,7 +469,7 @@ def explain(state: ModelState, kg: KnowledgeGraph, example: QAExample,
         "id": example.id,
         "candidate": cand_index,
         "candidate_text": example.candidates[cand_index],
-        "score": trace.score,
+        "score": float(trace.score[0]),
         "ungrounded": inst.ungrounded,
         "pairs": pairs_out,
     }

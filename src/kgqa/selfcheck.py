@@ -4,7 +4,8 @@ Each suite pits a component against an independent reference: the path
 finder against exhaustive permutation enumeration over the raw triple list
 and against the plain DFS it replaced; the gradients of the training step,
 as ``pipeline.ModelState`` and ``pipeline._example_backward`` compute them,
-against central finite differences; attention against its closed-form
+against central finite differences; the one pass that scores a question's
+candidates against one pass per candidate; attention against its closed-form
 degenerate cases. The CLI `selfcheck` subcommand runs them all
 and reports pass/fail; the test suite calls the same functions with the
 sizes and tolerances pinned in the acceptance tests.
@@ -15,7 +16,7 @@ from __future__ import annotations
 import copy
 import itertools
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .model.gradcheck import check_gradients
 from .model.network import (Instance, PathAttentionScorer, bce_loss,
                             instance_from_schema_graph)
 from .paths import build_schema_graph, find_paths, path_sort_key
-from .pipeline import ModelState, _example_backward
+from .pipeline import ModelState, _example_backward, _example_forward
 from .statement import build_vocab
 
 # small dims keep finite differences affordable while exercising every tensor;
@@ -288,15 +289,29 @@ def path_oracle_suite(seed: int = 0, n_graphs: int = 200, max_nodes: int = 12,
 
 # ------------------------------------------------------------ gradient suite
 
+def _random_question(rng: np.random.Generator, words: list[str], example_id: str,
+                     n_cands: int, label: int) -> QAExample:
+    """Question and candidates of 1-3 and 1-2 random words."""
+    return QAExample(
+        id=example_id,
+        question=" ".join(rng.choice(words, size=int(rng.integers(1, 4)))),
+        candidates=[" ".join(rng.choice(words, size=int(rng.integers(1, 3))))
+                    for _ in range(n_cands)],
+        label=label)
+
+
 def gradient_suite(seed: int = 0, n_instances: int = 20,
                    tol: float = 1e-4) -> CheckResult:
     """Finite-difference check of the training step over every trainable tensor.
 
-    Each instance is a fresh ``ModelState`` on ``CHECK_CONFIG``, so the toy
+    Each case is a fresh ``ModelState`` on ``CHECK_CONFIG``, so the toy
     encoder, the relation vectors and the entity table all train. It scores
-    candidate 0 of a random example on a random instance; the loss is the
-    binary cross-entropy ``train`` takes for that candidate, and the analytic
-    gradients are what ``_example_backward`` accumulates in the registry.
+    a random question of two candidates on random instances in one pass, as
+    ``train`` does, so the check also covers the offsets of
+    ``Instance.concat`` and the per-candidate pair softmax. The loss is the
+    binary cross-entropy ``train`` takes over the candidates, and the
+    analytic gradients are what ``_example_backward`` accumulates in the
+    registry.
     """
     rng = np.random.default_rng(stable_seed("gradcheck", seed))
     cfg = CHECK_CONFIG
@@ -305,25 +320,22 @@ def gradient_suite(seed: int = 0, n_instances: int = 20,
     worst = 0.0
     worst_name = ""
     for idx in range(n_instances):
-        inst, _, node_init, rel_emb = random_instance(rng, cfg, CHECK_D_S)
+        parts = [random_instance(rng, cfg, CHECK_D_S) for _ in range(2)]
         # two rows no instance node reads: their gradient must stay zero
-        ent = np.vstack([node_init, rng.standard_normal((2, cfg.kge_dim))])
-        state = ModelState(cfg, EmbeddingTable(ent=ent, rel=rel_emb), rng, vocab=vocab)
-        example = QAExample(
-            id=inst.example_id,
-            question=" ".join(rng.choice(words, size=int(rng.integers(1, 4)))),
-            candidates=[" ".join(rng.choice(words, size=int(rng.integers(1, 3))))
-                        for _ in range(2)],
-            label=idx % 2)
-        label = float(example.label == 0)
+        ent = rng.standard_normal((max(p[0].n_nodes for p in parts) + 2, cfg.kge_dim))
+        state = ModelState(cfg, EmbeddingTable(ent=ent, rel=parts[0][3]), rng,
+                           vocab=vocab)
+        example = _random_question(rng, words, parts[0][0].example_id, 2, idx % 2)
+        instances = {(example.id, ci): p[0] for ci, p in enumerate(parts)}
+        labels = (np.arange(2) == example.label).astype(np.float64)
 
         def loss_fn() -> float:
-            return bce_loss(state.forward(example, 0, inst)[0].raw, label)[0]
+            return bce_loss(_example_forward(state, example, instances)[0].raw, labels)[0]
 
         state.zero_grad()
-        ctx = state.forward(example, 0, inst)
-        _, d_raw = bce_loss(ctx[0].raw, label)
-        _example_backward(state, [ctx], np.array([d_raw]))
+        ctx = _example_forward(state, example, instances)
+        _, d_raws = bce_loss(ctx[0].raw, labels)
+        _example_backward(state, ctx, d_raws)
         report = check_gradients(loss_fn, state.params(), state.grads(),
                                  seed=stable_seed("gc-entries", seed, idx))
         for name, err in report.items():
@@ -335,6 +347,81 @@ def gradient_suite(seed: int = 0, n_instances: int = 20,
         passed=worst < tol,
         detail=f"{n_instances} instances, max rel err {worst:.3e} "
                f"({worst_name}), tolerance {tol:g}")
+
+
+def batch_suite(seed: int = 0, n_questions: int = 20,
+                tol: float = 1e-12) -> CheckResult:
+    """One pass over a question's candidates against one pass per candidate.
+
+    Each question joins 2-5 random instances, with pathless pairs among them
+    and, in every other question, the K = 0 anchor; each pair of questions
+    takes the next of the four settings of the two attention switches. Through
+    ``ModelState`` and ``_example_backward``, the pass over all candidates
+    must give the logits and scores, each candidate's rows of ``alpha`` and
+    ``beta_hat``, and the gradient of every trainable tensor that the passes
+    of one candidate each give, within ``tol``.
+    """
+    rng = np.random.default_rng(stable_seed("batch", seed))
+    words = [f"w{i}" for i in range(8)]
+    vocab = build_vocab(words)
+    switches = list(itertools.product((True, False), repeat=2))
+    worst = 0.0
+    worst_name = ""
+
+    def compare(name: str, got: np.ndarray, want: np.ndarray) -> None:
+        nonlocal worst, worst_name
+        err = float(np.max(np.abs(got - want), initial=0.0))
+        if err > worst or not np.isfinite(err):
+            worst, worst_name = err, name
+
+    for idx in range(n_questions):
+        path_attention, pair_attention = switches[idx // 2 % len(switches)]
+        cfg = replace(CHECK_CONFIG, path_attention=path_attention,
+                      pair_attention=pair_attention)
+        n_cands = int(rng.integers(2, 6))
+        parts = [random_instance(rng, cfg, CHECK_D_S) for _ in range(n_cands)]
+        insts = [p[0] for p in parts]
+        if idx % 2 == 0:
+            insts[int(rng.integers(n_cands))] = instance_from_schema_graph(
+                None, "anchor", 0, cfg.d_path)
+        ent = rng.standard_normal((max(i.n_nodes for i in insts), cfg.kge_dim))
+        state = ModelState(cfg, EmbeddingTable(ent=ent, rel=parts[0][3]), rng,
+                           vocab=vocab)
+        example = _random_question(rng, words, f"q{idx}", n_cands, 0)
+        cands = range(n_cands)
+        d_raws = rng.standard_normal(n_cands)
+
+        state.zero_grad()
+        ctx = state.forward(example, cands, insts)
+        _example_backward(state, ctx, d_raws)
+        batched = ctx[0]
+        grads = {k: v.copy() for k, v in state.grads().items()}
+
+        state.zero_grad()
+        alpha = np.zeros_like(batched.alpha)
+        beta_hat = np.zeros_like(batched.beta_hat)
+        raw, score = np.zeros(n_cands), np.zeros(n_cands)
+        p0 = k0 = 0
+        for ci in cands:
+            lone_ctx = state.forward(example, [ci], [insts[ci]])
+            _example_backward(state, lone_ctx, d_raws[ci:ci + 1])
+            lone = lone_ctx[0]
+            n_pairs, n_paths = lone.alpha.shape
+            alpha[p0:p0 + n_pairs, k0:k0 + n_paths] = lone.alpha
+            beta_hat[ci, p0:p0 + n_pairs] = lone.beta_hat[0]
+            raw[ci], score[ci] = lone.raw[0], lone.score[0]
+            p0, k0 = p0 + n_pairs, k0 + n_paths
+        compare("raw", batched.raw, raw)
+        compare("score", batched.score, score)
+        compare("alpha", batched.alpha, alpha)
+        compare("beta_hat", batched.beta_hat, beta_hat)
+        for name, g in state.grads().items():
+            compare(name, grads[name], g)
+    return CheckResult(
+        name="batch-equivalence",
+        passed=worst <= tol,
+        detail=f"{n_questions} questions of 2-5 candidates, max |one pass - "
+               f"pass per candidate| {worst:.3e} ({worst_name}), tolerance {tol:g}")
 
 
 # ------------------------------------------------------------ attention suites
@@ -350,7 +437,7 @@ def degeneracy_suite(seed: int = 0, n_instances: int = 25,
         net.params()["W1"][...] = 0.0
         net.params()["W2"][...] = 0.0
         inst, s, node_init, rel_emb = random_instance(rng, cfg, CHECK_D_S)
-        trace = net.forward(inst, s, node_init, rel_emb)
+        trace = net.forward(inst, s[None], node_init, rel_emb)
         rows = []
         for pi, pair in enumerate(inst.pairs):
             if pair.paths:
@@ -359,7 +446,7 @@ def degeneracy_suite(seed: int = 0, n_instances: int = 25,
                 r = pair.fallback
             rows.append(np.concatenate([r, trace.T[pi]]))
         g_ref = np.sum(rows, axis=0) / len(rows)
-        worst = max(worst, float(np.max(np.abs(g_ref - trace.g_hat))))
+        worst = max(worst, float(np.max(np.abs(g_ref - trace.g_hat[0]))))
     return CheckResult(
         name="attention-degeneracy",
         passed=worst <= tol,
@@ -382,16 +469,17 @@ def normalization_suite(seed: int = 0, n_instances: int = 50,
             rel_emb = rel_emb * 1e3
             for name in ("W1", "W2"):
                 net.params()[name][...] *= 1e3
-        trace = net.forward(inst, s, node_init, rel_emb)
+        trace = net.forward(inst, s[None], node_init, rel_emb)
+        beta_hat, score = trace.beta_hat[0], trace.score[0]
         for pi, pair in enumerate(inst.pairs):
             if pair.paths:
                 a_hat = trace.alpha[pi, inst.owner == pi]
                 worst = max(worst, abs(float(np.sum(a_hat)) - 1.0))
                 finite &= bool(np.all(np.isfinite(a_hat)))
-        worst = max(worst, abs(float(np.sum(trace.beta_hat)) - 1.0))
-        finite &= bool(np.all(np.isfinite(trace.beta_hat)))
-        finite &= bool(np.isfinite(trace.score))
-        finite &= 0.0 < trace.score < 1.0
+        worst = max(worst, abs(float(np.sum(beta_hat)) - 1.0))
+        finite &= bool(np.all(np.isfinite(beta_hat)))
+        finite &= bool(np.isfinite(score))
+        finite &= 0.0 < score < 1.0
     return CheckResult(
         name="attention-normalization",
         passed=finite and worst <= tol,
@@ -406,10 +494,10 @@ def permutation_suite(seed: int = 0, n_instances: int = 30,
         cfg = CHECK_CONFIG
         net = PathAttentionScorer(cfg, CHECK_D_S, rng)
         inst, s, node_init, rel_emb = random_instance(rng, cfg, CHECK_D_S)
-        base = net.forward(inst, s, node_init, rel_emb).score
+        base = float(net.forward(inst, s[None], node_init, rel_emb).score[0])
         for _ in range(3):
             p_inst, p_init = permute_instance(inst, node_init, rng)
-            again = net.forward(p_inst, s, p_init, rel_emb).score
+            again = float(net.forward(p_inst, s[None], p_init, rel_emb).score[0])
             worst = max(worst, abs(base - again))
     return CheckResult(
         name="permutation-invariance",
@@ -487,5 +575,6 @@ def run_selfcheck(seed: int = 0, quick: bool = False) -> SelfcheckReport:
     report.checks.append(degeneracy_suite(seed, n_instances=sizes["inst"]))
     report.checks.append(normalization_suite(seed, n_instances=2 * sizes["inst"]))
     report.checks.append(permutation_suite(seed, n_instances=sizes["inst"]))
+    report.checks.append(batch_suite(seed, n_questions=sizes["inst"]))
     report.checks.append(pruning_suite(seed, n_graphs=sizes["inst"] + 15))
     return report

@@ -52,26 +52,37 @@ class ToyStatementEncoder(Layer):
         unk = self.vocab[UNK]
         return np.asarray([self.vocab.get(t, unk) for t in toks], dtype=np.int64)
 
-    def forward(self, ids: np.ndarray) -> tuple[np.ndarray, tuple]:
-        x = self.emb[ids][None, :, :]           # (1, T, d_embed)
-        y, cache = self.lstm.forward(x)
-        T = len(ids)
-        H = self.d_hidden
-        s = np.concatenate([y[0, T - 1, :H], y[0, 0, H:]])
-        return s, (ids, cache, T)
+    def forward(self, seqs: list[np.ndarray]) -> tuple[np.ndarray, list]:
+        """Statement vectors (G, d_s) of G token-id sequences.
 
-    def backward(self, ds: np.ndarray, cache: tuple) -> None:
-        ids, lstm_cache, T = cache
+        Sequences of one length run through the BiLSTM as one batch, so no
+        sequence is padded and each vector is the one it would get alone.
+        """
         H = self.d_hidden
-        dy = np.zeros((1, T, 2 * H))
-        dy[0, T - 1, :H] = ds[:H]
-        dy[0, 0, H:] = ds[H:]
-        dx = self.lstm.backward(dy, lstm_cache)
-        np.add.at(self._grads["emb"], ids, dx[0])
+        lengths = np.array([len(ids) for ids in seqs])
+        s = np.zeros((len(seqs), 2 * H))
+        groups = []
+        for length in np.unique(lengths):
+            index = np.flatnonzero(lengths == length)
+            ids = np.stack([seqs[i] for i in index])   # (B, T)
+            y, cache = self.lstm.forward(self.emb[ids])
+            s[index, :H] = y[:, -1, :H]
+            s[index, H:] = y[:, 0, H:]
+            groups.append((index, ids, cache))
+        return s, groups
+
+    def backward(self, ds: np.ndarray, groups: list) -> None:
+        H = self.d_hidden
+        for index, ids, lstm_cache in groups:
+            dy = np.zeros(ids.shape + (2 * H,))
+            dy[:, -1, :H] = ds[index, :H]
+            dy[:, 0, H:] = ds[index, H:]
+            dx = self.lstm.backward(dy, lstm_cache)
+            np.add.at(self._grads["emb"], ids, dx)
 
     def encode(self, question: str, answer: str) -> np.ndarray:
-        s, _ = self.forward(self.token_ids(question, answer))
-        return s
+        s, _ = self.forward([self.token_ids(question, answer)])
+        return s[0]
 
     def save_extra_meta(self) -> dict:
         """The vocabulary; the widths are the run config's enc_embed/enc_hidden."""
@@ -107,7 +118,10 @@ class FeatureStore:
                          dims={"keys": len(meta.get("keys", ()))})
         keys = {}
         for pos, key in enumerate(meta["keys"]):
-            ex_id, idx = key.rsplit("#", 1)
+            ex_id, sep, idx = str(key).rpartition("#")
+            if not sep or not idx.isdecimal():
+                raise io_utils.ContainerError(
+                    f"{path}: feature key {key!r} is not '<example id>#<candidate index>'")
             keys[(ex_id, int(idx))] = pos
         return cls(keys, blocks["rows"])
 
@@ -126,6 +140,10 @@ class FeatureStore:
                     vec = np.asarray(obj["vector"], dtype=np.float64)
                 except (ValueError, KeyError) as exc:
                     raise ValueError(f"{path}:{lineno}: bad feature row: {exc}") from None
+                if vec.ndim != 1 or (rows and len(vec) != len(rows[0])):
+                    width = len(rows[0]) if rows else "*"
+                    raise ValueError(f"{path}:{lineno}: feature vector has shape "
+                                     f"{list(vec.shape)}, expected [{width}]")
                 keys[key] = len(rows)
                 rows.append(vec)
         if not rows:

@@ -183,6 +183,17 @@ WRONG_BLOCKS = [
 ]
 
 
+@pytest.mark.parametrize("triple, message", [
+    ((0, 0, 5), "id 5 of block 'concepts', which lists 2"),
+    ((2, 0, 1), "id 2 of block 'concepts', which lists 2"),
+    ((0, 1, 1), "id 1 of block 'relations', which lists 1"),
+])
+def test_kg_loader_names_a_triple_id_out_of_range(tmp_path, triple, message):
+    with pytest.raises(ContainerError, match=message):
+        load_rewritten(tmp_path, "kg", block_name="triples",
+                       block=np.array([triple], dtype=np.uint32))
+
+
 @pytest.mark.parametrize(
     "loader, block_name, block, message", WRONG_BLOCKS,
     ids=[f"{loader}-{name}-" + ("bytes" if isinstance(block, bytes)

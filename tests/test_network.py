@@ -28,7 +28,7 @@ def fresh(seed=0, config=CFG, **kw):
     rng = np.random.default_rng(seed)
     inst, s, node_init, rel_emb = random_instance(rng, config, D_S, **kw)
     net = PathAttentionScorer(config, D_S, np.random.default_rng(seed + 1))
-    return net, inst, s, node_init, rel_emb
+    return net, inst, s[None], node_init, rel_emb
 
 
 def one_pair_instance(config, paths, n_nodes=3, label=None):
@@ -56,7 +56,7 @@ def test_single_step_path_duplicates_its_only_position():
     rng = np.random.default_rng(3)
     inst = single_path_instance(CFG)
     net = PathAttentionScorer(CFG, D_S, rng)
-    s = rng.standard_normal(D_S)
+    s = rng.standard_normal((1, D_S))
     node_init = rng.standard_normal((3, CFG.kge_dim))
     rel_emb = rng.standard_normal((2, CFG.kge_dim))
     trace = net.forward(inst, s, node_init, rel_emb)
@@ -68,13 +68,13 @@ def test_single_step_path_duplicates_its_only_position():
 def test_reversed_step_changes_the_path_vector():
     rng = np.random.default_rng(4)
     net = PathAttentionScorer(CFG, D_S, rng)
-    s = rng.standard_normal(D_S)
+    s = rng.standard_normal((1, D_S))
     node_init = rng.standard_normal((3, CFG.kge_dim))
     rel_emb = rng.standard_normal((2, CFG.kge_dim))
     fwd = net.forward(single_path_instance(CFG, sign=1.0), s, node_init, rel_emb)
     rev = net.forward(single_path_instance(CFG, sign=-1.0), s, node_init, rel_emb)
     assert not np.allclose(fwd.V[0], rev.V[0])
-    assert abs(fwd.score - rev.score) > 0
+    assert abs(fwd.score[0] - rev.score[0]) > 0
 
 
 def test_path_attention_off_means_plain_mean():
@@ -93,7 +93,7 @@ def test_mean_degeneracy_one_and_two_identical_paths():
     rng = np.random.default_rng(6)
     net = PathAttentionScorer(CFG, D_S, rng)
     net.W1[:] = 0
-    s = rng.standard_normal(D_S)
+    s = rng.standard_normal((1, D_S))
     node_init = rng.standard_normal((3, CFG.kge_dim))
     rel_emb = rng.standard_normal((2, CFG.kge_dim))
     inst = single_path_instance(CFG)
@@ -114,7 +114,7 @@ def test_statement_mlp_zero_weights_bias_only():
     bias = net.t_mlp.layers[-1].b
     bias[:] = np.arange(CFG.d_t, dtype=float)
     inst = single_path_instance(CFG)
-    s = rng.standard_normal(D_S)
+    s = rng.standard_normal((1, D_S))
     trace = net.forward(inst, s, rng.standard_normal((3, CFG.kge_dim)),
                         rng.standard_normal((2, CFG.kge_dim)))
     assert trace.T.shape == (1, CFG.d_t)
@@ -127,15 +127,15 @@ def test_zero_score_mlp_gives_half():
         if name.startswith("score_mlp."):
             p[:] = 0
     trace = net.forward(inst, s, node_init, rel_emb)
-    assert trace.raw == 0.0
-    assert trace.score == pytest.approx(0.5, abs=1e-15)
+    assert trace.raw[0] == 0.0
+    assert trace.score[0] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_score_strictly_inside_unit_interval():
     for seed in range(6):
         net, inst, s, node_init, rel_emb = fresh(seed=seed)
         trace = net.forward(inst, s, node_init, rel_emb * 50)
-        assert 0.0 < trace.score < 1.0
+        assert 0.0 < trace.score[0] < 1.0
 
 
 def test_w1_gradient_zero_when_every_pair_has_one_path():
@@ -144,7 +144,7 @@ def test_w1_gradient_zero_when_every_pair_has_one_path():
     assert all(len(p.paths) == 1 for p in inst.pairs)
     trace = net.forward(inst, s, node_init, rel_emb)
     net.zero_grad()
-    net.backward(trace, 1.0)
+    net.backward(trace, np.ones(1))
     assert np.allclose(net.grads()["W1"], 0.0)
 
 
@@ -152,10 +152,10 @@ def test_doubling_loss_grad_doubles_every_gradient():
     net, inst, s, node_init, rel_emb = fresh(seed=10)
     trace = net.forward(inst, s, node_init, rel_emb)
     net.zero_grad()
-    g1_in = net.backward(trace, 1.0)
+    g1_in = net.backward(trace, np.ones(1))
     g1 = {k: v.copy() for k, v in net.grads().items()}
     net.zero_grad()
-    g2_in = net.backward(trace, 2.0)
+    g2_in = net.backward(trace, np.full(1, 2.0))
     g2 = net.grads()
     for k in g1:
         assert np.allclose(2.0 * g1[k], g2[k], atol=1e-12)
@@ -180,14 +180,14 @@ def test_instance_without_any_path_scores_and_backpropagates(path_attention):
     rng = np.random.default_rng(12)
     net = PathAttentionScorer(cfg, CHECK_D_S, rng)
     inst = instance_from_schema_graph(None, "x", 0, cfg.d_path, seed=0, label=1)
-    s = rng.standard_normal(CHECK_D_S)
+    s = rng.standard_normal((1, CHECK_D_S))
     node_init = rng.standard_normal((1, cfg.kge_dim))
     rel_emb = rng.standard_normal((3, cfg.kge_dim))
     trace = net.forward(inst, s, node_init, rel_emb)
     assert trace.V.shape == (0, cfg.d_path)
     assert trace.alpha.shape == (1, 0)
     assert np.array_equal(trace.R_hat[0], inst.pairs[0].fallback)
-    assert 0.0 < trace.score < 1.0
+    assert 0.0 < trace.score[0] < 1.0
 
     def loss_fn():
         return bce_loss(net.forward(inst, s, node_init, rel_emb).raw, 1)[0]
@@ -202,6 +202,39 @@ def test_instance_without_any_path_scores_and_backpropagates(path_attention):
     analytic.update(s=in_grads.ds, node_init=in_grads.d_node_init)
     report = check_gradients(loss_fn, tensors, analytic)
     assert max(report.values()) < 1e-4, report
+
+
+def test_concat_shifts_each_part_into_its_own_block():
+    rng = np.random.default_rng(13)
+    parts = [random_instance(rng, CFG, D_S)[0] for _ in range(3)]
+    parts.insert(1, instance_from_schema_graph(None, "x", 1, CFG.d_path))
+    union = Instance.concat(parts)
+    rows = np.cumsum([0] + [p.n_nodes for p in parts])
+    pairs = np.cumsum([0] + [len(p.q_rows) for p in parts])
+    assert union.pair_bounds.tolist() == pairs.tolist()
+    assert union.pair_cand.tolist() == np.repeat(np.arange(4), np.diff(pairs)).tolist()
+    assert union.node_ids.tolist() == sum((p.node_ids.tolist() for p in parts), [])
+    assert union.und_edges == [(a + o, b + o) for p, o in zip(parts, rows)
+                               for a, b in p.und_edges]
+    got = union.pairs
+    for g, part in enumerate(parts):
+        for mine, theirs in zip(got[pairs[g]:pairs[g + 1]], part.pairs):
+            assert (mine.q_row, mine.a_row) == (theirs.q_row + rows[g], theirs.a_row + rows[g])
+            assert len(mine.paths) == len(theirs.paths)
+            for (h, r, s, t), (h0, r0, s0, t0) in zip(mine.paths, theirs.paths):
+                assert h.tolist() == (h0 + rows[g]).tolist()
+                assert t.tolist() == (t0 + rows[g]).tolist()
+                assert r.tolist() == r0.tolist() and s.tolist() == s0.tolist()
+            assert (mine.fallback is None) == (theirs.fallback is None)
+            if mine.fallback is not None:
+                assert np.array_equal(mine.fallback, theirs.fallback)
+    assert Instance.concat(parts[:1]) is parts[0]
+
+
+def test_one_pass_over_candidates_equals_one_pass_each():
+    from kgqa.selfcheck import batch_suite
+    result = batch_suite(seed=0, n_questions=16)
+    assert result.passed, result.detail
 
 
 def test_bce_loss_over_candidates_sums_scalar_losses():

@@ -10,6 +10,7 @@ from kgqa.config import RunConfig
 from kgqa.data import QAExample, accuracy, load_dataset
 from kgqa.ground import load_stopwords
 from kgqa.kge import train_transe
+from kgqa.model.layers import BiLSTM
 from kgqa.pipeline import (build_model_state, evaluate, explain,
                            load_model_state, predict, preprocess, train)
 from kgqa.statement import FeatureStore
@@ -196,11 +197,47 @@ def test_untrained_model_scores_near_chance(toy_run):
 
 
 def test_candidate_score_independent_of_other_candidates(mini):
+    # one pass over a question's candidates may round differently from a
+    # pass of one (a row block of a matrix product need not equal the product
+    # of the block in the last bits), so the referee is 1e-12
     state = fresh_state(mini)
-    ex = mini.world.dev[0]
-    preds = predict(state, [ex], mini.dev_inst)
-    trace, _ = state.forward(ex, 0, mini.dev_inst[(ex.id, 0)])
-    assert preds[0].scores[0] == pytest.approx(trace.score, abs=0, rel=0)
+    ex, others = mini.world.dev[0], mini.world.dev[1:5]
+    cands = range(len(ex.candidates))
+    own = mini.dev_inst[(ex.id, 0)]
+    alone = state.forward(ex, [0], [own])[0]
+    (pred,) = predict(state, [ex], mini.dev_inst)
+    swapped = [own] + [mini.dev_inst[(q.id, ci)] for q, ci in zip(others, cands[1:])]
+    mixed = state.forward(ex, cands, swapped)[0]
+    assert pred.scores[0] == pytest.approx(alone.score[0], abs=1e-12, rel=0)
+    assert mixed.score[0] == pytest.approx(alone.score[0], abs=1e-12, rel=0)
+    assert mixed.raw[0] == pytest.approx(alone.raw[0], abs=1e-12, rel=0)
+
+
+def test_one_bilstm_run_per_length_per_question(mini, monkeypatch):
+    # a question's train step and its prediction each run the path BiLSTM
+    # once per distinct path length and the statement BiLSTM once per
+    # distinct token length, over all candidates together
+    state = fresh_state(mini, epochs=1)
+    ex = mini.world.train[0]
+    insts = [mini.train_inst[(ex.id, ci)] for ci in range(len(ex.candidates))]
+    token_lengths = [{len(state.encoder.token_ids(ex.question, c))} for c in ex.candidates]
+    path_lengths = [set(np.diff(inst.offsets).tolist()) for inst in insts]
+    want = len(set().union(*path_lengths)) + len(set().union(*token_lengths))
+    per_candidate = sum(map(len, path_lengths + token_lengths))
+    assert want < per_candidate
+    calls = []
+    real = BiLSTM.forward
+
+    def counting(self, x):
+        calls.append(x.shape)
+        return real(self, x)
+
+    monkeypatch.setattr(BiLSTM, "forward", counting)
+    train(state, [ex], [ex], mini.train_inst, mini.train_inst)
+    assert len(calls) == 2 * want  # the train step, then the dev evaluation
+    calls.clear()
+    predict(state, [ex], mini.train_inst)
+    assert len(calls) == want
 
 
 def test_prediction_json_shape(mini):
@@ -222,8 +259,8 @@ def test_explain_matches_trace_and_normalizes(mini):
     inst = mini.dev_inst[(ex.id, ci)]
     report = explain(state, mini.world.kg, ex, ci, inst,
                      top_pairs=len(inst.pairs), top_paths=50)
-    trace, _ = state.forward(ex, ci, inst)
-    assert report["score"] == pytest.approx(trace.score, rel=1e-12)
+    trace, _ = state.forward(ex, [ci], [inst])
+    assert report["score"] == pytest.approx(trace.score[0], rel=1e-12)
     assert report["candidate_text"] == ex.candidates[ci]
     total_beta = sum(p["beta"] for p in report["pairs"])
     assert total_beta == pytest.approx(1.0, abs=1e-6)

@@ -1,8 +1,11 @@
 """Statement encoder and feature-store behavior."""
 
+import json
+
 import numpy as np
 import pytest
 
+from kgqa import io_utils
 from kgqa.model.gradcheck import check_gradients
 from kgqa.statement import SEP, UNK, FeatureStore, ToyStatementEncoder, build_vocab
 
@@ -51,12 +54,12 @@ def test_encoder_gradients_match_finite_differences():
     target = np.random.default_rng(9).standard_normal(enc.d_s)
 
     def loss_fn():
-        s, _ = enc.forward(ids)
-        diff = s - target
+        s, _ = enc.forward([ids])
+        diff = s[0] - target
         return 0.5 * float(diff @ diff)
 
     enc.zero_grad()
-    s, cache = enc.forward(ids)
+    s, cache = enc.forward([ids])
     enc.backward(s - target, cache)
     analytic = {name: g.copy() for name, g in enc.grads().items()}
     errs = check_gradients(loss_fn, enc.params(), analytic)
@@ -108,6 +111,29 @@ def test_feature_store_bad_jsonl_reports_line(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"id": "q1", "candidate": 0}\n', encoding="utf-8")
     with pytest.raises(ValueError, match="bad.jsonl:1"):
+        FeatureStore.load(path)
+
+
+@pytest.mark.parametrize("second, message", [
+    ([1.0, 2.0, 3.0], r"ragged.jsonl:2: feature vector has shape \[3\], expected \[2\]"),
+    (5.0, r"ragged.jsonl:2: feature vector has shape \[\], expected \[2\]"),
+])
+def test_feature_store_jsonl_rows_of_unequal_width_report_line(tmp_path, second, message):
+    path = tmp_path / "ragged.jsonl"
+    rows = [{"id": "q", "candidate": 0, "vector": [1.0, 2.0]},
+            {"id": "q", "candidate": 1, "vector": second}]
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    with pytest.raises(ValueError, match=message):
+        FeatureStore.load(path)
+
+
+@pytest.mark.parametrize("key", ["q0", "q#x", "q#"])
+def test_feature_store_binary_key_without_index_is_named(tmp_path, key):
+    path = tmp_path / "feat.bin"
+    FeatureStore.write(path, {("q", 0): np.ones(3)})
+    meta, blocks = io_utils.read_container(path, kind="features")
+    io_utils.write_container(path, "features", {**meta, "keys": [key]}, blocks)
+    with pytest.raises(io_utils.ContainerError, match=f"feature key '{key}'"):
         FeatureStore.load(path)
 
 
