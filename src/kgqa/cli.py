@@ -254,7 +254,8 @@ def cmd_explain(args) -> int:
     else:
         preds = predict(state, [ex], instances)
         cand = preds[0].chosen
-    report = explain(state, kg, ex, cand, instances[(ex.id, cand)],
+    # an out-of-range --candidate has no instance; explain names the range
+    report = explain(state, kg, ex, cand, instances.get((ex.id, cand)),
                      top_pairs=args.top_pairs, top_paths=args.top_paths)
     Path(args.out).write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -270,9 +271,8 @@ def cmd_encode(args) -> int:
     examples = load_dataset(args.dataset)
     entries = {}
     for ex in examples:
-        for ci in range(len(ex.candidates)):
-            entries[(ex.id, ci)] = state.encoder.encode(ex.question,
-                                                        ex.candidates[ci])
+        s, _ = state.statements(ex, range(len(ex.candidates)))
+        entries.update(((ex.id, ci), vec) for ci, vec in enumerate(s))
     FeatureStore.write(args.out, entries)
     _manifest(args, args.out, state.cfg, "kg", "kge", "checkpoint", "dataset")
     print(f"encoded {len(entries)} statement vectors")

@@ -199,6 +199,36 @@ class BiLSTM(Layer):
         dxb = self.bwd.backward(dy[:, ::-1, H:], cb)
         return dxf + dxb[:, ::-1]
 
+    def forward_ragged(self, x: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """Ends of K ragged sequences; sequence k is ``x[offsets[k]:offsets[k + 1]]``.
+
+        One unpadded ``forward`` batch per distinct length, so each sequence
+        gets the outputs it would get alone. Returns ((K, 2, 2H) ends, cache),
+        with ``ends[k, 0]`` at sequence k's first position and ``ends[k, 1]``
+        at its last."""
+        lengths = np.diff(offsets)
+        ends = np.zeros((len(lengths), 2, 2 * self.d_hidden))
+        groups = []
+        for length in np.unique(lengths):
+            index = np.flatnonzero(lengths == length)
+            pos = offsets[index, None] + np.arange(length)
+            y, cache = self.forward(x[pos])
+            ends[index, 0] = y[:, 0]
+            ends[index, 1] = y[:, -1]
+            groups.append((index, pos, cache))
+        return ends, (len(x), groups)
+
+    def backward_ragged(self, d_ends: np.ndarray, cache: tuple) -> np.ndarray:
+        """Given dL/d(ends) of ``forward_ragged``, return the (S, d_in) dL/dx."""
+        n_rows, groups = cache
+        dx = np.zeros((n_rows, self.fwd.d_in))
+        for index, pos, lstm_cache in groups:
+            dy = np.zeros(pos.shape + (2 * self.d_hidden,))
+            dy[:, 0] = d_ends[index, 0]
+            dy[:, -1] += d_ends[index, 1]  # length 1: the first is the last
+            dx[pos] = self.backward(dy, lstm_cache)
+        return dx
+
 
 class GCNLayer(Layer):
     """One graph-convolution step over an unlabeled, non-directional graph.

@@ -8,10 +8,10 @@ scored independently; one pass only batches the work.
 
   1. GCN layers contextualize the schema-graph node vectors.
   2. Each step is encoded as [source state; signed relation vector;
-     destination state]; paths of equal length run through the
-     bidirectional LSTM as one batch, and a path vector concatenates the
-     bi-hidden states at its first and last steps (4H dims). The path
-     vectors form one (K, d_path) matrix V.
+     destination state]; the paths run through the bidirectional LSTM's
+     ragged runner (``BiLSTM.forward_ragged``), and a path vector
+     concatenates the bi-hidden states at its first and last steps (4H
+     dims). The path vectors form one (K, d_path) matrix V.
   3. Per concept pair (i, j): T_ij = MLP([s; c_i; c_j]), with the statement
      vector s of the pair's candidate, one batch over all pairs. Path
      attention alpha = T W1 V^T, softmaxed per row over the pair's own paths
@@ -228,21 +228,19 @@ class ForwardTrace:
     """Everything backward() needs beyond the instance's own path table.
 
     Rows of ``V`` and columns of ``alpha`` follow the table's path order, so
-    ``V[inst.owner == p]`` are pair p's path vectors. Each entry of ``groups``
-    is one BiLSTM run over the paths of one length: (path indices, (B, L)
-    step positions, LSTM cache). ``alpha`` holds the path attention of pair p
-    over its own paths in row p and zero elsewhere; a pair with no paths has
-    a zero row and its fallback vector as ``R_hat``. In the same way
-    ``beta_hat`` holds the pair attention of candidate g over its own pairs
-    in row g, and row g of ``s``, ``g_hat``, ``raw`` and ``score`` is
-    candidate g's.
+    ``V[inst.owner == p]`` are pair p's path vectors. ``alpha`` holds the
+    path attention of pair p over its own paths in row p and zero elsewhere;
+    a pair with no paths has a zero row and its fallback vector as
+    ``R_hat``. In the same way ``beta_hat`` holds the pair attention of
+    candidate g over its own pairs in row g, and row g of ``s``, ``g_hat``,
+    ``raw`` and ``score`` is candidate g's.
     """
 
     inst: Instance
     s: np.ndarray                       # (G, d_s) statement vectors
     rel_emb: np.ndarray
     gcn_caches: list
-    groups: list[tuple]                 # per path length
+    lstm_cache: tuple                   # the path BiLSTM's forward_ragged cache
     V: np.ndarray                       # (K, d_path) path vectors
     t_cache: object
     T: np.ndarray                       # (P, d_t)
@@ -312,24 +310,13 @@ class PathAttentionScorer(Layer):
             h, cache = layer.forward(h, adj)
             gcn_caches.append(cache)
 
-        lengths = np.diff(inst.offsets)
-        P, K = len(inst.q_rows), len(lengths)
+        P, K = len(inst.q_rows), len(inst.owner)
         x = np.concatenate(
             [h[inst.heads], inst.signs[:, None] * rel_emb[inst.rels], h[inst.tails]],
             axis=1)
-
-        # one BiLSTM run per path length; a path vector joins the bi-states
-        # at its first and last steps
-        H2 = c.lstm_hidden * 2
-        V = np.zeros((K, c.d_path))
-        groups = []
-        for length in np.unique(lengths):
-            index = np.flatnonzero(lengths == length)
-            pos = inst.offsets[index, None] + np.arange(length)
-            y, lstm_cache = self.path_lstm.forward(x[pos])
-            V[index, :H2] = y[:, 0]
-            V[index, H2:] = y[:, -1]
-            groups.append((index, pos, lstm_cache))
+        # a path vector joins the bi-states at its first and last steps
+        ends, lstm_cache = self.path_lstm.forward_ragged(x, inst.offsets)
+        V = ends.reshape(K, c.d_path)
 
         cand = inst.pair_cand
         t_in = np.concatenate([s[cand], h[inst.q_rows], h[inst.a_rows]], axis=1)
@@ -356,9 +343,9 @@ class PathAttentionScorer(Layer):
         raw = raw_col[:, 0]
         score = np.clip(sigmoid(raw), SCORE_EPS, 1.0 - SCORE_EPS)
         return ForwardTrace(
-            inst=inst, s=s, rel_emb=rel_emb, gcn_caches=gcn_caches, groups=groups,
-            V=V, t_cache=t_cache, T=T, alpha=alpha, R_hat=R_hat, beta_hat=beta_hat,
-            g_hat=g_hat, score_cache=score_cache, raw=raw, score=score)
+            inst=inst, s=s, rel_emb=rel_emb, gcn_caches=gcn_caches,
+            lstm_cache=lstm_cache, V=V, t_cache=t_cache, T=T, alpha=alpha, R_hat=R_hat,
+            beta_hat=beta_hat, g_hat=g_hat, score_cache=score_cache, raw=raw, score=score)
 
     # ---------------- backward ----------------
 
@@ -370,7 +357,6 @@ class PathAttentionScorer(Layer):
         (logit form) so the chain stays exact.
         """
         c = self.cfg
-        H2 = c.lstm_hidden * 2
         d = c.d_gcn_out
         d_raw = np.asarray(d_raw, dtype=np.float64)
         if d_raw.shape != trace.raw.shape:
@@ -406,12 +392,8 @@ class PathAttentionScorer(Layer):
             self._grads["W1"] += trace.T.T @ (d_logits @ V)
 
         inst = trace.inst
-        d_x = np.zeros((len(inst.heads), c.d_step))
-        for index, pos, lstm_cache in trace.groups:
-            dy = np.zeros(pos.shape + (H2,))
-            dy[:, 0] = dV[index, :H2]
-            dy[:, -1] += dV[index, H2:]
-            d_x[pos] = self.path_lstm.backward(dy, lstm_cache)
+        d_x = self.path_lstm.backward_ragged(dV.reshape(-1, 2, 2 * c.lstm_hidden),
+                                             trace.lstm_cache)
         d_node = np.zeros((inst.n_nodes, d))
         d_rel = np.zeros_like(trace.rel_emb)
         np.add.at(d_node, inst.heads, d_x[:, :d])

@@ -203,6 +203,18 @@ class ModelState(Layer):
         trace = self.net.forward(inst, s, self.node_emb[inst.node_ids], self.rel_emb)
         return trace, enc_cache
 
+    def backward(self, ctx: tuple, d_raw: np.ndarray) -> None:
+        """Accumulates the gradients of the ``forward`` pass ``ctx`` into the registry."""
+        trace, enc_cache = ctx
+        grads = self.grads()
+        in_grads = self.net.backward(trace, d_raw)
+        if self.encoder is not None:
+            self.encoder.backward(in_grads.ds, enc_cache)
+        if "rel_emb" in grads:
+            grads["rel_emb"] += in_grads.d_rel_emb
+        if "node_emb" in grads:
+            np.add.at(grads["node_emb"], trace.inst.node_ids, in_grads.d_node_init)
+
     def checkpoint_blocks(self) -> dict[str, np.ndarray]:
         """The registry plus ``rel_emb``, which is stored even when frozen."""
         return dict(sorted({**self.params(), "rel_emb": self.rel_emb}.items()))
@@ -298,19 +310,6 @@ def _example_forward(state: ModelState, example: QAExample,
     return state.forward(example, cands, [instances[(example.id, ci)] for ci in cands])
 
 
-def _example_backward(state: ModelState, ctx: tuple, d_raws: np.ndarray) -> None:
-    """Accumulates the gradients of one pass into the state's registry."""
-    trace, enc_cache = ctx
-    grads = state.grads()
-    in_grads = state.net.backward(trace, d_raws)
-    if state.encoder is not None:
-        state.encoder.backward(in_grads.ds, enc_cache)
-    if "rel_emb" in grads:
-        grads["rel_emb"] += in_grads.d_rel_emb
-    if "node_emb" in grads:
-        np.add.at(grads["node_emb"], trace.inst.node_ids, in_grads.d_node_init)
-
-
 def evaluate(state: ModelState, examples: list[QAExample],
              instances: dict) -> tuple[float, dict[str, int]]:
     preds = {p.example_id: p.chosen for p in predict(state, examples, instances)}
@@ -357,7 +356,7 @@ def train(
                         f"non-finite loss on example {ex.id} (epoch {epoch})")
                 total_loss += loss
                 n_loss_terms += 1
-                _example_backward(state, ctx, d_raws * scale)
+                state.backward(ctx, d_raws * scale)
             opt.step(state.grads())
 
         dev_acc, _ = evaluate(state, dev_examples, dev_instances)
@@ -428,10 +427,15 @@ def explain(state: ModelState, kg: KnowledgeGraph, example: QAExample,
 
     It lists the ``top_pairs`` most attended pairs and, in each, the
     ``top_paths`` most attended paths; both counts must be at least 1.
+    ``cand_index`` must index ``example``'s candidates.
     """
     if top_pairs < 1 or top_paths < 1:
         raise ValueError(f"top_pairs and top_paths must be at least 1, "
                          f"got {top_pairs} and {top_paths}")
+    n = len(example.candidates)
+    if not 0 <= cand_index < n:
+        raise ValueError(f"{example.id}: candidate must be in 0..{n - 1}, "
+                         f"got {cand_index}")
     trace, _ = state.forward(example, [cand_index], [inst])
     beta_hat = trace.beta_hat[0]
     rel_names = kg.relations

@@ -3,7 +3,7 @@
 Each suite pits a component against an independent reference: the path
 finder against exhaustive permutation enumeration over the raw triple list
 and against the plain DFS it replaced; the gradients of the training step,
-as ``pipeline.ModelState`` and ``pipeline._example_backward`` compute them,
+as ``pipeline.ModelState.forward`` and ``backward`` compute them,
 against central finite differences; the one pass that scores a question's
 candidates against one pass per candidate; attention against its closed-form
 degenerate cases. The CLI `selfcheck` subcommand runs them all
@@ -29,7 +29,7 @@ from .model.gradcheck import check_gradients
 from .model.network import (Instance, PathAttentionScorer, bce_loss,
                             instance_from_schema_graph)
 from .paths import build_schema_graph, find_paths, path_sort_key
-from .pipeline import ModelState, _example_backward, _example_forward
+from .pipeline import ModelState
 from .statement import build_vocab
 
 # small dims keep finite differences affordable while exercising every tensor;
@@ -310,7 +310,7 @@ def gradient_suite(seed: int = 0, n_instances: int = 20,
     ``train`` does, so the check also covers the offsets of
     ``Instance.concat`` and the per-candidate pair softmax. The loss is the
     binary cross-entropy ``train`` takes over the candidates, and the
-    analytic gradients are what ``_example_backward`` accumulates in the
+    analytic gradients are what ``ModelState.backward`` accumulates in the
     registry.
     """
     rng = np.random.default_rng(stable_seed("gradcheck", seed))
@@ -326,16 +326,16 @@ def gradient_suite(seed: int = 0, n_instances: int = 20,
         state = ModelState(cfg, EmbeddingTable(ent=ent, rel=parts[0][3]), rng,
                            vocab=vocab)
         example = _random_question(rng, words, parts[0][0].example_id, 2, idx % 2)
-        instances = {(example.id, ci): p[0] for ci, p in enumerate(parts)}
+        insts = [p[0] for p in parts]
         labels = (np.arange(2) == example.label).astype(np.float64)
 
         def loss_fn() -> float:
-            return bce_loss(_example_forward(state, example, instances)[0].raw, labels)[0]
+            return bce_loss(state.forward(example, range(2), insts)[0].raw, labels)[0]
 
         state.zero_grad()
-        ctx = _example_forward(state, example, instances)
+        ctx = state.forward(example, range(2), insts)
         _, d_raws = bce_loss(ctx[0].raw, labels)
-        _example_backward(state, ctx, d_raws)
+        state.backward(ctx, d_raws)
         report = check_gradients(loss_fn, state.params(), state.grads(),
                                  seed=stable_seed("gc-entries", seed, idx))
         for name, err in report.items():
@@ -356,7 +356,7 @@ def batch_suite(seed: int = 0, n_questions: int = 20,
     Each question joins 2-5 random instances, with pathless pairs among them
     and, in every other question, the K = 0 anchor; each pair of questions
     takes the next of the four settings of the two attention switches. Through
-    ``ModelState`` and ``_example_backward``, the pass over all candidates
+    ``ModelState.forward`` and ``backward``, the pass over all candidates
     must give the logits and scores, each candidate's rows of ``alpha`` and
     ``beta_hat``, and the gradient of every trainable tensor that the passes
     of one candidate each give, within ``tol``.
@@ -393,7 +393,7 @@ def batch_suite(seed: int = 0, n_questions: int = 20,
 
         state.zero_grad()
         ctx = state.forward(example, cands, insts)
-        _example_backward(state, ctx, d_raws)
+        state.backward(ctx, d_raws)
         batched = ctx[0]
         grads = {k: v.copy() for k, v in state.grads().items()}
 
@@ -404,7 +404,7 @@ def batch_suite(seed: int = 0, n_questions: int = 20,
         p0 = k0 = 0
         for ci in cands:
             lone_ctx = state.forward(example, [ci], [insts[ci]])
-            _example_backward(state, lone_ctx, d_raws[ci:ci + 1])
+            state.backward(lone_ctx, d_raws[ci:ci + 1])
             lone = lone_ctx[0]
             n_pairs, n_paths = lone.alpha.shape
             alpha[p0:p0 + n_pairs, k0:k0 + n_paths] = lone.alpha

@@ -3,8 +3,9 @@
 The toy encoder embeds the token sequence "question [sep] answer" and runs a
 bidirectional LSTM; the statement vector concatenates the forward direction's
 final hidden state with the backward direction's final hidden state, giving
-d_s = 2 * hidden. Feature mode looks vectors up from a file keyed by
-(example id, candidate index), for plugging in any external encoder.
+d_s = 2 * hidden. Every statement vector comes from ``forward``, one ragged
+BiLSTM run over a question's candidates. Feature mode looks vectors up from a
+file keyed by (example id, candidate index), for any external encoder.
 """
 
 from __future__ import annotations
@@ -52,37 +53,23 @@ class ToyStatementEncoder(Layer):
         unk = self.vocab[UNK]
         return np.asarray([self.vocab.get(t, unk) for t in toks], dtype=np.int64)
 
-    def forward(self, seqs: list[np.ndarray]) -> tuple[np.ndarray, list]:
-        """Statement vectors (G, d_s) of G token-id sequences.
-
-        Sequences of one length run through the BiLSTM as one batch, so no
-        sequence is padded and each vector is the one it would get alone.
-        """
+    def forward(self, seqs: list[np.ndarray]) -> tuple[np.ndarray, tuple]:
+        """Statement vectors (G, d_s) of G token-id sequences, in one ragged
+        BiLSTM run (``BiLSTM.forward_ragged``)."""
         H = self.d_hidden
-        lengths = np.array([len(ids) for ids in seqs])
-        s = np.zeros((len(seqs), 2 * H))
-        groups = []
-        for length in np.unique(lengths):
-            index = np.flatnonzero(lengths == length)
-            ids = np.stack([seqs[i] for i in index])   # (B, T)
-            y, cache = self.lstm.forward(self.emb[ids])
-            s[index, :H] = y[:, -1, :H]
-            s[index, H:] = y[:, 0, H:]
-            groups.append((index, ids, cache))
-        return s, groups
+        ids = np.concatenate(seqs)
+        offsets = np.cumsum([0] + [len(s) for s in seqs])
+        ends, lstm_cache = self.lstm.forward_ragged(self.emb[ids], offsets)
+        s = np.concatenate([ends[:, 1, :H], ends[:, 0, H:]], axis=1)
+        return s, (ids, lstm_cache)
 
-    def backward(self, ds: np.ndarray, groups: list) -> None:
+    def backward(self, ds: np.ndarray, cache: tuple) -> None:
         H = self.d_hidden
-        for index, ids, lstm_cache in groups:
-            dy = np.zeros(ids.shape + (2 * H,))
-            dy[:, -1, :H] = ds[index, :H]
-            dy[:, 0, H:] = ds[index, H:]
-            dx = self.lstm.backward(dy, lstm_cache)
-            np.add.at(self._grads["emb"], ids, dx)
-
-    def encode(self, question: str, answer: str) -> np.ndarray:
-        s, _ = self.forward([self.token_ids(question, answer)])
-        return s[0]
+        ids, lstm_cache = cache
+        d_ends = np.zeros((len(ds), 2, 2 * H))
+        d_ends[:, 1, :H] = ds[:, :H]
+        d_ends[:, 0, H:] = ds[:, H:]
+        np.add.at(self._grads["emb"], ids, self.lstm.backward_ragged(d_ends, lstm_cache))
 
     def save_extra_meta(self) -> dict:
         """The vocabulary; the widths are the run config's enc_embed/enc_hidden."""
@@ -153,6 +140,8 @@ class FeatureStore:
     @staticmethod
     def write(path, entries: dict[tuple[str, int], np.ndarray]) -> None:
         """Binary layout: sorted key list in the header, float32 rows block."""
+        if not entries:
+            raise ValueError(f"{path}: no statement vectors to write")
         items = sorted(entries.items())
         keys = [f"{ex_id}#{idx}" for (ex_id, idx), _ in items]
         rows = np.vstack([vec for _, vec in items]).astype(np.float32)

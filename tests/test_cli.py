@@ -14,7 +14,9 @@ from kgqa import io_utils
 from kgqa.cli import main
 from kgqa.config import RunConfig
 from kgqa.data import save_dataset
+from kgqa.ground import tokenize
 from kgqa.kge import EmbeddingTable
+from kgqa.model.layers import BiLSTM
 
 MERGE_MAP = "evidence_of\tevidence_of\ncommon_trait\tcommon_trait\nvariant_of\tvariant_of\n"
 
@@ -341,3 +343,51 @@ def test_feature_mode_round_trip(run, cli_world, tmp_path):
     rows = [json.loads(l) for l in preds.read_text().splitlines()]
     assert [r["id"] for r in rows] == [ex.id for ex in cli_world.world.dev]
     assert all(math.isfinite(s) for r in rows for s in r["scores"])
+
+
+@pytest.mark.parametrize("candidate", ["7", "-1"])
+def test_explain_candidate_out_of_range_names_the_range(run, cli_world, candidate,
+                                                        capsys):
+    code = main(explain_args(run, cli_world, "--candidate", candidate))
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "ValueError"
+    assert "0..4" in err["message"] and candidate in err["message"]
+
+
+def encode_args(run, dataset, out):
+    return ["encode", "--kg", str(run.kg), "--kge", str(run.kge),
+            "--checkpoint", str(run.model_dir / "model.bin"),
+            "--dataset", str(dataset), "--out", str(out)]
+
+
+def test_encode_of_an_empty_dataset_names_the_output(run, tmp_path, capsys):
+    empty, out = tmp_path / "empty.jsonl", tmp_path / "features.bin"
+    empty.write_text("", encoding="utf-8")
+    assert main(encode_args(run, empty, out)) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "ValueError"
+    assert str(out) in err["message"]
+    assert not out.exists()
+
+
+def test_encode_runs_the_bilstm_once_per_token_length_per_question(
+        run, cli_world, tmp_path, monkeypatch):
+    examples = cli_world.world.train + cli_world.world.dev
+    both = tmp_path / "train-dev.jsonl"
+    save_dataset(both, examples)
+    lengths = [{len(tokenize(ex.question)) + 1 + len(tokenize(c)) for c in ex.candidates}
+               for ex in examples]
+    want = sum(map(len, lengths))
+    assert want < sum(len(ex.candidates) for ex in examples)
+    assert want == 20
+    calls = []
+    real = BiLSTM.forward
+
+    def counting(self, x):
+        calls.append(x.shape)
+        return real(self, x)
+
+    monkeypatch.setattr(BiLSTM, "forward", counting)
+    assert main(encode_args(run, both, tmp_path / "features.bin")) == 0
+    assert len(calls) == want

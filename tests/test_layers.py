@@ -199,6 +199,57 @@ def test_bilstm_gradients():
     assert max(errs.values()) < 1e-5
 
 
+RAGGED_LENGTHS = [[], [1], [3, 1, 5, 1, 2, 4, 3], [2, 2, 2], [5, 4, 3, 2, 1]]
+
+
+def ragged_rows(rng, lengths, d_in):
+    offsets = np.cumsum([0] + lengths)
+    return rng.standard_normal((int(offsets[-1]), d_in)), offsets
+
+
+@pytest.mark.parametrize("lengths", RAGGED_LENGTHS)
+def test_ragged_ends_equal_lone_runs_one_call_per_length(lengths, monkeypatch):
+    rng = np.random.default_rng(11)
+    bi = BiLSTM(rng, d_in=3, d_hidden=4)
+    x, offsets = ragged_rows(rng, lengths, 3)
+    lone = [bi.forward(x[None, lo:hi])[0][0] for lo, hi in zip(offsets, offsets[1:])]
+    calls = []
+    real = BiLSTM.forward
+
+    def counting(self, x):
+        calls.append(x.shape)
+        return real(self, x)
+
+    monkeypatch.setattr(BiLSTM, "forward", counting)
+    ends, _ = bi.forward_ragged(x, offsets)
+    assert ends.shape == (len(lengths), 2, 8)
+    assert len(calls) == len(set(lengths))
+    for k, y in enumerate(lone):
+        assert np.max(np.abs(ends[k, 0] - y[0])) <= 1e-12
+        assert np.max(np.abs(ends[k, 1] - y[-1])) <= 1e-12
+
+
+@pytest.mark.parametrize("lengths", RAGGED_LENGTHS)
+def test_ragged_backward_matches_finite_differences(lengths):
+    rng = np.random.default_rng(12)
+    bi = BiLSTM(rng, d_in=2, d_hidden=3)
+    x, offsets = ragged_rows(rng, lengths, 2)
+    proj = rng.standard_normal((len(lengths), 2, 6))
+
+    def loss_fn():
+        ends, _ = bi.forward_ragged(x, offsets)
+        return float((ends * proj).sum())
+
+    bi.zero_grad()
+    _, cache = bi.forward_ragged(x, offsets)
+    dx = bi.backward_ragged(proj, cache)
+    assert dx.shape == x.shape
+    tensors = {**bi.params(), "x": x}
+    analytic = {**{name: g.copy() for name, g in bi.grads().items()}, "x": dx}
+    errs = check_gradients(loss_fn, tensors, analytic)
+    assert max(errs.values()) < 1e-5
+
+
 def test_normalized_adjacency_rows():
     adj = normalized_adjacency(4, [(0, 1), (0, 2), (3, 3)])
     assert np.allclose(adj[0], [0, 0.5, 0.5, 0])

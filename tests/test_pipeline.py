@@ -11,7 +11,7 @@ from kgqa.data import QAExample, accuracy, load_dataset
 from kgqa.ground import load_stopwords
 from kgqa.kge import train_transe
 from kgqa.model.layers import BiLSTM
-from kgqa.pipeline import (build_model_state, evaluate, explain,
+from kgqa.pipeline import (ModelState, build_model_state, evaluate, explain,
                            load_model_state, predict, preprocess, train)
 from kgqa.statement import FeatureStore
 from kgqa.toy import EVIDENCE, build_toy_world
@@ -454,14 +454,14 @@ def test_training_node_embeddings_with_frozen_relations(mini, tmp_path):
 
 
 def test_gradient_oracle_checks_the_training_backward(monkeypatch):
-    real = selfcheck._example_backward
+    real = ModelState.backward
 
     def without_node_emb_scatter(state, ctxs, d_raws):
         before = state.grads()["node_emb"].copy()
         real(state, ctxs, d_raws)
         state.grads()["node_emb"][...] = before
 
-    monkeypatch.setattr(selfcheck, "_example_backward", without_node_emb_scatter)
+    monkeypatch.setattr(ModelState, "backward", without_node_emb_scatter)
     res = selfcheck.gradient_suite(n_instances=2)
     assert not res.passed
     assert "(node_emb)" in res.detail

@@ -33,19 +33,19 @@ def test_token_ids_insert_separator_and_map_unknowns():
 def test_encode_dimension_and_determinism():
     enc_a = make_encoder(seed=7)
     enc_b = make_encoder(seed=7)
-    s1 = enc_a.encode("a b c", "d")
-    s2 = enc_b.encode("a b c", "d")
+    s1 = enc_a.forward([enc_a.token_ids("a b c", "d")])[0][0]
+    s2 = enc_b.forward([enc_b.token_ids("a b c", "d")])[0][0]
     assert s1.shape == (enc_a.d_s,)
     assert enc_a.d_s == 2 * 3
     assert np.array_equal(s1, s2)
-    assert not np.array_equal(s1, enc_a.encode("a b c", "c"))
+    assert not np.array_equal(s1, enc_a.forward([enc_a.token_ids("a b c", "c")])[0][0])
 
 
 def test_zero_weights_encode_to_zero_vector():
     enc = make_encoder()
     for p in enc.params().values():
         p[:] = 0
-    assert np.allclose(enc.encode("a b", "c d"), 0.0)
+    assert np.allclose(enc.forward([enc.token_ids("a b", "c d")])[0][0], 0.0)
 
 
 def test_encoder_gradients_match_finite_differences():
