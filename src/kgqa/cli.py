@@ -20,7 +20,7 @@ from .data import load_dataset
 from .ground import default_stopwords_path, load_stopwords, recognize
 from .kg import KnowledgeGraph, default_merge_map_path, ingest, load_merge_map
 from .kge import EmbeddingTable, PruneReport, load_word_vectors, train_transe
-from .pipeline import (build_model_state, explain, ground_candidate,
+from .pipeline import (build_model_state, explain, ground_question,
                        load_model_state, predict, preprocess, train)
 from .selfcheck import run_selfcheck
 from .statement import FeatureStore
@@ -147,8 +147,8 @@ def cmd_schema_graphs(args) -> int:
     total = PruneReport()
     with open(args.out, "w", encoding="utf-8") as fh:
         for ex in load_dataset(args.dataset):
-            for ci in range(len(ex.candidates)):
-                payload = ground_candidate(kg, stop, cfg, ex, ci, emb)
+            payloads = ground_question(kg, stop, cfg, ex, range(len(ex.candidates)), emb)
+            for ci, payload in enumerate(payloads):
                 if "prune" in payload:
                     total += PruneReport.from_dict(payload["prune"])
                 row = {"id": ex.id, "candidate": ci, **payload}

@@ -8,6 +8,7 @@ to key the preprocessing cache.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import get_type_hints
 
@@ -134,4 +135,16 @@ def resolve_config(file_path=None, overrides: dict[str, object] | None = None) -
         apply(parse_config_file(file_path), str(file_path))
     if overrides:
         apply(overrides, "flags")
+    _check_grounding(cfg)
     return cfg
+
+
+def _check_grounding(cfg: RunConfig) -> None:
+    """Reject grounding settings that would ground nothing, fail partway
+    through a run, or write a non-JSON threshold."""
+    if not (math.isfinite(cfg.threshold) and 0.0 <= cfg.threshold <= 1.0):
+        raise ValueError(f"threshold must be a finite number in [0, 1], "
+                         f"got {cfg.threshold!r}")
+    for key in ("max_ngram", "max_edges", "cap"):
+        if getattr(cfg, key) < 1:
+            raise ValueError(f"{key} must be at least 1, got {getattr(cfg, key)!r}")

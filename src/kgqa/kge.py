@@ -78,7 +78,9 @@ def load_word_vectors(path) -> dict[str, np.ndarray] | None:
     """Plain-text vectors: one ``word v1 v2 ... vd`` row per line.
 
     An unreadable file is a warning, not an error; callers fall back to
-    random initialization when this returns None.
+    random initialization when this returns None. A non-numeric value, or a
+    row whose width differs from the first row's, is a ValueError naming
+    ``path:line``.
     """
     vecs: dict[str, np.ndarray] = {}
     try:
@@ -87,12 +89,22 @@ def load_word_vectors(path) -> dict[str, np.ndarray] | None:
         warnings.warn(f"word-vector file unreadable ({exc}); "
                       "falling back to random initialization")
         return None
+    width = None
     with fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             parts = line.rstrip("\n").split(" ")
             if len(parts) < 2:
                 continue
-            vecs[parts[0]] = np.asarray([float(x) for x in parts[1:]], dtype=np.float64)
+            try:
+                row = np.asarray([float(x) for x in parts[1:]], dtype=np.float64)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if width is None:
+                width = len(row)
+            elif len(row) != width:
+                raise ValueError(f"{path}:{lineno}: row has {len(row)} values, "
+                                 f"the first row has {width}")
+            vecs[parts[0]] = row
     return vecs
 
 
@@ -267,21 +279,46 @@ def prune_schema_graph(
 
     Pairs holding fewer than PRUNE_EXEMPT_BELOW paths keep everything. A pair
     whose paths all score below threshold keeps its single best path, so
-    pruning never disconnects a previously connected pair. Node and edge sets
-    are rebuilt to exactly cover what remains.
+    pruning never disconnects a previously connected pair.
+
+    The distinct canonical triples of every pruned pair are scored in one
+    ``triple_confidence`` call; a path's score is then the Python-float
+    product of its triples' confidences in ``path_score`` order, so the kept
+    lists equal the per-path rule (``selfcheck.reference_prune``) bit for
+    bit. ``sg``'s node and edge cover must be current on entry, as
+    ``build_schema_graph`` leaves it; it is rebuilt only when a path was
+    dropped.
     """
     report = PruneReport(pairs_total=len(sg.paths))
+    index: dict[tuple[int, int, int], int] = {}
+    pending = []  # (key, paths, per-path triple rows into ``index``)
     for key, plist in sorted(sg.paths.items()):
         report.paths_before += len(plist)
         if len(plist) < PRUNE_EXEMPT_BELOW:
             report.pairs_exempt += 1
             report.paths_after += len(plist)
             continue
-        scores = [table.path_score(p) for p in plist]
+        rows = [[index.setdefault(tr, len(index)) for tr in path_triples(p)]
+                for p in plist]
+        pending.append((key, plist, rows))
+    if not pending:
+        return report
+    h, r, t = np.array(list(index), dtype=np.int64).T
+    conf = table.triple_confidence(h, r, t).tolist()
+    dropped = False
+    for key, plist, rows in pending:
+        scores = []
+        for row in rows:
+            score = 1.0
+            for i in row:
+                score *= conf[i]
+            scores.append(score)
         kept = [p for p, s in zip(plist, scores) if s >= threshold]
         if not kept:
             kept = [plist[int(np.argmax(scores))]]
         sg.paths[key] = kept
         report.paths_after += len(kept)
-    sg.rebuild_cover()
+        dropped |= len(kept) < len(plist)
+    if dropped:
+        sg.rebuild_cover()
     return report

@@ -1,11 +1,12 @@
 """End-to-end orchestration: preprocess, train, predict, explain.
 
 Preprocessing turns each (question, candidate) into a model-ready Instance:
-recognize concepts, build the schema graph, prune paths, convert to local
-arrays. Results are cached on disk keyed by (example id, candidate index,
-config hash). A candidate whose question or answer grounds to nothing gets a
-single-anchor fallback instance (one pseudo-pair, no paths) and is flagged in
-prediction output rather than dropped, so every candidate stays scorable.
+recognize concepts (a question's once for all its candidates), build the
+schema graph, prune paths, convert to local arrays. Results are cached on
+disk keyed by (example id, candidate index, config hash). A candidate whose
+question or answer grounds to nothing gets a single-anchor fallback instance
+(one pseudo-pair, no paths) and is flagged in prediction output rather than
+dropped, so every candidate stays scorable.
 
 Training, prediction and evaluation score a question's candidates in one
 pass: one statement-encoder call and one network call over the union of the
@@ -22,7 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -42,28 +43,34 @@ from .statement import FeatureStore, ToyStatementEncoder, build_vocab
 
 # ---------------------------------------------------------------- preprocess
 
-def ground_candidate(
+def ground_question(
     kg: KnowledgeGraph,
     stopwords: frozenset[str],
     cfg: RunConfig,
     example: QAExample,
-    cand_index: int,
+    cand_indices: Iterable[int],
     emb: Optional[EmbeddingTable],
-) -> dict:
-    """Schema-graph JSON for one candidate, or an ungrounded marker."""
+) -> list[dict]:
+    """Schema-graph JSON, or an ungrounded marker, for each of ``cand_indices``.
+
+    The question is recognized once and each candidate once; each grounded
+    pair is searched, then pruned when ``cfg.prune`` and ``emb`` allow it.
+    """
     cq = recognize(example.question, kg, max_ngram=cfg.max_ngram, stopwords=stopwords)
-    ca = recognize(example.candidates[cand_index], kg,
-                   max_ngram=cfg.max_ngram, stopwords=stopwords)
-    try:
-        sg = build_schema_graph(kg, cq, ca, max_edges=cfg.max_edges, cap=cfg.cap)
-    except GroundingError:
-        return {"ungrounded": True}
-    report = None
-    if cfg.prune and emb is not None:
-        report = prune_schema_graph(sg, emb, threshold=cfg.threshold)
-    out = {"sg": sg.to_dict()}
-    if report is not None:
-        out["prune"] = report.to_dict()
+    out = []
+    for ci in cand_indices:
+        ca = recognize(example.candidates[ci], kg,
+                       max_ngram=cfg.max_ngram, stopwords=stopwords)
+        try:
+            sg = build_schema_graph(kg, cq, ca, max_edges=cfg.max_edges, cap=cfg.cap)
+        except GroundingError:
+            out.append({"ungrounded": True})
+            continue
+        if cfg.prune and emb is not None:
+            report = prune_schema_graph(sg, emb, threshold=cfg.threshold)
+            out.append({"sg": sg.to_dict(), "prune": report.to_dict()})
+        else:
+            out.append({"sg": sg.to_dict()})
     return out
 
 
@@ -76,8 +83,12 @@ def preprocess(
     cache_dir=None,
     jobs: int = 1,
 ) -> dict[tuple[str, int], Instance]:
-    """Instances for every (example, candidate), cache-backed when dir given."""
-    tasks = [(ex, ci) for ex in examples for ci in range(len(ex.candidates))]
+    """Instances for every (example, candidate), cache-backed when dir given.
+
+    A question's uncached candidates are grounded together, one
+    ``ground_question`` call per question; ``jobs > 1`` spreads the
+    questions over worker processes.
+    """
     payloads: dict[tuple[str, int], dict] = {}
 
     cache_root = None
@@ -90,35 +101,40 @@ def preprocess(
             return None
         return cache_root / f"{io_utils.sha256_bytes(ex_id.encode())[:24]}_{ci}.json"
 
-    pending = []
-    for ex, ci in tasks:
-        cp = cache_path(ex.id, ci)
-        if cp is not None and cp.exists():
-            payloads[(ex.id, ci)] = json.loads(cp.read_text(encoding="utf-8"))
-        else:
-            pending.append((ex, ci))
+    pending: list[tuple[QAExample, list[int]]] = []
+    for ex in examples:
+        missing = []
+        for ci in range(len(ex.candidates)):
+            cp = cache_path(ex.id, ci)
+            if cp is not None and cp.exists():
+                payloads[(ex.id, ci)] = json.loads(cp.read_text(encoding="utf-8"))
+            else:
+                missing.append(ci)
+        if missing:
+            pending.append((ex, missing))
 
     if pending:
         if jobs > 1:
             computed = _parallel_ground(kg, stopwords, cfg, pending, emb, jobs)
         else:
-            computed = [
-                ground_candidate(kg, stopwords, cfg, ex, ci, emb)
-                for ex, ci in pending
-            ]
-        for (ex, ci), payload in zip(pending, computed):
-            payloads[(ex.id, ci)] = payload
-            cp = cache_path(ex.id, ci)
-            if cp is not None:
-                cp.write_text(io_utils.canonical_json(payload) + "\n", encoding="utf-8")
+            computed = [ground_question(kg, stopwords, cfg, ex, cis, emb)
+                        for ex, cis in pending]
+        for (ex, cis), question_payloads in zip(pending, computed):
+            for ci, payload in zip(cis, question_payloads):
+                payloads[(ex.id, ci)] = payload
+                cp = cache_path(ex.id, ci)
+                if cp is not None:
+                    cp.write_text(io_utils.canonical_json(payload) + "\n",
+                                  encoding="utf-8")
 
     out: dict[tuple[str, int], Instance] = {}
-    for ex, ci in tasks:
-        label = None if ex.label is None else int(ex.label == ci)
-        # an ungrounded payload has no "sg" and becomes the anchor instance
-        out[(ex.id, ci)] = instance_from_schema_graph(
-            payloads[(ex.id, ci)].get("sg"), ex.id, ci, cfg.d_path, seed=cfg.seed,
-            label=label)
+    for ex in examples:
+        for ci in range(len(ex.candidates)):
+            label = None if ex.label is None else int(ex.label == ci)
+            # an ungrounded payload has no "sg" and becomes the anchor instance
+            out[(ex.id, ci)] = instance_from_schema_graph(
+                payloads[(ex.id, ci)].get("sg"), ex.id, ci, cfg.d_path,
+                seed=cfg.seed, label=label)
     return out
 
 
@@ -129,18 +145,18 @@ def _init_worker(kg, stopwords, cfg, emb) -> None:
     _WORKER_STATE["args"] = (kg, stopwords, cfg, emb)
 
 
-def _worker_ground(task) -> dict:
+def _worker_ground(task) -> list[dict]:
     kg, stopwords, cfg, emb = _WORKER_STATE["args"]
-    ex, ci = task
-    return ground_candidate(kg, stopwords, cfg, ex, ci, emb)
+    ex, cand_indices = task
+    return ground_question(kg, stopwords, cfg, ex, cand_indices, emb)
 
 
-def _parallel_ground(kg, stopwords, cfg, pending, emb, jobs) -> list[dict]:
+def _parallel_ground(kg, stopwords, cfg, pending, emb, jobs) -> list[list[dict]]:
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(
             max_workers=jobs, initializer=_init_worker,
             initargs=(kg, stopwords, cfg, emb)) as pool:
-        return list(pool.map(_worker_ground, pending, chunksize=16))
+        return list(pool.map(_worker_ground, pending, chunksize=4))
 
 
 # ---------------------------------------------------------------- model state

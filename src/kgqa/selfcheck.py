@@ -5,10 +5,11 @@ finder against exhaustive permutation enumeration over the raw triple list
 and against the plain DFS it replaced; the gradients of the training step,
 as ``pipeline.ModelState.forward`` and ``backward`` compute them,
 against central finite differences; the one pass that scores a question's
-candidates against one pass per candidate; attention against its closed-form
-degenerate cases. The CLI `selfcheck` subcommand runs them all
-and reports pass/fail; the test suite calls the same functions with the
-sizes and tolerances pinned in the acceptance tests.
+candidates against one pass per candidate; pruning against the per-path
+rule it vectorized; attention against its closed-form degenerate cases. The
+CLI `selfcheck` subcommand runs them all and reports pass/fail; the test
+suite calls the same functions with the sizes and tolerances pinned in the
+acceptance tests.
 """
 
 from __future__ import annotations
@@ -24,11 +25,12 @@ from .config import RunConfig
 from .data import QAExample
 from .io_utils import stable_seed
 from .kg import KnowledgeGraph, build_graph
-from .kge import EmbeddingTable, prune_schema_graph
+from .kge import (PRUNE_EXEMPT_BELOW, EmbeddingTable, PruneReport,
+                  prune_schema_graph)
 from .model.gradcheck import check_gradients
 from .model.network import (Instance, PathAttentionScorer, bce_loss,
                             instance_from_schema_graph)
-from .paths import build_schema_graph, find_paths, path_sort_key
+from .paths import SchemaGraph, build_schema_graph, find_paths, path_sort_key
 from .pipeline import ModelState
 from .statement import build_vocab
 
@@ -524,15 +526,44 @@ def _random_schema_graphs(rng: np.random.Generator, n: int):
         yield sg, table
 
 
+def reference_prune(sg: SchemaGraph, table: EmbeddingTable,
+                    threshold: float) -> PruneReport:
+    """The per-path pruning rule ``prune_schema_graph`` vectorizes: one
+    ``path_score`` per path, and the cover rebuilt unconditionally."""
+    report = PruneReport(pairs_total=len(sg.paths))
+    for key, plist in sorted(sg.paths.items()):
+        report.paths_before += len(plist)
+        if len(plist) < PRUNE_EXEMPT_BELOW:
+            report.pairs_exempt += 1
+            report.paths_after += len(plist)
+            continue
+        scores = [table.path_score(p) for p in plist]
+        kept = [p for p, s in zip(plist, scores) if s >= threshold]
+        if not kept:
+            kept = [plist[int(np.argmax(scores))]]
+        sg.paths[key] = kept
+        report.paths_after += len(kept)
+    sg.rebuild_cover()
+    return report
+
+
 def pruning_suite(seed: int = 0, n_graphs: int = 40) -> CheckResult:
-    """Threshold meaning, sparse-pair exemption, monotonicity, zero identity."""
+    """Threshold meaning, sparse-pair exemption, monotonicity, zero identity,
+    and ``prune_schema_graph`` equal to ``reference_prune``: kept lists in
+    order, report and schema-graph JSON."""
     rng = np.random.default_rng(stable_seed("pruning", seed))
     problems = []
     for gi, (sg, table) in enumerate(_random_schema_graphs(rng, n_graphs)):
         t1, t2 = sorted(rng.uniform(0.05, 0.9, size=2))
-        copies = {t: copy.deepcopy(sg) for t in (0.0, t1, t2)}
+        copies = {t: copy.deepcopy(sg) for t in (0.0, t1, t2, 1.0)}
         for t, copy_sg in copies.items():
-            prune_schema_graph(copy_sg, table, threshold=t)
+            ref_sg = copy.deepcopy(sg)
+            ref_report = reference_prune(ref_sg, table, threshold=t)
+            report = prune_schema_graph(copy_sg, table, threshold=t)
+            if report != ref_report or copy_sg.paths != ref_sg.paths:
+                problems.append(f"g{gi}: threshold {t:.3f} differs from reference_prune")
+            elif copy_sg.to_dict() != ref_sg.to_dict():
+                problems.append(f"g{gi}: threshold {t:.3f} cover differs from reference_prune")
         for key, orig in sg.paths.items():
             keys = {path_sort_key(p) for p in orig}
             zero = {path_sort_key(p) for p in copies[0.0].paths[key]}

@@ -12,7 +12,7 @@ from kgqa.data import save_dataset
 from kgqa.ground import load_stopwords
 from kgqa.kg import build_graph
 from kgqa.kge import train_transe
-from kgqa.pipeline import (build_model_state, evaluate, ground_candidate,
+from kgqa.pipeline import (build_model_state, evaluate, ground_question,
                            preprocess, train)
 from kgqa.toy import build_toy_world, rule_candidate_plausible
 
@@ -87,11 +87,10 @@ def toy_run():
     rule_cfg = RunConfig(**{**TOY_CFG, "prune": False})
     rule_hits = 0
     for ex in world.dev:
-        plausible = []
-        for ci in range(len(ex.candidates)):
-            payload = ground_candidate(world.kg, stop, rule_cfg, ex, ci, None)
-            ok = "sg" in payload and rule_candidate_plausible(payload["sg"], world.kg)
-            plausible.append(ok)
+        plausible = [
+            "sg" in payload and rule_candidate_plausible(payload["sg"], world.kg)
+            for payload in ground_question(world.kg, stop, rule_cfg, ex,
+                                           range(len(ex.candidates)), None)]
         if plausible.count(True) == 1 and plausible.index(True) == ex.label:
             rule_hits += 1
     rule_acc = rule_hits / len(world.dev)

@@ -205,6 +205,56 @@ def test_config_naming_a_retired_key_fails_with_structured_error(cli_world, tmp_
     assert f"unknown config key {line.split()[0]!r}" in err["error"]["message"]
 
 
+@pytest.mark.parametrize("command,flags,line,key", [
+    ("prune", ["--threshold", "nan"], "", "threshold"),
+    ("prune", ["--threshold", "inf"], "", "threshold"),
+    ("prune", ["--threshold", "-0.1"], "", "threshold"),
+    ("prune", ["--threshold", "1.5"], "", "threshold"),
+    ("prune", [], "threshold = nan", "threshold"),
+    ("paths", ["--cap", "0"], "", "cap"),
+    ("paths", ["--max-edges", "0"], "", "max_edges"),
+    ("paths", [], "max_ngram = 0", "max_ngram"),
+])
+def test_bad_grounding_setting_fails_with_structured_error(run, cli_world, tmp_path,
+                                                           command, flags, line, key,
+                                                           capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text(cli_world.config.read_text() + line + "\n", encoding="utf-8")
+    out = tmp_path / "sgs.jsonl"
+    if command == "prune":
+        flags = ["--kge", str(run.kge), *flags]
+    code = main([command, "--kg", str(run.kg), "--dataset", str(cli_world.dev_jsonl),
+                 "--config", str(config), "--out", str(out), *flags])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "ValueError"
+    assert err["message"].startswith(f"{key} must be")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threshold", ["0", "1"])
+def test_threshold_bounds_are_accepted(run, cli_world, tmp_path, threshold):
+    out = tmp_path / "pruned.jsonl"
+    code = main(["prune", "--kg", str(run.kg), "--kge", str(run.kge),
+                 "--dataset", str(cli_world.dev_jsonl),
+                 "--config", str(cli_world.config), "--threshold", threshold,
+                 "--out", str(out)])
+    assert code == 0
+    stats = json.loads((tmp_path / "pruned.jsonl.stats.json").read_text())
+    assert stats["threshold"] == float(threshold)
+
+
+def test_train_kge_names_a_bad_word_vector_row(run, cli_world, tmp_path, capsys):
+    vecs = tmp_path / "vecs.txt"
+    vecs.write_text("glue 1 0\nstick 0 abc\n", encoding="utf-8")
+    code = main(["train-kge", "--kg", str(run.kg), "--config", str(cli_world.config),
+                 "--word-vectors", str(vecs), "--out", str(tmp_path / "kge.bin")])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "ValueError"
+    assert err["message"].startswith(f"{vecs}:2: ")
+
+
 def test_readme_config_table_names_only_run_config_fields():
     lines = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
     start = lines.index("| key | default | meaning |") + 2

@@ -1,5 +1,6 @@
 """Triple embeddings: training, confidence, path scores, pruning."""
 
+import copy
 import math
 
 import numpy as np
@@ -9,8 +10,9 @@ from hypothesis import strategies as st
 
 from kgqa.kg import build_graph
 from kgqa.kge import (EmbeddingTable, eval_tail_mrr, init_embeddings,
-                      prune_schema_graph, train_transe)
+                      load_word_vectors, prune_schema_graph, train_transe)
 from kgqa.paths import build_schema_graph, path_triples
+from kgqa.selfcheck import random_kg, reference_prune
 
 from conftest import make_chain_kg, planted_kg
 
@@ -182,6 +184,58 @@ def test_prune_monotone_in_threshold(seed):
     assert high <= low
 
 
+@given(st.integers(0, 10_000),
+       st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+@settings(max_examples=40)
+def test_prune_equals_per_path_reference(seed, threshold):
+    # the vectorized rule keeps the same paths in the same order, reports the
+    # same counts and leaves the same schema-graph JSON as the per-path one
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 10))
+    kg = random_kg(rng, n, float(rng.uniform(0.2, 0.5)))
+    picks = rng.permutation(n)
+    cq = [int(x) for x in picks[:int(rng.integers(1, 3))]]
+    ca = [int(x) for x in picks[len(cq):len(cq) + int(rng.integers(1, 3))]]
+    sg = build_schema_graph(kg, cq, ca, max_edges=3, cap=int(rng.integers(1, 50)))
+    table = EmbeddingTable(ent=rng.standard_normal((n, 8)),
+                           rel=rng.standard_normal((kg.n_relations, 8)), gamma=2.0)
+    want_sg = copy.deepcopy(sg)
+    want = reference_prune(want_sg, table, threshold)
+    got = prune_schema_graph(sg, table, threshold)
+    assert got == want
+    assert sg.paths == want_sg.paths
+    assert sg.to_dict() == want_sg.to_dict()
+
+
+def test_prune_scores_every_triple_in_one_call(monkeypatch):
+    _, table, sg = multi_edge_world([0.2, 0.1, 0.16, 0.05])
+    calls = []
+    real = EmbeddingTable.triple_confidence
+
+    def counting(self, h, r, t, reverse=False):
+        calls.append(len(h))
+        return real(self, h, r, t, reverse)
+
+    monkeypatch.setattr(EmbeddingTable, "triple_confidence", counting)
+    prune_schema_graph(sg, table, threshold=0.15)
+    assert calls == [4]
+    _, table, sparse = multi_edge_world([0.2, 0.1])
+    prune_schema_graph(sparse, table, threshold=0.15)
+    assert calls == [4]  # an exempt pair scores nothing
+
+
+@pytest.mark.parametrize("text,line,what", [
+    ("a 1 0\nb 0 x\n", 2, "could not convert string to float: 'x'"),
+    ("a 1 0\n\nb 0 1 2\n", 3, "row has 3 values, the first row has 2"),
+])
+def test_bad_word_vector_row_is_named(tmp_path, text, line, what):
+    wv = tmp_path / "vecs.txt"
+    wv.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        load_word_vectors(wv)
+    assert str(exc.value) == f"{wv}:{line}: {what}"
+
+
 # ----------------------------------------------------------------- training
 
 def test_epochs_zero_returns_initialization():
@@ -224,7 +278,6 @@ def test_word_vector_initialization_mean_of_tokens(tmp_path):
                      [(0, 0, 2)], [1.0])
     wv = tmp_path / "vecs.txt"
     wv.write_text("glue 1 0 0 0\nstick 0 1 0 0\n", encoding="utf-8")
-    from kgqa.kge import load_word_vectors
     vecs = load_word_vectors(wv)
     table = init_embeddings(kg, 4, np.random.default_rng(0), vecs)
     gs = table.ent[kg.lookup_surface("glue_stick")]

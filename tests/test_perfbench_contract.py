@@ -16,7 +16,7 @@ import pytest
 from kgqa.config import RunConfig
 from kgqa.ground import load_stopwords
 from kgqa.kge import PruneReport, train_transe
-from kgqa.pipeline import (build_model_state, explain, ground_candidate,
+from kgqa.pipeline import (build_model_state, explain, ground_question,
                            load_model_state, predict, preprocess)
 from kgqa.toy import build_toy_world
 from perfbench.spans import Tracer, instrument
@@ -60,8 +60,8 @@ def test_perfbench_readers_see_the_program(tmp_path):
     # the path counters equal the path records and prune reports of the cold
     # pass (the warm one reads the cache and searches nothing)
     def records(cfg):
-        payloads = [ground_candidate(world.kg, stop, cfg, ex, ci, emb)
-                    for ex in examples for ci in range(len(ex.candidates))]
+        payloads = [p for ex in examples for p in ground_question(
+            world.kg, stop, cfg, ex, range(len(ex.candidates)), emb)]
         grounded = [p for p in payloads if "sg" in p]
         return grounded, sum(len(plist) for p in grounded
                              for plist in p["sg"]["paths"].values())

@@ -5,12 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from kgqa import io_utils, selfcheck
+from kgqa import io_utils, pipeline, selfcheck
 from kgqa.config import RunConfig
 from kgqa.data import QAExample, accuracy, load_dataset
 from kgqa.ground import load_stopwords
-from kgqa.kge import train_transe
+from kgqa.kge import EmbeddingTable, train_transe
 from kgqa.model.layers import BiLSTM
+from kgqa.paths import SchemaGraph
 from kgqa.pipeline import (ModelState, build_model_state, evaluate, explain,
                            load_model_state, predict, preprocess, train)
 from kgqa.statement import FeatureStore
@@ -111,11 +112,18 @@ def test_preprocess_cache_round_trip(mini, tmp_path):
                     assert np.array_equal(x, y)
 
 
-def test_parallel_preprocess_equals_serial(mini):
+def test_parallel_preprocess_equals_serial(mini, tmp_path):
     examples = mini.world.dev[:4]
-    serial = preprocess(mini.world.kg, mini.emb, examples, mini.cfg, mini.stop)
+    serial = preprocess(mini.world.kg, mini.emb, examples, mini.cfg, mini.stop,
+                        cache_dir=tmp_path / "serial")
     parallel = preprocess(mini.world.kg, mini.emb, examples, mini.cfg,
-                          mini.stop, jobs=2)
+                          mini.stop, cache_dir=tmp_path / "parallel", jobs=2)
+
+    def cache_bytes(root):
+        return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*.json"))}
+
+    assert len(cache_bytes(tmp_path / "serial")) == len(serial)
+    assert cache_bytes(tmp_path / "parallel") == cache_bytes(tmp_path / "serial")
     assert list(serial) == list(parallel)
     for key in serial:
         a, b = serial[key], parallel[key]
@@ -134,6 +142,47 @@ def test_parallel_preprocess_equals_serial(mini):
                 for x, y in zip(arrs_a, arrs_b):
                     assert x.dtype == y.dtype
                     assert np.array_equal(x, y)
+
+
+def test_preprocess_grounds_each_question_once(mini, tmp_path, monkeypatch):
+    # a cold pass recognizes the question once and each candidate once,
+    # scores a candidate's triples in at most one call, and rebuilds its
+    # cover after the search and again only when pruning dropped a path;
+    # a warm pass does none of it
+    base = mini.world.train[0]
+    ex = QAExample(id="counted", question=base.question,
+                   candidates=[*base.candidates, "zzzyqx qwerton"], label=0)
+    counts = {"recognize": 0, "triple_confidence": 0, "rebuild_cover": 0}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(pipeline, "recognize", counting("recognize", pipeline.recognize))
+    monkeypatch.setattr(EmbeddingTable, "triple_confidence",
+                        counting("triple_confidence", EmbeddingTable.triple_confidence))
+    monkeypatch.setattr(SchemaGraph, "rebuild_cover",
+                        counting("rebuild_cover", SchemaGraph.rebuild_cover))
+    cold = preprocess(mini.world.kg, mini.emb, [ex], mini.cfg, mini.stop,
+                      cache_dir=tmp_path)
+    payloads = [json.loads(p.read_text()) for p in sorted(tmp_path.rglob("*.json"))]
+    grounded = [p for p in payloads if "sg" in p]
+    dropped = [p for p in grounded
+               if p["prune"]["paths_after"] < p["prune"]["paths_before"]]
+    assert len(payloads) == len(ex.candidates)
+    assert 0 < len(grounded) < len(payloads)
+    assert 0 < len(dropped) < len(grounded)
+    assert counts["recognize"] == 1 + len(ex.candidates)
+    assert 0 < counts["triple_confidence"] <= len(grounded)
+    assert counts["rebuild_cover"] == len(grounded) + len(dropped)
+
+    counts.update(dict.fromkeys(counts, 0))
+    warm = preprocess(mini.world.kg, mini.emb, [ex], mini.cfg, mini.stop,
+                      cache_dir=tmp_path)
+    assert counts == dict.fromkeys(counts, 0)
+    assert list(warm) == list(cold)
 
 
 def test_ungroundable_candidate_becomes_flagged_anchor(mini):
