@@ -61,6 +61,16 @@ class RunConfig:
     batch_examples: int = 16
     patience: int = 3
 
+    def __post_init__(self) -> None:
+        """Reject grounding settings that would ground nothing, fail partway
+        through a run, or write a non-JSON threshold, naming the key."""
+        if not (math.isfinite(self.threshold) and 0.0 <= self.threshold <= 1.0):
+            raise ValueError(f"threshold must be a finite number in [0, 1], "
+                             f"got {self.threshold!r}")
+        for key in ("max_ngram", "max_edges", "cap"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be at least 1, got {getattr(self, key)!r}")
+
     # network widths derived from the keys above; kge_dim is both the node
     # and the relation width
     @property
@@ -119,9 +129,9 @@ def parse_config_file(path) -> dict[str, str]:
 
 def resolve_config(file_path=None, overrides: dict[str, object] | None = None) -> RunConfig:
     """Defaults <- config file <- overrides, unknown keys rejected."""
-    cfg = RunConfig()
     hints = get_type_hints(RunConfig)
     valid = {f.name for f in fields(RunConfig)}
+    values: dict[str, object] = {}
 
     def apply(source: dict, where: str) -> None:
         for key, value in source.items():
@@ -129,22 +139,10 @@ def resolve_config(file_path=None, overrides: dict[str, object] | None = None) -
                 raise ValueError(f"{where}: unknown config key {key!r}")
             if isinstance(value, str) and hints[key] is not str:
                 value = _coerce(key, value, hints[key])
-            setattr(cfg, key, value)
+            values[key] = value
 
     if file_path is not None:
         apply(parse_config_file(file_path), str(file_path))
     if overrides:
         apply(overrides, "flags")
-    _check_grounding(cfg)
-    return cfg
-
-
-def _check_grounding(cfg: RunConfig) -> None:
-    """Reject grounding settings that would ground nothing, fail partway
-    through a run, or write a non-JSON threshold."""
-    if not (math.isfinite(cfg.threshold) and 0.0 <= cfg.threshold <= 1.0):
-        raise ValueError(f"threshold must be a finite number in [0, 1], "
-                         f"got {cfg.threshold!r}")
-    for key in ("max_ngram", "max_edges", "cap"):
-        if getattr(cfg, key) < 1:
-            raise ValueError(f"{key} must be at least 1, got {getattr(cfg, key)!r}")
+    return RunConfig(**values)

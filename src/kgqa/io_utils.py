@@ -75,9 +75,11 @@ def write_container(path: str | Path, kind: str, meta: dict, blocks: dict) -> No
             payloads.append(value)
         else:
             arr = np.asarray(value)
-            dtype = str(arr.dtype)
-            if dtype not in _DTYPES:
-                raise ContainerError(f"unsupported block dtype {dtype!r} for {name!r}")
+            # match dtype objects: formatting a dtype's name costs microseconds
+            dtype = next((d for d, want in _DTYPES.items() if arr.dtype == want), None)
+            if dtype is None:
+                raise ContainerError(
+                    f"unsupported block dtype {str(arr.dtype)!r} for {name!r}")
             # asarray keeps a 0-d shape; tobytes writes C order regardless
             arr = np.asarray(arr, dtype=_DTYPES[dtype])
             entries.append({"name": name, "dtype": dtype, "shape": list(arr.shape)})
@@ -93,11 +95,13 @@ def write_container(path: str | Path, kind: str, meta: dict, blocks: dict) -> No
             f.write(payload)
 
 
-def _read_exact(f, n: int, size: int, path, what: str) -> bytes:
-    left = size - f.tell()
+def _span_end(size: int, pos: int, n: int, path, what: str) -> int:
+    """End of the ``n`` bytes at ``pos`` of a ``size``-byte file; ContainerError
+    if the file is cut short before it."""
+    left = size - pos
     if n > left:
         raise ContainerError(f"{path}: truncated {what}: {n} bytes needed, {left} left")
-    return f.read(n)
+    return pos + n
 
 
 def _check_header(header, path) -> None:
@@ -129,13 +133,13 @@ def read_container(path: str | Path, kind: str | None = None) -> tuple[dict, dic
     """
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
-        magic = f.read(8)
-        if magic != MAGIC:
+        if f.read(8) != MAGIC:
             raise ContainerError(f"{path}: not a kgqa binary artifact")
-        (hlen,) = struct.unpack("<Q", _read_exact(f, 8, size, path, "header length"))
-        raw_header = _read_exact(f, hlen, size, path, "header")
+        end = _span_end(size, 8, 8, path, "header length")
+        (hlen,) = struct.unpack("<Q", f.read(8))
+        end = _span_end(size, end, hlen, path, "header")
         try:
-            header = json.loads(raw_header.decode("utf-8"))
+            header = json.loads(f.read(hlen).decode("utf-8"))
         except ValueError as exc:  # bad UTF-8 or JSON
             raise ContainerError(f"{path}: unreadable header: {exc}") from None
         _check_header(header, path)
@@ -150,11 +154,16 @@ def read_container(path: str | Path, kind: str | None = None) -> tuple[dict, dic
                 raise ContainerError(
                     f"{path}: block {name!r} has unknown dtype {dtype!r}")
             itemsize = 1 if dtype == "bytes" else _DTYPES[dtype].itemsize
-            raw = _read_exact(f, math.prod(entry["shape"]) * itemsize, size, path,
-                              f"block {name!r}")
-            # copy: frombuffer views are read-only and callers mutate
-            blocks[name] = raw if dtype == "bytes" else \
-                np.frombuffer(raw, dtype=_DTYPES[dtype]).reshape(entry["shape"]).copy()
+            n = math.prod(entry["shape"]) * itemsize
+            end = _span_end(size, end, n, path, f"block {name!r}")
+            if dtype == "bytes":
+                blocks[name] = f.read(n)
+                continue
+            # read straight into the array: no intermediate bytes, no copy
+            arr = np.empty(entry["shape"], dtype=_DTYPES[dtype])
+            if f.readinto(arr) != n:
+                raise ContainerError(f"{path}: truncated block {name!r} while reading")
+            blocks[name] = arr
     return header["meta"], blocks
 
 
@@ -181,8 +190,11 @@ def require(path, meta: dict, blocks: dict, meta_keys=(), block_specs=None,
         if name not in blocks:
             raise ContainerError(f"{path}: missing block {name!r}")
         value = blocks[name]
-        dtype = "bytes" if isinstance(value, bytes) else value.dtype.name
-        if dtype not in dtypes:
+        is_bytes = isinstance(value, bytes)
+        # compare dtype objects: reading dtype.name costs microseconds per block
+        if not ("bytes" in dtypes if is_bytes else
+                any(d in _DTYPES and value.dtype == _DTYPES[d] for d in dtypes)):
+            dtype = "bytes" if is_bytes else value.dtype.name
             raise ContainerError(f"{path}: block {name!r} has dtype {dtype!r}, "
                                  f"expected {' or '.join(map(repr, dtypes))}")
         if shape is None:

@@ -2,11 +2,19 @@
 
 Preprocessing turns each (question, candidate) into a model-ready Instance:
 recognize concepts (a question's once for all its candidates), build the
-schema graph, prune paths, convert to local arrays. Results are cached on
-disk keyed by (example id, candidate index, config hash). A candidate whose
+schema graph, prune paths, convert to the path table. A candidate whose
 question or answer grounds to nothing gets a single-anchor fallback instance
 (one pseudo-pair, no paths) and is flagged in prediction output rather than
 dropped, so every candidate stays scorable.
+
+With a cache directory, each candidate's path table is stored as one binary
+container of kind ``instance``,
+``<cache>/<config hash>/<sha256(example id)[:24]>_<candidate>.bin`` (layout
+in ``write_cache_entry``). A hit reads that file straight into an Instance,
+with no JSON parsing and no table building; a miss grounds the candidate,
+builds its table once and writes it. Older ``.json`` entries are never read,
+so they simply miss. An entry that is cut short, empty, of another kind or
+inconsistent raises ContainerError naming the file.
 
 Training, prediction and evaluation score a question's candidates in one
 pass: one statement-encoder call and one network call over the union of the
@@ -20,9 +28,8 @@ order, and metrics/checkpoint bytes are reproducible run to run.
 
 from __future__ import annotations
 
-import json
+import os
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -85,31 +92,35 @@ def preprocess(
 ) -> dict[tuple[str, int], Instance]:
     """Instances for every (example, candidate), cache-backed when dir given.
 
-    A question's uncached candidates are grounded together, one
-    ``ground_question`` call per question; ``jobs > 1`` spreads the
-    questions over worker processes.
+    A cached candidate is read back from its ``.bin`` entry. A question's
+    uncached candidates are grounded together, one ``ground_question`` call
+    per question (``jobs > 1`` spreads the questions over worker processes),
+    and each is built once and written to the cache.
     """
-    payloads: dict[tuple[str, int], dict] = {}
+    # plain string paths: a pathlib join per candidate costs microseconds that
+    # a warm pass, one small file read per candidate, notices
+    cache_root = None if cache_dir is None else os.path.join(cache_dir, cfg.hash())
 
-    cache_root = None
-    if cache_dir is not None:
-        cache_root = Path(cache_dir) / cfg.hash()
-        cache_root.mkdir(parents=True, exist_ok=True)
+    def cache_path(ex_id: str, ci: int) -> str:
+        return f"{cache_root}/{io_utils.sha256_bytes(ex_id.encode())[:24]}_{ci}.bin"
 
-    def cache_path(ex_id: str, ci: int) -> Optional[Path]:
-        if cache_root is None:
-            return None
-        return cache_root / f"{io_utils.sha256_bytes(ex_id.encode())[:24]}_{ci}.json"
+    def label_of(ex: QAExample, ci: int) -> Optional[int]:
+        return None if ex.label is None else int(ex.label == ci)
 
+    insts: dict[tuple[str, int], Instance] = {}
     pending: list[tuple[QAExample, list[int]]] = []
     for ex in examples:
         missing = []
         for ci in range(len(ex.candidates)):
-            cp = cache_path(ex.id, ci)
-            if cp is not None and cp.exists():
-                payloads[(ex.id, ci)] = json.loads(cp.read_text(encoding="utf-8"))
-            else:
-                missing.append(ci)
+            if cache_root is not None:
+                try:  # opening the entry is the probe: no file, a miss
+                    insts[(ex.id, ci)] = read_cache_entry(
+                        cache_path(ex.id, ci), ex.id, ci, cfg.d_path,
+                        label=label_of(ex, ci))
+                    continue
+                except FileNotFoundError:
+                    pass
+            missing.append(ci)
         if missing:
             pending.append((ex, missing))
 
@@ -119,23 +130,84 @@ def preprocess(
         else:
             computed = [ground_question(kg, stopwords, cfg, ex, cis, emb)
                         for ex, cis in pending]
+        if cache_root is not None:
+            os.makedirs(cache_root, exist_ok=True)
         for (ex, cis), question_payloads in zip(pending, computed):
             for ci, payload in zip(cis, question_payloads):
-                payloads[(ex.id, ci)] = payload
-                cp = cache_path(ex.id, ci)
-                if cp is not None:
-                    cp.write_text(io_utils.canonical_json(payload) + "\n",
-                                  encoding="utf-8")
+                # an ungrounded payload has no "sg" and becomes the anchor instance
+                inst = instance_from_schema_graph(
+                    payload.get("sg"), ex.id, ci, cfg.d_path,
+                    seed=cfg.seed, label=label_of(ex, ci))
+                insts[(ex.id, ci)] = inst
+                if cache_root is not None:
+                    write_cache_entry(cache_path(ex.id, ci), inst, payload.get("prune"))
 
-    out: dict[tuple[str, int], Instance] = {}
-    for ex in examples:
-        for ci in range(len(ex.candidates)):
-            label = None if ex.label is None else int(ex.label == ci)
-            # an ungrounded payload has no "sg" and becomes the anchor instance
-            out[(ex.id, ci)] = instance_from_schema_graph(
-                payloads[(ex.id, ci)].get("sg"), ex.id, ci, cfg.d_path,
-                seed=cfg.seed, label=label)
-    return out
+    return {(ex.id, ci): insts[(ex.id, ci)]
+            for ex in examples for ci in range(len(ex.candidates))}
+
+
+# the int64 sections of a cache entry's "ints" block, in order, as
+# (Instance field, meta "counts" key of its length, extra length)
+_INT_SECTIONS = (("node_ids", "nodes", 0), ("q_rows", "pairs", 0),
+                 ("a_rows", "pairs", 0), ("owner", "paths", 0),
+                 ("offsets", "paths", 1), ("heads", "steps", 0),
+                 ("rels", "steps", 0), ("tails", "steps", 0))
+_COUNTS = ("edges", "nodes", "pairs", "paths", "steps")
+
+
+def write_cache_entry(path, inst: Instance, prune: Optional[dict] = None) -> None:
+    """Write one candidate's path table as an ``instance`` container.
+
+    Block ``ints`` lays the int64 arrays end to end in ``_INT_SECTIONS``
+    order, then ``und_edges`` as flat row pairs; ``signs`` and ``fallback``
+    are float64. Meta holds ``counts`` (the lengths that cut ``ints``),
+    ``ungrounded`` and the prune report, or null when pruning did not run.
+    """
+    counts = {"edges": len(inst.und_edges), "nodes": inst.n_nodes,
+              "pairs": len(inst.q_rows), "paths": len(inst.owner),
+              "steps": len(inst.heads)}
+    ints = np.concatenate(
+        [getattr(inst, name) for name, _, _ in _INT_SECTIONS]
+        + [np.array(inst.und_edges, dtype=np.int64).reshape(-1)])
+    io_utils.write_container(
+        path, "instance",
+        {"counts": counts, "prune": prune, "ungrounded": inst.ungrounded},
+        {"ints": ints, "signs": inst.signs, "fallback": inst.fallback})
+
+
+def read_cache_entry(path, example_id: str, cand_index: int, d_path: int,
+                     label: Optional[int] = None) -> Instance:
+    """The instance that ``write_cache_entry`` wrote to ``path``.
+
+    A missing file raises FileNotFoundError; an entry that is cut short, of
+    another kind, or whose counts, block shapes or tables do not fit
+    together raises ContainerError naming ``path``.
+    """
+    meta, blocks = io_utils.read_container(path, kind="instance")
+    counts = meta.get("counts")
+    if not (isinstance(counts, dict) and isinstance(meta.get("ungrounded"), bool)
+            and all(type(counts.get(k)) is int and counts[k] >= 0 for k in _COUNTS)):
+        raise io_utils.ContainerError(
+            f"{path}: meta needs a bool 'ungrounded' and non-negative int "
+            f"'counts' {', '.join(_COUNTS)}")
+    sizes = [counts[key] + extra for _, key, extra in _INT_SECTIONS]
+    io_utils.require(path, meta, blocks, block_specs={
+        "ints": (("int64",), [sum(sizes) + 2 * counts["edges"]]),
+        "signs": (("float64",), [counts["steps"]]),
+        "fallback": (("float64",), [None, d_path])})
+    ints = blocks["ints"]
+    table, lo = {}, 0
+    for (name, _, _), size in zip(_INT_SECTIONS, sizes):
+        table[name] = ints[lo:lo + size]
+        lo += size
+    edges = ints[lo:].tolist()
+    try:
+        return Instance(example_id, cand_index,
+                        und_edges=list(zip(edges[0::2], edges[1::2])),
+                        signs=blocks["signs"], fallback=blocks["fallback"],
+                        label=label, ungrounded=meta["ungrounded"], **table)
+    except ValueError as exc:
+        raise io_utils.ContainerError(f"{path}: {exc}") from None
 
 
 _WORKER_STATE: dict = {}
@@ -456,33 +528,35 @@ def explain(state: ModelState, kg: KnowledgeGraph, example: QAExample,
     beta_hat = trace.beta_hat[0]
     rel_names = kg.relations
     pair_order = np.argsort(-beta_hat, kind="stable")[:top_pairs]
-    pairs = inst.pairs
+    # pair p owns paths path_lo[p]:path_lo[p + 1], since owner is sorted
+    path_lo = np.searchsorted(inst.owner, np.arange(len(inst.q_rows) + 1)).tolist()
+    offsets = inst.offsets.tolist()
     pairs_out = []
-    for pi in pair_order:
-        pair = pairs[int(pi)]
-        a_hat = trace.alpha[pi, inst.owner == pi]
+    for pi in pair_order.tolist():
+        lo, hi = path_lo[pi], path_lo[pi + 1]
+        a_hat = trace.alpha[pi, lo:hi]
         path_order = np.argsort(-a_hat, kind="stable")[:top_paths]
         paths_out = []
-        for ki in path_order:
-            heads, rels, signs, tails = pair.paths[int(ki)]
-            parts = [f"({kg.surface(int(inst.node_ids[heads[0]]))})"]
+        for ki in path_order.tolist():
+            steps_lo, steps_hi = offsets[lo + ki], offsets[lo + ki + 1]
+            parts = [f"({kg.surface(int(inst.node_ids[inst.heads[steps_lo]]))})"]
             steps = []
-            for t in range(len(rels)):
-                rel = rel_names[int(rels[t])]
-                rev = signs[t] < 0
-                nxt = kg.surface(int(inst.node_ids[tails[t]]))
+            for t in range(steps_lo, steps_hi):
+                rel = rel_names[int(inst.rels[t])]
+                rev = inst.signs[t] < 0
+                nxt = kg.surface(int(inst.node_ids[inst.tails[t]]))
                 parts.append(f"<-{rel}- ({nxt})" if rev else f"-{rel}-> ({nxt})")
                 steps.append([rel, bool(rev), nxt])
             paths_out.append({
-                "alpha": float(a_hat[int(ki)]),
+                "alpha": float(a_hat[ki]),
                 "rendering": " ".join(parts),
                 "steps": steps,
             })
         pairs_out.append({
-            "question_concept": kg.surface(int(inst.node_ids[pair.q_row])),
-            "answer_concept": kg.surface(int(inst.node_ids[pair.a_row])),
-            "beta": float(beta_hat[int(pi)]),
-            "n_paths": len(pair.paths),
+            "question_concept": kg.surface(int(inst.node_ids[inst.q_rows[pi]])),
+            "answer_concept": kg.surface(int(inst.node_ids[inst.a_rows[pi]])),
+            "beta": float(beta_hat[pi]),
+            "n_paths": hi - lo,
             "paths": paths_out,
         })
     return {

@@ -6,7 +6,9 @@ and against the plain DFS it replaced; the gradients of the training step,
 as ``pipeline.ModelState.forward`` and ``backward`` compute them,
 against central finite differences; the one pass that scores a question's
 candidates against one pass per candidate; pruning against the per-path
-rule it vectorized; attention against its closed-form degenerate cases. The
+rule it vectorized; attention against its closed-form degenerate cases; a
+preprocessing cache entry read back against the instance built from the
+schema graph and written to it. The
 CLI `selfcheck` subcommand runs them all and reports pass/fail; the test
 suite calls the same functions with the sizes and tolerances pinned in the
 acceptance tests.
@@ -16,8 +18,11 @@ from __future__ import annotations
 
 import copy
 import itertools
+import tempfile
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -31,7 +36,7 @@ from .model.gradcheck import check_gradients
 from .model.network import (Instance, PathAttentionScorer, bce_loss,
                             instance_from_schema_graph)
 from .paths import SchemaGraph, build_schema_graph, find_paths, path_sort_key
-from .pipeline import ModelState
+from .pipeline import ModelState, read_cache_entry, write_cache_entry
 from .statement import build_vocab
 
 # small dims keep finite differences affordable while exercising every tensor;
@@ -592,6 +597,48 @@ def pruning_suite(seed: int = 0, n_graphs: int = 40) -> CheckResult:
                + f" ({n_graphs} graphs)")
 
 
+# ------------------------------------------------------------ cache suite
+
+def instance_mismatch(a: Instance, b: Instance) -> Optional[str]:
+    """The first field in which ``a`` and ``b`` differ, or None: arrays by
+    dtype, shape and bytes, other fields by type and repr."""
+    for f in fields(Instance):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            same = (isinstance(y, np.ndarray) and x.dtype == y.dtype
+                    and x.shape == y.shape and x.tobytes() == y.tobytes())
+        else:
+            same = type(x) is type(y) and repr(x) == repr(y)
+        if not same:
+            return f.name
+    return None
+
+
+def cache_round_trip_suite(seed: int = 0, n_instances: int = 25) -> CheckResult:
+    """Random instances and the ungrounded anchor, written as cache entries
+    and read back, equal the instances written, field for field."""
+    rng = np.random.default_rng(stable_seed("cache-round-trip", seed))
+    d_path = CHECK_CONFIG.d_path
+    insts = [random_instance(rng, CHECK_CONFIG, CHECK_D_S)[0]
+             for _ in range(n_instances)]
+    insts.append(instance_from_schema_graph(None, "anchor", 0, d_path, label=0))
+    problems = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, inst in enumerate(insts):
+            path = Path(tmp) / f"{i}.bin"
+            write_cache_entry(path, inst)
+            got = read_cache_entry(path, inst.example_id, inst.cand_index, d_path,
+                                   label=inst.label)
+            bad = instance_mismatch(inst, got)
+            if bad is not None:
+                problems.append(f"instance {i}: {bad} differs")
+    return CheckResult(
+        name="cache-round-trip",
+        passed=not problems,
+        detail=("ok" if not problems else "; ".join(problems[:4]))
+               + f" ({len(insts)} instances, anchor included)")
+
+
 # ------------------------------------------------------------ entry point
 
 def run_selfcheck(seed: int = 0, quick: bool = False) -> SelfcheckReport:
@@ -608,4 +655,5 @@ def run_selfcheck(seed: int = 0, quick: bool = False) -> SelfcheckReport:
     report.checks.append(permutation_suite(seed, n_instances=sizes["inst"]))
     report.checks.append(batch_suite(seed, n_questions=sizes["inst"]))
     report.checks.append(pruning_suite(seed, n_graphs=sizes["inst"] + 15))
+    report.checks.append(cache_round_trip_suite(seed, n_instances=sizes["inst"]))
     return report

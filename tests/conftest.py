@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, settings
 from kgqa.config import RunConfig
 from kgqa.data import save_dataset
 from kgqa.ground import load_stopwords
+from kgqa.io_utils import write_container
 from kgqa.kg import build_graph
 from kgqa.kge import train_transe
 from kgqa.pipeline import (build_model_state, evaluate, ground_question,
@@ -27,6 +28,21 @@ def make_chain_kg(n_nodes, rel_names=("r",)):
     concepts = [chr(ord("a") + i) for i in range(n_nodes)]
     triples = [(i, 0, i + 1) for i in range(n_nodes - 1)]
     return build_graph(concepts, list(rel_names), triples, np.ones(len(triples)))
+
+
+# ways a preprocessing cache entry can go bad: cut in half (a run killed
+# mid-write), emptied, or replaced by a container of another kind
+CACHE_DAMAGE = ("truncated", "empty", "wrong-kind")
+
+
+def damage_cache_entry(path, how):
+    if how == "truncated":
+        data = path.read_bytes()
+        path.write_bytes(data[:len(data) // 2])
+    elif how == "empty":
+        path.write_bytes(b"")
+    else:
+        write_container(path, "model", {}, {"w": np.ones(2)})
 
 
 def planted_kg(seed=0, n_concepts=30, n_relations=5, n_triples=100, latent=6):

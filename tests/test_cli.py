@@ -4,11 +4,13 @@ import itertools
 import json
 import math
 import re
+import shutil
 from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from conftest import CACHE_DAMAGE, damage_cache_entry
 
 from kgqa import io_utils
 from kgqa.cli import main
@@ -344,6 +346,33 @@ def test_cache_misses_on_a_kge_table_differing_only_in_gamma(run, cli_world,
     assert cached.read_bytes() == fresh.read_bytes()
     assert fresh.read_bytes() != run.preds.read_bytes()
     assert set(cache_files(cache)) > set(before)
+
+
+@pytest.fixture(scope="module")
+def train_cache(run, cli_world, tmp_path_factory):
+    """The arguments of a `train --cache` run, and the cache it filled."""
+    root = tmp_path_factory.mktemp("train-cache")
+    args = ["train", "--kg", str(run.kg), "--kge", str(run.kge),
+            "--dataset", str(cli_world.train_jsonl), "--dev", str(cli_world.dev_jsonl),
+            "--config", str(cli_world.config)]
+    cache = root / "cache"
+    assert main([*args, "--cache", str(cache), "--out", str(root / "model")]) == 0
+    return args, cache
+
+
+@pytest.mark.parametrize("how", CACHE_DAMAGE)
+def test_train_names_a_bad_cache_entry(train_cache, tmp_path, how, capsys):
+    args, cache = train_cache
+    copy = tmp_path / "cache"
+    shutil.copytree(cache, copy)
+    entry = sorted(copy.rglob("*.bin"))[0]
+    damage_cache_entry(entry, how)
+    capsys.readouterr()
+    code = main([*args, "--cache", str(copy), "--out", str(tmp_path / "model")])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "ContainerError"
+    assert err["message"].startswith(f"{entry}: ")
 
 
 def test_predict_takes_no_seed(run, cli_world, tmp_path):

@@ -1,19 +1,25 @@
 """End-to-end pipeline behavior on small worlds."""
 
 import json
+import re
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import CACHE_DAMAGE, damage_cache_entry
 
 from kgqa import io_utils, pipeline, selfcheck
 from kgqa.config import RunConfig
 from kgqa.data import QAExample, accuracy, load_dataset
 from kgqa.ground import load_stopwords
+from kgqa.kg import build_graph
 from kgqa.kge import EmbeddingTable, train_transe
 from kgqa.model.layers import BiLSTM
 from kgqa.paths import SchemaGraph
 from kgqa.pipeline import (ModelState, build_model_state, evaluate, explain,
-                           load_model_state, predict, preprocess, train)
+                           ground_question, load_model_state, predict, preprocess,
+                           train)
 from kgqa.statement import FeatureStore
 from kgqa.toy import EVIDENCE, build_toy_world
 
@@ -52,7 +58,6 @@ def mini():
     stop = load_stopwords(None)
     train_inst = preprocess(world.kg, emb, world.train, cfg, stop)
     dev_inst = preprocess(world.kg, emb, world.dev, cfg, stop)
-    from types import SimpleNamespace
     return SimpleNamespace(world=world, cfg=cfg, emb=emb, stop=stop,
                            train_inst=train_inst, dev_inst=dev_inst)
 
@@ -94,7 +99,7 @@ def test_preprocess_cache_round_trip(mini, tmp_path):
     examples = mini.world.dev[:2]
     first = preprocess(mini.world.kg, mini.emb, examples, mini.cfg,
                        mini.stop, cache_dir=tmp_path)
-    cached_files = list(tmp_path.rglob("*.json"))
+    cached_files = list(tmp_path.rglob("*.bin"))
     assert cached_files
     second = preprocess(mini.world.kg, mini.emb, examples, mini.cfg,
                         mini.stop, cache_dir=tmp_path)
@@ -120,7 +125,7 @@ def test_parallel_preprocess_equals_serial(mini, tmp_path):
                           mini.stop, cache_dir=tmp_path / "parallel", jobs=2)
 
     def cache_bytes(root):
-        return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*.json"))}
+        return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*.bin"))}
 
     assert len(cache_bytes(tmp_path / "serial")) == len(serial)
     assert cache_bytes(tmp_path / "parallel") == cache_bytes(tmp_path / "serial")
@@ -167,8 +172,9 @@ def test_preprocess_grounds_each_question_once(mini, tmp_path, monkeypatch):
                         counting("rebuild_cover", SchemaGraph.rebuild_cover))
     cold = preprocess(mini.world.kg, mini.emb, [ex], mini.cfg, mini.stop,
                       cache_dir=tmp_path)
-    payloads = [json.loads(p.read_text()) for p in sorted(tmp_path.rglob("*.json"))]
-    grounded = [p for p in payloads if "sg" in p]
+    payloads = [io_utils.read_container(p, kind="instance")[0]
+                for p in sorted(tmp_path.rglob("*.bin"))]
+    grounded = [p for p in payloads if not p["ungrounded"]]
     dropped = [p for p in grounded
                if p["prune"]["paths_after"] < p["prune"]["paths_before"]]
     assert len(payloads) == len(ex.candidates)
@@ -183,6 +189,112 @@ def test_preprocess_grounds_each_question_once(mini, tmp_path, monkeypatch):
                       cache_dir=tmp_path)
     assert counts == dict.fromkeys(counts, 0)
     assert list(warm) == list(cold)
+
+
+@pytest.fixture(scope="module")
+def pathless():
+    """One question over a four-concept graph in which "stone" has no edge:
+    candidate 0 grounds with a path for one pair and none for the other,
+    candidate 1 likewise over two hops, and candidate 2 grounds to nothing."""
+    kg = build_graph(["apple", "tree", "river", "stone"], ["near"],
+                     [(0, 0, 1), (1, 0, 2)], np.ones(2))
+    rng = np.random.default_rng(0)
+    emb = EmbeddingTable(ent=rng.standard_normal((4, 4)),
+                         rel=rng.standard_normal((1, 4)), gamma=2.0)
+    cfg = RunConfig(seed=3, kge_dim=4, gcn_dims="4", lstm_hidden=3, cap=5)
+    ex = QAExample(id="pathless", question="apple stone",
+                   candidates=["tree", "river", "zzzyqx"], label=1)
+    return SimpleNamespace(kg=kg, emb=emb, cfg=cfg, ex=ex, stop=frozenset())
+
+
+def pathless_preprocess(world, cache_dir=None):
+    return preprocess(world.kg, world.emb, [world.ex], world.cfg, world.stop,
+                      cache_dir=cache_dir)
+
+
+def test_cold_warm_and_uncached_instances_are_equal(pathless, tmp_path):
+    uncached = pathless_preprocess(pathless)
+    cold = pathless_preprocess(pathless, tmp_path)
+    warm = pathless_preprocess(pathless, tmp_path)
+    insts = list(uncached.values())
+    assert [inst.ungrounded for inst in insts] == [False, False, True]
+    assert [len(inst.fallback) for inst in insts] == [1, 1, 1]
+    assert all(len(inst.owner) > 0 for inst in insts[:2])
+    assert [inst.label for inst in insts] == [0, 1, 0]
+    assert list(cold) == list(warm) == list(uncached)
+    for key, inst in uncached.items():
+        assert selfcheck.instance_mismatch(inst, cold[key]) is None
+        assert selfcheck.instance_mismatch(inst, warm[key]) is None
+    # the comparison sees a dtype, and an int type inside und_edges
+    inst = insts[0]
+    assert selfcheck.instance_mismatch(
+        inst, replace(inst, heads=inst.heads.astype(np.int32))) == "heads"
+    assert selfcheck.instance_mismatch(inst, replace(
+        inst, und_edges=[(np.int64(a), b) for a, b in inst.und_edges])) == "und_edges"
+
+
+def test_cache_entry_holds_the_prune_report(pathless, tmp_path):
+    pathless_preprocess(pathless, tmp_path)
+    metas = [io_utils.read_container(p, kind="instance")[0]
+             for p in sorted(tmp_path.rglob("*.bin"))]
+    payloads = ground_question(pathless.kg, pathless.stop, pathless.cfg, pathless.ex,
+                               range(3), pathless.emb)
+    assert sorted(map(io_utils.canonical_json, [m["prune"] for m in metas])) == \
+        sorted(map(io_utils.canonical_json, [p.get("prune") for p in payloads]))
+    assert sorted(m["ungrounded"] for m in metas) == [False, False, True]
+
+
+@pytest.mark.parametrize("how", [*CACHE_DAMAGE, "miscounted"])
+def test_bad_cache_entry_is_named(pathless, tmp_path, how):
+    pathless_preprocess(pathless, tmp_path)
+    entry = sorted(tmp_path.rglob("*.bin"))[0]
+    if how == "miscounted":  # counts that do not add up to the ints block
+        meta, blocks = io_utils.read_container(entry)
+        meta["counts"]["nodes"] += 1
+        io_utils.write_container(entry, "instance", meta, blocks)
+    else:
+        damage_cache_entry(entry, how)
+    with pytest.raises(io_utils.ContainerError, match=re.escape(str(entry))):
+        pathless_preprocess(pathless, tmp_path)
+
+
+def test_cache_round_trip_suite_catches_a_lossy_reader(monkeypatch):
+    assert selfcheck.cache_round_trip_suite(n_instances=5).passed
+
+    def lossy(*args, **kwargs):
+        inst = pipeline.read_cache_entry(*args, **kwargs)
+        inst.und_edges = [(np.int64(a), np.int64(b)) for a, b in inst.und_edges]
+        return inst
+
+    monkeypatch.setattr(selfcheck, "read_cache_entry", lossy)
+    result = selfcheck.cache_round_trip_suite(n_instances=5)
+    assert not result.passed
+    assert "und_edges differs" in result.detail
+
+
+@pytest.mark.parametrize("key,value", [
+    ("max_ngram", 0), ("max_edges", 0), ("cap", 0), ("threshold", float("nan")),
+    ("threshold", float("inf")), ("threshold", -0.1), ("threshold", 1.5)])
+def test_bad_grounding_setting_is_rejected_wherever_a_config_is_built(
+        mini, tmp_path, key, value):
+    message = f"^{key} must be"
+    with pytest.raises(ValueError, match=message):
+        RunConfig(**{key: value})
+    with pytest.raises(ValueError, match=message):
+        replace(mini.cfg, **{key: value})
+    path = tmp_path / "model.bin"
+    fresh_state(mini).save(path)
+    meta, blocks = io_utils.read_container(path, kind="model")
+    meta["run_config"][key] = value
+    io_utils.write_container(path, "model", meta, blocks)
+    with pytest.raises(ValueError, match=message):
+        load_model_state(path, mini.emb)
+
+
+def test_grounding_bounds_are_accepted_and_the_config_hash_is_unchanged():
+    for threshold in (0, 0.0, 1.0):
+        RunConfig(max_ngram=1, max_edges=1, cap=1, threshold=threshold)
+    assert RunConfig().hash() == "999ea1ce0d7c5820"
 
 
 def test_ungroundable_candidate_becomes_flagged_anchor(mini):
