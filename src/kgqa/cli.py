@@ -122,7 +122,7 @@ def cmd_ground(args) -> int:
     kg = KnowledgeGraph.load(args.kg)
     stop = _stopwords(args)
     examples = load_dataset(args.dataset)
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with io_utils.atomic_open(args.out, "w", encoding="utf-8") as fh:
         for ex in examples:
             cq = recognize(ex.question, kg, max_ngram=cfg.max_ngram, stopwords=stop)
             row = {"id": ex.id, "question_concepts": cq.to_dict(kg)["concepts"],
@@ -145,9 +145,9 @@ def cmd_schema_graphs(args) -> int:
     kg = KnowledgeGraph.load(args.kg)
     stop = _stopwords(args)
     total = PruneReport()
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with io_utils.atomic_open(args.out, "w", encoding="utf-8") as fh:
         for ex in load_dataset(args.dataset):
-            payloads = ground_question(kg, stop, cfg, ex, range(len(ex.candidates)), emb)
+            payloads = ground_question(kg, stop, cfg, ex, emb)
             for ci, payload in enumerate(payloads):
                 if "prune" in payload:
                     total += PruneReport.from_dict(payload["prune"])
@@ -156,7 +156,7 @@ def cmd_schema_graphs(args) -> int:
     _manifest(args, args.out, cfg, "kg", "kge", "dataset", "stopwords")
     if cfg.prune:
         stats = io_utils.canonical_json({**total.to_dict(), "threshold": cfg.threshold})
-        Path(str(args.out) + ".stats.json").write_text(stats + "\n", encoding="utf-8")
+        io_utils.write_text(str(args.out) + ".stats.json", stats + "\n")
         print(stats)
     return 0
 
@@ -209,7 +209,7 @@ def cmd_train(args) -> int:
     model_path = out_dir / "model.bin"
     state.save(model_path)
     metrics_path = out_dir / "metrics.csv"
-    metrics_path.write_text(result.metrics_csv(), encoding="utf-8")
+    io_utils.write_text(metrics_path, result.metrics_csv())
     _manifest(args, model_path, cfg, "kg", "kge", "dataset", "dev",
               "features", "stopwords")
     _manifest(args, metrics_path, cfg, "kg", "kge", "dataset", "dev",
@@ -227,7 +227,7 @@ def cmd_predict(args) -> int:
     instances = preprocess(kg, emb, examples, cfg, stop,
                            cache_dir=_cache_dir(args, args.dataset), jobs=args.jobs)
     predictions = predict(state, examples, instances)
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with io_utils.atomic_open(args.out, "w", encoding="utf-8") as fh:
         for pred in predictions:
             fh.write(io_utils.canonical_json(pred.to_json_obj()) + "\n")
     _manifest(args, args.out, cfg, "kg", "kge", "checkpoint", "dataset",
@@ -257,8 +257,7 @@ def cmd_explain(args) -> int:
     # an out-of-range --candidate has no instance; explain names the range
     report = explain(state, kg, ex, cand, instances.get((ex.id, cand)),
                      top_pairs=args.top_pairs, top_paths=args.top_paths)
-    Path(args.out).write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    io_utils.write_text(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
     _manifest(args, args.out, cfg, "kg", "kge", "checkpoint", "dataset")
     return 0
 
@@ -285,8 +284,7 @@ def cmd_selfcheck(args) -> int:
     for check in report.checks:
         print(check.line())
     if args.out:
-        Path(args.out).write_text(
-            io_utils.canonical_json(report.to_dict()) + "\n", encoding="utf-8")
+        io_utils.write_text(args.out, io_utils.canonical_json(report.to_dict()) + "\n")
     return 0 if report.all_passed else 1
 
 

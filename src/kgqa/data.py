@@ -6,6 +6,8 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
+from .io_utils import atomic_open
+
 LABELS = "ABCDEFGH"
 
 
@@ -69,7 +71,7 @@ def load_dataset(path) -> list[QAExample]:
 
 
 def save_dataset(path, examples: list[QAExample]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         for ex in examples:
             fh.write(json.dumps(ex.to_json_obj(), sort_keys=True) + "\n")
 

@@ -12,6 +12,9 @@ reproducible byte for byte:
 
 "bytes" blocks carry raw byte strings (shape = [length]); every other dtype
 is a numpy array.
+
+Every artifact is written through ``atomic_open``, so a run killed mid-write
+leaves the previous file, never a part of a new one.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import json
 import math
 import os
 import struct
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +65,36 @@ def config_hash(obj) -> str:
     return sha256_bytes(canonical_json(obj).encode("utf-8"))[:16]
 
 
+@contextmanager
+def atomic_open(path: str | Path, mode: str = "w", encoding: str | None = None):
+    """A file opened for writing ``path``, which appears whole or not at all.
+
+    The block writes a temporary file in ``path``'s directory, and
+    ``os.replace`` moves it onto ``path`` once the block ends; if the block
+    raises, the temporary file is removed and ``path`` keeps what it held.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        f = open(tmp, mode, encoding=encoding)
+    except OSError as exc:
+        exc.filename = str(path)  # name the file asked for, not the temporary one
+        raise
+    try:
+        with f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8 through ``atomic_open``."""
+    with atomic_open(path, "w", encoding="utf-8") as f:
+        f.write(text)
+
+
 def write_container(path: str | Path, kind: str, meta: dict, blocks: dict) -> None:
     """Write named blocks (numpy arrays or bytes) under a JSON header.
 
@@ -87,7 +121,7 @@ def write_container(path: str | Path, kind: str, meta: dict, blocks: dict) -> No
     header = canonical_json(
         {"kind": kind, "version": 1, "meta": meta, "blocks": entries}
     ).encode("utf-8")
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<Q", len(header)))
         f.write(header)
@@ -224,7 +258,7 @@ def write_manifest(out_path: str | Path, command: str, cfg_hash: str,
         "package_version": version,
     }
     path = Path(str(out_path) + ".manifest.json")
-    path.write_text(canonical_json(manifest) + "\n", encoding="utf-8")
+    write_text(path, canonical_json(manifest) + "\n")
     return path
 
 

@@ -7,14 +7,18 @@ question or answer grounds to nothing gets a single-anchor fallback instance
 (one pseudo-pair, no paths) and is flagged in prediction output rather than
 dropped, so every candidate stays scorable.
 
-With a cache directory, each candidate's path table is stored as one binary
+With a cache directory, each question's candidates are stored as one binary
 container of kind ``instance``,
-``<cache>/<config hash>/<sha256(example id)[:24]>_<candidate>.bin`` (layout
-in ``write_cache_entry``). A hit reads that file straight into an Instance,
-with no JSON parsing and no table building; a miss grounds the candidate,
-builds its table once and writes it. Older ``.json`` entries are never read,
-so they simply miss. An entry that is cut short, empty, of another kind or
-inconsistent raises ContainerError naming the file.
+``<cache>/<config hash>/<sha256(example id)[:24]>.bin`` (layout in
+``write_cache_entry``), written to a temporary file and moved into place, so
+an interrupted run leaves no partial entry. A hit reads that one file and
+slices it into the candidates' Instances, with no JSON parsing and no table
+building; a miss grounds the whole question, builds its tables once and
+writes them. Older ``.json`` and per-candidate ``_<candidate>.bin`` entries
+are never read, so they simply miss. An entry that is cut short, empty, of
+another kind, inconsistent, holding an index outside its tables, or holding
+another number of candidates than the example raises ContainerError naming
+the file.
 
 Training, prediction and evaluation score a question's candidates in one
 pass: one statement-encoder call and one network call over the union of the
@@ -28,9 +32,11 @@ order, and metrics/checkpoint bytes are reproducible run to run.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -55,19 +61,17 @@ def ground_question(
     stopwords: frozenset[str],
     cfg: RunConfig,
     example: QAExample,
-    cand_indices: Iterable[int],
     emb: Optional[EmbeddingTable],
 ) -> list[dict]:
-    """Schema-graph JSON, or an ungrounded marker, for each of ``cand_indices``.
+    """Schema-graph JSON, or an ungrounded marker, for each candidate of ``example``.
 
     The question is recognized once and each candidate once; each grounded
     pair is searched, then pruned when ``cfg.prune`` and ``emb`` allow it.
     """
     cq = recognize(example.question, kg, max_ngram=cfg.max_ngram, stopwords=stopwords)
     out = []
-    for ci in cand_indices:
-        ca = recognize(example.candidates[ci], kg,
-                       max_ngram=cfg.max_ngram, stopwords=stopwords)
+    for cand in example.candidates:
+        ca = recognize(cand, kg, max_ngram=cfg.max_ngram, stopwords=stopwords)
         try:
             sg = build_schema_graph(kg, cq, ca, max_edges=cfg.max_edges, cap=cfg.cap)
         except GroundingError:
@@ -92,122 +96,202 @@ def preprocess(
 ) -> dict[tuple[str, int], Instance]:
     """Instances for every (example, candidate), cache-backed when dir given.
 
-    A cached candidate is read back from its ``.bin`` entry. A question's
-    uncached candidates are grounded together, one ``ground_question`` call
-    per question (``jobs > 1`` spreads the questions over worker processes),
-    and each is built once and written to the cache.
+    A cached question is read back from its ``.bin`` entry. Every other
+    question is grounded, one ``ground_question`` call per question
+    (``jobs > 1`` spreads the questions over worker processes), and its
+    candidates are built once and written to the cache as one entry.
     """
-    # plain string paths: a pathlib join per candidate costs microseconds that
-    # a warm pass, one small file read per candidate, notices
+    # plain string paths: a pathlib join per question costs microseconds that
+    # a warm pass, one small file read per question, notices
     cache_root = None if cache_dir is None else os.path.join(cache_dir, cfg.hash())
 
-    def cache_path(ex_id: str, ci: int) -> str:
-        return f"{cache_root}/{io_utils.sha256_bytes(ex_id.encode())[:24]}_{ci}.bin"
-
-    def label_of(ex: QAExample, ci: int) -> Optional[int]:
-        return None if ex.label is None else int(ex.label == ci)
+    def cache_path(ex_id: str) -> str:
+        return f"{cache_root}/{io_utils.sha256_bytes(ex_id.encode())[:24]}.bin"
 
     insts: dict[tuple[str, int], Instance] = {}
-    pending: list[tuple[QAExample, list[int]]] = []
+    pending: list[QAExample] = []
     for ex in examples:
-        missing = []
-        for ci in range(len(ex.candidates)):
-            if cache_root is not None:
-                try:  # opening the entry is the probe: no file, a miss
-                    insts[(ex.id, ci)] = read_cache_entry(
-                        cache_path(ex.id, ci), ex.id, ci, cfg.d_path,
-                        label=label_of(ex, ci))
-                    continue
-                except FileNotFoundError:
-                    pass
-            missing.append(ci)
-        if missing:
-            pending.append((ex, missing))
+        if cache_root is not None:
+            try:  # opening the entry is the probe: no file, a miss
+                cands = read_cache_entry(cache_path(ex.id), ex.id, len(ex.candidates),
+                                         cfg.d_path, label=ex.label)
+                insts.update(((ex.id, ci), inst) for ci, inst in enumerate(cands))
+                continue
+            except FileNotFoundError:
+                pass
+        pending.append(ex)
 
     if pending:
         if jobs > 1:
             computed = _parallel_ground(kg, stopwords, cfg, pending, emb, jobs)
         else:
-            computed = [ground_question(kg, stopwords, cfg, ex, cis, emb)
-                        for ex, cis in pending]
+            computed = [ground_question(kg, stopwords, cfg, ex, emb) for ex in pending]
         if cache_root is not None:
             os.makedirs(cache_root, exist_ok=True)
-        for (ex, cis), question_payloads in zip(pending, computed):
-            for ci, payload in zip(cis, question_payloads):
-                # an ungrounded payload has no "sg" and becomes the anchor instance
-                inst = instance_from_schema_graph(
-                    payload.get("sg"), ex.id, ci, cfg.d_path,
-                    seed=cfg.seed, label=label_of(ex, ci))
-                insts[(ex.id, ci)] = inst
-                if cache_root is not None:
-                    write_cache_entry(cache_path(ex.id, ci), inst, payload.get("prune"))
+        for ex, payloads in zip(pending, computed):
+            # an ungrounded payload has no "sg" and becomes the anchor instance
+            cands = [instance_from_schema_graph(
+                payload.get("sg"), ex.id, ci, cfg.d_path, seed=cfg.seed,
+                label=_cand_label(ex.label, ci))
+                for ci, payload in enumerate(payloads)]
+            insts.update(((ex.id, ci), inst) for ci, inst in enumerate(cands))
+            if cache_root is not None:
+                write_cache_entry(cache_path(ex.id), cands,
+                                  [payload.get("prune") for payload in payloads])
 
     return {(ex.id, ci): insts[(ex.id, ci)]
             for ex in examples for ci in range(len(ex.candidates))}
 
 
-# the int64 sections of a cache entry's "ints" block, in order, as
-# (Instance field, meta "counts" key of its length, extra length)
-_INT_SECTIONS = (("node_ids", "nodes", 0), ("q_rows", "pairs", 0),
-                 ("a_rows", "pairs", 0), ("owner", "paths", 0),
-                 ("offsets", "paths", 1), ("heads", "steps", 0),
-                 ("rels", "steps", 0), ("tails", "steps", 0))
-_COUNTS = ("edges", "nodes", "pairs", "paths", "steps")
+def _cand_label(label: Optional[int], ci: int) -> Optional[int]:
+    """Candidate ``ci``'s label given ``label``, the correct candidate's index."""
+    return None if label is None else int(label == ci)
 
 
-def write_cache_entry(path, inst: Instance, prune: Optional[dict] = None) -> None:
-    """Write one candidate's path table as an ``instance`` container.
+# the int64 sections of a cache entry's "ints" block, in order, as (Instance
+# field, meta "counts" key, per-count length, extra length per candidate,
+# "counts" key of the table its values index, or None); the indexing
+# sections come first, so that one slice of the block holds them all
+_INT_SECTIONS = (("q_rows", "pairs", 1, 0, "nodes"), ("a_rows", "pairs", 1, 0, "nodes"),
+                 ("heads", "steps", 1, 0, "nodes"), ("tails", "steps", 1, 0, "nodes"),
+                 ("und_edges", "edges", 2, 0, "nodes"), ("owner", "paths", 1, 0, "pairs"),
+                 ("offsets", "paths", 1, 1, None), ("node_ids", "nodes", 1, 0, None),
+                 ("rels", "steps", 1, 0, None))
+_SECTION_NAMES = tuple(name for name, *_ in _INT_SECTIONS)
+_OWNER = 5         # owner, the last section that indexes a table; offsets follow
+_COUNTS = ("edges", "fallbacks", "nodes", "pairs", "paths", "steps")
 
-    Block ``ints`` lays the int64 arrays end to end in ``_INT_SECTIONS``
-    order, then ``und_edges`` as flat row pairs; ``signs`` and ``fallback``
-    are float64. Meta holds ``counts`` (the lengths that cut ``ints``),
-    ``ungrounded`` and the prune report, or null when pruning did not run.
+
+def write_cache_entry(path, insts: Sequence[Instance],
+                      prunes: Sequence[Optional[dict]]) -> None:
+    """Write a question's candidates, ``insts`` in order, as one ``instance``
+    container.
+
+    Block ``ints`` holds ``_INT_SECTIONS`` in order, each section every
+    candidate's array end to end (``und_edges`` as flat row pairs);
+    ``signs`` and ``fallback`` lay the candidates' float64 arrays end to end.
+    Meta holds one list entry per candidate: ``counts`` (the lengths that cut
+    the blocks), ``ungrounded`` and ``prune``, the prune report or null when
+    pruning did not run.
     """
-    counts = {"edges": len(inst.und_edges), "nodes": inst.n_nodes,
-              "pairs": len(inst.q_rows), "paths": len(inst.owner),
-              "steps": len(inst.heads)}
-    ints = np.concatenate(
-        [getattr(inst, name) for name, _, _ in _INT_SECTIONS]
-        + [np.array(inst.und_edges, dtype=np.int64).reshape(-1)])
+    counts = {"edges": [len(i.und_edges) for i in insts],
+              "fallbacks": [len(i.fallback) for i in insts],
+              "nodes": [i.n_nodes for i in insts],
+              "pairs": [len(i.q_rows) for i in insts],
+              "paths": [len(i.owner) for i in insts],
+              "steps": [len(i.heads) for i in insts]}
+    ints = np.concatenate([np.asarray(getattr(inst, name), dtype=np.int64).reshape(-1)
+                           for name in _SECTION_NAMES for inst in insts])
     io_utils.write_container(
         path, "instance",
-        {"counts": counts, "prune": prune, "ungrounded": inst.ungrounded},
-        {"ints": ints, "signs": inst.signs, "fallback": inst.fallback})
+        {"counts": counts, "prune": list(prunes),
+         "ungrounded": [inst.ungrounded for inst in insts]},
+        {"ints": ints, "signs": np.concatenate([inst.signs for inst in insts]),
+         "fallback": np.concatenate([inst.fallback for inst in insts])})
 
 
-def read_cache_entry(path, example_id: str, cand_index: int, d_path: int,
-                     label: Optional[int] = None) -> Instance:
-    """The instance that ``write_cache_entry`` wrote to ``path``.
+def read_cache_entry(path, example_id: str, n_cands: int, d_path: int,
+                     label: Optional[int] = None) -> list[Instance]:
+    """The ``n_cands`` instances that ``write_cache_entry`` wrote to ``path``.
 
-    A missing file raises FileNotFoundError; an entry that is cut short, of
-    another kind, or whose counts, block shapes or tables do not fit
-    together raises ContainerError naming ``path``.
+    ``label`` is the index of the correct candidate, as in ``QAExample``. A
+    missing file raises FileNotFoundError. An entry that is cut short, of
+    another kind or of another candidate count, whose counts, block shapes
+    or tables do not fit together, or whose row, pair or step indices fall
+    outside its tables raises ContainerError naming ``path``.
     """
     meta, blocks = io_utils.read_container(path, kind="instance")
-    counts = meta.get("counts")
-    if not (isinstance(counts, dict) and isinstance(meta.get("ungrounded"), bool)
-            and all(type(counts.get(k)) is int and counts[k] >= 0 for k in _COUNTS)):
+    counts, ungrounded = meta.get("counts"), meta.get("ungrounded")
+    columns = [counts.get(k) for k in _COUNTS] if isinstance(counts, dict) else None
+    if not (columns is not None and isinstance(ungrounded, list)
+            and all(type(u) is bool for u in ungrounded)
+            and all(isinstance(col, list) and len(col) == len(ungrounded)
+                    for col in columns)
+            and all(type(n) is int and n >= 0 for n in itertools.chain(*columns))):
         raise io_utils.ContainerError(
-            f"{path}: meta needs a bool 'ungrounded' and non-negative int "
-            f"'counts' {', '.join(_COUNTS)}")
-    sizes = [counts[key] + extra for _, key, extra in _INT_SECTIONS]
+            f"{path}: meta needs a bool list 'ungrounded' and 'counts' "
+            f"{', '.join(_COUNTS)}: lists of non-negative ints, one per candidate")
+    if len(ungrounded) != n_cands:
+        raise io_utils.ContainerError(
+            f"{path}: entry holds {len(ungrounded)} candidates, "
+            f"example {example_id!r} has {n_cands}")
+    # sizes[s][c]: the length of section s of candidate c; bounds: where
+    # each of those runs starts in the ints block, and the block's end
+    sizes = [[n * scale + extra for n in counts[key]]
+             for _, key, scale, extra, _ in _INT_SECTIONS]
+    bounds = list(itertools.accumulate(itertools.chain.from_iterable(sizes), initial=0))
     io_utils.require(path, meta, blocks, block_specs={
-        "ints": (("int64",), [sum(sizes) + 2 * counts["edges"]]),
-        "signs": (("float64",), [counts["steps"]]),
-        "fallback": (("float64",), [None, d_path])})
+        "ints": (("int64",), [bounds[-1]]),
+        "signs": (("float64",), [sum(counts["steps"])]),
+        "fallback": (("float64",), [sum(counts["fallbacks"]), d_path])})
     ints = blocks["ints"]
-    table, lo = {}, 0
-    for (name, _, _), size in zip(_INT_SECTIONS, sizes):
-        table[name] = ints[lo:lo + size]
-        lo += size
-    edges = ints[lo:].tolist()
-    try:
-        return Instance(example_id, cand_index,
-                        und_edges=list(zip(edges[0::2], edges[1::2])),
-                        signs=blocks["signs"], fallback=blocks["fallback"],
-                        label=label, ungrounded=meta["ungrounded"], **table)
-    except ValueError as exc:
-        raise io_utils.ContainerError(f"{path}: {exc}") from None
+    _check_cache_indices(path, ints, counts, sizes, bounds)
+    runs = [ints[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    signs = _split(blocks["signs"], counts["steps"])
+    fallback = _split(blocks["fallback"], counts["fallbacks"])
+    out = []
+    for ci in range(n_cands):
+        # runs[s * n_cands + ci] is section s of candidate ci
+        table = dict(zip(_SECTION_NAMES, runs[ci::n_cands]))
+        edges = table.pop("und_edges").tolist()
+        try:
+            out.append(Instance(
+                example_id, ci, und_edges=list(zip(edges[0::2], edges[1::2])),
+                signs=signs[ci], fallback=fallback[ci],
+                label=_cand_label(label, ci), ungrounded=ungrounded[ci], **table))
+        except ValueError as exc:
+            raise io_utils.ContainerError(f"{path}: {exc}") from None
+    return out
+
+
+def _split(arr: np.ndarray, lengths: list[int]) -> list[np.ndarray]:
+    """``arr`` cut into consecutive runs of ``lengths`` rows."""
+    ends = list(itertools.accumulate(lengths, initial=0))
+    return [arr[lo:hi] for lo, hi in zip(ends, ends[1:])]
+
+
+def _check_cache_indices(path, ints: np.ndarray, counts: dict, sizes: list,
+                         bounds: list) -> None:
+    """Raise ContainerError naming ``path`` unless every index in ``ints``, a
+    cache entry's int block cut by ``sizes`` at ``bounds``, points inside its
+    candidate's tables: rows below the node count, ``owner`` sorted and below
+    the pair count, and ``offsets`` running from 0 to the step count without
+    decreasing. It costs a fixed dozen array operations per question."""
+    n = len(sizes[0])
+    # one comparison checks every indexing section: read as uint64, a
+    # negative index is above any table size
+    limit = np.repeat(
+        np.array([c for *_, table in _INT_SECTIONS[:_OWNER + 1] for c in counts[table]],
+                 dtype=np.uint64),
+        [size for section in sizes[:_OWNER + 1] for size in section])
+    inside = ints[:len(limit)].view(np.uint64) < limit
+    if not inside.all():
+        at = int(np.argmin(inside))
+        s, c = divmod(bisect.bisect_right(bounds, at) - 1, n)
+        name, *_, table = _INT_SECTIONS[s]
+        raise io_utils.ContainerError(
+            f"{path}: candidate {c}: {name} holds {ints[at]}, outside its "
+            f"{table[:-1]} range [0, {counts[table][c]})")
+    # where each candidate's owner and offsets start, and where offsets end
+    starts = bounds[_OWNER * n:(_OWNER + 2) * n + 1]
+    ends = ints[[i for lo, hi in zip(starts[n:], starts[n + 1:]) for i in (lo, hi - 1)]]
+    if ends.tolist() != [i for steps in counts["steps"] for i in (0, steps)]:
+        raise io_utils.ContainerError(
+            f"{path}: offsets do not run from 0 to the step count")
+    # owner shifted by the pairs of the candidates before, then offsets
+    # shifted by the steps before and by every pair: in range, they never
+    # decrease across the question exactly when each candidate's owner is
+    # sorted and its offsets never decrease
+    shift = [*itertools.accumulate(counts["pairs"][:-1], initial=0),
+             *itertools.accumulate(counts["steps"][:-1], initial=sum(counts["pairs"]))]
+    walk = ints[starts[0]:starts[-1]] + np.repeat(
+        shift, [*counts["paths"], *sizes[_OWNER + 1]])
+    down = walk[1:] < walk[:-1]
+    if down.any():
+        owner_len = starts[n] - starts[0]
+        raise io_utils.ContainerError(
+            f"{path}: " + ("owner is not sorted" if int(np.argmax(down)) + 1 < owner_len
+                           else "offsets decrease"))
 
 
 _WORKER_STATE: dict = {}
@@ -217,10 +301,9 @@ def _init_worker(kg, stopwords, cfg, emb) -> None:
     _WORKER_STATE["args"] = (kg, stopwords, cfg, emb)
 
 
-def _worker_ground(task) -> list[dict]:
+def _worker_ground(ex: QAExample) -> list[dict]:
     kg, stopwords, cfg, emb = _WORKER_STATE["args"]
-    ex, cand_indices = task
-    return ground_question(kg, stopwords, cfg, ex, cand_indices, emb)
+    return ground_question(kg, stopwords, cfg, ex, emb)
 
 
 def _parallel_ground(kg, stopwords, cfg, pending, emb, jobs) -> list[list[dict]]:

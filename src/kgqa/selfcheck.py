@@ -615,28 +615,39 @@ def instance_mismatch(a: Instance, b: Instance) -> Optional[str]:
 
 
 def cache_round_trip_suite(seed: int = 0, n_instances: int = 25) -> CheckResult:
-    """Random instances and the ungrounded anchor, written as cache entries
-    and read back, equal the instances written, field for field."""
+    """Random instances and the ungrounded anchor, written in groups of 1 to 5
+    as the candidates of one cache entry each and read back, equal the
+    instances written, field for field."""
     rng = np.random.default_rng(stable_seed("cache-round-trip", seed))
     d_path = CHECK_CONFIG.d_path
     insts = [random_instance(rng, CHECK_CONFIG, CHECK_D_S)[0]
              for _ in range(n_instances)]
-    insts.append(instance_from_schema_graph(None, "anchor", 0, d_path, label=0))
-    problems = []
+    insts.append(instance_from_schema_graph(None, "anchor", 0, d_path))
+    insts = [insts[i] for i in rng.permutation(len(insts))]
+    problems, n_groups = [], 0
     with tempfile.TemporaryDirectory() as tmp:
-        for i, inst in enumerate(insts):
-            path = Path(tmp) / f"{i}.bin"
-            write_cache_entry(path, inst)
-            got = read_cache_entry(path, inst.example_id, inst.cand_index, d_path,
-                                   label=inst.label)
-            bad = instance_mismatch(inst, got)
-            if bad is not None:
-                problems.append(f"instance {i}: {bad} differs")
+        while insts:
+            size = int(rng.integers(1, 6))
+            group, insts = insts[:size], insts[size:]
+            ex_id = f"group-{n_groups}"
+            label = None if rng.random() < 0.5 else int(rng.integers(len(group)))
+            group = [replace(inst, example_id=ex_id, cand_index=ci,
+                             label=None if label is None else int(label == ci))
+                     for ci, inst in enumerate(group)]
+            path = Path(tmp) / f"{ex_id}.bin"
+            write_cache_entry(path, group, [None] * len(group))
+            got = read_cache_entry(path, ex_id, len(group), d_path, label=label)
+            for ci, (want, have) in enumerate(zip(group, got)):
+                bad = instance_mismatch(want, have)
+                if bad is not None:
+                    problems.append(f"{ex_id} candidate {ci}: {bad} differs")
+            n_groups += 1
     return CheckResult(
         name="cache-round-trip",
         passed=not problems,
         detail=("ok" if not problems else "; ".join(problems[:4]))
-               + f" ({len(insts)} instances, anchor included)")
+               + f" ({n_instances + 1} instances in {n_groups} entries, "
+               "anchor included)")
 
 
 # ------------------------------------------------------------ entry point

@@ -1,5 +1,6 @@
 """Shared fixtures: tiny graphs, the synthetic KGE benchmark, the toy QA run."""
 
+import errno
 import time
 from types import SimpleNamespace
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from kgqa import io_utils
 from kgqa.config import RunConfig
 from kgqa.data import save_dataset
 from kgqa.ground import load_stopwords
@@ -43,6 +45,38 @@ def damage_cache_entry(path, how):
         path.write_bytes(b"")
     else:
         write_container(path, "model", {}, {"w": np.ones(2)})
+
+
+class _FailingWrite:
+    """A file opened for writing whose first write puts down half of its data
+    and then fails, as a full disk or a killed run would leave it."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, data):
+        self.f.write(data[:len(data) // 2])
+        raise OSError(errno.ENOSPC, "simulated full disk")
+
+
+def fail_writes_midway(monkeypatch):
+    """Make every file that ``io_utils`` opens for writing fail midway."""
+    def failing_open(file, mode="r", **kwargs):
+        f = open(file, mode, **kwargs)
+        return _FailingWrite(f) if "w" in mode else f
+    monkeypatch.setattr(io_utils, "open", failing_open, raising=False)
+
+
+def dir_bytes(root):
+    """Every file under ``root``, relative path -> bytes."""
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file()}
 
 
 def planted_kg(seed=0, n_concepts=30, n_relations=5, n_triples=100, latent=6):
@@ -105,8 +139,7 @@ def toy_run():
     for ex in world.dev:
         plausible = [
             "sg" in payload and rule_candidate_plausible(payload["sg"], world.kg)
-            for payload in ground_question(world.kg, stop, rule_cfg, ex,
-                                           range(len(ex.candidates)), None)]
+            for payload in ground_question(world.kg, stop, rule_cfg, ex, None)]
         if plausible.count(True) == 1 and plausible.index(True) == ex.label:
             rule_hits += 1
     rule_acc = rule_hits / len(world.dev)

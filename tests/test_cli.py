@@ -10,7 +10,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from conftest import CACHE_DAMAGE, damage_cache_entry
+from conftest import CACHE_DAMAGE, damage_cache_entry, dir_bytes, fail_writes_midway
 
 from kgqa import io_utils
 from kgqa.cli import main
@@ -373,6 +373,47 @@ def test_train_names_a_bad_cache_entry(train_cache, tmp_path, how, capsys):
     err = json.loads(capsys.readouterr().err)["error"]
     assert err["type"] == "ContainerError"
     assert err["message"].startswith(f"{entry}: ")
+
+
+def output_args(run, cli_world, command, out):
+    """A command line of ``command`` that writes its outputs under ``out``."""
+    common = ["--kg", str(run.kg), "--dataset", str(cli_world.dev_jsonl)]
+    scoring = ["--kge", str(run.kge), "--checkpoint", str(run.model_dir / "model.bin")]
+    return {
+        "ground": ["ground", *common, "--out", str(out / "g.jsonl")],
+        "prune": ["prune", *common, "--kge", str(run.kge),
+                  "--config", str(cli_world.config), "--out", str(out / "p.jsonl")],
+        "train": ["train", *common[:2], "--kge", str(run.kge),
+                  "--dataset", str(cli_world.train_jsonl),
+                  "--dev", str(cli_world.dev_jsonl),
+                  "--config", str(cli_world.config), "--out", str(out / "model")],
+        "predict": ["predict", *common, *scoring, "--out", str(out / "p.jsonl")],
+        "explain": ["explain", *common, *scoring, "--id", run.example_id,
+                    "--out", str(out / "e.json")],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["ground", "prune", "train", "predict", "explain"])
+def test_an_output_write_that_fails_midway_keeps_the_previous_outputs(
+        run, cli_world, tmp_path, monkeypatch, capsys, command):
+    args = output_args(run, cli_world, command, tmp_path)
+    assert main(args) == 0
+    before = dir_bytes(tmp_path)
+    assert before
+    fail_writes_midway(monkeypatch)
+    capsys.readouterr()
+    assert main(args) == 1
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "OSError"
+    assert dir_bytes(tmp_path) == before   # no temporary file either
+
+
+def test_output_in_a_missing_directory_is_named(run, cli_world, tmp_path, capsys):
+    out = tmp_path / "missing" / "p.jsonl"
+    capsys.readouterr()
+    assert main(predict_args(run, cli_world, out)) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "FileNotFoundError"
+    assert err["message"].endswith(f"{str(out)!r}")
 
 
 def test_predict_takes_no_seed(run, cli_world, tmp_path):

@@ -1,5 +1,6 @@
 """Binary container: valid files round-trip, damaged or malformed ones raise
-ContainerError, and each loader names a block or meta key it needs."""
+ContainerError, each loader names a block or meta key it needs, and a write
+that fails midway leaves the previous file."""
 
 import json
 import struct
@@ -9,11 +10,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given
+from conftest import dir_bytes, fail_writes_midway
 from hypothesis import strategies as st
 
-from kgqa.io_utils import MAGIC, ContainerError, read_container, write_container
+from kgqa import pipeline
+from kgqa.data import QAExample, save_dataset
+from kgqa.io_utils import (MAGIC, ContainerError, read_container, write_container,
+                           write_manifest)
 from kgqa.kg import KnowledgeGraph, build_graph
 from kgqa.kge import EmbeddingTable
+from kgqa.model.network import instance_from_schema_graph
 from kgqa.statement import FeatureStore
 
 BLOCK_SPECS = st.lists(
@@ -203,3 +209,36 @@ def test_loader_names_a_block_of_the_wrong_dtype_or_shape(tmp_path, loader, bloc
                                                           block, message):
     with pytest.raises(ContainerError, match=f"block '{block_name}' has {message}"):
         load_rewritten(tmp_path, loader, block_name=block_name, block=block)
+
+
+# writer name -> write version v of an artifact into a directory
+WRITERS = {
+    "container": lambda d, v: write_container(d / "c.bin", "test", {"v": v},
+                                              {"w": np.full(4, float(v))}),
+    "kg": lambda d, v: build_graph(["a", "b"], ["r"], [(0, 0, 1)], [float(v)]).save(
+        d / "kg.bin"),
+    "kge": lambda d, v: EmbeddingTable(ent=np.full((3, 4), float(v)),
+                                       rel=np.ones((2, 4))).save(d / "kge.bin"),
+    "features": lambda d, v: FeatureStore.write(d / "f.bin", {("q", 0): np.full(3, v)}),
+    "manifest": lambda d, v: write_manifest(d / "out", "cmd", "hash", {}, v, "0"),
+    "cache-entry": lambda d, v: pipeline.write_cache_entry(
+        d / "entry.bin", [instance_from_schema_graph(None, "q", 0, 4, seed=v)], [None]),
+    "dataset": lambda d, v: save_dataset(
+        d / "data.jsonl", [QAExample("q", f"question {v}", ["a", "b"])]),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_a_write_that_fails_midway_keeps_the_previous_file(tmp_path, monkeypatch,
+                                                           writer):
+    WRITERS[writer](tmp_path, 1)
+    before = dir_bytes(tmp_path)
+    assert len(before) == 1
+    with monkeypatch.context() as m:
+        fail_writes_midway(m)
+        with pytest.raises(OSError, match="simulated full disk"):
+            WRITERS[writer](tmp_path, 2)
+        assert dir_bytes(tmp_path) == before   # no temporary file either
+    WRITERS[writer](tmp_path, 2)
+    after = dir_bytes(tmp_path)
+    assert after.keys() == before.keys() and after != before

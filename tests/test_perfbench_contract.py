@@ -61,8 +61,8 @@ def test_perfbench_readers_see_the_program(tmp_path):
     # the path counters equal the path records and prune reports of the cold
     # pass (the warm one reads the cache and searches nothing)
     def records(cfg):
-        payloads = [p for ex in examples for p in ground_question(
-            world.kg, stop, cfg, ex, range(len(ex.candidates)), emb)]
+        payloads = [p for ex in examples
+                    for p in ground_question(world.kg, stop, cfg, ex, emb)]
         grounded = [p for p in payloads if "sg" in p]
         return grounded, sum(len(plist) for p in grounded
                              for plist in p["sg"]["paths"].values())

@@ -127,7 +127,7 @@ def test_parallel_preprocess_equals_serial(mini, tmp_path):
     def cache_bytes(root):
         return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*.bin"))}
 
-    assert len(cache_bytes(tmp_path / "serial")) == len(serial)
+    assert len(cache_bytes(tmp_path / "serial")) == len(examples)
     assert cache_bytes(tmp_path / "parallel") == cache_bytes(tmp_path / "serial")
     assert list(serial) == list(parallel)
     for key in serial:
@@ -172,8 +172,10 @@ def test_preprocess_grounds_each_question_once(mini, tmp_path, monkeypatch):
                         counting("rebuild_cover", SchemaGraph.rebuild_cover))
     cold = preprocess(mini.world.kg, mini.emb, [ex], mini.cfg, mini.stop,
                       cache_dir=tmp_path)
-    payloads = [io_utils.read_container(p, kind="instance")[0]
-                for p in sorted(tmp_path.rglob("*.bin"))]
+    (entry,) = tmp_path.rglob("*.bin")
+    meta = io_utils.read_container(entry, kind="instance")[0]
+    payloads = [{"ungrounded": u, "prune": p}
+                for u, p in zip(meta["ungrounded"], meta["prune"], strict=True)]
     grounded = [p for p in payloads if not p["ungrounded"]]
     dropped = [p for p in grounded
                if p["prune"]["paths_after"] < p["prune"]["paths_before"]]
@@ -235,13 +237,13 @@ def test_cold_warm_and_uncached_instances_are_equal(pathless, tmp_path):
 
 def test_cache_entry_holds_the_prune_report(pathless, tmp_path):
     pathless_preprocess(pathless, tmp_path)
-    metas = [io_utils.read_container(p, kind="instance")[0]
-             for p in sorted(tmp_path.rglob("*.bin"))]
+    (entry,) = tmp_path.rglob("*.bin")
+    meta = io_utils.read_container(entry, kind="instance")[0]
     payloads = ground_question(pathless.kg, pathless.stop, pathless.cfg, pathless.ex,
-                               range(3), pathless.emb)
-    assert sorted(map(io_utils.canonical_json, [m["prune"] for m in metas])) == \
-        sorted(map(io_utils.canonical_json, [p.get("prune") for p in payloads]))
-    assert sorted(m["ungrounded"] for m in metas) == [False, False, True]
+                               pathless.emb)
+    assert list(map(io_utils.canonical_json, meta["prune"])) == \
+        list(map(io_utils.canonical_json, [p.get("prune") for p in payloads]))
+    assert meta["ungrounded"] == [False, False, True]
 
 
 @pytest.mark.parametrize("how", [*CACHE_DAMAGE, "miscounted"])
@@ -250,7 +252,7 @@ def test_bad_cache_entry_is_named(pathless, tmp_path, how):
     entry = sorted(tmp_path.rglob("*.bin"))[0]
     if how == "miscounted":  # counts that do not add up to the ints block
         meta, blocks = io_utils.read_container(entry)
-        meta["counts"]["nodes"] += 1
+        meta["counts"]["nodes"][1] += 1
         io_utils.write_container(entry, "instance", meta, blocks)
     else:
         damage_cache_entry(entry, how)
@@ -258,13 +260,152 @@ def test_bad_cache_entry_is_named(pathless, tmp_path, how):
         pathless_preprocess(pathless, tmp_path)
 
 
+def two_candidate_entry():
+    """Candidate 0: one question concept, two answer concepts, paths of one
+    and two steps; candidate 1: the ungrounded anchor."""
+    sg = {"cq": [0], "ca": [1, 2], "nodes": [0, 1, 2],
+          "edges": [[0, 0, 1], [1, 0, 2], [0, 0, 2]],
+          "paths": {"0,0": [{"start": 0, "steps": [[0, False, 1]]}],
+                    "0,1": [{"start": 0, "steps": [[0, False, 2]]},
+                            {"start": 0, "steps": [[0, False, 1], [0, True, 2]]}]}}
+    cands = [pipeline.instance_from_schema_graph(sg, "q", 0, 4),
+             pipeline.instance_from_schema_graph(None, "q", 1, 4)]
+    assert cands[0].owner.tolist() == [0, 1, 1]
+    assert cands[0].offsets.tolist() == [0, 1, 2, 4]
+    return cands
+
+
+def set_index(inst, field, i, value):
+    """Write ``value`` at ``i`` of a copy of ``field``, skipping the checks
+    an Instance runs when it is built."""
+    if field == "und_edges":
+        inst.und_edges = [*inst.und_edges[:i], value, *inst.und_edges[i + 1:]]
+    else:
+        arr = getattr(inst, field).copy()
+        arr[i] = value
+        setattr(inst, field, arr)
+
+
+@pytest.mark.parametrize("cand,field,i,value,problem", [
+    (0, "q_rows", 0, 3, "candidate 0: q_rows holds 3, outside its node range [0, 3)"),
+    (0, "a_rows", 1, -1, "candidate 0: a_rows holds -1, outside its node range [0, 3)"),
+    (0, "heads", 3, 99, "candidate 0: heads holds 99, outside its node range [0, 3)"),
+    (0, "tails", 0, 3, "candidate 0: tails holds 3, outside its node range [0, 3)"),
+    (0, "und_edges", 1, (1, 3),
+     "candidate 0: und_edges holds 3, outside its node range [0, 3)"),
+    (1, "q_rows", 0, 1, "candidate 1: q_rows holds 1, outside its node range [0, 1)"),
+    (0, "owner", 2, 2, "candidate 0: owner holds 2, outside its pair range [0, 2)"),
+    (0, "owner", 2, 0, "owner is not sorted"),
+    (0, "offsets", 0, 1, "offsets do not run from 0 to the step count"),
+    (0, "offsets", 3, 3, "offsets do not run from 0 to the step count"),
+    (1, "offsets", 0, 1, "offsets do not run from 0 to the step count"),
+    (0, "offsets", 2, 0, "offsets decrease"),
+])
+def test_cache_entry_index_outside_its_table_is_named(tmp_path, cand, field, i, value,
+                                                      problem):
+    path = tmp_path / "entry.bin"
+    cands = two_candidate_entry()
+    pipeline.write_cache_entry(path, cands, [None, None])
+    got = pipeline.read_cache_entry(path, "q", 2, 4)
+    assert [selfcheck.instance_mismatch(a, b) for a, b in zip(cands, got)] == [None] * 2
+    set_index(cands[cand], field, i, value)
+    pipeline.write_cache_entry(path, cands, [None, None])
+    with pytest.raises(io_utils.ContainerError,
+                       match=f"^{re.escape(f'{path}: {problem}')}$"):
+        pipeline.read_cache_entry(path, "q", 2, 4)
+
+
+def index_problem(inst) -> bool:
+    """Per-candidate loop reference of the checks a cache entry's read runs
+    on its indices, and of the fallback count an Instance checks."""
+    n, n_pairs = inst.n_nodes, len(inst.q_rows)
+    rows = [*inst.q_rows, *inst.a_rows, *inst.heads, *inst.tails,
+            *(r for edge in inst.und_edges for r in edge)]
+    owner, offsets = inst.owner.tolist(), inst.offsets.tolist()
+    return not (all(0 <= r < n for r in rows)
+                and all(0 <= o < n_pairs for o in owner) and owner == sorted(owner)
+                and offsets[0] == 0 and offsets[-1] == len(inst.heads)
+                and offsets == sorted(offsets)
+                and n_pairs - len(set(owner)) <= len(inst.fallback))
+
+
+def test_cache_index_checks_equal_a_per_candidate_loop(tmp_path):
+    rng = np.random.default_rng(17)
+    path = tmp_path / "entry.bin"
+    fields = ("q_rows", "a_rows", "heads", "tails", "und_edges", "owner", "offsets")
+    n_bad = 0
+    for trial in range(300):
+        cands = [replace(selfcheck.random_instance(
+            rng, selfcheck.CHECK_CONFIG, selfcheck.CHECK_D_S)[0],
+            example_id="q", cand_index=ci) for ci in range(int(rng.integers(1, 5)))]
+        inst = cands[int(rng.integers(len(cands)))]
+        field = fields[int(rng.integers(len(fields)))]
+        size = len(getattr(inst, field))
+        if size:
+            i = int(rng.integers(size))
+            if field == "und_edges":
+                value = (inst.und_edges[i][0], int(rng.integers(-2, inst.n_nodes + 2)))
+            else:
+                old = int(getattr(inst, field)[i])
+                value = old + int(rng.choice([-2, -1, 1, 2]))
+            set_index(inst, field, i, value)
+        want = any(index_problem(c) for c in cands)
+        n_bad += want
+        pipeline.write_cache_entry(path, cands, [None] * len(cands))
+        try:
+            pipeline.read_cache_entry(path, "q", len(cands), selfcheck.CHECK_CONFIG.d_path)
+            got = False
+        except io_utils.ContainerError:
+            got = True
+        assert got == want, (trial, field)
+    assert 0 < n_bad < 300
+
+
+def test_cache_entry_of_another_candidate_count_is_named(pathless, tmp_path):
+    pathless_preprocess(pathless, tmp_path)
+    (entry,) = tmp_path.rglob("*.bin")
+    fewer = SimpleNamespace(**{**vars(pathless), "ex": replace(
+        pathless.ex, candidates=["tree", "river"])})
+    with pytest.raises(io_utils.ContainerError,
+                       match=f"^{re.escape(str(entry))}: entry holds 3 candidates, "
+                             "example 'pathless' has 2$"):
+        pathless_preprocess(fewer, tmp_path)
+
+
+def test_cold_pass_writes_one_entry_per_question(mini, tmp_path):
+    examples = mini.world.dev[:3]
+    preprocess(mini.world.kg, mini.emb, examples, mini.cfg, mini.stop,
+               cache_dir=tmp_path)
+    assert [p.name for p in tmp_path.iterdir()] == [mini.cfg.hash()]
+    names = sorted(p.name for p in (tmp_path / mini.cfg.hash()).iterdir())
+    assert names == sorted(io_utils.sha256_bytes(ex.id.encode())[:24] + ".bin"
+                           for ex in examples)
+
+
+def test_per_candidate_entries_are_ignored(pathless, tmp_path):
+    root = tmp_path / pathless.cfg.hash()
+    root.mkdir()
+    stem = io_utils.sha256_bytes(pathless.ex.id.encode())[:24]
+    old = {root / f"{stem}_{ci}.bin": b"not read" for ci in range(3)}
+    for path, data in old.items():
+        path.write_bytes(data)
+    uncached = pathless_preprocess(pathless)
+    cached = pathless_preprocess(pathless, tmp_path)
+    for key, inst in uncached.items():
+        assert selfcheck.instance_mismatch(inst, cached[key]) is None
+    assert {path: path.read_bytes() for path in old} == old
+    assert sorted(p.name for p in root.iterdir()) == \
+        sorted([stem + ".bin", *(p.name for p in old)])
+
+
 def test_cache_round_trip_suite_catches_a_lossy_reader(monkeypatch):
     assert selfcheck.cache_round_trip_suite(n_instances=5).passed
 
     def lossy(*args, **kwargs):
-        inst = pipeline.read_cache_entry(*args, **kwargs)
-        inst.und_edges = [(np.int64(a), np.int64(b)) for a, b in inst.und_edges]
-        return inst
+        insts = pipeline.read_cache_entry(*args, **kwargs)
+        for inst in insts:
+            inst.und_edges = [(np.int64(a), np.int64(b)) for a, b in inst.und_edges]
+        return insts
 
     monkeypatch.setattr(selfcheck, "read_cache_entry", lossy)
     result = selfcheck.cache_round_trip_suite(n_instances=5)
@@ -295,6 +436,17 @@ def test_grounding_bounds_are_accepted_and_the_config_hash_is_unchanged():
     for threshold in (0, 0.0, 1.0):
         RunConfig(max_ngram=1, max_edges=1, cap=1, threshold=threshold)
     assert RunConfig().hash() == "999ea1ce0d7c5820"
+
+
+def test_config_hash_follows_every_set_key():
+    cfg = RunConfig()
+    assert cfg.hash() == "999ea1ce0d7c5820"
+    cfg.prune = False
+    assert cfg.hash() == RunConfig(prune=False).hash() != "999ea1ce0d7c5820"
+    cfg.prune = True
+    assert cfg.hash() == "999ea1ce0d7c5820"
+    assert replace(cfg, lr=0.5).hash() == RunConfig(lr=0.5).hash()
+    assert cfg == RunConfig() and cfg.to_dict() == RunConfig().to_dict()
 
 
 def test_ungroundable_candidate_becomes_flagged_anchor(mini):
