@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__, io_utils
@@ -139,8 +140,7 @@ def cmd_ground(args) -> int:
 def cmd_schema_graphs(args) -> int:
     """`paths` writes unpruned schema graphs; `prune` prunes them with --kge
     and adds the summed prune report as a `.stats.json` sidecar and on stdout."""
-    cfg = _config_from_args(args)
-    cfg.prune = args.command == "prune"
+    cfg = replace(_config_from_args(args), prune=args.command == "prune")
     emb = EmbeddingTable.load(args.kge) if cfg.prune else None
     kg = KnowledgeGraph.load(args.kg)
     stop = _stopwords(args)

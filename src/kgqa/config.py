@@ -15,7 +15,7 @@ from typing import get_type_hints
 from .io_utils import config_hash
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     seed: int = 0
 
@@ -94,15 +94,11 @@ class RunConfig:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def hash(self) -> str:
-        """``config_hash`` of every key, computed once until a key is set:
-        ``preprocess`` asks for it on every call."""
+        """``config_hash`` of every key, computed once: ``preprocess`` asks
+        for it on every call, and a frozen config never changes a key."""
         if "_hash" not in self.__dict__:
             self.__dict__["_hash"] = config_hash(self.to_dict())
         return self.__dict__["_hash"]
-
-    def __setattr__(self, name: str, value) -> None:
-        self.__dict__.pop("_hash", None)
-        super().__setattr__(name, value)
 
 
 _BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,

@@ -17,7 +17,9 @@ scored independently; one pass only batches the work.
      attention alpha = T W1 V^T, softmaxed per row over the pair's own paths
      (a masked (P, K) matrix; uniform when path attention is disabled),
      gives the attended relation vectors R = alpha V. A pair with no paths
-     has a zero row and takes a fixed per-pair random vector as its R.
+     has a zero row and takes a fixed per-pair random vector as its R: the
+     caller passes these rows in, drawn by ``fallback_rows``, so the path
+     table holds only the schema graph.
   4. Pair attention beta_ij = s W2 T_ij, softmaxed over each candidate's own
      pairs (a masked (G, P) matrix), pools [R_ij; T_ij] into the candidate's
      graph vector g.
@@ -50,8 +52,10 @@ ANCHOR_CONCEPT = 0  # arbitrary fixed concept anchoring ungroundable candidates
 class PairView(NamedTuple):
     """One pair of an instance, read off its path table.
 
-    Each path is its (heads, rels, signs, tails) step slices; ``fallback`` is
-    None when the pair has paths.
+    Each path is its (heads, rels, signs, tails) step slices. ``fallback`` is
+    always None: a pathless pair's stand-in vector is a scoring input that
+    ``fallback_rows`` draws, not part of the table, and the field stays only
+    because the benchmark's instance fingerprint reads it.
     """
 
     q_row: int
@@ -68,9 +72,9 @@ class Instance:
     schema-graph order, at local node rows ``q_rows[p]`` and ``a_rows[p]``.
     Paths k = 0..K-1 are numbered pair by pair, so ``owner`` (the pair of each
     path) is sorted; path k's steps are ``offsets[k]:offsets[k + 1]`` of the
-    step arrays, laid end to end. ``fallback`` holds one vector per pair
-    without paths, in pair order: it stands in for that pair's attended path
-    vector, is drawn once when the instance is built and is never trained.
+    step arrays, laid end to end. A pair may own no path; the vector that
+    stands in for its attended path vector is drawn by ``fallback_rows`` when
+    the instance is scored, so the table depends on the schema graph alone.
 
     Candidates g = 0..G-1 own the pairs ``pair_bounds[g]:pair_bounds[g + 1]``.
     An instance built from a schema graph holds one candidate; one built by
@@ -91,7 +95,6 @@ class Instance:
     rels: np.ndarray                # (S,) int64 relation id
     signs: np.ndarray               # (S,) float64, +1 forward, -1 reversed
     tails: np.ndarray               # (S,) int64 destination row
-    fallback: np.ndarray            # (pairs without paths, d_path)
     label: Optional[int] = None     # 1 correct candidate, 0 distractor
     ungrounded: bool = False        # True for the single-anchor fallback form
     pair_bounds: Optional[np.ndarray] = None  # (G + 1,) int64; None: [0, P]
@@ -99,10 +102,6 @@ class Instance:
     def __post_init__(self) -> None:
         if self.pair_bounds is None:
             self.pair_bounds = np.array([0, len(self.q_rows)], dtype=np.int64)
-        pathless = np.flatnonzero(np.bincount(self.owner, minlength=len(self.q_rows)) == 0)
-        if len(self.fallback) < len(pathless):
-            raise ValueError(f"pair {pathless[len(self.fallback)]} has no paths "
-                             f"and no fallback vector")
 
     @property
     def n_nodes(self) -> int:
@@ -119,8 +118,7 @@ class Instance:
 
         The node rows, pairs and steps of each part are offset by those of the
         parts before it, so ``und_edges`` and the row and pair indices are
-        shifted and the fallbacks stack in pair order. A single part is
-        returned as it is.
+        shifted. A single part is returned as it is.
         """
         if len(parts) == 1:
             return parts[0]
@@ -144,7 +142,7 @@ class Instance:
             offsets=np.concatenate([[0]] + [p.offsets[1:] + o
                                             for p, o in zip(parts, steps)]),
             heads=join("heads", rows), rels=join("rels"), signs=join("signs"),
-            tails=join("tails", rows), fallback=join("fallback"),
+            tails=join("tails", rows),
             pair_bounds=np.concatenate([[0]] + [p.pair_bounds[1:] + o
                                                 for p, o in zip(parts, pairs)]))
 
@@ -155,8 +153,7 @@ class Instance:
         bounds = self.offsets.tolist()
         paths = [tuple(a[lo:hi] for a in steps) for lo, hi in zip(bounds, bounds[1:])]
         ends = np.searchsorted(self.owner, np.arange(len(self.q_rows) + 1)).tolist()
-        fallbacks = iter(self.fallback)
-        return [PairView(q, a, paths[lo:hi], None if hi > lo else next(fallbacks))
+        return [PairView(q, a, paths[lo:hi], None)
                 for q, a, lo, hi in zip(self.q_rows.tolist(), self.a_rows.tolist(),
                                         ends, ends[1:])]
 
@@ -167,20 +164,35 @@ def fallback_vector(d_path: int, *seed_parts) -> np.ndarray:
     return rng.standard_normal(d_path) / np.sqrt(d_path)
 
 
+def fallback_rows(parts: Sequence[Instance], d_path: int, seed: int) -> np.ndarray:
+    """(F, d_path) stand-in vectors of the pathless pairs of ``parts``, in the
+    pair order of ``Instance.concat(parts)``; never trained.
+
+    Each row is keyed by ``seed``, its part's ``example_id`` and
+    ``cand_index`` and the global concept ids of the pair, or by "anchor" for
+    an ungrounded part, so relabeling or reordering a part's nodes or pairs
+    cannot change it.
+    """
+    rows = []
+    for part in parts:
+        pathless = np.bincount(part.owner, minlength=len(part.q_rows)) == 0
+        for qc, ac in zip(part.node_ids[part.q_rows[pathless]].tolist(),
+                          part.node_ids[part.a_rows[pathless]].tolist()):
+            key = ("anchor",) if part.ungrounded else (qc, ac)
+            rows.append(fallback_vector(d_path, seed, part.example_id, part.cand_index, *key))
+    return np.array(rows, dtype=np.float64).reshape(-1, d_path)
+
+
 def instance_from_schema_graph(
     sg: Optional[dict],
     example_id: str,
     cand_index: int,
-    d_path: int,
-    seed: int = 0,
     label: Optional[int] = None,
 ) -> Instance:
     """Build the path table of a schema graph's JSON (``SchemaGraph.to_dict``).
 
     ``sg`` None builds the ungrounded anchor: concept ANCHOR_CONCEPT
-    alone, one pair on it and no paths. Fallback vectors are keyed by the
-    global concept ids of the pair, so relabeling or reordering nodes later
-    cannot change them.
+    alone, one pair on it and no paths.
     """
     ungrounded = sg is None
     if ungrounded:
@@ -192,16 +204,11 @@ def instance_from_schema_graph(
         (min(row[h], row[t]), max(row[h], row[t]))
         for h, _, t in sg["edges"] if h != t
     })
-    q_rows, a_rows, owner, offsets, fallback = [], [], [], [0], []
+    q_rows, a_rows, owner, offsets = [], [], [], [0]
     heads, rels, signs, tails = [], [], [], []
     for i, qc in enumerate(sg["cq"]):
         for j, ac in enumerate(sg["ca"]):
-            plist = sg["paths"][f"{i},{j}"]
-            if not plist:
-                key = ("anchor",) if ungrounded else (qc, ac)
-                fallback.append(fallback_vector(
-                    d_path, seed, example_id, cand_index, *key))
-            for path in plist:
+            for path in sg["paths"][f"{i},{j}"]:
                 cur = path["start"]
                 for rel, reverse, node in path["steps"]:
                     heads.append(row[cur])
@@ -219,7 +226,6 @@ def instance_from_schema_graph(
         q_rows=ints(q_rows), a_rows=ints(a_rows), owner=ints(owner),
         offsets=ints(offsets), heads=ints(heads), rels=ints(rels),
         signs=np.array(signs, dtype=np.float64), tails=ints(tails),
-        fallback=np.array(fallback, dtype=np.float64).reshape(-1, d_path),
         label=label, ungrounded=ungrounded)
 
 
@@ -230,10 +236,10 @@ class ForwardTrace:
     Rows of ``V`` and columns of ``alpha`` follow the table's path order, so
     ``V[inst.owner == p]`` are pair p's path vectors. ``alpha`` holds the
     path attention of pair p over its own paths in row p and zero elsewhere;
-    a pair with no paths has a zero row and its fallback vector as
-    ``R_hat``. In the same way ``beta_hat`` holds the pair attention of
-    candidate g over its own pairs in row g, and row g of ``s``, ``g_hat``,
-    ``raw`` and ``score`` is candidate g's.
+    a pair with no paths has a zero row and its fallback row as ``R_hat``.
+    In the same way ``beta_hat`` holds the pair attention of candidate g over
+    its own pairs in row g, and row g of ``s``, ``g_hat``, ``raw`` and
+    ``score`` is candidate g's.
     """
 
     inst: Instance
@@ -290,18 +296,25 @@ class PathAttentionScorer(Layer):
 
     # ---------------- forward ----------------
 
-    def forward(self, inst: Instance, s: np.ndarray,
-                node_init: np.ndarray, rel_emb: np.ndarray) -> ForwardTrace:
-        """Scores the instance's G candidates; ``s`` is (G, d_s)."""
+    def forward(self, inst: Instance, s: np.ndarray, node_init: np.ndarray,
+                rel_emb: np.ndarray, fallback: np.ndarray) -> ForwardTrace:
+        """Scores the instance's G candidates; ``s`` is (G, d_s) and
+        ``fallback`` holds one row per pair without paths, in pair order, as
+        ``fallback_rows`` draws them."""
         c = self.cfg
         n = inst.n_nodes
         G = len(inst.pair_bounds) - 1
+        P, K = len(inst.q_rows), len(inst.owner)
+        with_paths = np.bincount(inst.owner, minlength=P) > 0
         if node_init.shape != (n, c.kge_dim):
             raise ValueError(f"node_init shape {node_init.shape}, "
                              f"expected {(n, c.kge_dim)}")
         if s.shape != (G, self.d_s):
             raise ValueError(f"statement vectors shape {s.shape}, "
                              f"expected {(G, self.d_s)}")
+        want = (P - int(with_paths.sum()), c.d_path)
+        if fallback.shape != want:
+            raise ValueError(f"fallback rows shape {fallback.shape}, expected {want}")
 
         adj = normalized_adjacency(n, inst.und_edges)
         h = node_init
@@ -310,7 +323,6 @@ class PathAttentionScorer(Layer):
             h, cache = layer.forward(h, adj)
             gcn_caches.append(cache)
 
-        P, K = len(inst.q_rows), len(inst.owner)
         x = np.concatenate(
             [h[inst.heads], inst.signs[:, None] * rel_emb[inst.rels], h[inst.tails]],
             axis=1)
@@ -323,14 +335,13 @@ class PathAttentionScorer(Layer):
         T, t_cache = self.t_mlp.forward(t_in)
 
         # path attention: softmax over each pair's own paths, as masked rows
-        with_paths = np.bincount(inst.owner, minlength=P) > 0
         alpha = np.zeros((P, K))
         if K:
             logits = (T @ self.W1) @ V.T if c.path_attention else np.zeros((P, K))
             masked = np.where(inst.owner == np.arange(P)[:, None], logits, -np.inf)
             alpha[with_paths] = softmax(masked[with_paths])
         R_hat = alpha @ V
-        R_hat[~with_paths] = inst.fallback
+        R_hat[~with_paths] = fallback
 
         # pair attention: softmax over each candidate's own pairs, as masked
         # rows; every candidate has at least one pair
@@ -382,7 +393,7 @@ class PathAttentionScorer(Layer):
             self._grads["W2"] += trace.s.T @ d_sW2
 
         # rows of pairs without paths are zero in alpha: their fallback
-        # vectors are constant inputs and take no gradient
+        # rows are constant inputs and take no gradient
         V, alpha = trace.V, trace.alpha
         dV = alpha.T @ dR_hat
         if c.path_attention:

@@ -5,7 +5,10 @@ recognize concepts (a question's once for all its candidates), build the
 schema graph, prune paths, convert to the path table. A candidate whose
 question or answer grounds to nothing gets a single-anchor fallback instance
 (one pseudo-pair, no paths) and is flagged in prediction output rather than
-dropped, so every candidate stays scorable.
+dropped, so every candidate stays scorable. The stand-in vectors of pairs
+without paths are not part of an Instance: ``ModelState.forward`` draws them
+with ``fallback_rows`` from ``cfg.seed`` and the instances it scores, so
+preprocessed data depends only on the grounding inputs.
 
 With a cache directory, each question's candidates are stored as one binary
 container of kind ``instance``,
@@ -48,7 +51,7 @@ from .kg import KnowledgeGraph
 from .kge import EmbeddingTable, PruneReport, prune_schema_graph
 from .model.layers import Layer
 from .model.network import (ForwardTrace, Instance, PathAttentionScorer,
-                            bce_loss, instance_from_schema_graph)
+                            bce_loss, fallback_rows, instance_from_schema_graph)
 from .model.optim import Adam
 from .paths import GroundingError, build_schema_graph
 from .statement import FeatureStore, ToyStatementEncoder, build_vocab
@@ -114,7 +117,7 @@ def preprocess(
         if cache_root is not None:
             try:  # opening the entry is the probe: no file, a miss
                 cands = read_cache_entry(cache_path(ex.id), ex.id, len(ex.candidates),
-                                         cfg.d_path, label=ex.label)
+                                         label=ex.label)
                 insts.update(((ex.id, ci), inst) for ci, inst in enumerate(cands))
                 continue
             except FileNotFoundError:
@@ -131,8 +134,7 @@ def preprocess(
         for ex, payloads in zip(pending, computed):
             # an ungrounded payload has no "sg" and becomes the anchor instance
             cands = [instance_from_schema_graph(
-                payload.get("sg"), ex.id, ci, cfg.d_path, seed=cfg.seed,
-                label=_cand_label(ex.label, ci))
+                payload.get("sg"), ex.id, ci, label=_cand_label(ex.label, ci))
                 for ci, payload in enumerate(payloads)]
             insts.update(((ex.id, ci), inst) for ci, inst in enumerate(cands))
             if cache_root is not None:
@@ -159,7 +161,7 @@ _INT_SECTIONS = (("q_rows", "pairs", 1, 0, "nodes"), ("a_rows", "pairs", 1, 0, "
                  ("rels", "steps", 1, 0, None))
 _SECTION_NAMES = tuple(name for name, *_ in _INT_SECTIONS)
 _OWNER = 5         # owner, the last section that indexes a table; offsets follow
-_COUNTS = ("edges", "fallbacks", "nodes", "pairs", "paths", "steps")
+_COUNTS = ("edges", "nodes", "pairs", "paths", "steps")
 
 
 def write_cache_entry(path, insts: Sequence[Instance],
@@ -169,13 +171,12 @@ def write_cache_entry(path, insts: Sequence[Instance],
 
     Block ``ints`` holds ``_INT_SECTIONS`` in order, each section every
     candidate's array end to end (``und_edges`` as flat row pairs);
-    ``signs`` and ``fallback`` lay the candidates' float64 arrays end to end.
-    Meta holds one list entry per candidate: ``counts`` (the lengths that cut
-    the blocks), ``ungrounded`` and ``prune``, the prune report or null when
-    pruning did not run.
+    ``signs`` lays the candidates' float64 arrays end to end. Meta holds one
+    list entry per candidate: ``counts`` (the lengths that cut the blocks),
+    ``ungrounded`` and ``prune``, the prune report or null when pruning did
+    not run.
     """
     counts = {"edges": [len(i.und_edges) for i in insts],
-              "fallbacks": [len(i.fallback) for i in insts],
               "nodes": [i.n_nodes for i in insts],
               "pairs": [len(i.q_rows) for i in insts],
               "paths": [len(i.owner) for i in insts],
@@ -186,11 +187,10 @@ def write_cache_entry(path, insts: Sequence[Instance],
         path, "instance",
         {"counts": counts, "prune": list(prunes),
          "ungrounded": [inst.ungrounded for inst in insts]},
-        {"ints": ints, "signs": np.concatenate([inst.signs for inst in insts]),
-         "fallback": np.concatenate([inst.fallback for inst in insts])})
+        {"ints": ints, "signs": np.concatenate([inst.signs for inst in insts])})
 
 
-def read_cache_entry(path, example_id: str, n_cands: int, d_path: int,
+def read_cache_entry(path, example_id: str, n_cands: int,
                      label: Optional[int] = None) -> list[Instance]:
     """The ``n_cands`` instances that ``write_cache_entry`` wrote to ``path``.
 
@@ -222,32 +222,22 @@ def read_cache_entry(path, example_id: str, n_cands: int, d_path: int,
     bounds = list(itertools.accumulate(itertools.chain.from_iterable(sizes), initial=0))
     io_utils.require(path, meta, blocks, block_specs={
         "ints": (("int64",), [bounds[-1]]),
-        "signs": (("float64",), [sum(counts["steps"])]),
-        "fallback": (("float64",), [sum(counts["fallbacks"]), d_path])})
+        "signs": (("float64",), [sum(counts["steps"])])})
     ints = blocks["ints"]
     _check_cache_indices(path, ints, counts, sizes, bounds)
     runs = [ints[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    signs = _split(blocks["signs"], counts["steps"])
-    fallback = _split(blocks["fallback"], counts["fallbacks"])
+    ends = list(itertools.accumulate(counts["steps"], initial=0))
+    signs = [blocks["signs"][lo:hi] for lo, hi in zip(ends, ends[1:])]
     out = []
     for ci in range(n_cands):
         # runs[s * n_cands + ci] is section s of candidate ci
         table = dict(zip(_SECTION_NAMES, runs[ci::n_cands]))
         edges = table.pop("und_edges").tolist()
-        try:
-            out.append(Instance(
-                example_id, ci, und_edges=list(zip(edges[0::2], edges[1::2])),
-                signs=signs[ci], fallback=fallback[ci],
-                label=_cand_label(label, ci), ungrounded=ungrounded[ci], **table))
-        except ValueError as exc:
-            raise io_utils.ContainerError(f"{path}: {exc}") from None
+        out.append(Instance(
+            example_id, ci, und_edges=list(zip(edges[0::2], edges[1::2])),
+            signs=signs[ci], label=_cand_label(label, ci), ungrounded=ungrounded[ci],
+            **table))
     return out
-
-
-def _split(arr: np.ndarray, lengths: list[int]) -> list[np.ndarray]:
-    """``arr`` cut into consecutive runs of ``lengths`` rows."""
-    ends = list(itertools.accumulate(lengths, initial=0))
-    return [arr[lo:hi] for lo, hi in zip(ends, ends[1:])]
 
 
 def _check_cache_indices(path, ints: np.ndarray, counts: dict, sizes: list,
@@ -371,7 +361,8 @@ class ModelState(Layer):
         ``insts``, in one pass; returns (trace, encoder cache or None)."""
         s, enc_cache = self.statements(example, cands)
         inst = Instance.concat(insts)
-        trace = self.net.forward(inst, s, self.node_emb[inst.node_ids], self.rel_emb)
+        trace = self.net.forward(inst, s, self.node_emb[inst.node_ids], self.rel_emb,
+                                 fallback_rows(insts, self.cfg.d_path, self.cfg.seed))
         return trace, enc_cache
 
     def backward(self, ctx: tuple, d_raw: np.ndarray) -> None:

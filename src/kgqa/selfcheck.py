@@ -33,7 +33,7 @@ from .kg import KnowledgeGraph, build_graph
 from .kge import (PRUNE_EXEMPT_BELOW, EmbeddingTable, PruneReport,
                   prune_schema_graph)
 from .model.gradcheck import check_gradients
-from .model.network import (Instance, PathAttentionScorer, bce_loss,
+from .model.network import (Instance, PathAttentionScorer, bce_loss, fallback_rows,
                             instance_from_schema_graph)
 from .paths import SchemaGraph, build_schema_graph, find_paths, path_sort_key
 from .pipeline import ModelState, read_cache_entry, write_cache_entry
@@ -101,12 +101,14 @@ def random_instance(
     max_paths: int = 4,
     n_relations: int = 3,
     allow_zero_paths: bool = True,
-) -> tuple[Instance, np.ndarray, np.ndarray, np.ndarray]:
-    """Random model input: (instance, s, node_init, rel_emb).
+) -> tuple[Instance, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Random model input: (instance, s, node_init, rel_emb, fallback), the
+    last the rows ``fallback_rows`` draws for its pathless pairs under
+    ``cfg.seed``.
 
     Paths are random simple walks over the nodes, whose concept ids equal
     their rows; their hops are added to the edge set so the graph covers
-    them. The instance is built with the default fallback seed.
+    them.
     """
     n = int(rng.integers(3, max_nodes + 1))
     n_q = int(rng.integers(1, 3))
@@ -138,23 +140,23 @@ def random_instance(
         a, b = rng.integers(0, n, size=2)
         edges.append([int(a), 0, int(b)])
     sg = {"cq": cq, "ca": ca, "nodes": list(range(n)), "edges": edges, "paths": paths}
-    inst = instance_from_schema_graph(
-        sg, f"rand-{int(rng.integers(1 << 30))}", 0, cfg.d_path)
+    inst = instance_from_schema_graph(sg, f"rand-{int(rng.integers(1 << 30))}", 0)
     s = rng.standard_normal(d_s)
     node_init = rng.standard_normal((n, cfg.kge_dim))
     rel_emb = rng.standard_normal((n_relations, cfg.kge_dim))
-    return inst, s, node_init, rel_emb
+    return inst, s, node_init, rel_emb, fallback_rows([inst], cfg.d_path, cfg.seed)
 
 
 def permute_instance(
-    inst: Instance, node_init: np.ndarray, rng: np.random.Generator,
-) -> tuple[Instance, np.ndarray]:
+    inst: Instance, node_init: np.ndarray, cfg: RunConfig, rng: np.random.Generator,
+) -> tuple[Instance, np.ndarray, np.ndarray]:
     """Relabel node rows and shuffle concept and path order; same semantics.
 
     The question concepts, the answer concepts and each pair's paths are
-    shuffled, which reorders the pairs. The fallback vectors are drawn again
-    with the default seed, so they equal the originals for instances built
-    with it, as ``random_instance`` builds them.
+    shuffled, which reorders the pairs. Returns the permuted instance, its
+    node vectors and the fallback rows drawn again for it under ``cfg.seed``:
+    they are the originals in the new pair order only if the draws are keyed
+    by concept, not by position.
     """
     perm = rng.permutation(inst.n_nodes)  # old row i -> new row perm[i]
     new_ids = np.empty_like(inst.node_ids)
@@ -162,21 +164,27 @@ def permute_instance(
     new_ids[perm] = inst.node_ids
     new_init[perm] = node_init
     ids = inst.node_ids.tolist()
-    by_pair = {(ids[pair.q_row], ids[pair.a_row]): pair.paths for pair in inst.pairs}
-    cq = rng.permutation(list(dict.fromkeys(q for q, _ in by_pair))).tolist()
-    ca = rng.permutation(list(dict.fromkeys(a for _, a in by_pair))).tolist()
+    # each pair's paths as [rel, reverse, node] step lists, in table order
+    keys = list(zip(inst.node_ids[inst.q_rows].tolist(), inst.node_ids[inst.a_rows].tolist()))
+    by_pair = {key: [] for key in keys}
+    steps = [list(s) for s in zip(inst.rels.tolist(), (inst.signs < 0).tolist(),
+                                  inst.node_ids[inst.tails].tolist())]
+    bounds = inst.offsets.tolist()
+    for p, lo, hi in zip(inst.owner.tolist(), bounds, bounds[1:]):
+        by_pair[keys[p]].append(steps[lo:hi])
+    cq = rng.permutation(list(dict.fromkeys(q for q, _ in keys))).tolist()
+    ca = rng.permutation(list(dict.fromkeys(a for _, a in keys))).tolist()
     paths = {}
     for i, qc in enumerate(cq):
         for j, ac in enumerate(ca):
-            plist = [{"start": qc, "steps": [[r, s < 0, ids[t]] for r, s, t in
-                                             zip(rels.tolist(), signs.tolist(), tails.tolist())]}
-                     for _, rels, signs, tails in by_pair[(qc, ac)]]
-            paths[f"{i},{j}"] = [plist[int(k)] for k in rng.permutation(len(plist))]
+            plist = by_pair[(qc, ac)]
+            paths[f"{i},{j}"] = [{"start": qc, "steps": plist[int(k)]}
+                                 for k in rng.permutation(len(plist))]
     sg = {"cq": cq, "ca": ca, "nodes": new_ids.tolist(),
           "edges": [[ids[a], 0, ids[b]] for a, b in inst.und_edges], "paths": paths}
-    return instance_from_schema_graph(
-        sg, inst.example_id, inst.cand_index, inst.fallback.shape[1],
-        label=inst.label), new_init
+    permuted = instance_from_schema_graph(sg, inst.example_id, inst.cand_index,
+                                          label=inst.label)
+    return permuted, new_init, fallback_rows([permuted], cfg.d_path, cfg.seed)
 
 
 # ------------------------------------------------------------ path oracle
@@ -390,7 +398,7 @@ def batch_suite(seed: int = 0, n_questions: int = 20,
         insts = [p[0] for p in parts]
         if idx % 2 == 0:
             insts[int(rng.integers(n_cands))] = instance_from_schema_graph(
-                None, "anchor", 0, cfg.d_path)
+                None, "anchor", 0)
         ent = rng.standard_normal((max(i.n_nodes for i in insts), cfg.kge_dim))
         state = ModelState(cfg, EmbeddingTable(ent=ent, rel=parts[0][3]), rng,
                            vocab=vocab)
@@ -443,14 +451,13 @@ def degeneracy_suite(seed: int = 0, n_instances: int = 25,
         net = PathAttentionScorer(cfg, CHECK_D_S, rng)
         net.params()["W1"][...] = 0.0
         net.params()["W2"][...] = 0.0
-        inst, s, node_init, rel_emb = random_instance(rng, cfg, CHECK_D_S)
-        trace = net.forward(inst, s[None], node_init, rel_emb)
+        inst, s, node_init, rel_emb, fallback = random_instance(rng, cfg, CHECK_D_S)
+        trace = net.forward(inst, s[None], node_init, rel_emb, fallback)
+        fallbacks = iter(fallback)
         rows = []
-        for pi, pair in enumerate(inst.pairs):
-            if pair.paths:
-                r = np.mean(trace.V[inst.owner == pi], axis=0)
-            else:
-                r = pair.fallback
+        for pi in range(len(inst.q_rows)):
+            vecs = trace.V[inst.owner == pi]
+            r = np.mean(vecs, axis=0) if len(vecs) else next(fallbacks)
             rows.append(np.concatenate([r, trace.T[pi]]))
         g_ref = np.sum(rows, axis=0) / len(rows)
         worst = max(worst, float(np.max(np.abs(g_ref - trace.g_hat[0]))))
@@ -469,18 +476,18 @@ def normalization_suite(seed: int = 0, n_instances: int = 50,
     for idx in range(n_instances):
         cfg = CHECK_CONFIG
         net = PathAttentionScorer(cfg, CHECK_D_S, rng)
-        inst, s, node_init, rel_emb = random_instance(rng, cfg, CHECK_D_S)
+        inst, s, node_init, rel_emb, fallback = random_instance(rng, cfg, CHECK_D_S)
         if idx % 3 == 0:  # push magnitudes to the 1e3 regime
             s = s * 1e3
             node_init = node_init * 1e3
             rel_emb = rel_emb * 1e3
             for name in ("W1", "W2"):
                 net.params()[name][...] *= 1e3
-        trace = net.forward(inst, s[None], node_init, rel_emb)
+        trace = net.forward(inst, s[None], node_init, rel_emb, fallback)
         beta_hat, score = trace.beta_hat[0], trace.score[0]
-        for pi, pair in enumerate(inst.pairs):
-            if pair.paths:
-                a_hat = trace.alpha[pi, inst.owner == pi]
+        for pi in range(len(inst.q_rows)):
+            a_hat = trace.alpha[pi, inst.owner == pi]
+            if len(a_hat):
                 worst = max(worst, abs(float(np.sum(a_hat)) - 1.0))
                 finite &= bool(np.all(np.isfinite(a_hat)))
         worst = max(worst, abs(float(np.sum(beta_hat)) - 1.0))
@@ -500,11 +507,12 @@ def permutation_suite(seed: int = 0, n_instances: int = 30,
     for _ in range(n_instances):
         cfg = CHECK_CONFIG
         net = PathAttentionScorer(cfg, CHECK_D_S, rng)
-        inst, s, node_init, rel_emb = random_instance(rng, cfg, CHECK_D_S)
-        base = float(net.forward(inst, s[None], node_init, rel_emb).score[0])
+        inst, s, node_init, rel_emb, fallback = random_instance(rng, cfg, CHECK_D_S)
+        base = float(net.forward(inst, s[None], node_init, rel_emb, fallback).score[0])
         for _ in range(3):
-            p_inst, p_init = permute_instance(inst, node_init, rng)
-            again = float(net.forward(p_inst, s[None], p_init, rel_emb).score[0])
+            p_inst, p_init, p_fallback = permute_instance(inst, node_init, cfg, rng)
+            again = float(net.forward(p_inst, s[None], p_init, rel_emb,
+                                      p_fallback).score[0])
             worst = max(worst, abs(base - again))
     return CheckResult(
         name="permutation-invariance",
@@ -619,10 +627,9 @@ def cache_round_trip_suite(seed: int = 0, n_instances: int = 25) -> CheckResult:
     as the candidates of one cache entry each and read back, equal the
     instances written, field for field."""
     rng = np.random.default_rng(stable_seed("cache-round-trip", seed))
-    d_path = CHECK_CONFIG.d_path
     insts = [random_instance(rng, CHECK_CONFIG, CHECK_D_S)[0]
              for _ in range(n_instances)]
-    insts.append(instance_from_schema_graph(None, "anchor", 0, d_path))
+    insts.append(instance_from_schema_graph(None, "anchor", 0))
     insts = [insts[i] for i in rng.permutation(len(insts))]
     problems, n_groups = [], 0
     with tempfile.TemporaryDirectory() as tmp:
@@ -636,7 +643,7 @@ def cache_round_trip_suite(seed: int = 0, n_instances: int = 25) -> CheckResult:
                      for ci, inst in enumerate(group)]
             path = Path(tmp) / f"{ex_id}.bin"
             write_cache_entry(path, group, [None] * len(group))
-            got = read_cache_entry(path, ex_id, len(group), d_path, label=label)
+            got = read_cache_entry(path, ex_id, len(group), label=label)
             for ci, (want, have) in enumerate(zip(group, got)):
                 bad = instance_mismatch(want, have)
                 if bad is not None:

@@ -221,8 +221,9 @@ WRITERS = {
                                        rel=np.ones((2, 4))).save(d / "kge.bin"),
     "features": lambda d, v: FeatureStore.write(d / "f.bin", {("q", 0): np.full(3, v)}),
     "manifest": lambda d, v: write_manifest(d / "out", "cmd", "hash", {}, v, "0"),
-    "cache-entry": lambda d, v: pipeline.write_cache_entry(
-        d / "entry.bin", [instance_from_schema_graph(None, "q", 0, 4, seed=v)], [None]),
+    "cache-entry": lambda d, v: pipeline.write_cache_entry(d / "entry.bin", [
+        instance_from_schema_graph({"cq": [0], "ca": [v], "nodes": [0, v], "edges": [],
+                                    "paths": {"0,0": []}}, "q", 0)], [None]),
     "dataset": lambda d, v: save_dataset(
         d / "data.jsonl", [QAExample("q", f"question {v}", ["a", "b"])]),
 }

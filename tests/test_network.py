@@ -1,6 +1,7 @@
 """Scoring-network behavior: encodings, attention, losses, gradients."""
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -12,8 +13,8 @@ from hypothesis import strategies as st
 from kgqa import io_utils
 from kgqa.config import RunConfig
 from kgqa.model.gradcheck import check_gradients
-from kgqa.model.network import (Instance, PathAttentionScorer, bce_loss, fallback_vector,
-                                instance_from_schema_graph)
+from kgqa.model.network import (Instance, PathAttentionScorer, bce_loss, fallback_rows,
+                                fallback_vector, instance_from_schema_graph)
 from kgqa.paths import build_schema_graph
 from kgqa.selfcheck import CHECK_CONFIG, CHECK_D_S, random_instance, random_kg
 
@@ -22,20 +23,21 @@ from conftest import make_chain_kg
 CFG = RunConfig(kge_dim=6, gcn_dims="5,4", lstm_hidden=4, d_t=6, t_hidden=7,
                 score_hidden=5)
 D_S = 8
+NO_FALLBACK = np.zeros((0, CFG.d_path))  # the fallback rows when every pair has a path
 
 
 def fresh(seed=0, config=CFG, **kw):
     rng = np.random.default_rng(seed)
-    inst, s, node_init, rel_emb = random_instance(rng, config, D_S, **kw)
+    inst, s, node_init, rel_emb, fallback = random_instance(rng, config, D_S, **kw)
     net = PathAttentionScorer(config, D_S, np.random.default_rng(seed + 1))
-    return net, inst, s[None], node_init, rel_emb
+    return net, inst, s[None], node_init, rel_emb, fallback
 
 
 def one_pair_instance(config, paths, n_nodes=3, label=None):
     # concept 0 to concept 1; concept ids equal node rows
     sg = {"cq": [0], "ca": [1], "nodes": list(range(n_nodes)),
           "edges": [[0, 0, 1]], "paths": {"0,0": paths}}
-    return instance_from_schema_graph(sg, "x", 0, config.d_path, label=label)
+    return instance_from_schema_graph(sg, "x", 0, label=label)
 
 
 def single_path_instance(config, rel=0, sign=1.0, n_nodes=3):
@@ -44,11 +46,11 @@ def single_path_instance(config, rel=0, sign=1.0, n_nodes=3):
 
 
 def test_zero_lstm_weights_give_zero_path_vectors():
-    net, inst, s, node_init, rel_emb = fresh(seed=2, allow_zero_paths=False)
+    net, inst, s, node_init, rel_emb, fb = fresh(seed=2, allow_zero_paths=False)
     for name, p in net.params().items():
         if name.startswith("path_lstm."):
             p[:] = 0
-    trace = net.forward(inst, s, node_init, rel_emb)
+    trace = net.forward(inst, s, node_init, rel_emb, fb)
     assert np.allclose(trace.V, 0.0)
 
 
@@ -59,7 +61,7 @@ def test_single_step_path_duplicates_its_only_position():
     s = rng.standard_normal((1, D_S))
     node_init = rng.standard_normal((3, CFG.kge_dim))
     rel_emb = rng.standard_normal((2, CFG.kge_dim))
-    trace = net.forward(inst, s, node_init, rel_emb)
+    trace = net.forward(inst, s, node_init, rel_emb, NO_FALLBACK)
     v = trace.V[0]
     H2 = 2 * CFG.lstm_hidden
     assert np.allclose(v[:H2], v[H2:])
@@ -71,18 +73,20 @@ def test_reversed_step_changes_the_path_vector():
     s = rng.standard_normal((1, D_S))
     node_init = rng.standard_normal((3, CFG.kge_dim))
     rel_emb = rng.standard_normal((2, CFG.kge_dim))
-    fwd = net.forward(single_path_instance(CFG, sign=1.0), s, node_init, rel_emb)
-    rev = net.forward(single_path_instance(CFG, sign=-1.0), s, node_init, rel_emb)
+    fwd = net.forward(single_path_instance(CFG, sign=1.0), s, node_init, rel_emb,
+                      NO_FALLBACK)
+    rev = net.forward(single_path_instance(CFG, sign=-1.0), s, node_init, rel_emb,
+                      NO_FALLBACK)
     assert not np.allclose(fwd.V[0], rev.V[0])
     assert abs(fwd.score[0] - rev.score[0]) > 0
 
 
 def test_path_attention_off_means_plain_mean():
     cfg = replace(CFG, path_attention=False)
-    net, inst, s, node_init, rel_emb = fresh(seed=5, config=cfg,
-                                             allow_zero_paths=False)
-    trace = net.forward(inst, s, node_init, rel_emb)
-    for pi in range(len(inst.pairs)):
+    net, inst, s, node_init, rel_emb, fb = fresh(seed=5, config=cfg,
+                                                 allow_zero_paths=False)
+    trace = net.forward(inst, s, node_init, rel_emb, fb)
+    for pi in range(len(inst.q_rows)):
         vecs = trace.V[inst.owner == pi]
         if len(vecs):
             assert np.allclose(trace.R_hat[pi], vecs.mean(axis=0), atol=1e-12)
@@ -97,11 +101,11 @@ def test_mean_degeneracy_one_and_two_identical_paths():
     node_init = rng.standard_normal((3, CFG.kge_dim))
     rel_emb = rng.standard_normal((2, CFG.kge_dim))
     inst = single_path_instance(CFG)
-    trace = net.forward(inst, s, node_init, rel_emb)
+    trace = net.forward(inst, s, node_init, rel_emb, NO_FALLBACK)
     assert np.allclose(trace.R_hat[0], trace.V[0], atol=1e-12)
     path = {"start": 0, "steps": [[0, False, 1]]}
     inst2 = one_pair_instance(CFG, [path, path])
-    trace2 = net.forward(inst2, s, node_init, rel_emb)
+    trace2 = net.forward(inst2, s, node_init, rel_emb, NO_FALLBACK)
     assert np.allclose(trace2.R_hat[0], trace2.V[0], atol=1e-12)
 
 
@@ -116,41 +120,41 @@ def test_statement_mlp_zero_weights_bias_only():
     inst = single_path_instance(CFG)
     s = rng.standard_normal((1, D_S))
     trace = net.forward(inst, s, rng.standard_normal((3, CFG.kge_dim)),
-                        rng.standard_normal((2, CFG.kge_dim)))
+                        rng.standard_normal((2, CFG.kge_dim)), NO_FALLBACK)
     assert trace.T.shape == (1, CFG.d_t)
     assert np.allclose(trace.T[0], np.arange(CFG.d_t, dtype=float))
 
 
 def test_zero_score_mlp_gives_half():
-    net, inst, s, node_init, rel_emb = fresh(seed=8)
+    net, inst, s, node_init, rel_emb, fb = fresh(seed=8)
     for name, p in net.params().items():
         if name.startswith("score_mlp."):
             p[:] = 0
-    trace = net.forward(inst, s, node_init, rel_emb)
+    trace = net.forward(inst, s, node_init, rel_emb, fb)
     assert trace.raw[0] == 0.0
     assert trace.score[0] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_score_strictly_inside_unit_interval():
     for seed in range(6):
-        net, inst, s, node_init, rel_emb = fresh(seed=seed)
-        trace = net.forward(inst, s, node_init, rel_emb * 50)
+        net, inst, s, node_init, rel_emb, fb = fresh(seed=seed)
+        trace = net.forward(inst, s, node_init, rel_emb * 50, fb)
         assert 0.0 < trace.score[0] < 1.0
 
 
 def test_w1_gradient_zero_when_every_pair_has_one_path():
-    net, inst, s, node_init, rel_emb = fresh(seed=9, max_paths=1,
-                                             allow_zero_paths=False)
-    assert all(len(p.paths) == 1 for p in inst.pairs)
-    trace = net.forward(inst, s, node_init, rel_emb)
+    net, inst, s, node_init, rel_emb, fb = fresh(seed=9, max_paths=1,
+                                                 allow_zero_paths=False)
+    assert np.all(np.bincount(inst.owner, minlength=len(inst.q_rows)) == 1)
+    trace = net.forward(inst, s, node_init, rel_emb, fb)
     net.zero_grad()
     net.backward(trace, np.ones(1))
     assert np.allclose(net.grads()["W1"], 0.0)
 
 
 def test_doubling_loss_grad_doubles_every_gradient():
-    net, inst, s, node_init, rel_emb = fresh(seed=10)
-    trace = net.forward(inst, s, node_init, rel_emb)
+    net, inst, s, node_init, rel_emb, fb = fresh(seed=10)
+    trace = net.forward(inst, s, node_init, rel_emb, fb)
     net.zero_grad()
     g1_in = net.backward(trace, np.ones(1))
     g1 = {k: v.copy() for k, v in net.grads().items()}
@@ -164,13 +168,22 @@ def test_doubling_loss_grad_doubles_every_gradient():
     assert np.allclose(2.0 * g1_in.d_rel_emb, g2_in.d_rel_emb, atol=1e-12)
 
 
-def test_forward_requires_fallback_for_pathless_pair():
-    none = np.zeros(0, dtype=np.int64)
-    with pytest.raises(ValueError, match="no paths and no fallback"):
-        Instance(example_id="x", cand_index=0, node_ids=np.arange(2), und_edges=[],
-                 q_rows=np.array([0]), a_rows=np.array([1]), owner=none,
-                 offsets=np.zeros(1, dtype=np.int64), heads=none, rels=none,
-                 signs=np.zeros(0), tails=none, fallback=np.zeros((0, CFG.d_path)))
+@pytest.mark.parametrize("rows,width", [(0, CFG.d_path), (2, CFG.d_path),
+                                        (1, CFG.d_path - 1)],
+                         ids=["no-row", "extra-row", "narrow-row"])
+def test_forward_rejects_fallback_rows_of_the_wrong_shape(rows, width):
+    # one pair with a path and one without: exactly one row of width d_path
+    net = PathAttentionScorer(CFG, D_S, np.random.default_rng(11))
+    path = {"start": 0, "steps": [[0, False, 1]]}
+    sg = {"cq": [0], "ca": [1, 2], "nodes": [0, 1, 2], "edges": [[0, 0, 1]],
+          "paths": {"0,0": [path], "0,1": []}}
+    inst = instance_from_schema_graph(sg, "x", 0)
+    args = (inst, np.zeros((1, D_S)), np.zeros((3, CFG.kge_dim)), np.zeros((1, CFG.kge_dim)))
+    assert fallback_rows([inst], CFG.d_path, CFG.seed).shape == (1, CFG.d_path)
+    net.forward(*args, np.zeros((1, CFG.d_path)))
+    with pytest.raises(ValueError, match=re.escape(
+            f"fallback rows shape {(rows, width)}, expected {(1, CFG.d_path)}")):
+        net.forward(*args, np.zeros((rows, width)))
 
 
 @pytest.mark.parametrize("path_attention", [True, False])
@@ -179,18 +192,19 @@ def test_instance_without_any_path_scores_and_backpropagates(path_attention):
     cfg = replace(CHECK_CONFIG, path_attention=path_attention)
     rng = np.random.default_rng(12)
     net = PathAttentionScorer(cfg, CHECK_D_S, rng)
-    inst = instance_from_schema_graph(None, "x", 0, cfg.d_path, seed=0, label=1)
+    inst = instance_from_schema_graph(None, "x", 0, label=1)
     s = rng.standard_normal((1, CHECK_D_S))
     node_init = rng.standard_normal((1, cfg.kge_dim))
     rel_emb = rng.standard_normal((3, cfg.kge_dim))
-    trace = net.forward(inst, s, node_init, rel_emb)
+    fb = fallback_rows([inst], cfg.d_path, 0)
+    trace = net.forward(inst, s, node_init, rel_emb, fb)
     assert trace.V.shape == (0, cfg.d_path)
     assert trace.alpha.shape == (1, 0)
-    assert np.array_equal(trace.R_hat[0], inst.pairs[0].fallback)
+    assert np.array_equal(trace.R_hat[0], fb[0])
     assert 0.0 < trace.score[0] < 1.0
 
     def loss_fn():
-        return bce_loss(net.forward(inst, s, node_init, rel_emb).raw, 1)[0]
+        return bce_loss(net.forward(inst, s, node_init, rel_emb, fb).raw, 1)[0]
 
     net.zero_grad()
     in_grads = net.backward(trace, bce_loss(trace.raw, 1)[1])
@@ -207,27 +221,37 @@ def test_instance_without_any_path_scores_and_backpropagates(path_attention):
 def test_concat_shifts_each_part_into_its_own_block():
     rng = np.random.default_rng(13)
     parts = [random_instance(rng, CFG, D_S)[0] for _ in range(3)]
-    parts.insert(1, instance_from_schema_graph(None, "x", 1, CFG.d_path))
+    parts.insert(1, instance_from_schema_graph(None, "x", 1))
     union = Instance.concat(parts)
     rows = np.cumsum([0] + [p.n_nodes for p in parts])
     pairs = np.cumsum([0] + [len(p.q_rows) for p in parts])
+    paths = np.cumsum([0] + [len(p.owner) for p in parts])
+    steps = np.cumsum([0] + [len(p.heads) for p in parts])
     assert union.pair_bounds.tolist() == pairs.tolist()
     assert union.pair_cand.tolist() == np.repeat(np.arange(4), np.diff(pairs)).tolist()
     assert union.node_ids.tolist() == sum((p.node_ids.tolist() for p in parts), [])
     assert union.und_edges == [(a + o, b + o) for p, o in zip(parts, rows)
                                for a, b in p.und_edges]
-    got = union.pairs
     for g, part in enumerate(parts):
-        for mine, theirs in zip(got[pairs[g]:pairs[g + 1]], part.pairs):
-            assert (mine.q_row, mine.a_row) == (theirs.q_row + rows[g], theirs.a_row + rows[g])
-            assert len(mine.paths) == len(theirs.paths)
-            for (h, r, s, t), (h0, r0, s0, t0) in zip(mine.paths, theirs.paths):
-                assert h.tolist() == (h0 + rows[g]).tolist()
-                assert t.tolist() == (t0 + rows[g]).tolist()
-                assert r.tolist() == r0.tolist() and s.tolist() == s0.tolist()
-            assert (mine.fallback is None) == (theirs.fallback is None)
-            if mine.fallback is not None:
-                assert np.array_equal(mine.fallback, theirs.fallback)
+        mine = slice(pairs[g], pairs[g + 1])
+        assert union.q_rows[mine].tolist() == (part.q_rows + rows[g]).tolist()
+        assert union.a_rows[mine].tolist() == (part.a_rows + rows[g]).tolist()
+        assert union.owner[paths[g]:paths[g + 1]].tolist() == (part.owner + pairs[g]).tolist()
+        assert union.offsets[paths[g]:paths[g + 1] + 1].tolist() == \
+            (part.offsets + steps[g]).tolist()
+        mine = slice(steps[g], steps[g + 1])
+        assert union.heads[mine].tolist() == (part.heads + rows[g]).tolist()
+        assert union.tails[mine].tolist() == (part.tails + rows[g]).tolist()
+        assert union.rels[mine].tolist() == part.rels.tolist()
+        assert union.signs[mine].tolist() == part.signs.tolist()
+    # the union's pathless pairs are the parts', and take the parts' rows
+    pathless = np.bincount(union.owner, minlength=pairs[-1]) == 0
+    assert pathless.tolist() == sum(
+        ((np.bincount(p.owner, minlength=len(p.q_rows)) == 0).tolist() for p in parts), [])
+    rows_of_parts = [fallback_rows([p], CFG.d_path, 0) for p in parts]
+    assert np.array_equal(fallback_rows(parts, CFG.d_path, 0), np.concatenate(rows_of_parts))
+    assert len(rows_of_parts[1]) == 1
+    assert pathless.sum() == sum(map(len, rows_of_parts))
     assert Instance.concat(parts[:1]) is parts[0]
 
 
@@ -273,18 +297,18 @@ def test_fallback_vector_deterministic_and_keyed():
 def test_instance_from_schema_graph_maps_rows_and_fallbacks():
     kg = make_chain_kg(4)
     sg = build_schema_graph(kg, {0}, {3}, max_edges=3, cap=10)
-    inst = instance_from_schema_graph(sg.to_dict(), "ex", 1, d_path=8, seed=0, label=0)
+    inst = instance_from_schema_graph(sg.to_dict(), "ex", 1, label=0)
     assert inst.label == 0
     assert list(inst.node_ids) == sorted(sg.nodes)
     local = {g: i for i, g in enumerate(inst.node_ids)}
-    pair = inst.pairs[0]
-    assert pair.q_row == local[0]
-    assert pair.a_row == local[3]
-    heads, rels, signs, tails = pair.paths[0]
-    assert list(inst.node_ids[heads]) == [0, 1, 2]
-    assert list(inst.node_ids[tails]) == [1, 2, 3]
-    assert np.all(signs == 1.0)
-    assert pair.fallback is None
+    assert inst.q_rows.tolist() == [local[0]]
+    assert inst.a_rows.tolist() == [local[3]]
+    assert inst.owner.tolist() == [0]
+    steps = slice(inst.offsets[0], inst.offsets[1])
+    assert list(inst.node_ids[inst.heads[steps]]) == [0, 1, 2]
+    assert list(inst.node_ids[inst.tails[steps]]) == [1, 2, 3]
+    assert np.all(inst.signs[steps] == 1.0)
+    assert fallback_rows([inst], 8, 0).shape == (0, 8)
     # edges cover each path hop exactly once, undirected
     assert sorted(inst.und_edges) == sorted(
         (min(local[a], local[b]), max(local[a], local[b]))
@@ -295,13 +319,14 @@ def test_instance_pathless_pair_gets_seeded_fallback():
     kg = make_chain_kg(3)
     sg = build_schema_graph(kg, {0}, {2}, max_edges=3, cap=10)
     sg.paths[(0, 0)] = []
-    inst_a = instance_from_schema_graph(sg.to_dict(), "ex", 0, d_path=8, seed=0)
-    inst_b = instance_from_schema_graph(sg.to_dict(), "ex", 0, d_path=8, seed=0)
-    inst_c = instance_from_schema_graph(sg.to_dict(), "ex", 0, d_path=8, seed=1)
-    assert inst_a.pairs[0].fallback is not None
-    assert np.array_equal(inst_a.pairs[0].fallback, inst_b.pairs[0].fallback)
-    assert not np.array_equal(inst_a.pairs[0].fallback,
-                              inst_c.pairs[0].fallback)
+    inst = instance_from_schema_graph(sg.to_dict(), "ex", 0)
+    row_a = fallback_rows([inst], 8, 0)
+    row_b = fallback_rows([instance_from_schema_graph(sg.to_dict(), "ex", 0)], 8, 0)
+    row_c = fallback_rows([inst], 8, 1)
+    assert row_a.shape == (1, 8)
+    assert np.array_equal(row_a, row_b)
+    assert not np.array_equal(row_a, row_c)
+    assert np.array_equal(row_a[0], fallback_vector(8, 0, "ex", 0, 0, 2))
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), n_q=st.integers(1, 12),
@@ -315,23 +340,27 @@ def test_path_table_reproduces_schema_graph_paths(seed, n_q, n_a, density):
     picks = rng.permutation(n).tolist()
     sg = build_schema_graph(kg, picks[:n_q], picks[n_q:n_q + n_a], max_edges=3, cap=20)
     cached = json.loads(io_utils.canonical_json(sg.to_dict()))
-    inst = instance_from_schema_graph(cached, "ex", 0, d_path=4)
+    inst = instance_from_schema_graph(cached, "ex", 0)
     ids = inst.node_ids.tolist()
     pair_indices = [(i, j) for i in range(len(sg.cq)) for j in range(len(sg.ca))]
-    assert len(inst.pairs) == len(pair_indices)
-    for (i, j), pair in zip(pair_indices, inst.pairs):
-        assert (ids[pair.q_row], ids[pair.a_row]) == (sg.cq[i], sg.ca[j])
+    assert len(inst.q_rows) == len(inst.a_rows) == len(pair_indices)
+    assert inst.heads.dtype == inst.rels.dtype == inst.tails.dtype == np.int64
+    assert inst.signs.dtype == np.float64
+    n_paths = np.bincount(inst.owner, minlength=len(pair_indices))
+    for p, (i, j) in enumerate(pair_indices):
+        assert (ids[inst.q_rows[p]], ids[inst.a_rows[p]]) == (sg.cq[i], sg.ca[j])
         got = []
-        for heads, rels, signs, tails in pair.paths:
-            assert heads.dtype == rels.dtype == tails.dtype == np.int64
-            assert signs.dtype == np.float64
+        for k in np.flatnonzero(inst.owner == p).tolist():
+            steps = slice(inst.offsets[k], inst.offsets[k + 1])
+            heads, rels, signs, tails = (a[steps] for a in (
+                inst.heads, inst.rels, inst.signs, inst.tails))
             assert heads[1:].tolist() == tails[:-1].tolist()
             got.append({"start": ids[heads[0]], "steps": [
                 [r, s < 0, ids[t]]
                 for r, s, t in zip(rels.tolist(), signs.tolist(), tails.tolist())]})
         assert got == sg.paths[(i, j)]
-        assert (pair.fallback is None) == bool(sg.paths[(i, j)])
-    assert len(inst.fallback) == sum(not plist for plist in sg.paths.values())
+        assert (n_paths[p] > 0) == bool(sg.paths[(i, j)])
+    assert len(fallback_rows([inst], 4, 0)) == sum(not plist for plist in sg.paths.values())
 
 
 def test_run_config_derived_dims():

@@ -2,7 +2,7 @@
 
 import json
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,6 +16,7 @@ from kgqa.ground import load_stopwords
 from kgqa.kg import build_graph
 from kgqa.kge import EmbeddingTable, train_transe
 from kgqa.model.layers import BiLSTM
+from kgqa.model.network import fallback_rows, fallback_vector
 from kgqa.paths import SchemaGraph
 from kgqa.pipeline import (ModelState, build_model_state, evaluate, explain,
                            ground_question, load_model_state, predict, preprocess,
@@ -95,6 +96,10 @@ def test_accuracy_scoring_and_empty_error():
         accuracy({}, [QAExample(id="c", question="q", candidates=["x", "y"])])
 
 
+# the path table's array fields after node_ids: pairs, paths and steps
+TABLE = ("q_rows", "a_rows", "owner", "offsets", "heads", "rels", "signs", "tails")
+
+
 def test_preprocess_cache_round_trip(mini, tmp_path):
     examples = mini.world.dev[:2]
     first = preprocess(mini.world.kg, mini.emb, examples, mini.cfg,
@@ -108,13 +113,9 @@ def test_preprocess_cache_round_trip(mini, tmp_path):
         a, b = first[key], second[key]
         assert np.array_equal(a.node_ids, b.node_ids)
         assert a.und_edges == b.und_edges
-        assert len(a.pairs) == len(b.pairs)
-        for pa, pb in zip(a.pairs, b.pairs):
-            assert (pa.q_row, pa.a_row) == (pb.q_row, pb.a_row)
-            assert len(pa.paths) == len(pb.paths)
-            for arrs_a, arrs_b in zip(pa.paths, pb.paths):
-                for x, y in zip(arrs_a, arrs_b):
-                    assert np.array_equal(x, y)
+        assert len(a.q_rows) == len(b.q_rows)
+        for name in TABLE:
+            assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 def test_parallel_preprocess_equals_serial(mini, tmp_path):
@@ -136,17 +137,13 @@ def test_parallel_preprocess_equals_serial(mini, tmp_path):
             (b.example_id, b.cand_index, b.label, b.ungrounded)
         assert np.array_equal(a.node_ids, b.node_ids)
         assert a.und_edges == b.und_edges
-        assert len(a.pairs) == len(b.pairs)
-        for pa, pb in zip(a.pairs, b.pairs):
-            assert (pa.q_row, pa.a_row) == (pb.q_row, pb.a_row)
-            assert (pa.fallback is None) == (pb.fallback is None)
-            if pa.fallback is not None:
-                assert np.array_equal(pa.fallback, pb.fallback)
-            assert len(pa.paths) == len(pb.paths)
-            for arrs_a, arrs_b in zip(pa.paths, pb.paths):
-                for x, y in zip(arrs_a, arrs_b):
-                    assert x.dtype == y.dtype
-                    assert np.array_equal(x, y)
+        assert len(a.q_rows) == len(b.q_rows)
+        assert np.array_equal(fallback_rows([a], mini.cfg.d_path, mini.cfg.seed),
+                              fallback_rows([b], mini.cfg.d_path, mini.cfg.seed))
+        for name in TABLE:
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype
+            assert np.array_equal(x, y)
 
 
 def test_preprocess_grounds_each_question_once(mini, tmp_path, monkeypatch):
@@ -220,7 +217,8 @@ def test_cold_warm_and_uncached_instances_are_equal(pathless, tmp_path):
     warm = pathless_preprocess(pathless, tmp_path)
     insts = list(uncached.values())
     assert [inst.ungrounded for inst in insts] == [False, False, True]
-    assert [len(inst.fallback) for inst in insts] == [1, 1, 1]
+    assert [len(fallback_rows([inst], pathless.cfg.d_path, pathless.cfg.seed))
+            for inst in insts] == [1, 1, 1]
     assert all(len(inst.owner) > 0 for inst in insts[:2])
     assert [inst.label for inst in insts] == [0, 1, 0]
     assert list(cold) == list(warm) == list(uncached)
@@ -233,6 +231,20 @@ def test_cold_warm_and_uncached_instances_are_equal(pathless, tmp_path):
         inst, replace(inst, heads=inst.heads.astype(np.int32))) == "heads"
     assert selfcheck.instance_mismatch(inst, replace(
         inst, und_edges=[(np.int64(a), b) for a, b in inst.und_edges])) == "und_edges"
+
+
+def test_pathless_pairs_draw_their_fallback_rows_by_concept(pathless):
+    # concepts apple 0, tree 1, river 2, stone 3: stone has no path to either
+    # answer, and candidate 2 is the ungrounded anchor
+    insts = list(pathless_preprocess(pathless).values())
+    d_path, seed = pathless.cfg.d_path, pathless.cfg.seed
+    assert seed == 3
+    want = [fallback_vector(d_path, 3, "pathless", 0, 3, 1),
+            fallback_vector(d_path, 3, "pathless", 1, 3, 2),
+            fallback_vector(d_path, 3, "pathless", 2, "anchor")]
+    for ci, inst in enumerate(insts):
+        assert np.array_equal(fallback_rows([inst], d_path, seed), want[ci:ci + 1])
+    assert np.array_equal(fallback_rows(insts, d_path, seed), want)
 
 
 def test_cache_entry_holds_the_prune_report(pathless, tmp_path):
@@ -268,8 +280,8 @@ def two_candidate_entry():
           "paths": {"0,0": [{"start": 0, "steps": [[0, False, 1]]}],
                     "0,1": [{"start": 0, "steps": [[0, False, 2]]},
                             {"start": 0, "steps": [[0, False, 1], [0, True, 2]]}]}}
-    cands = [pipeline.instance_from_schema_graph(sg, "q", 0, 4),
-             pipeline.instance_from_schema_graph(None, "q", 1, 4)]
+    cands = [pipeline.instance_from_schema_graph(sg, "q", 0),
+             pipeline.instance_from_schema_graph(None, "q", 1)]
     assert cands[0].owner.tolist() == [0, 1, 1]
     assert cands[0].offsets.tolist() == [0, 1, 2, 4]
     return cands
@@ -306,18 +318,30 @@ def test_cache_entry_index_outside_its_table_is_named(tmp_path, cand, field, i, 
     path = tmp_path / "entry.bin"
     cands = two_candidate_entry()
     pipeline.write_cache_entry(path, cands, [None, None])
-    got = pipeline.read_cache_entry(path, "q", 2, 4)
+    got = pipeline.read_cache_entry(path, "q", 2)
     assert [selfcheck.instance_mismatch(a, b) for a, b in zip(cands, got)] == [None] * 2
     set_index(cands[cand], field, i, value)
     pipeline.write_cache_entry(path, cands, [None, None])
     with pytest.raises(io_utils.ContainerError,
                        match=f"^{re.escape(f'{path}: {problem}')}$"):
-        pipeline.read_cache_entry(path, "q", 2, 4)
+        pipeline.read_cache_entry(path, "q", 2)
+
+
+def test_cache_entry_with_the_older_fallback_block_still_reads(tmp_path):
+    # earlier entries also stored one float64 row per pathless pair
+    path = tmp_path / "entry.bin"
+    cands = two_candidate_entry()
+    pipeline.write_cache_entry(path, cands, [None, None])
+    meta, blocks = io_utils.read_container(path)
+    meta["counts"]["fallbacks"] = [0, 1]
+    io_utils.write_container(path, "instance", meta, {**blocks, "fallback": np.ones((1, 4))})
+    got = pipeline.read_cache_entry(path, "q", 2)
+    assert [selfcheck.instance_mismatch(a, b) for a, b in zip(cands, got)] == [None] * 2
 
 
 def index_problem(inst) -> bool:
     """Per-candidate loop reference of the checks a cache entry's read runs
-    on its indices, and of the fallback count an Instance checks."""
+    on its indices."""
     n, n_pairs = inst.n_nodes, len(inst.q_rows)
     rows = [*inst.q_rows, *inst.a_rows, *inst.heads, *inst.tails,
             *(r for edge in inst.und_edges for r in edge)]
@@ -325,8 +349,7 @@ def index_problem(inst) -> bool:
     return not (all(0 <= r < n for r in rows)
                 and all(0 <= o < n_pairs for o in owner) and owner == sorted(owner)
                 and offsets[0] == 0 and offsets[-1] == len(inst.heads)
-                and offsets == sorted(offsets)
-                and n_pairs - len(set(owner)) <= len(inst.fallback))
+                and offsets == sorted(offsets))
 
 
 def test_cache_index_checks_equal_a_per_candidate_loop(tmp_path):
@@ -353,7 +376,7 @@ def test_cache_index_checks_equal_a_per_candidate_loop(tmp_path):
         n_bad += want
         pipeline.write_cache_entry(path, cands, [None] * len(cands))
         try:
-            pipeline.read_cache_entry(path, "q", len(cands), selfcheck.CHECK_CONFIG.d_path)
+            pipeline.read_cache_entry(path, "q", len(cands))
             got = False
         except io_utils.ContainerError:
             got = True
@@ -441,10 +464,12 @@ def test_grounding_bounds_are_accepted_and_the_config_hash_is_unchanged():
 def test_config_hash_follows_every_set_key():
     cfg = RunConfig()
     assert cfg.hash() == "999ea1ce0d7c5820"
-    cfg.prune = False
-    assert cfg.hash() == RunConfig(prune=False).hash() != "999ea1ce0d7c5820"
-    cfg.prune = True
+    with pytest.raises(FrozenInstanceError):
+        cfg.prune = False
     assert cfg.hash() == "999ea1ce0d7c5820"
+    unpruned = replace(cfg, prune=False)
+    assert unpruned.hash() == RunConfig(prune=False).hash() != "999ea1ce0d7c5820"
+    assert replace(unpruned, prune=True).hash() == "999ea1ce0d7c5820"
     assert replace(cfg, lr=0.5).hash() == RunConfig(lr=0.5).hash()
     assert cfg == RunConfig() and cfg.to_dict() == RunConfig().to_dict()
 
@@ -457,7 +482,10 @@ def test_ungroundable_candidate_becomes_flagged_anchor(mini):
     anchor = inst[("weird", 0)]
     assert anchor.ungrounded
     assert anchor.n_nodes == 1
-    assert anchor.pairs[0].fallback is not None
+    assert len(anchor.q_rows) == 1 and len(anchor.owner) == 0
+    assert np.array_equal(fallback_rows([anchor], mini.cfg.d_path, mini.cfg.seed),
+                          [fallback_vector(mini.cfg.d_path, mini.cfg.seed, "weird", 0,
+                                           "anchor")])
     assert inst[("weird", 1)].ungrounded is False
 
 
@@ -571,7 +599,7 @@ def test_explain_matches_trace_and_normalizes(mini):
     ci = ex.label
     inst = mini.dev_inst[(ex.id, ci)]
     report = explain(state, mini.world.kg, ex, ci, inst,
-                     top_pairs=len(inst.pairs), top_paths=50)
+                     top_pairs=len(inst.q_rows), top_paths=50)
     trace, _ = state.forward(ex, [ci], [inst])
     assert report["score"] == pytest.approx(trace.score[0], rel=1e-12)
     assert report["candidate_text"] == ex.candidates[ci]
