@@ -62,14 +62,21 @@ class RunConfig:
     patience: int = 3
 
     def __post_init__(self) -> None:
-        """Reject grounding settings that would ground nothing, fail partway
-        through a run, or write a non-JSON threshold, naming the key."""
+        """Reject grounding and triple-embedding settings that would ground
+        nothing, fail partway through a run, or write a non-finite table or a
+        non-JSON header, naming the key."""
         if not (math.isfinite(self.threshold) and 0.0 <= self.threshold <= 1.0):
             raise ValueError(f"threshold must be a finite number in [0, 1], "
                              f"got {self.threshold!r}")
-        for key in ("max_ngram", "max_edges", "cap"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be at least 1, got {getattr(self, key)!r}")
+        for key, low in (("max_ngram", 1), ("max_edges", 1), ("cap", 1), ("kge_dim", 1),
+                         ("kge_batch", 1), ("kge_neg", 1), ("kge_epochs", 0)):
+            if getattr(self, key) < low:
+                raise ValueError(f"{key} must be at least {low}, got {getattr(self, key)!r}")
+        for key in ("kge_lr", "kge_margin", "gamma"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be a finite number, got {getattr(self, key)!r}")
+        if self.kge_margin < 0:
+            raise ValueError(f"kge_margin must be at least 0, got {self.kge_margin!r}")
 
     # network widths derived from the keys above; kge_dim is both the node
     # and the relation width

@@ -157,28 +157,34 @@ class KnowledgeGraph:
 
 
 def build_graph(concepts, relations, triples, weights) -> KnowledgeGraph:
-    """Assemble the immutable graph, building the sorted adjacency index."""
+    """Assemble the immutable graph, building the sorted adjacency index: one
+    stable argsort of the int64 key ``((src*nv + nbr)*n_rel + rel)*2 + rev``,
+    the order of ``np.lexsort((rev, rel, nbr, src))``. An id past its
+    vocabulary, or a vocabulary too large for the key, is a ValueError."""
+    nv, n_rel = len(concepts), len(relations)
+    if nv * nv * n_rel * 2 >= 2 ** 63:
+        raise ValueError(f"{nv} concepts and {n_rel} relations overflow the int64 sort key")
     triples = np.asarray(triples, dtype=np.uint32).reshape(-1, 3)
     weights = np.asarray(weights, dtype=np.float32).reshape(-1)
     n = len(triples)
-    nv = len(concepts)
     # One forward entry on the head, one reverse entry on the tail.
     src = np.concatenate([triples[:, 0], triples[:, 2]])
     nbr = np.concatenate([triples[:, 2], triples[:, 0]])
     rel = np.concatenate([triples[:, 1], triples[:, 1]])
     rev = np.concatenate([np.zeros(n, np.uint8), np.ones(n, np.uint8)])
-    order = np.lexsort((rev, rel, nbr, src))
-    src, nbr, rel, rev = src[order], nbr[order], rel[order], rev[order]
-    ptr = np.zeros(nv + 1, dtype=np.int64)
-    np.add.at(ptr, src + 1, 1)
-    np.cumsum(ptr, out=ptr)
+    counts = np.bincount(src, minlength=nv)  # longer than nv when an id is out of range
+    if len(counts) > nv or (n and int(rel.max()) >= n_rel):
+        raise ValueError(f"triple ids must be below {nv} concepts and {n_rel} relations")
+    key = ((src.astype(np.int64) * nv + nbr) * n_rel + rel) * 2 + rev
+    order = np.argsort(key, kind="stable")
+    nbr, rel, rev = nbr[order], rel[order], rev[order]
     return KnowledgeGraph(
         concepts=tuple(concepts),
         relations=tuple(relations),
         triples=triples,
         weights=weights,
         _surface_index={s: i for i, s in enumerate(concepts)},
-        _adj_ptr=ptr,
+        _adj_ptr=np.concatenate([np.zeros(1, np.int64), np.cumsum(counts)]),
         _adj_nbr=nbr,
         _adj_rel=rel,
         _adj_rev=rev,

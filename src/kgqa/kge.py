@@ -6,7 +6,8 @@ backwards uses the negated relation vector, so the stored table only holds
 forward relations and the two traversal directions stay exactly consistent.
 
 Training is margin-based ranking against corrupted triples with plain
-minibatch SGD, L2-renormalizing entity rows after each epoch.
+minibatch SGD, L2-renormalizing entity rows after each epoch. Row updates are
+summed in index order, bit-identical to ``np.add.at`` (``layers.scatter_rows``).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 
 from . import io_utils
 from .kg import KnowledgeGraph
+from .model.layers import scatter_rows
 from .paths import SchemaGraph, path_triples
 
 DEFAULT_GAMMA = 2.0
@@ -157,6 +159,9 @@ def train_transe(
     entity. Returns the table plus mean epoch loss history; epochs=0 returns
     the initial table untouched.
     """
+    for name, value in (("dim", dim), ("batch_size", batch_size), ("neg_per_pos", neg_per_pos)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value!r}")
     if isinstance(word_vectors, (str, Path)):
         word_vectors = load_word_vectors(word_vectors)
     rng = np.random.default_rng(seed)
@@ -190,7 +195,7 @@ def train_transe(
             if not viol.any():
                 continue
 
-            # d ||v|| / dv = v / ||v||; scatter-add because ids repeat in a batch
+            # d ||v|| / dv = v / ||v||
             gp = d_pos_vec[viol] / np.maximum(d_pos[viol, None], 1e-12)
             gn = d_neg_vec[viol] / np.maximum(d_neg[viol, None], 1e-12)
             step = lr / max(1, int(viol.sum()))
@@ -198,13 +203,9 @@ def train_transe(
             ids = np.concatenate([h[viol], t[viol], hn[viol], tn[viol]])
             gvec = np.concatenate([gp, -gp, -gn, gn])
             uniq, pos = np.unique(ids, return_inverse=True)
-            upd_ent = np.zeros((len(uniq), ent.shape[1]))
-            np.add.at(upd_ent, pos, gvec)
-            rids = r[viol]
-            runiq, rpos = np.unique(rids, return_inverse=True)
-            upd_rel = np.zeros((len(runiq), rel.shape[1]))
-            np.add.at(upd_rel, rpos, gp)
-            np.add.at(upd_rel, rpos, -gn)
+            upd_ent = scatter_rows(len(uniq), pos, gvec)
+            runiq, rpos = np.unique(r[viol], return_inverse=True)
+            upd_rel = scatter_rows(len(runiq), np.tile(rpos, 2), np.concatenate([gp, -gn]))
             ent[uniq] -= step * upd_ent
             rel[runiq] -= step * upd_rel
 

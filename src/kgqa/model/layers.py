@@ -36,6 +36,16 @@ def softmax_backward(y: np.ndarray, dy: np.ndarray) -> np.ndarray:
     return y * (dy - dot)
 
 
+def scatter_rows(n: int, index: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Sum row i of ``values`` (m, d) into row ``index[i]`` of n zero rows.
+
+    One ``np.bincount`` adds each cell's terms in index order from 0.0, as
+    ``np.add.at`` into zeros does, so the results are bit-identical."""
+    d = values.shape[1]
+    flat = np.asarray(index, dtype=np.intp)[:, None] * d + np.arange(d)
+    return np.bincount(flat.ravel(), values.ravel(), n * d).reshape(n, d)
+
+
 def glorot(rng: np.random.Generator, n_in: int, n_out: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (n_in + n_out))
     return rng.uniform(-limit, limit, size=(n_in, n_out))

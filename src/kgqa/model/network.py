@@ -41,7 +41,7 @@ import numpy as np
 from ..config import RunConfig
 from ..io_utils import stable_seed
 from .layers import (BiLSTM, GCNLayer, Layer, MLP, glorot, normalized_adjacency,
-                     sigmoid, softmax, softmax_backward)
+                     scatter_rows, sigmoid, softmax, softmax_backward)
 
 SCORE_EPS = 1e-15  # reported scores stay inside the open interval (0, 1)
 
@@ -405,18 +405,15 @@ class PathAttentionScorer(Layer):
         inst = trace.inst
         d_x = self.path_lstm.backward_ragged(dV.reshape(-1, 2, 2 * c.lstm_hidden),
                                              trace.lstm_cache)
-        d_node = np.zeros((inst.n_nodes, d))
-        d_rel = np.zeros_like(trace.rel_emb)
-        np.add.at(d_node, inst.heads, d_x[:, :d])
-        np.add.at(d_rel, inst.rels, inst.signs[:, None] * d_x[:, d:d + c.kge_dim])
-        np.add.at(d_node, inst.tails, d_x[:, d + c.kge_dim:])
-
+        d_rel = scatter_rows(len(trace.rel_emb), inst.rels,
+                             inst.signs[:, None] * d_x[:, d:d + c.kge_dim])
         d_t_in = self.t_mlp.backward(dT, trace.t_cache)
         np.add.at(ds, inst.pair_cand, d_t_in[:, :self.d_s])
-        np.add.at(d_node, inst.q_rows, d_t_in[:, self.d_s:self.d_s + d])
-        np.add.at(d_node, inst.a_rows, d_t_in[:, self.d_s + d:])
+        dh = scatter_rows(
+            inst.n_nodes, np.concatenate([inst.heads, inst.tails, inst.q_rows, inst.a_rows]),
+            np.concatenate([d_x[:, :d], d_x[:, d + c.kge_dim:],
+                            d_t_in[:, self.d_s:self.d_s + d], d_t_in[:, self.d_s + d:]]))
 
-        dh = d_node
         for layer, cache in zip(reversed(self.gcn), reversed(trace.gcn_caches)):
             dh = layer.backward(dh, cache)
         return InputGrads(ds=ds, d_node_init=dh, d_rel_emb=d_rel)

@@ -8,7 +8,9 @@ against central finite differences; the one pass that scores a question's
 candidates against one pass per candidate; pruning against the per-path
 rule it vectorized; attention against its closed-form degenerate cases; a
 preprocessing cache entry read back against the instance built from the
-schema graph and written to it. The
+schema graph and written to it; the bincount scatter against
+``np.add.at`` and the packed-key adjacency sort against the four-key
+``np.lexsort`` they replaced. The
 CLI `selfcheck` subcommand runs them all and reports pass/fail; the test
 suite calls the same functions with the sizes and tolerances pinned in the
 acceptance tests.
@@ -33,6 +35,7 @@ from .kg import KnowledgeGraph, build_graph
 from .kge import (PRUNE_EXEMPT_BELOW, EmbeddingTable, PruneReport,
                   prune_schema_graph)
 from .model.gradcheck import check_gradients
+from .model.layers import scatter_rows
 from .model.network import (Instance, PathAttentionScorer, bce_loss, fallback_rows,
                             instance_from_schema_graph)
 from .paths import SchemaGraph, build_schema_graph, find_paths, path_sort_key
@@ -657,6 +660,64 @@ def cache_round_trip_suite(seed: int = 0, n_instances: int = 25) -> CheckResult:
                "anchor included)")
 
 
+# ------------------------------------------------------------ scatter and sort suite
+
+def reference_adjacency(kg: KnowledgeGraph) -> tuple[np.ndarray, ...]:
+    """``build_graph``'s adjacency as the four-key ``np.lexsort`` and the
+    ``np.add.at`` row counts built it: (ptr, nbr, rel, rev)."""
+    t, n = kg.triples, kg.n_triples
+    src = np.concatenate([t[:, 0], t[:, 2]])
+    nbr = np.concatenate([t[:, 2], t[:, 0]])
+    rel = np.concatenate([t[:, 1], t[:, 1]])
+    rev = np.concatenate([np.zeros(n, np.uint8), np.ones(n, np.uint8)])
+    order = np.lexsort((rev, rel, nbr, src))
+    ptr = np.zeros(kg.n_concepts + 1, dtype=np.int64)
+    np.add.at(ptr, src + 1, 1)
+    return np.cumsum(ptr), nbr[order], rel[order], rev[order]
+
+
+def scatter_sort_suite(seed: int = 0, n_cases: int = 100) -> CheckResult:
+    """``scatter_rows`` equal to ``np.add.at`` into zeros, byte for byte, on
+    repeated, unsorted and empty indices, signed zeros among the values and
+    1 to 8 columns; and ``build_graph``'s adjacency arrays equal to
+    ``reference_adjacency`` on random graphs with duplicate triples,
+    self-loops and isolated concepts, given in random order."""
+    rng = np.random.default_rng(stable_seed("scatter-and-sort", seed))
+    problems = []
+    for ci in range(n_cases):
+        n = int(rng.integers(1, 12))
+        index = rng.integers(0, n, size=int(rng.integers(0, 4 * n)))
+        values = rng.standard_normal((len(index), int(rng.integers(1, 9))))
+        values[rng.random(values.shape) < 0.1] = -0.0
+        want = np.zeros((n, values.shape[1]))
+        np.add.at(want, index, values)
+        if scatter_rows(n, index, values).tobytes() != want.tobytes():
+            problems.append(f"scatter case {ci} ({len(index)} rows into {n}) "
+                            "differs from np.add.at")
+    for gi in range(n_cases):
+        nv, n_rel = int(rng.integers(1, 16)), int(rng.integers(1, 5))
+        used = int(rng.integers(1, nv + 1))  # concepts at or above it are isolated
+        m = int(rng.integers(0, 3 * used))
+        t = np.stack([rng.integers(0, used, m), rng.integers(0, n_rel, m),
+                      rng.integers(0, used, m)], axis=1)
+        loops = rng.random(m) < 0.15
+        t[loops, 2] = t[loops, 0]
+        t = np.concatenate([t, t[rng.integers(0, m, size=m // 3)]]) if m else t
+        t = t[rng.permutation(len(t))]
+        kg = build_graph([f"c{i}" for i in range(nv)], [f"r{i}" for i in range(n_rel)],
+                         t, np.ones(len(t)))
+        got = (kg._adj_ptr, kg._adj_nbr, kg._adj_rel, kg._adj_rev)
+        for name, a, b in zip(("ptr", "nbr", "rel", "rev"), got, reference_adjacency(kg)):
+            if a.dtype != b.dtype or a.tobytes() != b.tobytes():
+                problems.append(f"graph {gi} ({nv} concepts, {len(t)} triples): "
+                                f"adjacency {name} differs from np.lexsort")
+    return CheckResult(
+        name="scatter-and-sort",
+        passed=not problems,
+        detail=("ok" if not problems else "; ".join(problems[:4]))
+               + f" ({n_cases} scatters, {n_cases} graphs)")
+
+
 # ------------------------------------------------------------ entry point
 
 def run_selfcheck(seed: int = 0, quick: bool = False) -> SelfcheckReport:
@@ -674,4 +735,5 @@ def run_selfcheck(seed: int = 0, quick: bool = False) -> SelfcheckReport:
     report.checks.append(batch_suite(seed, n_questions=sizes["inst"]))
     report.checks.append(pruning_suite(seed, n_graphs=sizes["inst"] + 15))
     report.checks.append(cache_round_trip_suite(seed, n_instances=sizes["inst"]))
+    report.checks.append(scatter_sort_suite(seed, n_cases=sizes["oracle"]))
     return report

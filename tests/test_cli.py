@@ -14,7 +14,7 @@ from conftest import CACHE_DAMAGE, damage_cache_entry, dir_bytes, fail_writes_mi
 
 from kgqa import io_utils
 from kgqa.cli import main
-from kgqa.config import RunConfig
+from kgqa.config import RunConfig, resolve_config
 from kgqa.data import save_dataset
 from kgqa.ground import tokenize
 from kgqa.kge import EmbeddingTable
@@ -244,6 +244,40 @@ def test_threshold_bounds_are_accepted(run, cli_world, tmp_path, threshold):
     assert code == 0
     stats = json.loads((tmp_path / "pruned.jsonl.stats.json").read_text())
     assert stats["threshold"] == float(threshold)
+
+
+# (key, boundary value that is accepted, value past it that is rejected)
+KGE_KEY_BOUNDS = [
+    ("kge_dim", "1", "0"),
+    ("kge_batch", "1", "0"),
+    ("kge_neg", "1", "0"),
+    ("kge_epochs", "0", "-1"),
+    ("kge_lr", "1e308", "nan"),
+    ("kge_lr", "-1e308", "-inf"),
+    ("kge_margin", "0", "-1"),
+    ("kge_margin", "1e308", "inf"),
+    ("gamma", "-1e308", "nan"),
+    ("gamma", "1e308", "inf"),
+]
+
+
+@pytest.mark.parametrize("key,accepted,rejected", KGE_KEY_BOUNDS)
+def test_triple_embedding_settings_are_checked_at_their_bounds(
+        run, cli_world, tmp_path, key, accepted, rejected, capsys):
+    assert getattr(resolve_config(overrides={key: accepted}), key) == float(accepted)
+    with pytest.raises(ValueError, match=f"^{key} must be "):
+        resolve_config(overrides={key: rejected})
+    config = tmp_path / "run.cfg"
+    config.write_text(cli_world.config.read_text() + f"{key} = {rejected}\n",
+                      encoding="utf-8")
+    out = tmp_path / "kge.bin"
+    code = main(["train-kge", "--kg", str(run.kg), "--config", str(config),
+                 "--out", str(out)])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "ValueError"
+    assert err["message"].startswith(f"{key} must be ")
+    assert not out.exists()
 
 
 def test_train_kge_names_a_bad_word_vector_row(run, cli_world, tmp_path, capsys):

@@ -1,13 +1,18 @@
 """Graph store: ingest, merging, adjacency, persistence."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kgqa import selfcheck
 from kgqa.kg import (IngestError, KnowledgeGraph, build_graph,
                      default_merge_map_path, ingest, load_merge_map,
                      normalize_surface)
+from kgqa.selfcheck import scatter_sort_suite
+from kgqa.toy import build_toy_world
 
 
 def write(tmp_path, name, text):
@@ -187,3 +192,58 @@ def test_ingest_deterministic_bytes(tmp_path):
         kg, _ = ingest(f)
         kg.save(tmp_path / f"kg{i}.bin")
     assert (tmp_path / "kg1.bin").read_bytes() == (tmp_path / "kg2.bin").read_bytes()
+
+
+def test_adjacency_bytes_unchanged_on_the_toy_world():
+    # sha256 of the adjacency arrays, recorded with the four-key np.lexsort
+    # and np.add.at row counts that the packed-key sort replaced
+    kg = build_toy_world(seed=0).kg
+    want = {
+        "_adj_ptr": "69a86ef6aafed47d31b088382f25b4a898dbe8f26b8686cc8877b725a2fe0457",
+        "_adj_nbr": "3af3f43fbc18f37ce1ffed06b6c0ae91eb02f885da05d49c70d69ec3dcbf2fd1",
+        "_adj_rel": "9ab87507a8c9f2317aca5c35c6188bc32f138caffa43b5ea876c797db1bab7ec",
+        "_adj_rev": "ea7e5745a0cc6036a0bdf058b38ba6b818678c5ef6d655c5cb04a30d3315552e",
+    }
+    got = {name: hashlib.sha256(getattr(kg, name).tobytes()).hexdigest() for name in want}
+    assert got == want
+
+
+def test_scatter_and_sort_oracle_catches_a_wrong_adjacency_order(monkeypatch):
+    def by_source_only(concepts, relations, triples, weights):
+        kg = build_graph(concepts, relations, triples, weights)
+        src = np.repeat(np.arange(kg.n_concepts), np.diff(kg._adj_ptr))
+        order = np.lexsort((kg._adj_nbr, -kg._adj_rel.astype(np.int64), src))
+        for name in ("_adj_nbr", "_adj_rel", "_adj_rev"):
+            object.__setattr__(kg, name, getattr(kg, name)[order])
+        return kg
+
+    monkeypatch.setattr(selfcheck, "build_graph", by_source_only)
+    result = scatter_sort_suite(n_cases=50)
+    assert not result.passed
+    assert "differs from np.lexsort" in result.detail
+
+
+@pytest.mark.parametrize("nv,n_rel", [(2 ** 31, 1), (2 ** 30, 4), (3, 2 ** 62)])
+def test_a_vocabulary_past_the_int64_sort_key_is_named(nv, n_rel):
+    # nv**2 * n_rel * 2 reaches 2**63; ranges stand in for the vocabularies,
+    # so nothing that large is built
+    with pytest.raises(ValueError, match=f"{nv} concepts and {n_rel} relations"):
+        build_graph(range(nv), range(n_rel), np.zeros((0, 3)), np.zeros(0))
+
+
+@pytest.mark.parametrize("triple", [(0, 0, 3), (3, 0, 0), (0, 1, 2), (1, 2 ** 31, 2)])
+def test_a_triple_id_past_its_vocabulary_is_named(triple):
+    # a relation id past the vocabulary would collide with a key of another
+    # concept's row and misplace entries silently
+    with pytest.raises(ValueError, match="triple ids must be below 3 concepts and 1 relations"):
+        build_graph(["a", "b", "c"], ["r"], [(0, 0, 1), triple], np.ones(2))
+
+
+def test_the_largest_accepted_vocabulary_keeps_the_sort_key_exact():
+    # nv = 2**31 - 1 at one relation is the largest vocabulary build_graph
+    # accepts; its largest key, entry (nv-1, nv-1, rel 0, reverse), fits int64
+    nv, n_rel = 2 ** 31 - 1, 1
+    assert nv * nv * n_rel * 2 < 2 ** 63 <= (nv + 1) ** 2 * n_rel * 2
+    top = np.array([nv - 1], np.uint32)
+    key = ((top.astype(np.int64) * nv + top) * n_rel + np.uint32(0)) * 2 + np.uint8(1)
+    assert int(key[0]) == 2 * nv * nv * n_rel - 1

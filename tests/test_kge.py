@@ -1,6 +1,7 @@
 """Triple embeddings: training, confidence, path scores, pruning."""
 
 import copy
+import hashlib
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from kgqa.kge import (EmbeddingTable, eval_tail_mrr, init_embeddings,
                       load_word_vectors, prune_schema_graph, train_transe)
 from kgqa.paths import build_schema_graph, path_triples
 from kgqa.selfcheck import random_kg, reference_prune
+from kgqa.toy import build_toy_world
 
 from conftest import make_chain_kg, planted_kg
 
@@ -255,6 +257,31 @@ def test_training_is_bit_deterministic():
     assert ha == hb
     assert np.array_equal(a.ent, b.ent)
     assert np.array_equal(a.rel, b.rel)
+
+
+@pytest.mark.parametrize("dim,ent_sha,rel_sha", [
+    (32, "4b31db6b26584a7d5e88016759751fd854d770d77d53baad5f4069e7dc49cc8c",
+     "4141b997218b81559ba9d4074708be0db463fd5806e928fbf426d3f35315243a"),
+    (100, "ac1d440d402c4191b6807d29253fc1b4165f752ca235c52a272039d8ecf4c854",
+     "35fd754ad1fbd794d1adc4ee749c65f94c110e17c1f5ea50f99d7ec22d92343f"),
+])
+def test_training_bytes_unchanged_on_the_toy_world(dim, ent_sha, rel_sha):
+    # sha256 of the trained tables, recorded with the np.add.at updates that
+    # layers.scatter_rows replaced; three relations make every batch repeat
+    # relation rows, and two negatives per positive repeat entity rows
+    kg = build_toy_world(seed=0).kg
+    table, _ = train_transe(kg, dim=dim, epochs=20, lr=0.05, batch_size=64,
+                            neg_per_pos=2, seed=0)
+    assert hashlib.sha256(table.ent.tobytes()).hexdigest() == ent_sha
+    assert hashlib.sha256(table.rel.tobytes()).hexdigest() == rel_sha
+
+
+@pytest.mark.parametrize("key", ["dim", "batch_size", "neg_per_pos"])
+def test_training_sizes_below_one_are_named(key):
+    kg = planted_kg(seed=0)
+    train_transe(kg, epochs=1, **{key: 1})
+    with pytest.raises(ValueError, match=f"^{key} must be at least 1, got 0$"):
+        train_transe(kg, epochs=1, **{key: 0})
 
 
 def test_training_reduces_loss_and_beats_random_ranking():

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 import scipy.special
 
+from kgqa import selfcheck
 from kgqa.model.gradcheck import check_gradients
 from kgqa.model.layers import (LSTM, BiLSTM, GCNLayer, Linear, MLP, glorot,
-                               normalized_adjacency, sigmoid, softmax,
-                               softmax_backward)
+                               normalized_adjacency, scatter_rows, sigmoid,
+                               softmax, softmax_backward)
+from kgqa.selfcheck import scatter_sort_suite
 
 
 def test_sigmoid_matches_scipy_and_is_stable():
@@ -326,3 +328,34 @@ def test_glorot_shape_and_scale():
     assert w.shape == (50, 80)
     limit = np.sqrt(6.0 / 130.0)
     assert np.abs(w).max() <= limit + 1e-12
+
+
+def sorted_reduceat_scatter(n, index, values):
+    """The sorted ``np.add.reduceat`` scatter once tried for TransE: it adds
+    each row's terms in another grouping, so it is not bit-identical."""
+    out = np.zeros((n, values.shape[1]))
+    if len(index):
+        order = np.argsort(index, kind="stable")
+        idx = index[order]
+        starts = np.flatnonzero(np.r_[True, idx[1:] != idx[:-1]])
+        out[idx[starts]] = np.add.reduceat(values[order], starts, axis=0)
+    return out
+
+
+def test_scatter_rows_equals_add_at_byte_for_byte():
+    rng = np.random.default_rng(0)
+    index = rng.integers(0, 50, size=2000)  # repeated and unsorted
+    values = rng.standard_normal((2000, 7)) * 10.0 ** rng.integers(-8, 9, (2000, 1))
+    want = np.zeros((60, 7))  # rows 50-59 take nothing
+    np.add.at(want, index, values)
+    assert scatter_rows(60, index, values).tobytes() == want.tobytes()
+    assert scatter_rows(3, np.zeros(0, np.int64), np.zeros((0, 4))).tobytes() \
+        == np.zeros((3, 4)).tobytes()
+
+
+def test_scatter_and_sort_oracle_passes_and_catches_a_reordered_sum(monkeypatch):
+    assert scatter_sort_suite(n_cases=50).passed
+    monkeypatch.setattr(selfcheck, "scatter_rows", sorted_reduceat_scatter)
+    result = scatter_sort_suite(n_cases=50)
+    assert not result.passed
+    assert "differs from np.add.at" in result.detail

@@ -379,3 +379,47 @@ def test_check_config_gradients_full_tolerance():
     from kgqa.selfcheck import gradient_suite
     result = gradient_suite(seed=123, n_instances=2)
     assert result.passed, result.detail
+
+
+@pytest.mark.parametrize("config", [CFG, replace(CFG, gcn_dims="")])
+def test_backward_input_grads_equal_the_add_at_scatter(config, monkeypatch):
+    """``d_node_init`` and ``d_rel_emb`` equal, byte for byte, the ``np.add.at``
+    sums they replaced, recomputed from the same trace: step heads, relations
+    and tails, then question and answer rows, each in table order."""
+    rng = np.random.default_rng(21)
+    parts = [random_instance(rng, config, D_S, n_relations=2)[0] for _ in range(4)]
+    parts.append(instance_from_schema_graph(None, "x", 4))
+    inst = Instance.concat(parts)
+    net = PathAttentionScorer(config, D_S, np.random.default_rng(22))
+    node_init = rng.standard_normal((inst.n_nodes, config.kge_dim))
+    rel_emb = rng.standard_normal((2, config.kge_dim))
+    trace = net.forward(inst, rng.standard_normal((len(parts), D_S)), node_init,
+                        rel_emb, fallback_rows(parts, config.d_path, config.seed))
+    seen = {}
+
+    def spy(layer, method, key):
+        inner = getattr(layer, method)
+
+        def wrapped(*args):
+            seen[key] = inner(*args)
+            return seen[key]
+        monkeypatch.setattr(layer, method, wrapped)
+
+    spy(net.path_lstm, "backward_ragged", "d_x")
+    spy(net.t_mlp, "backward", "d_t_in")
+    got = net.backward(trace, rng.standard_normal(len(parts)))
+
+    d, e, d_s = config.d_gcn_out, config.kge_dim, D_S
+    d_x, d_t_in = seen["d_x"], seen["d_t_in"]
+    d_node = np.zeros((inst.n_nodes, d))
+    d_rel = np.zeros_like(rel_emb)
+    np.add.at(d_node, inst.heads, d_x[:, :d])
+    np.add.at(d_rel, inst.rels, inst.signs[:, None] * d_x[:, d:d + e])
+    np.add.at(d_node, inst.tails, d_x[:, d + e:])
+    np.add.at(d_node, inst.q_rows, d_t_in[:, d_s:d_s + d])
+    np.add.at(d_node, inst.a_rows, d_t_in[:, d_s + d:])
+    for layer, cache in zip(reversed(net.gcn), reversed(trace.gcn_caches)):
+        d_node = layer.backward(d_node, cache)
+    assert got.d_rel_emb.tobytes() == d_rel.tobytes()
+    assert got.d_node_init.tobytes() == d_node.tobytes()
+    assert len(np.unique(inst.heads)) < len(inst.heads)  # rows repeat
