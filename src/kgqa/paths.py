@@ -4,13 +4,13 @@ Paths run from a question concept to an answer concept, at most ``max_edges``
 edges (default 3), traversing triples in either direction with a per-step
 ``reverse`` flag. A path is the record the preprocessing cache stores and the
 network reads, ``{"start": concept, "steps": [[rel, reverse, node], ...]}``,
-from ``find_paths`` onward. Each (question concept, answer concept) pair is
-searched on its own by a depth-limited DFS that starts from whichever endpoint
-has fewer incident edges; paths found from the answer side are walked back
-before they are sorted. The last hop is a dictionary lookup in the edges
-incident to the target, so no node on the last level lists its neighbours, and
-a hub endpoint costs one neighbour list rather than one per node two hops away.
-Results merge deterministically by pair index.
+from ``find_paths`` onward. A question's candidates share its question
+concepts, so each question concept is searched once, by one depth-limited DFS
+that collects the paths to the answer concepts of every candidate at once;
+``build_schema_graph`` then takes each pair's list from those results. The
+last hop is a dictionary lookup in one table of the edges incident to every
+goal, so no node on the last level lists its neighbours. Results merge
+deterministically by pair index.
 """
 
 from __future__ import annotations
@@ -52,73 +52,68 @@ def path_triples(path: dict) -> list[tuple[int, int, int]]:
 def find_paths(
     kg: KnowledgeGraph,
     src: int,
-    dst: int,
+    goals: Iterable[int],
     max_edges: int = 3,
     cap: int = 100,
-) -> tuple[list[dict], bool]:
-    """All simple paths src -> dst with at most ``max_edges`` edges.
+) -> dict[int, tuple[list[dict], bool]]:
+    """All simple paths from ``src`` to each of ``goals``, at most ``max_edges``
+    edges, from one depth-limited DFS.
 
-    Returns (paths, truncated): path records sorted shortest first then
-    lexicographically by the (node, rel, reverse) step sequence
-    (``path_sort_key``), cut to ``cap`` entries with the flag saying whether
-    anything was dropped. Every record starts at ``src`` and holds plain
-    Python ints and bools, so it is ready for JSON.
+    Returns {goal: (paths, truncated)} for every goal: path records sorted
+    shortest first then lexicographically by the (node, rel, reverse) step
+    sequence (``path_sort_key``), cut to ``cap`` entries with the flag saying
+    whether anything was dropped. A path to goal g passes neither through g
+    nor through ``src``; other goals may lie mid-path. Every record starts at
+    ``src`` and holds plain Python ints and bools, so it is ready for JSON.
     """
-    if src == dst:
-        raise ValueError("src and dst must differ")
+    src, goals = int(src), sorted({int(g) for g in goals})  # no numpy scalar in JSON
+    if src in goals:
+        raise ValueError("src must not be a goal")
     if max_edges < 1 or cap < 1:
         raise ValueError("max_edges and cap must be >= 1")
-    for c in (src, dst):
+    for c in (src, *goals):
         if not 0 <= c < kg.n_concepts:
             raise IndexError(f"concept id {c} out of range")
 
-    src, dst = int(src), int(dst)  # no numpy scalar may reach a path's JSON
-    # Search from the endpoint with fewer incident edges, then reverse.
-    ptr = kg._adj_ptr
-    flip = bool(ptr[src + 1] - ptr[src] > ptr[dst + 1] - ptr[dst])
-    start, goal = (dst, src) if flip else (src, dst)
-    # Every edge into the goal, keyed by the node it leaves: the last hop of
+    # Every edge into every goal, keyed by the node it leaves: the last hop of
     # a path is a lookup, so no node on the last level lists its neighbours.
-    into_goal: dict[int, list[Step]] = {}
-    for nbr, rel, rev in kg.neighbors(goal):
-        into_goal.setdefault(nbr, []).append((rel, not rev, goal))
+    into: dict[int, list[tuple[int, Step]]] = {}
+    for goal in goals:
+        for nbr, rel, rev in kg.neighbors(goal):
+            into.setdefault(nbr, []).append((goal, (rel, not rev, goal)))
 
-    found: list[tuple[Step, ...]] = []
-    on_path = {start}
+    found: dict[int, list[tuple[Step, ...]]] = {goal: [] for goal in goals}
+    on_path = {src}
 
     def extend(node: int, prefix: tuple[Step, ...]) -> None:
-        found.extend(prefix + (last,) for last in into_goal.get(node, ()))
+        for goal, last in into.get(node, ()):
+            if goal not in on_path:
+                found[goal].append(prefix + (last,))
         if len(prefix) + 2 > max_edges:
             return
         if len(prefix) + 2 == max_edges:  # every neighbour is on the last level
             for nbr, rel, rev in kg.neighbors(node):
-                tails = into_goal.get(nbr)
-                if tails and nbr != goal and nbr not in on_path:
+                tails = into.get(nbr)
+                if tails and nbr not in on_path:
                     mid = prefix + ((rel, rev, nbr),)
-                    found.extend(mid + (last,) for last in tails)
+                    for goal, last in tails:
+                        if goal != nbr and goal not in on_path:
+                            found[goal].append(mid + (last,))
             return
         for nbr, rel, rev in kg.neighbors(node):
-            if nbr == goal or nbr in on_path:
+            if nbr in on_path:
                 continue
             on_path.add(nbr)
             extend(nbr, prefix + ((rel, rev, nbr),))
             on_path.remove(nbr)
 
-    extend(start, ())
-    if flip:
-        found = [_reversed(start, steps) for steps in found]
-    unique = sorted(set(found), key=_steps_key)
-    paths = [{"start": src, "steps": [list(step) for step in steps]}
-             for steps in unique[:cap]]
-    return paths, len(unique) > cap
-
-
-def _reversed(start: int, steps: tuple[Step, ...]) -> tuple[Step, ...]:
-    """The same path walked from its end: step i of the result crosses the
-    edge of step ``-1 - i`` the other way and lands on the node it left."""
-    left = (start, *(node for _, _, node in steps[:-1]))
-    return tuple((rel, not rev, node)
-                 for (rel, rev, _), node in zip(reversed(steps), reversed(left)))
+    extend(src, ())
+    out = {}
+    for goal, steps_found in found.items():
+        unique = sorted(set(steps_found), key=_steps_key)
+        out[goal] = ([{"start": src, "steps": [list(step) for step in steps]}
+                      for steps in unique[:cap]], len(unique) > cap)
+    return out
 
 
 @dataclass
@@ -182,11 +177,16 @@ def build_schema_graph(
     ca: MentionSet | Iterable[int],
     max_edges: int = 3,
     cap: int = 100,
+    found: dict[int, dict[int, tuple[list[dict], bool]]] | None = None,
 ) -> SchemaGraph:
     """Ground one QA pair: per-pair path lists plus intra-set direct edges.
 
     Concepts mentioned on both sides stay in the question set and leave the
     answer set. Raises GroundingError when either side ends up empty.
+    ``found`` maps each question concept to its ``find_paths`` result over
+    goals that include this pair's answer concepts, as ``ground_question``
+    shares it between a question's candidates; with None, each question
+    concept is searched here against this pair's answer concepts.
     """
     cq_set = set(cq.concepts if isinstance(cq, MentionSet) else cq)
     ca_set = set(ca.concepts if isinstance(ca, MentionSet) else ca)
@@ -196,9 +196,10 @@ def build_schema_graph(
 
     sg = SchemaGraph(cq=sorted(cq_set), ca=sorted(ca_set))
     for i, qc in enumerate(sg.cq):
+        by_goal = (found[qc] if found is not None
+                   else find_paths(kg, qc, ca_set, max_edges=max_edges, cap=cap))
         for j, ac in enumerate(sg.ca):
-            plist, truncated = find_paths(kg, qc, ac, max_edges=max_edges, cap=cap)
-            sg.paths[(i, j)] = plist
+            sg.paths[(i, j)], truncated = by_goal[ac]
             if truncated:
                 sg.truncated.add((i, j))
     sg.edges = sorted(_intra_edges(kg, cq_set) | _intra_edges(kg, ca_set))

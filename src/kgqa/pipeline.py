@@ -43,7 +43,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import io_utils
+from . import io_utils, paths
 from .config import RunConfig
 from .data import LABELS, QAExample, accuracy
 from .ground import recognize
@@ -68,15 +68,22 @@ def ground_question(
 ) -> list[dict]:
     """Schema-graph JSON, or an ungrounded marker, for each candidate of ``example``.
 
-    The question is recognized once and each candidate once; each grounded
-    pair is searched, then pruned when ``cfg.prune`` and ``emb`` allow it.
+    The question is recognized once and each candidate once. Each question
+    concept is searched once against the answer concepts of every candidate;
+    each grounded pair takes its paths from those searches and is then
+    pruned when ``cfg.prune`` and ``emb`` allow it.
     """
     cq = recognize(example.question, kg, max_ngram=cfg.max_ngram, stopwords=stopwords)
+    cas = [recognize(cand, kg, max_ngram=cfg.max_ngram, stopwords=stopwords)
+           for cand in example.candidates]
+    goals = set().union(*(ca.concepts for ca in cas)) - cq.concepts
+    found = {qc: paths.find_paths(kg, qc, goals, max_edges=cfg.max_edges, cap=cfg.cap)
+             for qc in cq.concepts} if goals else {}
     out = []
-    for cand in example.candidates:
-        ca = recognize(cand, kg, max_ngram=cfg.max_ngram, stopwords=stopwords)
+    for ca in cas:
         try:
-            sg = build_schema_graph(kg, cq, ca, max_edges=cfg.max_edges, cap=cfg.cap)
+            sg = build_schema_graph(kg, cq, ca, max_edges=cfg.max_edges, cap=cfg.cap,
+                                    found=found)
         except GroundingError:
             out.append({"ungrounded": True})
             continue
@@ -521,7 +528,13 @@ def train(
                 state.backward(ctx, d_raws * scale)
             opt.step(state.grads())
 
-        dev_acc, _ = evaluate(state, dev_examples, dev_instances)
+        # a non-finite weight or score must not reach a checkpoint
+        dev_preds = predict(state, dev_examples, dev_instances)
+        bad = [k for k, v in tensors.items() if not np.isfinite(v).all()]
+        if bad or not np.isfinite([s for p in dev_preds for s in p.scores]).all():
+            what = f"parameter {bad[0]}" if bad else "dev score"
+            raise FloatingPointError(f"non-finite {what} after epoch {epoch}")
+        dev_acc = accuracy({p.example_id: p.chosen for p in dev_preds}, dev_examples)
         m = EpochMetrics(epoch=epoch,
                          train_loss=total_loss / max(1, n_loss_terms),
                          dev_accuracy=dev_acc)

@@ -272,37 +272,49 @@ def reference_find_paths(
 
 def path_oracle_suite(seed: int = 0, n_graphs: int = 200, max_nodes: int = 12,
                       density: float = 0.3, max_edges: int = 3) -> CheckResult:
-    """``find_paths`` against brute-force enumeration (as a set), and against
-    ``reference_find_paths`` exactly: ordered list and ``truncated`` flag, in
-    full and at a cap that truncates."""
+    """``find_paths`` as ``ground_question`` runs it, once per question
+    concept against the answer concepts of several candidates, checked pair
+    by pair: against brute-force enumeration (as a set) at ``max_edges``, and
+    against ``reference_find_paths`` exactly (ordered list and ``truncated``
+    flag, in full and at a cap that truncates) at depth 1 to 4 in turn. It
+    counts the pairs with a path through another goal or another question
+    concept and fails when either count is 0, since then it tested neither."""
     rng = np.random.default_rng(stable_seed("path-oracle", seed))
-    mismatches = 0
-    compared = 0
-    for _ in range(n_graphs):
+    mismatches = compared = via_goal = via_question = 0
+    for g in range(n_graphs):
         n = int(rng.integers(4, max_nodes + 1))
         kg = random_kg(rng, n, density)
-        picks = rng.permutation(n)
-        cq = [int(x) for x in picks[:int(rng.integers(1, 3))]]
-        ca = [int(x) for x in picks[len(cq):len(cq) + int(rng.integers(1, 3))]]
+        picks = [int(x) for x in rng.permutation(n)]
+        cq = picks[:int(rng.integers(1, 4))]
+        pool = picks[len(cq):len(cq) + 4]  # small, so candidates' answers overlap
+        cands = [set(rng.choice(pool, size=int(rng.integers(1, min(3, len(pool)) + 1)),
+                                replace=False).tolist())
+                 for _ in range(int(rng.integers(2, 5)))]
+        goals = set().union(*cands)
+        depth = 1 + g % 4
         for q in cq:
-            for a in ca:
-                got, truncated = find_paths(kg, q, a, max_edges=max_edges,
-                                            cap=10 ** 9)
-                assert not truncated
-                got_set = {tuple(map(tuple, p["steps"])) for p in got}
-                want = brute_force_paths(n, kg.triples, q, a, max_edges)
+            full = find_paths(kg, q, goals, max_edges=max_edges, cap=10 ** 9)
+            deep = {cap: find_paths(kg, q, goals, max_edges=depth, cap=cap)
+                    for cap in (3, 10 ** 9)}
+            for a in sorted(goals):
+                got, truncated = full[a]
                 compared += 1
                 exact = all(
-                    find_paths(kg, q, a, max_edges=max_edges, cap=cap)
-                    == reference_find_paths(kg, q, a, max_edges=max_edges, cap=cap)
-                    for cap in (3, 10 ** 9))
-                if got_set != want or not exact:
+                    deep[cap][a] == reference_find_paths(kg, q, a, max_edges=depth, cap=cap)
+                    for cap in deep)
+                got_set = {tuple(map(tuple, p["steps"])) for p in got}
+                if truncated or not exact or got_set != brute_force_paths(
+                        n, kg.triples, q, a, max_edges):
                     mismatches += 1
+                mids = {node for p in deep[10 ** 9][a][0] for _, _, node in p["steps"][:-1]}
+                via_goal += bool(mids & goals)
+                via_question += bool(mids & set(cq))
     return CheckResult(
         name="path-enumeration-oracle",
-        passed=mismatches == 0,
+        passed=mismatches == 0 and via_goal > 0 and via_question > 0,
         detail=f"{compared} (source, target) pairs over {n_graphs} graphs, "
-               f"{mismatches} mismatches")
+               f"{via_goal} through another goal, {via_question} through another "
+               f"question concept, {mismatches} mismatches")
 
 
 # ------------------------------------------------------------ gradient suite

@@ -15,6 +15,7 @@ from kgqa.ground import load_stopwords
 from kgqa.io_utils import write_container
 from kgqa.kg import build_graph
 from kgqa.kge import train_transe
+from kgqa.model.optim import Adam
 from kgqa.pipeline import (build_model_state, evaluate, ground_question,
                            preprocess, train)
 from kgqa.toy import build_toy_world, rule_candidate_plausible
@@ -71,6 +72,17 @@ def fail_writes_midway(monkeypatch):
         f = open(file, mode, **kwargs)
         return _FailingWrite(f) if "w" in mode else f
     monkeypatch.setattr(io_utils, "open", failing_open, raising=False)
+
+
+def poison_optimizer_steps(monkeypatch):
+    """Make every optimizer step leave an infinite weight behind it."""
+    real = Adam.step
+
+    def step(self, grads):
+        real(self, grads)
+        self.tensors[min(self.tensors)].flat[0] = np.inf
+
+    monkeypatch.setattr(Adam, "step", step)
 
 
 def dir_bytes(root):

@@ -10,7 +10,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from conftest import CACHE_DAMAGE, damage_cache_entry, dir_bytes, fail_writes_midway
+from conftest import (CACHE_DAMAGE, damage_cache_entry, dir_bytes, fail_writes_midway,
+                      poison_optimizer_steps)
 
 from kgqa import io_utils
 from kgqa.cli import main
@@ -110,6 +111,14 @@ def test_paths_rows_hold_schema_graphs(run):
     for row in rows:
         if "sg" in row:
             assert {"cq", "ca", "nodes", "edges", "paths"} <= row["sg"].keys()
+
+
+def test_paths_and_prune_output_bytes_are_pinned(run):
+    # recorded from the per-pair search the per-question search replaced
+    assert io_utils.sha256_bytes(run.sgs.read_bytes()) == \
+        "d841257d2ae717df0202bc08490925c11bd0d504e242ccafbee44a5c44708e40"
+    assert io_utils.sha256_bytes(run.pruned.read_bytes()) == \
+        "a2dfd55c1b30d08294877e9a4eaa7174f0a0285c50f2714f7e31b6107320e955"
 
 
 def path_lengths(jsonl_path):
@@ -278,6 +287,65 @@ def test_triple_embedding_settings_are_checked_at_their_bounds(
     assert err["type"] == "ValueError"
     assert err["message"].startswith(f"{key} must be ")
     assert not out.exists()
+
+
+# (key, boundary value that is accepted, value past it that is rejected),
+# plus the values that used to train a NaN, untrained or zero-width model or
+# fail with an error naming no key: lr -1, epochs -2, gcn_dims abc,
+# score_hidden -1
+NETWORK_KEY_BOUNDS = [
+    ("lr", "5e-324", "0"),
+    ("lr", "5e-324", "-1"),
+    ("lr", "1e308", "inf"),
+    ("lr", "1e308", "nan"),
+    ("epochs", "0", "-1"),
+    ("epochs", "0", "-2"),
+    ("patience", "0", "-1"),
+    *((key, "1", "0") for key in ("lstm_hidden", "enc_hidden", "enc_embed", "d_t",
+                                  "t_hidden", "score_hidden", "batch_examples")),
+    ("score_hidden", "1", "-1"),
+    ("gcn_dims", "", "0"),
+    ("gcn_dims", "1", "8,-2"),
+    ("gcn_dims", "16,1", "16,,8"),
+    ("gcn_dims", "16,1", "16.5"),
+    ("gcn_dims", "16,1", "abc"),
+]
+
+
+@pytest.mark.parametrize("key,accepted,rejected", NETWORK_KEY_BOUNDS)
+def test_network_settings_are_checked_at_their_bounds(
+        run, cli_world, tmp_path, key, accepted, rejected, capsys):
+    want = type(getattr(RunConfig(), key))(accepted)
+    assert getattr(resolve_config(overrides={key: accepted}), key) == want
+    with pytest.raises(ValueError, match=f"^{key} must be "):
+        resolve_config(overrides={key: rejected})
+    config = tmp_path / "run.cfg"
+    config.write_text(cli_world.config.read_text() + f"{key} = {rejected}\n",
+                      encoding="utf-8")
+    out = tmp_path / "model"
+    code = main(["train", "--kg", str(run.kg), "--kge", str(run.kge),
+                 "--dataset", str(cli_world.train_jsonl), "--dev", str(cli_world.dev_jsonl),
+                 "--config", str(config), "--out", str(out)])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "ValueError"
+    assert err["message"].startswith(f"{key} must be ")
+    assert not out.exists()
+
+
+def test_train_saves_no_model_with_a_non_finite_weight(run, cli_world, tmp_path,
+                                                       monkeypatch, capsys):
+    poison_optimizer_steps(monkeypatch)
+    out = tmp_path / "model"
+    code = main(["train", "--kg", str(run.kg), "--kge", str(run.kge),
+                 "--dataset", str(cli_world.train_jsonl), "--dev", str(cli_world.dev_jsonl),
+                 "--config", str(cli_world.config), "--out", str(out)])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "FloatingPointError"
+    assert err["message"].startswith("non-finite parameter ")
+    assert err["message"].endswith(" after epoch 1")
+    assert not (out / "model.bin").exists()
 
 
 def test_train_kge_names_a_bad_word_vector_row(run, cli_world, tmp_path, capsys):

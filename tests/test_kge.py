@@ -69,7 +69,7 @@ def test_reverse_consistency(seed):
 
 def path_for(kg, src, dst, **kw):
     from kgqa.paths import find_paths
-    paths, _ = find_paths(kg, src, dst, **kw)
+    paths, _ = find_paths(kg, src, [dst], **kw)[dst]
     return paths
 
 

@@ -21,9 +21,14 @@ def keyset(paths):
     return {tuple(map(tuple, p["steps"])) for p in paths}
 
 
+def find_one(kg, src, dst, **kw):
+    """``find_paths`` with the single goal ``dst``: (paths, truncated)."""
+    return find_paths(kg, src, [dst], **kw)[int(dst)]
+
+
 def test_chain_exactly_one_path():
     kg = make_chain_kg(4)
-    got, truncated = find_paths(kg, 0, 3, max_edges=3, cap=100)
+    got, truncated = find_one(kg, 0, 3, max_edges=3, cap=100)
     assert not truncated
     assert keyset(got) == brute_force_paths(4, kg.triples, 0, 3, 3)
     assert len(got) == 1
@@ -32,7 +37,7 @@ def test_chain_exactly_one_path():
 
 def test_chain_too_long_gives_empty():
     kg = make_chain_kg(5)
-    got, truncated = find_paths(kg, 0, 4, max_edges=3, cap=100)
+    got, truncated = find_one(kg, 0, 4, max_edges=3, cap=100)
     assert got == []
     assert not truncated
     assert brute_force_paths(5, kg.triples, 0, 4, 3) == set()
@@ -40,14 +45,14 @@ def test_chain_too_long_gives_empty():
 
 def test_direct_edge_single_forward_step():
     kg = build_graph(["a", "b"], ["r"], [(0, 0, 1)], [1.0])
-    got, _ = find_paths(kg, 0, 1, max_edges=3, cap=100)
+    got, _ = find_one(kg, 0, 1, max_edges=3, cap=100)
     assert len(got) == 1
     assert got[0] == {"start": 0, "steps": [[0, False, 1]]}
 
 
 def test_reverse_traversal_flagged():
     kg = build_graph(["a", "b"], ["r"], [(1, 0, 0)], [1.0])
-    got, _ = find_paths(kg, 0, 1, max_edges=3, cap=100)
+    got, _ = find_one(kg, 0, 1, max_edges=3, cap=100)
     assert len(got) == 1
     assert got[0]["steps"][0][1] is True
 
@@ -56,7 +61,7 @@ def test_destination_never_intermediate():
     # a-d plus a-d-b-d style lures: any path through dst is illegal
     triples = [(0, 0, 3), (3, 0, 1), (1, 0, 2), (0, 0, 1), (2, 0, 3)]
     kg = build_graph(list("abcd"), ["r"], triples, np.ones(len(triples)))
-    got, _ = find_paths(kg, 0, 3, max_edges=3, cap=100)
+    got, _ = find_one(kg, 0, 3, max_edges=3, cap=100)
     for p in got:
         assert 3 not in [node for _, _, node in p["steps"][:-1]]
         assert p["steps"][-1][2] == 3
@@ -65,7 +70,7 @@ def test_destination_never_intermediate():
 def test_order_shorter_first_then_lexicographic():
     triples = [(0, 0, 1), (0, 1, 1), (0, 0, 2), (2, 0, 1)]
     kg = build_graph(list("abc"), ["r0", "r1"], triples, np.ones(len(triples)))
-    got, _ = find_paths(kg, 0, 1, max_edges=3, cap=100)
+    got, _ = find_one(kg, 0, 1, max_edges=3, cap=100)
     lengths = [len(p["steps"]) for p in got]
     assert lengths == sorted(lengths)
     keys = [path_sort_key(p) for p in got]
@@ -78,9 +83,9 @@ def test_cap_truncates_and_flags():
     triples = [(0, r, 1) for r in range(3)] + [(1, r, 2) for r in range(3)]
     kg = build_graph(list("abc"), ["r0", "r1", "r2"], triples,
                      np.ones(len(triples)))
-    full, truncated = find_paths(kg, 0, 2, max_edges=2, cap=100)
+    full, truncated = find_one(kg, 0, 2, max_edges=2, cap=100)
     assert not truncated
-    capped, truncated = find_paths(kg, 0, 2, max_edges=2, cap=4)
+    capped, truncated = find_one(kg, 0, 2, max_edges=2, cap=4)
     assert truncated
     assert len(capped) == 4
     assert capped == full[:4]
@@ -89,7 +94,9 @@ def test_cap_truncates_and_flags():
 def test_invalid_ids_raise():
     kg = make_chain_kg(3)
     with pytest.raises((IndexError, ValueError)):
-        find_paths(kg, 0, 99, max_edges=3, cap=10)
+        find_one(kg, 0, 99, max_edges=3, cap=10)
+    with pytest.raises(ValueError, match="src must not be a goal"):
+        find_paths(kg, 0, [2, 0])
 
 
 @settings(max_examples=40)
@@ -106,7 +113,7 @@ def test_matches_bruteforce_on_random_graphs(seed):
     kg = build_graph([f"c{i}" for i in range(n)], ["r0", "r1"], triples,
                      np.ones(len(triples)))
     src, dst = rng.permutation(n)[:2]
-    got, truncated = find_paths(kg, int(src), int(dst), max_edges=3, cap=10 ** 9)
+    got, truncated = find_one(kg, int(src), int(dst), max_edges=3, cap=10 ** 9)
     assert not truncated
     assert keyset(got) == brute_force_paths(n, kg.triples, int(src),
                                             int(dst), 3)
@@ -129,8 +136,8 @@ def test_symmetry_under_endpoint_swap(seed):
     kg = build_graph([f"c{i}" for i in range(n)], ["r"], triples,
                      np.ones(len(triples)))
     src, dst = (int(x) for x in rng.permutation(n)[:2])
-    fwd, _ = find_paths(kg, src, dst, max_edges=3, cap=10 ** 9)
-    bwd, _ = find_paths(kg, dst, src, max_edges=3, cap=10 ** 9)
+    fwd, _ = find_one(kg, src, dst, max_edges=3, cap=10 ** 9)
+    bwd, _ = find_one(kg, dst, src, max_edges=3, cap=10 ** 9)
     # same underlying triple sequences, reversed, with orientation flipped
     assert {tuple(reversed(path_triples(p))) for p in fwd} == \
         {tuple(path_triples(p)) for p in bwd}
@@ -143,7 +150,7 @@ def degree(kg, c):
 def assert_matches_reference(kg, a, b, max_edges=3, cap=10 ** 9):
     """Exact agreement with the plain DFS, in both argument orders."""
     for src, dst in ((a, b), (b, a)):
-        assert find_paths(kg, src, dst, max_edges=max_edges, cap=cap) == \
+        assert find_one(kg, src, dst, max_edges=max_edges, cap=cap) == \
             reference_find_paths(kg, src, dst, max_edges=max_edges, cap=cap)
 
 
@@ -193,7 +200,7 @@ def test_self_loop_on_dst_is_never_walked():
                (0, 0, 2), (0, 0, 4)]
     kg = build_graph(list("abcde"), ["r0", "r1"], triples, np.ones(len(triples)))
     assert degree(kg, 0) > degree(kg, 2)
-    got, _ = find_paths(kg, 0, 2)
+    got, _ = find_one(kg, 0, 2)
     assert all(node != 2 for p in got for _, _, node in p["steps"][:-1])
     assert keyset(got) == brute_force_paths(5, kg.triples, 0, 2, 3)
     assert_matches_reference(kg, 0, 2)
@@ -204,7 +211,7 @@ def test_self_loop_on_src_is_never_walked():
     triples = [(0, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 2), (0, 1, 2)]
     kg = build_graph(list("abc"), ["r0", "r1"], triples, np.ones(len(triples)))
     assert degree(kg, 0) > degree(kg, 2)
-    got, _ = find_paths(kg, 0, 2)
+    got, _ = find_one(kg, 0, 2)
     assert all(p["start"] == 0 and 0 not in [node for _, _, node in p["steps"]]
                for p in got)
     assert keyset(got) == brute_force_paths(3, kg.triples, 0, 2, 3)
@@ -212,10 +219,11 @@ def test_self_loop_on_src_is_never_walked():
 
 
 def test_degree_tie_searches_either_way_alike():
+    # endpoints of equal degree; the search starts at src whatever the degrees
     triples = [(0, 0, 1), (1, 0, 3), (0, 1, 2), (2, 1, 3), (0, 0, 3)]
     kg = build_graph(list("abcd"), ["r0", "r1"], triples, np.ones(len(triples)))
     assert degree(kg, 0) == degree(kg, 3)
-    got, _ = find_paths(kg, 0, 3)
+    got, _ = find_one(kg, 0, 3)
     assert [p["steps"] for p in got] == [
         [[0, False, 3]], [[0, False, 1], [0, False, 3]],
         [[1, False, 2], [1, False, 3]]]
@@ -223,14 +231,16 @@ def test_degree_tie_searches_either_way_alike():
 
 
 def test_hub_endpoint_costs_no_hub_expansion(monkeypatch):
-    # a hub with 300 leaves, and a 3-edge path hub-x-y-leaf0
+    # a hub with 300 leaves, and a 3-edge path leaf1-y-x-hub: a hub goal
+    # costs its neighbour list for the last-hop table and one pass on the
+    # last level, never a neighbour list per hub neighbour
     n_leaves = 300
     x, y = n_leaves + 1, n_leaves + 2
     triples = [(0, 0, leaf) for leaf in range(1, n_leaves + 1)]
     triples += [(0, 1, x), (x, 1, y), (y, 1, 1)]
     kg = build_graph([f"c{i}" for i in range(n_leaves + 3)], ["r0", "r1"],
                      triples, np.ones(len(triples)))
-    want = reference_find_paths(kg, 0, 1)
+    want = reference_find_paths(kg, 1, 0)
     calls = []
     plain = KnowledgeGraph.neighbors
 
@@ -239,16 +249,18 @@ def test_hub_endpoint_costs_no_hub_expansion(monkeypatch):
         return plain(self, concept)
 
     monkeypatch.setattr(KnowledgeGraph, "neighbors", counted)
-    got = find_paths(kg, 0, 1)
+    got = find_one(kg, 1, 0)
     assert got == want
-    assert [[node for _, _, node in p["steps"]] for p in got[0]] == [[1], [x, y, 1]]
+    assert [[node for _, _, node in p["steps"]] for p in got[0]] == [[0], [y, x, 0]]
     assert len(calls) < 10
 
 
 def test_paths_hold_python_scalars_for_numpy_endpoints():
     kg = make_chain_kg(4)
     for src, dst in ((np.int64(0), np.uint32(3)), (np.uint32(3), np.int64(0))):
-        (path,), _ = find_paths(kg, src, dst)
+        found = find_paths(kg, src, [dst])
+        assert [type(goal) for goal in found] == [int]
+        (path,), _ = found[int(dst)]
         assert type(path["start"]) is int
         for rel, reverse, node in path["steps"]:
             assert (type(rel), type(reverse), type(node)) == (int, bool, int)
@@ -311,3 +323,56 @@ def test_schema_graph_dict_round_trip(seed, threshold):
         assert [tuple(e) for e in d["edges"]] == sg.edges
         assert d["paths"] == {f"{i},{j}": plist for (i, j), plist in sg.paths.items()}
         assert {tuple(t) for t in d["truncated"]} == sg.truncated
+
+
+def node_seq(path):
+    return [node for _, _, node in path["steps"]]
+
+
+def test_goals_and_question_concepts_may_lie_mid_path():
+    # chain a-b-c-d-e: from a, goal b lies on the paths to d and e, and goal
+    # d on the path to e; no goal's own paths pass through it
+    kg = make_chain_kg(5)
+    found = find_paths(kg, 0, [1, 3, 4])
+    assert {g: [node_seq(p) for p in plist] for g, (plist, _) in found.items()} == \
+        {1: [[1]], 3: [[1, 2, 3]], 4: []}
+    assert find_paths(kg, 0, [1, 3, 4], max_edges=4)[4][0] == \
+        reference_find_paths(kg, 0, 4, max_edges=4)[0]
+    # question concepts {a, c} and answer {e}: the search from c is one edge
+    # shorter, and the one from a walks through c
+    sg = build_schema_graph(kg, {0, 2}, {4}, max_edges=4, cap=10)
+    assert [node_seq(p) for p in sg.paths[(0, 0)]] == [[1, 2, 3, 4]]
+    assert [node_seq(p) for p in sg.paths[(1, 0)]] == [[3, 4]]
+
+
+@st.composite
+def question_groundings(draw):
+    """A random graph, 1-3 question concepts and 2-4 candidates' answer sets
+    drawn from a pool small enough that the sets overlap."""
+    kg, hub = draw(hub_graphs())
+    order = draw(st.permutations(range(kg.n_concepts)))
+    cq = order[:draw(st.integers(1, min(3, len(order) - 1)))]
+    pool = order[len(cq):len(cq) + 4]
+    cands = draw(st.lists(st.sets(st.sampled_from(pool), min_size=1, max_size=3),
+                          min_size=2, max_size=4))
+    return kg, cq, cands
+
+
+@settings(max_examples=60)
+@given(question_groundings(), st.integers(1, 4), st.integers(1, 6))
+def test_multi_goal_search_equals_reference_per_pair(grounding, max_edges, cap):
+    # one search per question concept answers every (question, answer) pair
+    # of every candidate exactly as the plain per-pair DFS does
+    kg, cq, cands = grounding
+    goals = set().union(*cands)
+    for qc in cq:
+        for c in (cap, 10 ** 9):
+            found = find_paths(kg, qc, goals, max_edges=max_edges, cap=c)
+            assert sorted(found) == sorted(goals)
+            for goal in goals:
+                assert found[goal] == reference_find_paths(
+                    kg, qc, goal, max_edges=max_edges, cap=c)
+    shared = {qc: find_paths(kg, qc, goals, max_edges=max_edges, cap=cap) for qc in cq}
+    for ca in cands:
+        assert build_schema_graph(kg, cq, ca, max_edges, cap, found=shared) == \
+            build_schema_graph(kg, cq, ca, max_edges, cap)

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import CACHE_DAMAGE, damage_cache_entry
+from conftest import CACHE_DAMAGE, damage_cache_entry, poison_optimizer_steps
 
 from kgqa import io_utils, pipeline, selfcheck
 from kgqa.config import RunConfig
@@ -516,6 +516,20 @@ def test_non_finite_loss_aborts_with_example_id(mini):
     with pytest.raises(FloatingPointError, match="non-finite loss on example"):
         train(state, mini.world.train, mini.world.dev,
               mini.train_inst, mini.dev_inst)
+
+
+@pytest.mark.parametrize("what", ["parameter", "dev score"])
+def test_training_refuses_a_non_finite_model(mini, monkeypatch, what):
+    # one batch per epoch, so the bad weight is never seen by a loss
+    state = fresh_state(mini, batch_examples=len(mini.world.train))
+    if what == "parameter":
+        poison_optimizer_steps(monkeypatch)
+    else:
+        real = pipeline.predict
+        monkeypatch.setattr(pipeline, "predict", lambda *args: [
+            replace(p, scores=[np.nan] * len(p.scores)) for p in real(*args)])
+    with pytest.raises(FloatingPointError, match=f"non-finite {what}.* after epoch 1$"):
+        train(state, mini.world.train, mini.world.dev, mini.train_inst, mini.dev_inst)
 
 
 def test_exact_tie_chooses_lowest_index(mini):
