@@ -147,11 +147,15 @@ def cmd_schema_graphs(args) -> int:
     total = PruneReport()
     with io_utils.atomic_open(args.out, "w", encoding="utf-8") as fh:
         for ex in load_dataset(args.dataset):
-            payloads = ground_question(kg, stop, cfg, ex, emb)
-            for ci, payload in enumerate(payloads):
-                if "prune" in payload:
-                    total += PruneReport.from_dict(payload["prune"])
-                row = {"id": ex.id, "candidate": ci, **payload}
+            for ci, (sg, report) in enumerate(ground_question(kg, stop, cfg, ex, emb)):
+                row = {"id": ex.id, "candidate": ci}
+                if sg is None:
+                    row["ungrounded"] = True
+                else:
+                    row["sg"] = sg.to_dict()
+                if report is not None:
+                    row["prune"] = report.to_dict()
+                    total += report
                 fh.write(io_utils.canonical_json(row) + "\n")
     _manifest(args, args.out, cfg, "kg", "kge", "dataset", "stopwords")
     if cfg.prune:

@@ -63,25 +63,28 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         """Reject settings that would ground nothing, build a network without
-        a unit, fail partway through a run, or write a non-finite table or a
-        non-JSON header, naming the key."""
+        a unit, fail partway through a run, train at a rate not above 0, or
+        write a non-finite table or a non-JSON header, naming the key."""
         if not (math.isfinite(self.threshold) and 0.0 <= self.threshold <= 1.0):
             raise ValueError(f"threshold must be a finite number in [0, 1], "
                              f"got {self.threshold!r}")
-        for key, low in (("max_ngram", 1), ("max_edges", 1), ("cap", 1), ("kge_dim", 1),
-                         ("kge_batch", 1), ("kge_neg", 1), ("kge_epochs", 0),
-                         ("lstm_hidden", 1), ("d_t", 1), ("t_hidden", 1),
-                         ("score_hidden", 1), ("enc_embed", 1), ("enc_hidden", 1),
-                         ("epochs", 0), ("batch_examples", 1), ("patience", 0)):
+        for key, low in (("seed", 0), ("max_ngram", 1), ("max_edges", 1), ("cap", 1),
+                         ("kge_dim", 1), ("kge_batch", 1), ("kge_neg", 1),
+                         ("kge_epochs", 0), ("lstm_hidden", 1), ("d_t", 1),
+                         ("t_hidden", 1), ("score_hidden", 1), ("enc_embed", 1),
+                         ("enc_hidden", 1), ("epochs", 0), ("batch_examples", 1),
+                         ("patience", 0)):
             if getattr(self, key) < low:
                 raise ValueError(f"{key} must be at least {low}, got {getattr(self, key)!r}")
-        if not (math.isfinite(self.lr) and self.lr > 0):
-            raise ValueError(f"lr must be a finite number above 0, got {self.lr!r}")
+        for key in ("lr", "kge_lr"):
+            if not (math.isfinite(getattr(self, key)) and getattr(self, key) > 0):
+                raise ValueError(f"{key} must be a finite number above 0, "
+                                 f"got {getattr(self, key)!r}")
         dims = self.gcn_dims.split(",") if self.gcn_dims.strip() else []
         if not all(d.strip().isdecimal() and int(d) > 0 for d in dims):
             raise ValueError(f"gcn_dims must be empty or comma-separated positive "
                              f"integers, got {self.gcn_dims!r}")
-        for key in ("kge_lr", "kge_margin", "gamma"):
+        for key in ("kge_margin", "gamma"):
             if not math.isfinite(getattr(self, key)):
                 raise ValueError(f"{key} must be a finite number, got {getattr(self, key)!r}")
         if self.kge_margin < 0:

@@ -13,7 +13,7 @@ summed in index order, bit-identical to ``np.add.at`` (``layers.scatter_rows``).
 from __future__ import annotations
 
 import warnings
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -256,10 +256,6 @@ class PruneReport:
 
     def __add__(self, other: "PruneReport") -> "PruneReport":
         return PruneReport(*(a + b for a, b in zip(astuple(self), astuple(other))))
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PruneReport":
-        return cls(**{f.name: d[f.name] for f in fields(cls)})
 
     def to_dict(self) -> dict:
         return {

@@ -1,7 +1,7 @@
 """Graph-and-path scoring network with hierarchical attention.
 
 One forward pass scores the candidates of one Instance: the flat path table
-built once from a candidate's schema-graph JSON, or the disjoint union of a
+built once from a candidate's schema graph, or the disjoint union of a
 question's candidates that ``Instance.concat`` builds (see ``Instance``).
 Candidates share no node rows, pairs or paths in the union, so each one is still
 scored independently; one pass only batches the work.
@@ -40,6 +40,7 @@ import numpy as np
 
 from ..config import RunConfig
 from ..io_utils import stable_seed
+from ..paths import SchemaGraph
 from .layers import (BiLSTM, GCNLayer, Layer, MLP, glorot, normalized_adjacency,
                      scatter_rows, sigmoid, softmax, softmax_backward)
 
@@ -184,31 +185,33 @@ def fallback_rows(parts: Sequence[Instance], d_path: int, seed: int) -> np.ndarr
 
 
 def instance_from_schema_graph(
-    sg: Optional[dict],
+    sg: Optional[SchemaGraph],
     example_id: str,
     cand_index: int,
     label: Optional[int] = None,
 ) -> Instance:
-    """Build the path table of a schema graph's JSON (``SchemaGraph.to_dict``).
+    """Build the path table of ``sg``: its pairs (i, j) over ``sg.cq`` and
+    ``sg.ca`` in row-major order, each owning the paths ``sg.paths[(i, j)]``.
 
     ``sg`` None builds the ungrounded anchor: concept ANCHOR_CONCEPT
     alone, one pair on it and no paths.
     """
     ungrounded = sg is None
     if ungrounded:
-        anchor = [ANCHOR_CONCEPT]
-        sg = {"cq": anchor, "ca": anchor, "nodes": anchor, "edges": [],
-              "paths": {"0,0": []}}
-    row = {c: i for i, c in enumerate(sg["nodes"])}
+        cq = ca = nodes = [ANCHOR_CONCEPT]
+        edges, pair_paths = [], {(0, 0): []}
+    else:
+        cq, ca, nodes, edges, pair_paths = sg.cq, sg.ca, sg.nodes, sg.edges, sg.paths
+    row = {c: i for i, c in enumerate(nodes)}
     und = sorted({
         (min(row[h], row[t]), max(row[h], row[t]))
-        for h, _, t in sg["edges"] if h != t
+        for h, _, t in edges if h != t
     })
     q_rows, a_rows, owner, offsets = [], [], [], [0]
     heads, rels, signs, tails = [], [], [], []
-    for i, qc in enumerate(sg["cq"]):
-        for j, ac in enumerate(sg["ca"]):
-            for path in sg["paths"][f"{i},{j}"]:
+    for i, qc in enumerate(cq):
+        for j, ac in enumerate(ca):
+            for path in pair_paths[(i, j)]:
                 cur = path["start"]
                 for rel, reverse, node in path["steps"]:
                     heads.append(row[cur])
@@ -222,7 +225,7 @@ def instance_from_schema_graph(
             a_rows.append(row[ac])
     ints = partial(np.array, dtype=np.int64)
     return Instance(
-        example_id, cand_index, node_ids=ints(sg["nodes"]), und_edges=und,
+        example_id, cand_index, node_ids=ints(nodes), und_edges=und,
         q_rows=ints(q_rows), a_rows=ints(a_rows), owner=ints(owner),
         offsets=ints(offsets), heads=ints(heads), rels=ints(rels),
         signs=np.array(signs, dtype=np.float64), tails=ints(tails),

@@ -2,11 +2,12 @@
 
 Paths run from a question concept to an answer concept, at most ``max_edges``
 edges (default 3), traversing triples in either direction with a per-step
-``reverse`` flag. A path is the record the preprocessing cache stores and the
-network reads, ``{"start": concept, "steps": [[rel, reverse, node], ...]}``,
-from ``find_paths`` onward. A question's candidates share its question
-concepts, so each question concept is searched once, by one depth-limited DFS
-that collects the paths to the answer concepts of every candidate at once;
+``reverse`` flag. A path is one record, ``{"start": concept, "steps": [[rel,
+reverse, node], ...]}``, from ``find_paths`` through pruning to the path
+table that ``instance_from_schema_graph`` builds. A question's candidates
+share its question concepts, so each question concept is searched once, by
+one depth-limited DFS that collects the paths to the answer concepts of
+every candidate at once;
 ``build_schema_graph`` then takes each pair's list from those results. The
 last hop is a dictionary lookup in one table of the edges incident to every
 goal, so no node on the last level lists its neighbours. Results merge
@@ -124,9 +125,9 @@ class SchemaGraph:
     between cq[i] and ca[j], in ``find_paths`` order; ``edges`` covers every
     triple used by a path plus direct edges inside each mention set, and
     ``nodes`` exactly the concepts those touch plus the mention sets
-    themselves. ``to_dict`` is the JSON the preprocessing cache, ``kgqa
-    paths`` and ``instance_from_schema_graph`` hold; its path records are the
-    ones in ``paths``, not copies.
+    themselves. ``to_dict`` is its JSON form, with "i,j" pair keys, made
+    only for ``kgqa paths``/``prune`` output and the benchmark's digest; its
+    path records are the ones in ``paths``, not copies.
     """
 
     cq: list[int]

@@ -23,8 +23,8 @@ another kind, inconsistent, holding an index outside its tables, or holding
 another number of candidates than the example raises ContainerError naming
 the file.
 
-Training, prediction and evaluation score a question's candidates in one
-pass: one statement-encoder call and one network call over the union of the
+Training and prediction score a question's candidates in one pass: one
+statement-encoder call and one network call over the union of the
 candidates' instances (``Instance.concat``), and one backward when training.
 Explanations score their one candidate as a pass of one.
 
@@ -53,7 +53,7 @@ from .model.layers import Layer
 from .model.network import (ForwardTrace, Instance, PathAttentionScorer,
                             bce_loss, fallback_rows, instance_from_schema_graph)
 from .model.optim import Adam
-from .paths import GroundingError, build_schema_graph
+from .paths import GroundingError, SchemaGraph, build_schema_graph
 from .statement import FeatureStore, ToyStatementEncoder, build_vocab
 
 
@@ -65,8 +65,10 @@ def ground_question(
     cfg: RunConfig,
     example: QAExample,
     emb: Optional[EmbeddingTable],
-) -> list[dict]:
-    """Schema-graph JSON, or an ungrounded marker, for each candidate of ``example``.
+) -> list[tuple[Optional[SchemaGraph], Optional[PruneReport]]]:
+    """(schema graph, prune report) of each candidate of ``example``: the
+    graph None when the candidate grounds to nothing, the report None when
+    it was not pruned.
 
     The question is recognized once and each candidate once. Each question
     concept is searched once against the answer concepts of every candidate;
@@ -85,13 +87,10 @@ def ground_question(
             sg = build_schema_graph(kg, cq, ca, max_edges=cfg.max_edges, cap=cfg.cap,
                                     found=found)
         except GroundingError:
-            out.append({"ungrounded": True})
+            out.append((None, None))
             continue
-        if cfg.prune and emb is not None:
-            report = prune_schema_graph(sg, emb, threshold=cfg.threshold)
-            out.append({"sg": sg.to_dict(), "prune": report.to_dict()})
-        else:
-            out.append({"sg": sg.to_dict()})
+        out.append((sg, prune_schema_graph(sg, emb, threshold=cfg.threshold)
+                    if cfg.prune and emb is not None else None))
     return out
 
 
@@ -138,15 +137,16 @@ def preprocess(
             computed = [ground_question(kg, stopwords, cfg, ex, emb) for ex in pending]
         if cache_root is not None:
             os.makedirs(cache_root, exist_ok=True)
-        for ex, payloads in zip(pending, computed):
-            # an ungrounded payload has no "sg" and becomes the anchor instance
+        for ex, grounded in zip(pending, computed):
+            # a candidate that grounds to nothing becomes the anchor instance
             cands = [instance_from_schema_graph(
-                payload.get("sg"), ex.id, ci, label=_cand_label(ex.label, ci))
-                for ci, payload in enumerate(payloads)]
+                sg, ex.id, ci, label=_cand_label(ex.label, ci))
+                for ci, (sg, _) in enumerate(grounded)]
             insts.update(((ex.id, ci), inst) for ci, inst in enumerate(cands))
             if cache_root is not None:
-                write_cache_entry(cache_path(ex.id), cands,
-                                  [payload.get("prune") for payload in payloads])
+                write_cache_entry(cache_path(ex.id), cands, [
+                    None if report is None else report.to_dict()
+                    for _, report in grounded])
 
     return {(ex.id, ci): insts[(ex.id, ci)]
             for ex in examples for ci in range(len(ex.candidates))}
@@ -298,12 +298,12 @@ def _init_worker(kg, stopwords, cfg, emb) -> None:
     _WORKER_STATE["args"] = (kg, stopwords, cfg, emb)
 
 
-def _worker_ground(ex: QAExample) -> list[dict]:
+def _worker_ground(ex: QAExample) -> list[tuple]:
     kg, stopwords, cfg, emb = _WORKER_STATE["args"]
     return ground_question(kg, stopwords, cfg, ex, emb)
 
 
-def _parallel_ground(kg, stopwords, cfg, pending, emb, jobs) -> list[list[dict]]:
+def _parallel_ground(kg, stopwords, cfg, pending, emb, jobs) -> list[list[tuple]]:
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(
             max_workers=jobs, initializer=_init_worker,
@@ -477,12 +477,6 @@ def _example_forward(state: ModelState, example: QAExample,
     encoder cache or None), with one row of ``trace.raw`` per candidate."""
     cands = range(len(example.candidates))
     return state.forward(example, cands, [instances[(example.id, ci)] for ci in cands])
-
-
-def evaluate(state: ModelState, examples: list[QAExample],
-             instances: dict) -> tuple[float, dict[str, int]]:
-    preds = {p.example_id: p.chosen for p in predict(state, examples, instances)}
-    return accuracy(preds, examples), preds
 
 
 def train(

@@ -87,8 +87,8 @@ def random_kg(rng: np.random.Generator, n_nodes: int, density: float,
     relations = tuple(f"r{i}" for i in range(n_relations))
     triples = set()
     for a in range(n_nodes):
-        for b in range(n_nodes):
-            if a != b and rng.random() < density:
+        for b in range(n_nodes):  # self-loops too: no simple path may take one
+            if rng.random() < density:
                 triples.add((a, int(rng.integers(n_relations)), b))
     if not triples:
         triples.add((0, 0, min(1, n_nodes - 1)))
@@ -134,15 +134,15 @@ def random_instance(
                 seq = [qi] + mids + [aj]
                 rels = rng.integers(0, n_relations, size=len(seq) - 1)
                 reverse = rng.random(len(seq) - 1) >= 0.5
-                edges += [[hh, 0, tt] for hh, tt in zip(seq, seq[1:])]
+                edges += [(hh, 0, tt) for hh, tt in zip(seq, seq[1:])]
                 plist.append({"start": qi, "steps": [
                     [int(r), bool(v), t] for r, v, t in zip(rels, reverse, seq[1:])]})
-            paths[f"{i},{j}"] = plist
+            paths[(i, j)] = plist
     # a few extra background edges; the instance drops loops and repeats
     for _ in range(n):
         a, b = rng.integers(0, n, size=2)
-        edges.append([int(a), 0, int(b)])
-    sg = {"cq": cq, "ca": ca, "nodes": list(range(n)), "edges": edges, "paths": paths}
+        edges.append((int(a), 0, int(b)))
+    sg = SchemaGraph(cq=cq, ca=ca, nodes=list(range(n)), edges=edges, paths=paths)
     inst = instance_from_schema_graph(sg, f"rand-{int(rng.integers(1 << 30))}", 0)
     s = rng.standard_normal(d_s)
     node_init = rng.standard_normal((n, cfg.kge_dim))
@@ -181,10 +181,10 @@ def permute_instance(
     for i, qc in enumerate(cq):
         for j, ac in enumerate(ca):
             plist = by_pair[(qc, ac)]
-            paths[f"{i},{j}"] = [{"start": qc, "steps": plist[int(k)]}
-                                 for k in rng.permutation(len(plist))]
-    sg = {"cq": cq, "ca": ca, "nodes": new_ids.tolist(),
-          "edges": [[ids[a], 0, ids[b]] for a, b in inst.und_edges], "paths": paths}
+            paths[(i, j)] = [{"start": qc, "steps": plist[int(k)]}
+                             for k in rng.permutation(len(plist))]
+    sg = SchemaGraph(cq=cq, ca=ca, nodes=new_ids.tolist(),
+                     edges=[(ids[a], 0, ids[b]) for a, b in inst.und_edges], paths=paths)
     permuted = instance_from_schema_graph(sg, inst.example_id, inst.cand_index,
                                           label=inst.label)
     return permuted, new_init, fallback_rows([permuted], cfg.d_path, cfg.seed)
@@ -578,20 +578,39 @@ def reference_prune(sg: SchemaGraph, table: EmbeddingTable,
 def pruning_suite(seed: int = 0, n_graphs: int = 40) -> CheckResult:
     """Threshold meaning, sparse-pair exemption, monotonicity, zero identity,
     and ``prune_schema_graph`` equal to ``reference_prune``: kept lists in
-    order, report and schema-graph JSON."""
+    order, report and schema graph. Besides 0, 1 and two random
+    thresholds, each graph with a pair of PRUNE_EXEMPT_BELOW or more paths is
+    pruned at the median score of the first such pair's paths, which must
+    keep the paths scoring exactly that; it fails when no graph has one."""
     rng = np.random.default_rng(stable_seed("pruning", seed))
     problems = []
+    n_equal = 0
     for gi, (sg, table) in enumerate(_random_schema_graphs(rng, n_graphs)):
         t1, t2 = sorted(rng.uniform(0.05, 0.9, size=2))
-        copies = {t: copy.deepcopy(sg) for t in (0.0, t1, t2, 1.0)}
+        thresholds = [0.0, t1, t2, 1.0]
+        dense = [key for key, plist in sorted(sg.paths.items())
+                 if len(plist) >= PRUNE_EXEMPT_BELOW]
+        if dense:  # and the median path score of the first pair not exempt
+            eq_scores = [table.path_score(p) for p in sg.paths[dense[0]]]
+            t_equal = sorted(eq_scores)[len(eq_scores) // 2]
+            thresholds.append(t_equal)
+            n_equal += 1
+        copies = {t: copy.deepcopy(sg) for t in thresholds}
         for t, copy_sg in copies.items():
             ref_sg = copy.deepcopy(sg)
             ref_report = reference_prune(ref_sg, table, threshold=t)
             report = prune_schema_graph(copy_sg, table, threshold=t)
             if report != ref_report or copy_sg.paths != ref_sg.paths:
                 problems.append(f"g{gi}: threshold {t:.3f} differs from reference_prune")
-            elif copy_sg.to_dict() != ref_sg.to_dict():
+            elif copy_sg != ref_sg:
                 problems.append(f"g{gi}: threshold {t:.3f} cover differs from reference_prune")
+        if dense:
+            at = {path_sort_key(p) for p, sc in zip(sg.paths[dense[0]], eq_scores)
+                  if sc == t_equal}
+            kept = {path_sort_key(p) for p in copies[t_equal].paths[dense[0]]}
+            if not at <= kept:
+                problems.append(f"g{gi}{dense[0]}: dropped a path scoring exactly "
+                                "the threshold")
         for key, orig in sg.paths.items():
             keys = {path_sort_key(p) for p in orig}
             zero = {path_sort_key(p) for p in copies[0.0].paths[key]}
@@ -615,9 +634,9 @@ def pruning_suite(seed: int = 0, n_graphs: int = 40) -> CheckResult:
                                 f"g{gi}{key}: kept sub-threshold non-best path")
     return CheckResult(
         name="pruning-semantics",
-        passed=not problems,
+        passed=not problems and n_equal > 0,
         detail=("ok" if not problems else "; ".join(problems[:4]))
-               + f" ({n_graphs} graphs)")
+               + f" ({n_graphs} graphs, {n_equal} pruned at a path's exact score)")
 
 
 # ------------------------------------------------------------ cache suite

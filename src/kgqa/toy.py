@@ -21,6 +21,7 @@ import numpy as np
 
 from .data import QAExample
 from .kg import KnowledgeGraph, build_graph
+from .paths import SchemaGraph
 
 EVIDENCE = "evidence_of"
 HUB_REL = "common_trait"
@@ -126,11 +127,11 @@ def is_pure_evidence(path: dict, kg: KnowledgeGraph) -> bool:
     return all(rel == evidence and not reverse for rel, reverse, _ in path["steps"])
 
 
-def rule_candidate_plausible(sg: dict, kg: KnowledgeGraph) -> bool:
-    """The hand rule: some pair of a schema graph's JSON (as cached) owns an
-    all-evidence forward chain."""
+def rule_candidate_plausible(sg: SchemaGraph, kg: KnowledgeGraph) -> bool:
+    """The hand rule: some pair of a schema graph owns an all-evidence
+    forward chain."""
     return any(
         is_pure_evidence(p, kg)
-        for plist in sg["paths"].values()
+        for plist in sg.paths.values()
         for p in plist
     )

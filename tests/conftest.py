@@ -1,6 +1,8 @@
 """Shared fixtures: tiny graphs, the synthetic KGE benchmark, the toy QA run."""
 
 import errno
+import inspect
+import textwrap
 import time
 from types import SimpleNamespace
 
@@ -10,14 +12,13 @@ from hypothesis import HealthCheck, settings
 
 from kgqa import io_utils
 from kgqa.config import RunConfig
-from kgqa.data import save_dataset
+from kgqa.data import accuracy, save_dataset
 from kgqa.ground import load_stopwords
 from kgqa.io_utils import write_container
 from kgqa.kg import build_graph
 from kgqa.kge import train_transe
 from kgqa.model.optim import Adam
-from kgqa.pipeline import (build_model_state, evaluate, ground_question,
-                           preprocess, train)
+from kgqa.pipeline import build_model_state, ground_question, predict, preprocess, train
 from kgqa.toy import build_toy_world, rule_candidate_plausible
 
 settings.register_profile(
@@ -85,6 +86,16 @@ def poison_optimizer_steps(monkeypatch):
     monkeypatch.setattr(Adam, "step", step)
 
 
+def mutant(func, old, new):
+    """``func`` recompiled from its source with ``old``, which must occur there
+    exactly once, replaced by ``new``; it sees its module's globals."""
+    source = textwrap.dedent(inspect.getsource(func))
+    assert source.count(old) == 1, f"{old!r} is not in {func.__name__} exactly once"
+    namespace = dict(func.__globals__)
+    exec(compile(source.replace(old, new), inspect.getsourcefile(func), "exec"), namespace)
+    return namespace[func.__name__]
+
+
 def dir_bytes(root):
     """Every file under ``root``, relative path -> bytes."""
     return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*"))
@@ -150,21 +161,23 @@ def toy_run():
     rule_hits = 0
     for ex in world.dev:
         plausible = [
-            "sg" in payload and rule_candidate_plausible(payload["sg"], world.kg)
-            for payload in ground_question(world.kg, stop, rule_cfg, ex, None)]
+            sg is not None and rule_candidate_plausible(sg, world.kg)
+            for sg, _ in ground_question(world.kg, stop, rule_cfg, ex, None)]
         if plausible.count(True) == 1 and plausible.index(True) == ex.label:
             rule_hits += 1
     rule_acc = rule_hits / len(world.dev)
 
     state = build_model_state(cfg, emb, examples_for_vocab=world.train)
     result = train(state, world.train, world.dev, train_inst, dev_inst)
-    full_acc, _ = evaluate(state, world.dev, dev_inst)
+    full_acc = accuracy({p.example_id: p.chosen
+                         for p in predict(state, world.dev, dev_inst)}, world.dev)
 
     abl_cfg = RunConfig(**{**TOY_CFG, "path_attention": False,
                            "pair_attention": False})
     abl_state = build_model_state(abl_cfg, emb, examples_for_vocab=world.train)
     train(abl_state, world.train, world.dev, train_inst, dev_inst)
-    abl_acc, _ = evaluate(abl_state, world.dev, dev_inst)
+    abl_acc = accuracy({p.example_id: p.chosen
+                        for p in predict(abl_state, world.dev, dev_inst)}, world.dev)
 
     return SimpleNamespace(
         world=world, cfg=cfg, emb=emb, stopwords=stop,

@@ -262,11 +262,13 @@ KGE_KEY_BOUNDS = [
     ("kge_neg", "1", "0"),
     ("kge_epochs", "0", "-1"),
     ("kge_lr", "1e308", "nan"),
-    ("kge_lr", "-1e308", "-inf"),
+    ("kge_lr", "5e-324", "0"),
+    ("kge_lr", "5e-324", "-1"),
     ("kge_margin", "0", "-1"),
     ("kge_margin", "1e308", "inf"),
     ("gamma", "-1e308", "nan"),
     ("gamma", "1e308", "inf"),
+    ("seed", "0", "-1"),
 ]
 
 
@@ -301,6 +303,7 @@ NETWORK_KEY_BOUNDS = [
     ("epochs", "0", "-1"),
     ("epochs", "0", "-2"),
     ("patience", "0", "-1"),
+    ("seed", "0", "-1"),
     *((key, "1", "0") for key in ("lstm_hidden", "enc_hidden", "enc_embed", "d_t",
                                   "t_hidden", "score_hidden", "batch_examples")),
     ("score_hidden", "1", "-1"),

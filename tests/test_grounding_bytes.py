@@ -1,11 +1,14 @@
 """Pinned bytes of the grounding stage and its search count.
 
 The digests are sha256 over the canonical JSON of every candidate's
-``ground_question`` payload, pruned and unpruned, on the seed-0 toy world and
+``ground_question`` result, pruned and unpruned, on the seed-0 toy world and
 on the benchmark's tiny hub world; pruned at threshold 0.3, where the briefly
-trained tables drop some paths but not all. They were recorded from the
-per-pair search that the per-question search replaced: a change to the order
-of the search work must leave every schema graph and prune report as it was.
+trained tables drop some paths but not all. A candidate is rendered as
+``kgqa paths``/``prune`` render it, without its id and index:
+``{"sg": ..., "prune": ...}``, ``{"sg": ...}`` or ``{"ungrounded": true}``.
+They were recorded from the per-pair search that the per-question search
+replaced: a change to the order of the search work must leave every schema
+graph and prune report as it was.
 """
 
 import pytest
@@ -49,19 +52,28 @@ def worlds(tmp_path_factory):
     return out
 
 
+def render(sg, report) -> dict:
+    if sg is None:
+        return {"ungrounded": True}
+    row = {"sg": sg.to_dict()}
+    if report is not None:
+        row["prune"] = report.to_dict()
+    return row
+
+
 @pytest.mark.parametrize("world,prune", sorted(DIGESTS))
 def test_ground_question_payload_digest(worlds, world, prune):
     kg, examples, cfg, emb = worlds[world]
     cfg = RunConfig(**{**cfg.to_dict(), "prune": prune, "threshold": 0.3})
     stop = load_stopwords(None)
-    payloads = [pipeline.ground_question(kg, stop, cfg, ex, emb) for ex in examples]
-    flat = [p for question in payloads for p in question]
-    assert sum("sg" in p for p in flat) > 0
+    grounded = [pipeline.ground_question(kg, stop, cfg, ex, emb) for ex in examples]
+    flat = [cand for question in grounded for cand in question]
+    assert sum(sg is not None for sg, _ in flat) > 0
     if prune:  # the digest covers dropped paths, not only exempt pairs
-        report = sum((PruneReport.from_dict(p["prune"]) for p in flat if "sg" in p),
-                     PruneReport())
+        report = sum((report for sg, report in flat if sg is not None), PruneReport())
         assert report.paths_after < report.paths_before
-    digest = io_utils.sha256_bytes(io_utils.canonical_json(payloads).encode())
+    rows = [[render(sg, report) for sg, report in question] for question in grounded]
+    digest = io_utils.sha256_bytes(io_utils.canonical_json(rows).encode())
     assert digest == DIGESTS[(world, prune)]
 
 

@@ -20,6 +20,7 @@ from kgqa.io_utils import (MAGIC, ContainerError, read_container, write_containe
 from kgqa.kg import KnowledgeGraph, build_graph
 from kgqa.kge import EmbeddingTable
 from kgqa.model.network import instance_from_schema_graph
+from kgqa.paths import SchemaGraph
 from kgqa.statement import FeatureStore
 
 BLOCK_SPECS = st.lists(
@@ -222,8 +223,8 @@ WRITERS = {
     "features": lambda d, v: FeatureStore.write(d / "f.bin", {("q", 0): np.full(3, v)}),
     "manifest": lambda d, v: write_manifest(d / "out", "cmd", "hash", {}, v, "0"),
     "cache-entry": lambda d, v: pipeline.write_cache_entry(d / "entry.bin", [
-        instance_from_schema_graph({"cq": [0], "ca": [v], "nodes": [0, v], "edges": [],
-                                    "paths": {"0,0": []}}, "q", 0)], [None]),
+        instance_from_schema_graph(SchemaGraph(cq=[0], ca=[v], nodes=[0, v],
+                                               paths={(0, 0): []}), "q", 0)], [None]),
     "dataset": lambda d, v: save_dataset(
         d / "data.jsonl", [QAExample("q", f"question {v}", ["a", "b"])]),
 }

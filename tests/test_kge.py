@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kgqa import selfcheck
 from kgqa.kg import build_graph
 from kgqa.kge import (EmbeddingTable, eval_tail_mrr, init_embeddings,
                       load_word_vectors, prune_schema_graph, train_transe)
@@ -16,7 +17,7 @@ from kgqa.paths import build_schema_graph, path_triples
 from kgqa.selfcheck import random_kg, reference_prune
 from kgqa.toy import build_toy_world
 
-from conftest import make_chain_kg, planted_kg
+from conftest import make_chain_kg, mutant, planted_kg
 
 
 def table_with_distances(dists, gamma=2.0):
@@ -128,6 +129,29 @@ def test_prune_threshold_definition():
     assert kept_scores(sg, table) == [0.16, 0.2]
     assert report.paths_before == 4
     assert report.paths_after == 2
+
+
+def keeps_the_path_scoring_the_threshold(prune) -> bool:
+    """Whether ``prune``, at a threshold equal to the exact score of the 0.16
+    path of four, keeps that path and the 0.2 one and drops the rest."""
+    _, table, sg = multi_edge_world([0.2, 0.1, 0.16, 0.05])
+    at = sorted(sg.paths[(0, 0)], key=table.path_score)[2]
+    prune(sg, table, threshold=table.path_score(at))
+    return at in sg.paths[(0, 0)] and kept_scores(sg, table) == [0.16, 0.2]
+
+
+def test_prune_keeps_a_path_scoring_exactly_the_threshold():
+    # a path is dropped only when its score falls below the threshold
+    assert keeps_the_path_scoring_the_threshold(prune_schema_graph)
+
+
+def test_pruning_checks_catch_a_strict_threshold(monkeypatch):
+    strict = mutant(prune_schema_graph, "s >= threshold", "s > threshold")
+    assert not keeps_the_path_scoring_the_threshold(strict)
+    monkeypatch.setattr(selfcheck, "prune_schema_graph", strict)
+    result = selfcheck.pruning_suite(n_graphs=25)
+    assert not result.passed
+    assert "differs from reference_prune" in result.detail
 
 
 def test_prune_exempts_pairs_below_three_paths():

@@ -1,6 +1,5 @@
 """Scoring-network behavior: encodings, attention, losses, gradients."""
 
-import json
 import re
 from dataclasses import replace
 
@@ -10,12 +9,11 @@ import scipy.special
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from kgqa import io_utils
 from kgqa.config import RunConfig
 from kgqa.model.gradcheck import check_gradients
 from kgqa.model.network import (Instance, PathAttentionScorer, bce_loss, fallback_rows,
                                 fallback_vector, instance_from_schema_graph)
-from kgqa.paths import build_schema_graph
+from kgqa.paths import SchemaGraph, build_schema_graph
 from kgqa.selfcheck import CHECK_CONFIG, CHECK_D_S, random_instance, random_kg
 
 from conftest import make_chain_kg
@@ -35,8 +33,8 @@ def fresh(seed=0, config=CFG, **kw):
 
 def one_pair_instance(config, paths, n_nodes=3, label=None):
     # concept 0 to concept 1; concept ids equal node rows
-    sg = {"cq": [0], "ca": [1], "nodes": list(range(n_nodes)),
-          "edges": [[0, 0, 1]], "paths": {"0,0": paths}}
+    sg = SchemaGraph(cq=[0], ca=[1], nodes=list(range(n_nodes)), edges=[(0, 0, 1)],
+                     paths={(0, 0): paths})
     return instance_from_schema_graph(sg, "x", 0, label=label)
 
 
@@ -175,8 +173,8 @@ def test_forward_rejects_fallback_rows_of_the_wrong_shape(rows, width):
     # one pair with a path and one without: exactly one row of width d_path
     net = PathAttentionScorer(CFG, D_S, np.random.default_rng(11))
     path = {"start": 0, "steps": [[0, False, 1]]}
-    sg = {"cq": [0], "ca": [1, 2], "nodes": [0, 1, 2], "edges": [[0, 0, 1]],
-          "paths": {"0,0": [path], "0,1": []}}
+    sg = SchemaGraph(cq=[0], ca=[1, 2], nodes=[0, 1, 2], edges=[(0, 0, 1)],
+                     paths={(0, 0): [path], (0, 1): []})
     inst = instance_from_schema_graph(sg, "x", 0)
     args = (inst, np.zeros((1, D_S)), np.zeros((3, CFG.kge_dim)), np.zeros((1, CFG.kge_dim)))
     assert fallback_rows([inst], CFG.d_path, CFG.seed).shape == (1, CFG.d_path)
@@ -297,7 +295,7 @@ def test_fallback_vector_deterministic_and_keyed():
 def test_instance_from_schema_graph_maps_rows_and_fallbacks():
     kg = make_chain_kg(4)
     sg = build_schema_graph(kg, {0}, {3}, max_edges=3, cap=10)
-    inst = instance_from_schema_graph(sg.to_dict(), "ex", 1, label=0)
+    inst = instance_from_schema_graph(sg, "ex", 1, label=0)
     assert inst.label == 0
     assert list(inst.node_ids) == sorted(sg.nodes)
     local = {g: i for i, g in enumerate(inst.node_ids)}
@@ -319,9 +317,9 @@ def test_instance_pathless_pair_gets_seeded_fallback():
     kg = make_chain_kg(3)
     sg = build_schema_graph(kg, {0}, {2}, max_edges=3, cap=10)
     sg.paths[(0, 0)] = []
-    inst = instance_from_schema_graph(sg.to_dict(), "ex", 0)
+    inst = instance_from_schema_graph(sg, "ex", 0)
     row_a = fallback_rows([inst], 8, 0)
-    row_b = fallback_rows([instance_from_schema_graph(sg.to_dict(), "ex", 0)], 8, 0)
+    row_b = fallback_rows([instance_from_schema_graph(sg, "ex", 0)], 8, 0)
     row_c = fallback_rows([inst], 8, 1)
     assert row_a.shape == (1, 8)
     assert np.array_equal(row_a, row_b)
@@ -333,14 +331,12 @@ def test_instance_pathless_pair_gets_seeded_fallback():
        n_a=st.integers(1, 3), density=st.floats(0.05, 0.3))
 @example(seed=0, n_q=12, n_a=2, density=0.2)
 def test_path_table_reproduces_schema_graph_paths(seed, n_q, n_a, density):
-    # up to 12 question concepts, so the cached JSON key "10,0" sorts before "2,0"
     rng = np.random.default_rng(seed)
     n = n_q + n_a + int(rng.integers(0, 4))
     kg = random_kg(rng, n, density)
     picks = rng.permutation(n).tolist()
     sg = build_schema_graph(kg, picks[:n_q], picks[n_q:n_q + n_a], max_edges=3, cap=20)
-    cached = json.loads(io_utils.canonical_json(sg.to_dict()))
-    inst = instance_from_schema_graph(cached, "ex", 0)
+    inst = instance_from_schema_graph(sg, "ex", 0)
     ids = inst.node_ids.tolist()
     pair_indices = [(i, j) for i in range(len(sg.cq)) for j in range(len(sg.ca))]
     assert len(inst.q_rows) == len(inst.a_rows) == len(pair_indices)

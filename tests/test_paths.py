@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kgqa import paths, selfcheck
 from kgqa.io_utils import canonical_json
 from kgqa.kg import KnowledgeGraph, build_graph
 from kgqa.kge import EmbeddingTable, prune_schema_graph
@@ -14,7 +15,7 @@ from kgqa.paths import (GroundingError, build_schema_graph, find_paths,
                         path_sort_key, path_triples)
 from kgqa.selfcheck import brute_force_paths, random_kg, reference_find_paths
 
-from conftest import make_chain_kg
+from conftest import make_chain_kg, mutant
 
 
 def keyset(paths):
@@ -216,6 +217,17 @@ def test_self_loop_on_src_is_never_walked():
                for p in got)
     assert keyset(got) == brute_force_paths(3, kg.triples, 0, 2, 3)
     assert_matches_reference(kg, 0, 2)
+
+
+def test_path_oracle_catches_a_search_that_walks_a_goal_self_loop(monkeypatch):
+    # random_kg draws self-loops, so the oracle sees a search that ends a
+    # path on a goal's self-loop after reaching that goal
+    loose = mutant(paths.find_paths, "if goal != nbr and goal not in on_path:",
+                   "if goal not in on_path:")
+    monkeypatch.setattr(selfcheck, "find_paths", loose)
+    result = selfcheck.path_oracle_suite(n_graphs=40)
+    assert not result.passed
+    assert not result.detail.endswith(" 0 mismatches")
 
 
 def test_degree_tie_searches_either_way_alike():

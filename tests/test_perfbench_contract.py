@@ -61,16 +61,16 @@ def test_perfbench_readers_see_the_program(tmp_path):
     # the path counters equal the path records and prune reports of the cold
     # pass (the warm one reads the cache and searches nothing)
     def records(cfg):
-        payloads = [p for ex in examples
-                    for p in ground_question(world.kg, stop, cfg, ex, emb)]
-        grounded = [p for p in payloads if "sg" in p]
-        return grounded, sum(len(plist) for p in grounded
-                             for plist in p["sg"]["paths"].values())
+        grounded = [(sg, report) for ex in examples
+                    for sg, report in ground_question(world.kg, stop, cfg, ex, emb)
+                    if sg is not None]
+        return grounded, sum(len(plist) for sg, _ in grounded
+                             for plist in sg.paths.values())
 
     _, n_found = records(replace(cfg, prune=False))
     pruned, n_kept = records(cfg)
     assert tracer.counters["paths.paths_found"] == n_found > 0
-    report = sum((PruneReport.from_dict(p["prune"]) for p in pruned), PruneReport())
+    report = sum((report for _, report in pruned), PruneReport())
     assert tracer.counters["kge.paths_before"] == report.paths_before == n_found
     assert tracer.counters["kge.paths_after"] == report.paths_after == n_kept
 

@@ -18,9 +18,8 @@ from kgqa.kge import EmbeddingTable, train_transe
 from kgqa.model.layers import BiLSTM
 from kgqa.model.network import fallback_rows, fallback_vector
 from kgqa.paths import SchemaGraph
-from kgqa.pipeline import (ModelState, build_model_state, evaluate, explain,
-                           ground_question, load_model_state, predict, preprocess,
-                           train)
+from kgqa.pipeline import (ModelState, build_model_state, explain, ground_question,
+                           load_model_state, predict, preprocess, train)
 from kgqa.statement import FeatureStore
 from kgqa.toy import EVIDENCE, build_toy_world
 
@@ -251,10 +250,10 @@ def test_cache_entry_holds_the_prune_report(pathless, tmp_path):
     pathless_preprocess(pathless, tmp_path)
     (entry,) = tmp_path.rglob("*.bin")
     meta = io_utils.read_container(entry, kind="instance")[0]
-    payloads = ground_question(pathless.kg, pathless.stop, pathless.cfg, pathless.ex,
+    grounded = ground_question(pathless.kg, pathless.stop, pathless.cfg, pathless.ex,
                                pathless.emb)
-    assert list(map(io_utils.canonical_json, meta["prune"])) == \
-        list(map(io_utils.canonical_json, [p.get("prune") for p in payloads]))
+    assert meta["prune"] == [None if report is None else report.to_dict()
+                             for _, report in grounded]
     assert meta["ungrounded"] == [False, False, True]
 
 
@@ -275,11 +274,11 @@ def test_bad_cache_entry_is_named(pathless, tmp_path, how):
 def two_candidate_entry():
     """Candidate 0: one question concept, two answer concepts, paths of one
     and two steps; candidate 1: the ungrounded anchor."""
-    sg = {"cq": [0], "ca": [1, 2], "nodes": [0, 1, 2],
-          "edges": [[0, 0, 1], [1, 0, 2], [0, 0, 2]],
-          "paths": {"0,0": [{"start": 0, "steps": [[0, False, 1]]}],
-                    "0,1": [{"start": 0, "steps": [[0, False, 2]]},
-                            {"start": 0, "steps": [[0, False, 1], [0, True, 2]]}]}}
+    sg = SchemaGraph(
+        cq=[0], ca=[1, 2], nodes=[0, 1, 2], edges=[(0, 0, 1), (1, 0, 2), (0, 0, 2)],
+        paths={(0, 0): [{"start": 0, "steps": [[0, False, 1]]}],
+               (0, 1): [{"start": 0, "steps": [[0, False, 2]]},
+                        {"start": 0, "steps": [[0, False, 1], [0, True, 2]]}]})
     cands = [pipeline.instance_from_schema_graph(sg, "q", 0),
              pipeline.instance_from_schema_graph(None, "q", 1)]
     assert cands[0].owner.tolist() == [0, 1, 1]
@@ -547,7 +546,8 @@ def test_exact_tie_chooses_lowest_index(mini):
 def test_untrained_model_scores_near_chance(toy_run):
     state = build_model_state(toy_run.cfg, toy_run.emb,
                               examples_for_vocab=toy_run.world.train)
-    acc, _ = evaluate(state, toy_run.world.dev, toy_run.dev_inst)
+    acc = accuracy({p.example_id: p.chosen for p in predict(
+        state, toy_run.world.dev, toy_run.dev_inst)}, toy_run.world.dev)
     assert 0.05 <= acc <= 0.45  # 5 candidates, chance 0.2
 
 
@@ -640,7 +640,7 @@ def test_toy_explanations_surface_planted_evidence(toy_run):
     state = toy_run.state
     world = toy_run.world
     correct, evidenced = 0, 0
-    _, preds = evaluate(state, world.dev, toy_run.dev_inst)
+    preds = {p.example_id: p.chosen for p in predict(state, world.dev, toy_run.dev_inst)}
     for ex in world.dev:
         if preds[ex.id] != ex.label:
             continue
