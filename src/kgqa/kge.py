@@ -21,7 +21,7 @@ import numpy as np
 from . import io_utils
 from .kg import KnowledgeGraph
 from .model.layers import scatter_rows
-from .paths import SchemaGraph, path_triples
+from .paths import SchemaGraph, Step, path_triples
 
 DEFAULT_GAMMA = 2.0
 DEFAULT_THRESHOLD = 0.15
@@ -53,10 +53,10 @@ class EmbeddingTable:
         out = np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
         return out[()]
 
-    def path_score(self, path: dict) -> float:
-        """Product of the triple confidences along a path record."""
+    def path_score(self, start: int, steps: tuple[Step, ...]) -> float:
+        """Product of the triple confidences along the path from ``start``."""
         conf = 1.0
-        for h, r, t in path_triples(path):
+        for h, r, t in path_triples(start, steps):
             conf *= float(self.triple_confidence(h, r, t))
         return conf
 
@@ -289,15 +289,15 @@ def prune_schema_graph(
     report = PruneReport(pairs_total=len(sg.paths))
     index: dict[tuple[int, int, int], int] = {}
     pending = []  # (key, paths, per-path triple rows into ``index``)
-    for key, plist in sorted(sg.paths.items()):
+    for (i, j), plist in sorted(sg.paths.items()):
         report.paths_before += len(plist)
         if len(plist) < PRUNE_EXEMPT_BELOW:
             report.pairs_exempt += 1
             report.paths_after += len(plist)
             continue
-        rows = [[index.setdefault(tr, len(index)) for tr in path_triples(p)]
+        rows = [[index.setdefault(tr, len(index)) for tr in path_triples(sg.cq[i], p)]
                 for p in plist]
-        pending.append((key, plist, rows))
+        pending.append(((i, j), plist, rows))
     if not pending:
         return report
     h, r, t = np.array(list(index), dtype=np.int64).T

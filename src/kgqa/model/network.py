@@ -211,9 +211,9 @@ def instance_from_schema_graph(
     heads, rels, signs, tails = [], [], [], []
     for i, qc in enumerate(cq):
         for j, ac in enumerate(ca):
-            for path in pair_paths[(i, j)]:
-                cur = path["start"]
-                for rel, reverse, node in path["steps"]:
+            for steps in pair_paths[(i, j)]:
+                cur = qc
+                for rel, reverse, node in steps:
                     heads.append(row[cur])
                     rels.append(rel)
                     signs.append(-1.0 if reverse else 1.0)

@@ -2,12 +2,12 @@
 
 Paths run from a question concept to an answer concept, at most ``max_edges``
 edges (default 3), traversing triples in either direction with a per-step
-``reverse`` flag. A path is one record, ``{"start": concept, "steps": [[rel,
-reverse, node], ...]}``, from ``find_paths`` through pruning to the path
-table that ``instance_from_schema_graph`` builds. A question's candidates
-share its question concepts, so each question concept is searched once, by
-one depth-limited DFS that collects the paths to the answer concepts of
-every candidate at once;
+``reverse`` flag. A path is the tuple of its ``(rel, reverse, node)`` steps
+from ``cq[i]`` of the pair (i, j) that owns it, from ``find_paths`` through
+pruning to the path table; only ``SchemaGraph.to_dict`` writes its start.
+A question's candidates share its question concepts, so each question concept
+is searched once, by one depth-limited DFS that collects the paths to the
+answer concepts of every candidate at once;
 ``build_schema_graph`` then takes each pair's list from those results. The
 last hop is a dictionary lookup in one table of the edges incident to every
 goal, so no node on the last level lists its neighbours. Results merge
@@ -28,23 +28,19 @@ class GroundingError(ValueError):
 
 
 Step = tuple[int, bool, int]  # (rel, reverse, node)
+Path = tuple[Step, ...]
 
 
-def _steps_key(steps) -> tuple:
-    """Shortest first, then the (node, rel, reverse) step sequence."""
+def path_sort_key(steps: Path) -> tuple:
+    """``find_paths`` order: shortest first, then the (node, rel, reverse) steps."""
     return (len(steps), tuple((node, rel, rev) for rel, rev, node in steps))
 
 
-def path_sort_key(path: dict) -> tuple:
-    """The order ``find_paths`` returns paths in."""
-    return _steps_key(path["steps"])
-
-
-def path_triples(path: dict) -> list[tuple[int, int, int]]:
-    """Underlying triples of a path in canonical (head, rel, tail) orientation."""
+def path_triples(start: int, steps: Path) -> list[tuple[int, int, int]]:
+    """Canonical (head, rel, tail) triples of the path from ``start``."""
     out = []
-    cur = path["start"]
-    for rel, reverse, node in path["steps"]:
+    cur = start
+    for rel, reverse, node in steps:
         out.append((node, rel, cur) if reverse else (cur, rel, node))
         cur = node
     return out
@@ -56,16 +52,16 @@ def find_paths(
     goals: Iterable[int],
     max_edges: int = 3,
     cap: int = 100,
-) -> dict[int, tuple[list[dict], bool]]:
+) -> dict[int, tuple[list[Path], bool]]:
     """All simple paths from ``src`` to each of ``goals``, at most ``max_edges``
     edges, from one depth-limited DFS.
 
-    Returns {goal: (paths, truncated)} for every goal: path records sorted
+    Returns {goal: (paths, truncated)} for every goal: step tuples sorted
     shortest first then lexicographically by the (node, rel, reverse) step
     sequence (``path_sort_key``), cut to ``cap`` entries with the flag saying
     whether anything was dropped. A path to goal g passes neither through g
-    nor through ``src``; other goals may lie mid-path. Every record starts at
-    ``src`` and holds plain Python ints and bools, so it is ready for JSON.
+    nor through ``src``; other goals may lie mid-path. Every step holds plain
+    Python ints and bools, so it is ready for JSON.
     """
     src, goals = int(src), sorted({int(g) for g in goals})  # no numpy scalar in JSON
     if src in goals:
@@ -83,10 +79,10 @@ def find_paths(
         for nbr, rel, rev in kg.neighbors(goal):
             into.setdefault(nbr, []).append((goal, (rel, not rev, goal)))
 
-    found: dict[int, list[tuple[Step, ...]]] = {goal: [] for goal in goals}
+    found: dict[int, list[Path]] = {goal: [] for goal in goals}
     on_path = {src}
 
-    def extend(node: int, prefix: tuple[Step, ...]) -> None:
+    def extend(node: int, prefix: Path) -> None:
         for goal, last in into.get(node, ()):
             if goal not in on_path:
                 found[goal].append(prefix + (last,))
@@ -109,32 +105,28 @@ def find_paths(
             on_path.remove(nbr)
 
     extend(src, ())
-    out = {}
-    for goal, steps_found in found.items():
-        unique = sorted(set(steps_found), key=_steps_key)
-        out[goal] = ([{"start": src, "steps": [list(step) for step in steps]}
-                      for steps in unique[:cap]], len(unique) > cap)
-    return out
+    unique = {goal: sorted(set(plist), key=path_sort_key) for goal, plist in found.items()}
+    return {goal: (plist[:cap], len(plist) > cap) for goal, plist in unique.items()}
 
 
 @dataclass
 class SchemaGraph:
     """Grounded subgraph for one QA pair.
 
-    ``paths`` maps (i, j) pair indices into ``cq``/``ca`` to the path records
-    between cq[i] and ca[j], in ``find_paths`` order; ``edges`` covers every
-    triple used by a path plus direct edges inside each mention set, and
-    ``nodes`` exactly the concepts those touch plus the mention sets
-    themselves. ``to_dict`` is its JSON form, with "i,j" pair keys, made
-    only for ``kgqa paths``/``prune`` output and the benchmark's digest; its
-    path records are the ones in ``paths``, not copies.
+    ``paths`` maps (i, j) pair indices into ``cq``/``ca`` to the paths from
+    cq[i] to ca[j], as step tuples in ``find_paths`` order; ``edges`` covers
+    every triple used by a path plus direct edges inside each mention set,
+    and ``nodes`` exactly the concepts those touch plus the mention sets
+    themselves. ``to_dict`` is its JSON form, made only for ``kgqa paths``/
+    ``prune`` output and the benchmark's digest: "i,j" pair keys, and each
+    path as the record ``{"start": cq[i], "steps": [[rel, reverse, node], ...]}``.
     """
 
     cq: list[int]
     ca: list[int]
     nodes: list[int] = field(default_factory=list)
     edges: list[tuple[int, int, int]] = field(default_factory=list)
-    paths: dict[tuple[int, int], list[dict]] = field(default_factory=dict)
+    paths: dict[tuple[int, int], list[Path]] = field(default_factory=dict)
     truncated: set[tuple[int, int]] = field(default_factory=set)
 
     def rebuild_cover(self) -> None:
@@ -143,11 +135,10 @@ class SchemaGraph:
         edge_set = {(h, r, t) for h, r, t in self.edges
                     if (h in cq and t in cq) or (h in ca and t in ca)}
         node_set = cq | ca
-        for plist in self.paths.values():
-            for path in plist:
-                node_set.add(path["start"])
-                node_set.update(node for _, _, node in path["steps"])
-                edge_set.update(path_triples(path))
+        for (i, _), plist in self.paths.items():
+            for steps in plist:
+                node_set.update(node for _, _, node in steps)
+                edge_set.update(path_triples(self.cq[i], steps))
         self.nodes = sorted(node_set)
         self.edges = sorted(edge_set)
 
@@ -157,7 +148,9 @@ class SchemaGraph:
             "ca": list(self.ca),
             "nodes": list(self.nodes),
             "edges": [list(e) for e in self.edges],
-            "paths": {f"{i},{j}": plist for (i, j), plist in sorted(self.paths.items())},
+            "paths": {f"{i},{j}": [{"start": self.cq[i], "steps": [list(s) for s in p]}
+                                   for p in plist]
+                      for (i, j), plist in sorted(self.paths.items())},
             "truncated": sorted(list(t) for t in self.truncated),
         }
 
@@ -178,7 +171,7 @@ def build_schema_graph(
     ca: MentionSet | Iterable[int],
     max_edges: int = 3,
     cap: int = 100,
-    found: dict[int, dict[int, tuple[list[dict], bool]]] | None = None,
+    found: dict[int, dict[int, tuple[list[Path], bool]]] | None = None,
 ) -> SchemaGraph:
     """Ground one QA pair: per-pair path lists plus intra-set direct edges.
 

@@ -252,8 +252,8 @@ def _check_cache_indices(path, ints: np.ndarray, counts: dict, sizes: list,
     """Raise ContainerError naming ``path`` unless every index in ``ints``, a
     cache entry's int block cut by ``sizes`` at ``bounds``, points inside its
     candidate's tables: rows below the node count, ``owner`` sorted and below
-    the pair count, and ``offsets`` running from 0 to the step count without
-    decreasing. It costs a fixed dozen array operations per question."""
+    the pair count, and ``offsets`` increasing from 0 to the step count, so
+    no path is empty. It costs a fixed dozen array operations per question."""
     n = len(sizes[0])
     # one comparison checks every indexing section: read as uint64, a
     # negative index is above any table size
@@ -276,19 +276,21 @@ def _check_cache_indices(path, ints: np.ndarray, counts: dict, sizes: list,
         raise io_utils.ContainerError(
             f"{path}: offsets do not run from 0 to the step count")
     # owner shifted by the pairs of the candidates before, then offsets
-    # shifted by the steps before and by every pair: in range, they never
-    # decrease across the question exactly when each candidate's owner is
-    # sorted and its offsets never decrease
-    shift = [*itertools.accumulate(counts["pairs"][:-1], initial=0),
-             *itertools.accumulate(counts["steps"][:-1], initial=sum(counts["pairs"]))]
+    # shifted by every pair and by the steps and candidates before, less their
+    # place in the run: in range, they never decrease across the question
+    # exactly when each candidate's owner is sorted and its offsets increase
+    shift = [*itertools.accumulate(counts["pairs"][:-1], initial=0), *itertools.accumulate(
+        [s + 1 for s in counts["steps"][:-1]], initial=sum(counts["pairs"]))]
     walk = ints[starts[0]:starts[-1]] + np.repeat(
         shift, [*counts["paths"], *sizes[_OWNER + 1]])
+    owner_len = starts[n] - starts[0]
+    walk[owner_len:] -= np.arange(len(walk) - owner_len)
     down = walk[1:] < walk[:-1]
     if down.any():
-        owner_len = starts[n] - starts[0]
-        raise io_utils.ContainerError(
-            f"{path}: " + ("owner is not sorted" if int(np.argmax(down)) + 1 < owner_len
-                           else "offsets decrease"))
+        at = int(np.argmax(down))
+        raise io_utils.ContainerError(f"{path}: " + (
+            "owner is not sorted" if at + 1 < owner_len
+            else "offsets decrease" if walk[at + 1] < walk[at] - 1 else "a path has no steps"))
 
 
 _WORKER_STATE: dict = {}

@@ -88,8 +88,9 @@ def random_kg(rng: np.random.Generator, n_nodes: int, density: float,
     triples = set()
     for a in range(n_nodes):
         for b in range(n_nodes):  # self-loops too: no simple path may take one
-            if rng.random() < density:
-                triples.add((a, int(rng.integers(n_relations)), b))
+            if rng.random() < density:  # now and then two relations, parallel
+                for r in rng.integers(n_relations, size=1 + (rng.random() < 0.2)):
+                    triples.add((a, int(r), b))
     if not triples:
         triples.add((0, 0, min(1, n_nodes - 1)))
     arr = np.asarray(sorted(triples), dtype=np.uint32)
@@ -135,8 +136,8 @@ def random_instance(
                 rels = rng.integers(0, n_relations, size=len(seq) - 1)
                 reverse = rng.random(len(seq) - 1) >= 0.5
                 edges += [(hh, 0, tt) for hh, tt in zip(seq, seq[1:])]
-                plist.append({"start": qi, "steps": [
-                    [int(r), bool(v), t] for r, v, t in zip(rels, reverse, seq[1:])]})
+                plist.append(tuple((int(r), bool(v), t)
+                                   for r, v, t in zip(rels, reverse, seq[1:])))
             paths[(i, j)] = plist
     # a few extra background edges; the instance drops loops and repeats
     for _ in range(n):
@@ -167,22 +168,21 @@ def permute_instance(
     new_ids[perm] = inst.node_ids
     new_init[perm] = node_init
     ids = inst.node_ids.tolist()
-    # each pair's paths as [rel, reverse, node] step lists, in table order
+    # each pair's paths as (rel, reverse, node) step tuples, in table order
     keys = list(zip(inst.node_ids[inst.q_rows].tolist(), inst.node_ids[inst.a_rows].tolist()))
     by_pair = {key: [] for key in keys}
-    steps = [list(s) for s in zip(inst.rels.tolist(), (inst.signs < 0).tolist(),
-                                  inst.node_ids[inst.tails].tolist())]
+    steps = list(zip(inst.rels.tolist(), (inst.signs < 0).tolist(),
+                     inst.node_ids[inst.tails].tolist()))
     bounds = inst.offsets.tolist()
     for p, lo, hi in zip(inst.owner.tolist(), bounds, bounds[1:]):
-        by_pair[keys[p]].append(steps[lo:hi])
+        by_pair[keys[p]].append(tuple(steps[lo:hi]))
     cq = rng.permutation(list(dict.fromkeys(q for q, _ in keys))).tolist()
     ca = rng.permutation(list(dict.fromkeys(a for _, a in keys))).tolist()
     paths = {}
     for i, qc in enumerate(cq):
         for j, ac in enumerate(ca):
             plist = by_pair[(qc, ac)]
-            paths[(i, j)] = [{"start": qc, "steps": plist[int(k)]}
-                             for k in rng.permutation(len(plist))]
+            paths[(i, j)] = [plist[int(k)] for k in rng.permutation(len(plist))]
     sg = SchemaGraph(cq=cq, ca=ca, nodes=new_ids.tolist(),
                      edges=[(ids[a], 0, ids[b]) for a, b in inst.und_edges], paths=paths)
     permuted = instance_from_schema_graph(sg, inst.example_id, inst.cand_index,
@@ -230,10 +230,10 @@ def reference_find_paths(
     dst: int,
     max_edges: int = 3,
     cap: int = 100,
-) -> tuple[list[dict], bool]:
+) -> tuple[list[tuple], bool]:
     """The plain depth-limited DFS from ``src`` that ``paths.find_paths``
-    replaced, kept as its oracle: same contract, same path records, same
-    output order."""
+    replaced, kept as its oracle: same contract, the same step tuples in the
+    same order."""
     if src == dst:
         raise ValueError("src and dst must differ")
     if max_edges < 1 or cap < 1:
@@ -264,10 +264,8 @@ def reference_find_paths(
             on_path.remove(nbr)
 
     dfs(src)
-    unique = sorted(({"start": int(src), "steps": [list(s) for s in path]}
-                     for path in set(found)), key=path_sort_key)
-    truncated = len(unique) > cap
-    return unique[:cap], truncated
+    unique = sorted(set(found), key=path_sort_key)
+    return unique[:cap], len(unique) > cap
 
 
 def path_oracle_suite(seed: int = 0, n_graphs: int = 200, max_nodes: int = 12,
@@ -278,9 +276,11 @@ def path_oracle_suite(seed: int = 0, n_graphs: int = 200, max_nodes: int = 12,
     against ``reference_find_paths`` exactly (ordered list and ``truncated``
     flag, in full and at a cap that truncates) at depth 1 to 4 in turn. It
     counts the pairs with a path through another goal or another question
-    concept and fails when either count is 0, since then it tested neither."""
+    concept, and those with two paths through the same nodes in the same
+    directions (over parallel edges), and fails when any count is 0, since
+    then it tested none of that."""
     rng = np.random.default_rng(stable_seed("path-oracle", seed))
-    mismatches = compared = via_goal = via_question = 0
+    mismatches = compared = via_goal = via_question = parallel = 0
     for g in range(n_graphs):
         n = int(rng.integers(4, max_nodes + 1))
         kg = random_kg(rng, n, density)
@@ -302,19 +302,21 @@ def path_oracle_suite(seed: int = 0, n_graphs: int = 200, max_nodes: int = 12,
                 exact = all(
                     deep[cap][a] == reference_find_paths(kg, q, a, max_edges=depth, cap=cap)
                     for cap in deep)
-                got_set = {tuple(map(tuple, p["steps"])) for p in got}
-                if truncated or not exact or got_set != brute_force_paths(
+                if truncated or not exact or set(got) != brute_force_paths(
                         n, kg.triples, q, a, max_edges):
                     mismatches += 1
-                mids = {node for p in deep[10 ** 9][a][0] for _, _, node in p["steps"][:-1]}
+                mids = {node for p in deep[10 ** 9][a][0] for _, _, node in p[:-1]}
                 via_goal += bool(mids & goals)
                 via_question += bool(mids & set(cq))
+                walks = [tuple((rev, node) for _, rev, node in p) for p in got]
+                parallel += len(set(walks)) < len(walks)
     return CheckResult(
         name="path-enumeration-oracle",
-        passed=mismatches == 0 and via_goal > 0 and via_question > 0,
+        passed=mismatches == 0 and min(via_goal, via_question, parallel) > 0,
         detail=f"{compared} (source, target) pairs over {n_graphs} graphs, "
                f"{via_goal} through another goal, {via_question} through another "
-               f"question concept, {mismatches} mismatches")
+               f"question concept, {parallel} over parallel edges, "
+               f"{mismatches} mismatches")
 
 
 # ------------------------------------------------------------ gradient suite
@@ -565,7 +567,7 @@ def reference_prune(sg: SchemaGraph, table: EmbeddingTable,
             report.pairs_exempt += 1
             report.paths_after += len(plist)
             continue
-        scores = [table.path_score(p) for p in plist]
+        scores = [table.path_score(sg.cq[key[0]], p) for p in plist]
         kept = [p for p, s in zip(plist, scores) if s >= threshold]
         if not kept:
             kept = [plist[int(np.argmax(scores))]]
@@ -591,7 +593,8 @@ def pruning_suite(seed: int = 0, n_graphs: int = 40) -> CheckResult:
         dense = [key for key, plist in sorted(sg.paths.items())
                  if len(plist) >= PRUNE_EXEMPT_BELOW]
         if dense:  # and the median path score of the first pair not exempt
-            eq_scores = [table.path_score(p) for p in sg.paths[dense[0]]]
+            eq_scores = [table.path_score(sg.cq[dense[0][0]], p)
+                         for p in sg.paths[dense[0]]]
             t_equal = sorted(eq_scores)[len(eq_scores) // 2]
             thresholds.append(t_equal)
             n_equal += 1
@@ -605,17 +608,16 @@ def pruning_suite(seed: int = 0, n_graphs: int = 40) -> CheckResult:
             elif copy_sg != ref_sg:
                 problems.append(f"g{gi}: threshold {t:.3f} cover differs from reference_prune")
         if dense:
-            at = {path_sort_key(p) for p, sc in zip(sg.paths[dense[0]], eq_scores)
-                  if sc == t_equal}
-            kept = {path_sort_key(p) for p in copies[t_equal].paths[dense[0]]}
+            at = {p for p, sc in zip(sg.paths[dense[0]], eq_scores) if sc == t_equal}
+            kept = set(copies[t_equal].paths[dense[0]])
             if not at <= kept:
                 problems.append(f"g{gi}{dense[0]}: dropped a path scoring exactly "
                                 "the threshold")
         for key, orig in sg.paths.items():
-            keys = {path_sort_key(p) for p in orig}
-            zero = {path_sort_key(p) for p in copies[0.0].paths[key]}
-            k1 = {path_sort_key(p) for p in copies[t1].paths[key]}
-            k2 = {path_sort_key(p) for p in copies[t2].paths[key]}
+            keys = set(orig)
+            zero = set(copies[0.0].paths[key])
+            k1 = set(copies[t1].paths[key])
+            k2 = set(copies[t2].paths[key])
             if zero != keys:
                 problems.append(f"g{gi}{key}: threshold 0 not identity")
             if len(orig) < 3 and (k1 != keys or k2 != keys):
@@ -624,7 +626,7 @@ def pruning_suite(seed: int = 0, n_graphs: int = 40) -> CheckResult:
                 problems.append(f"g{gi}{key}: higher threshold kept extra paths")
             if orig and (not k1 or not k2):
                 problems.append(f"g{gi}{key}: pair lost all paths")
-            scores = {path_sort_key(p): table.path_score(p) for p in orig}
+            scores = {p: table.path_score(sg.cq[key[0]], p) for p in orig}
             if len(orig) >= 3:
                 best = max(scores.values())
                 for t, kept in ((t1, k1), (t2, k2)):

@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -78,7 +79,7 @@ def test_path_score_single_step_equals_confidence():
     kg = build_graph(["a", "b"], ["r"], [(0, 0, 1)], [1.0])
     table = table_with_distances([1.2])
     (p,) = path_for(kg, 0, 1, max_edges=1, cap=10)
-    assert table.path_score(p) == pytest.approx(
+    assert table.path_score(0, p) == pytest.approx(
         table.triple_confidence(0, 0, 1), rel=1e-12)
 
 
@@ -89,7 +90,7 @@ def test_path_score_is_product():
                            gamma=2.0)
     (p,) = path_for(kg, 0, 2, max_edges=2, cap=10)
     want = table.triple_confidence(0, 0, 1) * table.triple_confidence(1, 0, 2)
-    assert table.path_score(p) == pytest.approx(want, rel=1e-12)
+    assert table.path_score(0, p) == pytest.approx(want, rel=1e-12)
 
 
 @given(st.integers(0, 999))
@@ -101,7 +102,7 @@ def test_path_score_at_most_min_step(seed):
     (p,) = path_for(kg, 0, 3, max_edges=3, cap=10)
     steps = [table.triple_confidence(0, 0, 1), table.triple_confidence(1, 0, 2),
              table.triple_confidence(2, 0, 3)]
-    assert 0.0 < table.path_score(p) <= min(steps) + 1e-15
+    assert 0.0 < table.path_score(0, p) <= min(steps) + 1e-15
 
 
 # ------------------------------------------------------------------ pruning
@@ -119,7 +120,7 @@ def multi_edge_world(scores, gamma=2.0):
 
 
 def kept_scores(sg, table):
-    return sorted(round(table.path_score(p), 6)
+    return sorted(round(table.path_score(0, p), 6)
                   for p in sg.paths[(0, 0)])
 
 
@@ -135,8 +136,8 @@ def keeps_the_path_scoring_the_threshold(prune) -> bool:
     """Whether ``prune``, at a threshold equal to the exact score of the 0.16
     path of four, keeps that path and the 0.2 one and drops the rest."""
     _, table, sg = multi_edge_world([0.2, 0.1, 0.16, 0.05])
-    at = sorted(sg.paths[(0, 0)], key=table.path_score)[2]
-    prune(sg, table, threshold=table.path_score(at))
+    at = sorted(sg.paths[(0, 0)], key=partial(table.path_score, 0))[2]
+    prune(sg, table, threshold=table.path_score(0, at))
     return at in sg.paths[(0, 0)] and kept_scores(sg, table) == [0.16, 0.2]
 
 
@@ -185,13 +186,13 @@ def test_prune_rebuilds_node_cover():
                            rel=rng.standard_normal((1, 8)), gamma=2.0)
     sg = build_schema_graph(kg, {0}, {3}, max_edges=2, cap=100)
     assert len(sg.paths[(0, 0)]) == 3
-    ranked = sorted(sg.paths[(0, 0)], key=table.path_score)
-    cut = (table.path_score(ranked[0]) + table.path_score(ranked[1])) / 2
+    ranked = sorted(sg.paths[(0, 0)], key=partial(table.path_score, 0))
+    cut = (table.path_score(0, ranked[0]) + table.path_score(0, ranked[1])) / 2
     prune_schema_graph(sg, table, threshold=cut)
     assert len(sg.paths[(0, 0)]) == 2
     cover = {0, 3}
     for p in sg.paths[(0, 0)]:
-        cover |= {p["start"], *(node for _, _, node in p["steps"])}
+        cover |= {sg.cq[0], *(node for _, _, node in p)}
     assert set(sg.nodes) == cover
 
 
@@ -205,8 +206,8 @@ def test_prune_monotone_in_threshold(seed):
     _, table2, sg2 = multi_edge_world(list(scores))
     prune_schema_graph(sg1, table, threshold=t1)
     prune_schema_graph(sg2, table2, threshold=t2)
-    low = {tuple(path_triples(p)) for p in sg1.paths[(0, 0)]}
-    high = {tuple(path_triples(p)) for p in sg2.paths[(0, 0)]}
+    low = {tuple(path_triples(0, p)) for p in sg1.paths[(0, 0)]}
+    high = {tuple(path_triples(0, p)) for p in sg2.paths[(0, 0)]}
     assert high <= low
 
 

@@ -9,6 +9,7 @@ import scipy.special
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from kgqa import selfcheck
 from kgqa.config import RunConfig
 from kgqa.model.gradcheck import check_gradients
 from kgqa.model.network import (Instance, PathAttentionScorer, bce_loss, fallback_rows,
@@ -16,7 +17,7 @@ from kgqa.model.network import (Instance, PathAttentionScorer, bce_loss, fallbac
 from kgqa.paths import SchemaGraph, build_schema_graph
 from kgqa.selfcheck import CHECK_CONFIG, CHECK_D_S, random_instance, random_kg
 
-from conftest import make_chain_kg
+from conftest import make_chain_kg, mutant
 
 CFG = RunConfig(kge_dim=6, gcn_dims="5,4", lstm_hidden=4, d_t=6, t_hidden=7,
                 score_hidden=5)
@@ -39,7 +40,7 @@ def one_pair_instance(config, paths, n_nodes=3, label=None):
 
 
 def single_path_instance(config, rel=0, sign=1.0, n_nodes=3):
-    path = {"start": 0, "steps": [[rel, sign < 0, 1]]}
+    path = ((rel, sign < 0, 1),)
     return one_pair_instance(config, [path], n_nodes=n_nodes, label=1)
 
 
@@ -101,7 +102,7 @@ def test_mean_degeneracy_one_and_two_identical_paths():
     inst = single_path_instance(CFG)
     trace = net.forward(inst, s, node_init, rel_emb, NO_FALLBACK)
     assert np.allclose(trace.R_hat[0], trace.V[0], atol=1e-12)
-    path = {"start": 0, "steps": [[0, False, 1]]}
+    path = ((0, False, 1),)
     inst2 = one_pair_instance(CFG, [path, path])
     trace2 = net.forward(inst2, s, node_init, rel_emb, NO_FALLBACK)
     assert np.allclose(trace2.R_hat[0], trace2.V[0], atol=1e-12)
@@ -172,7 +173,7 @@ def test_doubling_loss_grad_doubles_every_gradient():
 def test_forward_rejects_fallback_rows_of_the_wrong_shape(rows, width):
     # one pair with a path and one without: exactly one row of width d_path
     net = PathAttentionScorer(CFG, D_S, np.random.default_rng(11))
-    path = {"start": 0, "steps": [[0, False, 1]]}
+    path = ((0, False, 1),)
     sg = SchemaGraph(cq=[0], ca=[1, 2], nodes=[0, 1, 2], edges=[(0, 0, 1)],
                      paths={(0, 0): [path], (0, 1): []})
     inst = instance_from_schema_graph(sg, "x", 0)
@@ -257,6 +258,33 @@ def test_one_pass_over_candidates_equals_one_pass_each():
     from kgqa.selfcheck import batch_suite
     result = batch_suite(seed=0, n_questions=16)
     assert result.passed, result.detail
+
+
+# each suite at the size ``kgqa selfcheck --quick`` runs it
+QUICK_SUITES = {
+    "attention-degeneracy": lambda: selfcheck.degeneracy_suite(n_instances=10),
+    "attention-normalization": lambda: selfcheck.normalization_suite(n_instances=20),
+    "batch-equivalence": lambda: selfcheck.batch_suite(n_questions=10),
+    "gradient-oracle": lambda: selfcheck.gradient_suite(n_instances=5),
+}
+# path attention over every path of the instance, not just its pair's own
+UNMASKED = ("inst.owner == np.arange(P)[:, None]", "True")
+
+
+@pytest.mark.parametrize("suite,old,new", [
+    ("attention-degeneracy", *UNMASKED),
+    ("attention-normalization", *UNMASKED),
+    ("batch-equivalence", *UNMASKED),
+    ("attention-degeneracy", "R_hat[~with_paths] = fallback", "R_hat[~with_paths] = 0.0"),
+    ("gradient-oracle", "inst.signs[:, None] * rel_emb[inst.rels]", "rel_emb[inst.rels]"),
+], ids=["unmasked-degeneracy", "unmasked-normalization", "unmasked-batch",
+        "zero-fallback-degeneracy", "unsigned-gradient"])
+def test_selfcheck_suite_fails_on_a_broken_forward(monkeypatch, suite, old, new):
+    monkeypatch.setattr(PathAttentionScorer, "forward",
+                        mutant(PathAttentionScorer.forward, old, new))
+    result = QUICK_SUITES[suite]()
+    assert result.name == suite
+    assert not result.passed, result.detail
 
 
 def test_bce_loss_over_candidates_sums_scalar_losses():
@@ -351,9 +379,9 @@ def test_path_table_reproduces_schema_graph_paths(seed, n_q, n_a, density):
             heads, rels, signs, tails = (a[steps] for a in (
                 inst.heads, inst.rels, inst.signs, inst.tails))
             assert heads[1:].tolist() == tails[:-1].tolist()
-            got.append({"start": ids[heads[0]], "steps": [
-                [r, s < 0, ids[t]]
-                for r, s, t in zip(rels.tolist(), signs.tolist(), tails.tolist())]})
+            assert ids[heads[0]] == sg.cq[i]
+            got.append(tuple((r, s < 0, ids[t]) for r, s, t in zip(
+                rels.tolist(), signs.tolist(), tails.tolist())))
         assert got == sg.paths[(i, j)]
         assert (n_paths[p] > 0) == bool(sg.paths[(i, j)])
     assert len(fallback_rows([inst], 4, 0)) == sum(not plist for plist in sg.paths.values())

@@ -18,10 +18,6 @@ from kgqa.selfcheck import brute_force_paths, random_kg, reference_find_paths
 from conftest import make_chain_kg, mutant
 
 
-def keyset(paths):
-    return {tuple(map(tuple, p["steps"])) for p in paths}
-
-
 def find_one(kg, src, dst, **kw):
     """``find_paths`` with the single goal ``dst``: (paths, truncated)."""
     return find_paths(kg, src, [dst], **kw)[int(dst)]
@@ -31,9 +27,9 @@ def test_chain_exactly_one_path():
     kg = make_chain_kg(4)
     got, truncated = find_one(kg, 0, 3, max_edges=3, cap=100)
     assert not truncated
-    assert keyset(got) == brute_force_paths(4, kg.triples, 0, 3, 3)
+    assert set(got) == brute_force_paths(4, kg.triples, 0, 3, 3)
     assert len(got) == 1
-    assert [node for _, _, node in got[0]["steps"]] == [1, 2, 3]
+    assert [node for _, _, node in got[0]] == [1, 2, 3]
 
 
 def test_chain_too_long_gives_empty():
@@ -48,14 +44,14 @@ def test_direct_edge_single_forward_step():
     kg = build_graph(["a", "b"], ["r"], [(0, 0, 1)], [1.0])
     got, _ = find_one(kg, 0, 1, max_edges=3, cap=100)
     assert len(got) == 1
-    assert got[0] == {"start": 0, "steps": [[0, False, 1]]}
+    assert got[0] == ((0, False, 1),)
 
 
 def test_reverse_traversal_flagged():
     kg = build_graph(["a", "b"], ["r"], [(1, 0, 0)], [1.0])
     got, _ = find_one(kg, 0, 1, max_edges=3, cap=100)
     assert len(got) == 1
-    assert got[0]["steps"][0][1] is True
+    assert got[0][0][1] is True
 
 
 def test_destination_never_intermediate():
@@ -64,15 +60,15 @@ def test_destination_never_intermediate():
     kg = build_graph(list("abcd"), ["r"], triples, np.ones(len(triples)))
     got, _ = find_one(kg, 0, 3, max_edges=3, cap=100)
     for p in got:
-        assert 3 not in [node for _, _, node in p["steps"][:-1]]
-        assert p["steps"][-1][2] == 3
+        assert 3 not in [node for _, _, node in p[:-1]]
+        assert p[-1][2] == 3
 
 
 def test_order_shorter_first_then_lexicographic():
     triples = [(0, 0, 1), (0, 1, 1), (0, 0, 2), (2, 0, 1)]
     kg = build_graph(list("abc"), ["r0", "r1"], triples, np.ones(len(triples)))
     got, _ = find_one(kg, 0, 1, max_edges=3, cap=100)
-    lengths = [len(p["steps"]) for p in got]
+    lengths = [len(p) for p in got]
     assert lengths == sorted(lengths)
     keys = [path_sort_key(p) for p in got]
     assert keys == sorted(keys)
@@ -116,12 +112,11 @@ def test_matches_bruteforce_on_random_graphs(seed):
     src, dst = rng.permutation(n)[:2]
     got, truncated = find_one(kg, int(src), int(dst), max_edges=3, cap=10 ** 9)
     assert not truncated
-    assert keyset(got) == brute_force_paths(n, kg.triples, int(src),
-                                            int(dst), 3)
+    assert set(got) == brute_force_paths(n, kg.triples, int(src), int(dst), 3)
     for p in got:
-        nodes = [p["start"]] + [node for _, _, node in p["steps"]]
+        nodes = [int(src)] + [node for _, _, node in p]
         assert len(set(nodes)) == len(nodes)  # simple
-        assert 1 <= len(p["steps"]) <= 3
+        assert 1 <= len(p) <= 3
 
 
 @settings(max_examples=30)
@@ -140,8 +135,8 @@ def test_symmetry_under_endpoint_swap(seed):
     fwd, _ = find_one(kg, src, dst, max_edges=3, cap=10 ** 9)
     bwd, _ = find_one(kg, dst, src, max_edges=3, cap=10 ** 9)
     # same underlying triple sequences, reversed, with orientation flipped
-    assert {tuple(reversed(path_triples(p))) for p in fwd} == \
-        {tuple(path_triples(p)) for p in bwd}
+    assert {tuple(reversed(path_triples(src, p))) for p in fwd} == \
+        {tuple(path_triples(dst, p)) for p in bwd}
 
 
 def degree(kg, c):
@@ -202,8 +197,8 @@ def test_self_loop_on_dst_is_never_walked():
     kg = build_graph(list("abcde"), ["r0", "r1"], triples, np.ones(len(triples)))
     assert degree(kg, 0) > degree(kg, 2)
     got, _ = find_one(kg, 0, 2)
-    assert all(node != 2 for p in got for _, _, node in p["steps"][:-1])
-    assert keyset(got) == brute_force_paths(5, kg.triples, 0, 2, 3)
+    assert all(node != 2 for p in got for _, _, node in p[:-1])
+    assert set(got) == brute_force_paths(5, kg.triples, 0, 2, 3)
     assert_matches_reference(kg, 0, 2)
 
 
@@ -213,9 +208,8 @@ def test_self_loop_on_src_is_never_walked():
     kg = build_graph(list("abc"), ["r0", "r1"], triples, np.ones(len(triples)))
     assert degree(kg, 0) > degree(kg, 2)
     got, _ = find_one(kg, 0, 2)
-    assert all(p["start"] == 0 and 0 not in [node for _, _, node in p["steps"]]
-               for p in got)
-    assert keyset(got) == brute_force_paths(3, kg.triples, 0, 2, 3)
+    assert all(0 not in [node for _, _, node in p] for p in got)
+    assert set(got) == brute_force_paths(3, kg.triples, 0, 2, 3)
     assert_matches_reference(kg, 0, 2)
 
 
@@ -230,15 +224,25 @@ def test_path_oracle_catches_a_search_that_walks_a_goal_self_loop(monkeypatch):
     assert not result.detail.endswith(" 0 mismatches")
 
 
+def test_path_oracle_counts_the_parallel_edges_it_compared(monkeypatch):
+    # with one relation per ordered pair, no two paths share their nodes and
+    # directions, and the oracle says it compared no parallel edges
+    single = mutant(selfcheck.random_kg, "size=1 + (rng.random() < 0.2)", "size=1")
+    monkeypatch.setattr(selfcheck, "random_kg", single)
+    result = selfcheck.path_oracle_suite(n_graphs=40)
+    assert not result.passed
+    assert " 0 over parallel edges, 0 mismatches" in result.detail
+
+
 def test_degree_tie_searches_either_way_alike():
     # endpoints of equal degree; the search starts at src whatever the degrees
     triples = [(0, 0, 1), (1, 0, 3), (0, 1, 2), (2, 1, 3), (0, 0, 3)]
     kg = build_graph(list("abcd"), ["r0", "r1"], triples, np.ones(len(triples)))
     assert degree(kg, 0) == degree(kg, 3)
     got, _ = find_one(kg, 0, 3)
-    assert [p["steps"] for p in got] == [
-        [[0, False, 3]], [[0, False, 1], [0, False, 3]],
-        [[1, False, 2], [1, False, 3]]]
+    assert got == [
+        ((0, False, 3),), ((0, False, 1), (0, False, 3)),
+        ((1, False, 2), (1, False, 3))]
     assert_matches_reference(kg, 0, 3, cap=2)
 
 
@@ -263,7 +267,7 @@ def test_hub_endpoint_costs_no_hub_expansion(monkeypatch):
     monkeypatch.setattr(KnowledgeGraph, "neighbors", counted)
     got = find_one(kg, 1, 0)
     assert got == want
-    assert [[node for _, _, node in p["steps"]] for p in got[0]] == [[0], [y, x, 0]]
+    assert [[node for _, _, node in p] for p in got[0]] == [[0], [y, x, 0]]
     assert len(calls) < 10
 
 
@@ -273,8 +277,8 @@ def test_paths_hold_python_scalars_for_numpy_endpoints():
         found = find_paths(kg, src, [dst])
         assert [type(goal) for goal in found] == [int]
         (path,), _ = found[int(dst)]
-        assert type(path["start"]) is int
-        for rel, reverse, node in path["steps"]:
+        assert type(path) is tuple
+        for rel, reverse, node in path:
             assert (type(rel), type(reverse), type(node)) == (int, bool, int)
 
 
@@ -333,12 +337,15 @@ def test_schema_graph_dict_round_trip(seed, threshold):
         assert json.loads(canonical_json(d)) == d
         assert (d["cq"], d["ca"], d["nodes"]) == (sg.cq, sg.ca, sg.nodes)
         assert [tuple(e) for e in d["edges"]] == sg.edges
-        assert d["paths"] == {f"{i},{j}": plist for (i, j), plist in sg.paths.items()}
+        # each path's record starts at its pair's question concept
+        assert d["paths"] == {
+            f"{i},{j}": [{"start": sg.cq[i], "steps": [list(s) for s in p]} for p in plist]
+            for (i, j), plist in sg.paths.items()}
         assert {tuple(t) for t in d["truncated"]} == sg.truncated
 
 
 def node_seq(path):
-    return [node for _, _, node in path["steps"]]
+    return [node for _, _, node in path]
 
 
 def test_goals_and_question_concepts_may_lie_mid_path():

@@ -276,9 +276,8 @@ def two_candidate_entry():
     and two steps; candidate 1: the ungrounded anchor."""
     sg = SchemaGraph(
         cq=[0], ca=[1, 2], nodes=[0, 1, 2], edges=[(0, 0, 1), (1, 0, 2), (0, 0, 2)],
-        paths={(0, 0): [{"start": 0, "steps": [[0, False, 1]]}],
-               (0, 1): [{"start": 0, "steps": [[0, False, 2]]},
-                        {"start": 0, "steps": [[0, False, 1], [0, True, 2]]}]})
+        paths={(0, 0): [((0, False, 1),)],
+               (0, 1): [((0, False, 2),), ((0, False, 1), (0, True, 2))]})
     cands = [pipeline.instance_from_schema_graph(sg, "q", 0),
              pipeline.instance_from_schema_graph(None, "q", 1)]
     assert cands[0].owner.tolist() == [0, 1, 1]
@@ -311,6 +310,7 @@ def set_index(inst, field, i, value):
     (0, "offsets", 3, 3, "offsets do not run from 0 to the step count"),
     (1, "offsets", 0, 1, "offsets do not run from 0 to the step count"),
     (0, "offsets", 2, 0, "offsets decrease"),
+    (0, "offsets", 2, 1, "a path has no steps"),
 ])
 def test_cache_entry_index_outside_its_table_is_named(tmp_path, cand, field, i, value,
                                                       problem):
@@ -348,7 +348,7 @@ def index_problem(inst) -> bool:
     return not (all(0 <= r < n for r in rows)
                 and all(0 <= o < n_pairs for o in owner) and owner == sorted(owner)
                 and offsets[0] == 0 and offsets[-1] == len(inst.heads)
-                and offsets == sorted(offsets))
+                and all(a < b for a, b in zip(offsets, offsets[1:])))
 
 
 def test_cache_index_checks_equal_a_per_candidate_loop(tmp_path):
