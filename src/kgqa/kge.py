@@ -1,9 +1,10 @@
 """Translational triple embeddings and path pruning.
 
 Entities and relations share one d-dimensional space; a triple (h, r, t) is
-scored by ``||h + r - t||_2`` (small is plausible). Traversing a triple
-backwards uses the negated relation vector, so the stored table only holds
-forward relations and the two traversal directions stay exactly consistent.
+scored by ``||h + r - t||_2`` (small is plausible). The table holds forward
+relations only: a path is scored by its canonical triples
+(``paths.path_triples``), so a step walked against its triple's direction
+scores exactly as the stored triple does.
 
 Training is margin-based ranking against corrupted triples with plain
 minibatch SGD, L2-renormalizing entity rows after each epoch. Row updates are
@@ -21,7 +22,7 @@ import numpy as np
 from . import io_utils
 from .kg import KnowledgeGraph
 from .model.layers import scatter_rows
-from .paths import SchemaGraph, Step, path_triples
+from .paths import PathSteps, SchemaGraph, path_triples
 
 DEFAULT_GAMMA = 2.0
 DEFAULT_THRESHOLD = 0.15
@@ -38,22 +39,16 @@ class EmbeddingTable:
     def dim(self) -> int:
         return self.ent.shape[1]
 
-    def triple_distance(self, h: np.ndarray, r: np.ndarray, t: np.ndarray,
-                        reverse: bool = False) -> np.ndarray:
-        rv = -self.rel[r] if reverse else self.rel[r]
-        return np.linalg.norm(self.ent[h] + rv - self.ent[t], axis=-1)
-
-    def triple_confidence(self, h: np.ndarray, r: np.ndarray, t: np.ndarray,
-                          reverse: bool = False) -> np.ndarray:
-        """Plausibility in (0, 1): logistic of (gamma - distance)."""
-        d = self.triple_distance(np.asarray(h), np.asarray(r), np.asarray(t),
-                                 reverse)
-        x = self.gamma - d
+    def triple_confidence(self, h: np.ndarray, r: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Plausibility in (0, 1) of the triples (h, r, t): logistic of
+        (gamma - ||h + r - t||_2)."""
+        h, r, t = np.asarray(h), np.asarray(r), np.asarray(t)
+        x = self.gamma - np.linalg.norm(self.ent[h] + self.rel[r] - self.ent[t], axis=-1)
         z = np.exp(-np.abs(x))  # z <= 1, no overflow either direction
         out = np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
         return out[()]
 
-    def path_score(self, start: int, steps: tuple[Step, ...]) -> float:
+    def path_score(self, start: int, steps: PathSteps) -> float:
         """Product of the triple confidences along the path from ``start``."""
         conf = 1.0
         for h, r, t in path_triples(start, steps):
@@ -282,9 +277,8 @@ def prune_schema_graph(
     ``triple_confidence`` call; a path's score is then the Python-float
     product of its triples' confidences in ``path_score`` order, so the kept
     lists equal the per-path rule (``selfcheck.reference_prune``) bit for
-    bit. ``sg``'s node and edge cover must be current on entry, as
-    ``build_schema_graph`` leaves it; it is rebuilt only when a path was
-    dropped.
+    bit. ``sg.nodes`` must be current on entry, as ``build_schema_graph``
+    leaves it; ``rebuild_cover`` recomputes it only when a path was dropped.
     """
     report = PruneReport(pairs_total=len(sg.paths))
     index: dict[tuple[int, int, int], int] = {}

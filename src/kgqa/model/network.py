@@ -191,7 +191,8 @@ def instance_from_schema_graph(
     label: Optional[int] = None,
 ) -> Instance:
     """Build the path table of ``sg``: its pairs (i, j) over ``sg.cq`` and
-    ``sg.ca`` in row-major order, each owning the paths ``sg.paths[(i, j)]``.
+    ``sg.ca`` in row-major order, each owning the paths ``sg.paths[(i, j)]``;
+    ``und_edges`` joins the direct edges ``sg.edges`` and the paths' steps.
 
     ``sg`` None builds the ungrounded anchor: concept ANCHOR_CONCEPT
     alone, one pair on it and no paths.
@@ -203,10 +204,6 @@ def instance_from_schema_graph(
     else:
         cq, ca, nodes, edges, pair_paths = sg.cq, sg.ca, sg.nodes, sg.edges, sg.paths
     row = {c: i for i, c in enumerate(nodes)}
-    und = sorted({
-        (min(row[h], row[t]), max(row[h], row[t]))
-        for h, _, t in edges if h != t
-    })
     q_rows, a_rows, owner, offsets = [], [], [], [0]
     heads, rels, signs, tails = [], [], [], []
     for i, qc in enumerate(cq):
@@ -223,6 +220,9 @@ def instance_from_schema_graph(
                 offsets.append(len(heads))
             q_rows.append(row[qc])
             a_rows.append(row[ac])
+    # the graph's undirected edges: the direct ones and every path step's
+    und = sorted({(min(a, b), max(a, b)) for a, b in
+                  [*((row[h], row[t]) for h, _, t in edges), *zip(heads, tails)] if a != b})
     ints = partial(np.array, dtype=np.int64)
     return Instance(
         example_id, cand_index, node_ids=ints(nodes), und_edges=und,

@@ -2,9 +2,9 @@
 
 Paths run from a question concept to an answer concept, at most ``max_edges``
 edges (default 3), traversing triples in either direction with a per-step
-``reverse`` flag. A path is the tuple of its ``(rel, reverse, node)`` steps
-from ``cq[i]`` of the pair (i, j) that owns it, from ``find_paths`` through
-pruning to the path table; only ``SchemaGraph.to_dict`` writes its start.
+``reverse`` flag. A path is its ``(rel, reverse, node)`` steps (``PathSteps``)
+from ``cq[i]`` of its pair (i, j), from ``find_paths`` to the path table; only
+``SchemaGraph.to_dict`` writes its start and lists its triples.
 A question's candidates share its question concepts, so each question concept
 is searched once, by one depth-limited DFS that collects the paths to the
 answer concepts of every candidate at once;
@@ -28,15 +28,15 @@ class GroundingError(ValueError):
 
 
 Step = tuple[int, bool, int]  # (rel, reverse, node)
-Path = tuple[Step, ...]
+PathSteps = tuple[Step, ...]
 
 
-def path_sort_key(steps: Path) -> tuple:
+def path_sort_key(steps: PathSteps) -> tuple:
     """``find_paths`` order: shortest first, then the (node, rel, reverse) steps."""
     return (len(steps), tuple((node, rel, rev) for rel, rev, node in steps))
 
 
-def path_triples(start: int, steps: Path) -> list[tuple[int, int, int]]:
+def path_triples(start: int, steps: PathSteps) -> list[tuple[int, int, int]]:
     """Canonical (head, rel, tail) triples of the path from ``start``."""
     out = []
     cur = start
@@ -52,7 +52,7 @@ def find_paths(
     goals: Iterable[int],
     max_edges: int = 3,
     cap: int = 100,
-) -> dict[int, tuple[list[Path], bool]]:
+) -> dict[int, tuple[list[PathSteps], bool]]:
     """All simple paths from ``src`` to each of ``goals``, at most ``max_edges``
     edges, from one depth-limited DFS.
 
@@ -79,10 +79,10 @@ def find_paths(
         for nbr, rel, rev in kg.neighbors(goal):
             into.setdefault(nbr, []).append((goal, (rel, not rev, goal)))
 
-    found: dict[int, list[Path]] = {goal: [] for goal in goals}
+    found: dict[int, list[PathSteps]] = {goal: [] for goal in goals}
     on_path = {src}
 
-    def extend(node: int, prefix: Path) -> None:
+    def extend(node: int, prefix: PathSteps) -> None:
         for goal, last in into.get(node, ()):
             if goal not in on_path:
                 found[goal].append(prefix + (last,))
@@ -114,40 +114,34 @@ class SchemaGraph:
     """Grounded subgraph for one QA pair.
 
     ``paths`` maps (i, j) pair indices into ``cq``/``ca`` to the paths from
-    cq[i] to ca[j], as step tuples in ``find_paths`` order; ``edges`` covers
-    every triple used by a path plus direct edges inside each mention set,
-    and ``nodes`` exactly the concepts those touch plus the mention sets
-    themselves. ``to_dict`` is its JSON form, made only for ``kgqa paths``/
-    ``prune`` output and the benchmark's digest: "i,j" pair keys, and each
-    path as the record ``{"start": cq[i], "steps": [[rel, reverse, node], ...]}``.
+    cq[i] to ca[j], as step tuples in ``find_paths`` order; ``edges`` holds
+    only the direct edges inside each mention set, and ``nodes`` those sets
+    plus every node of a path. ``to_dict`` is its JSON form, made only for
+    ``kgqa paths``/``prune`` output and the benchmark's digest: "i,j" pair
+    keys, paths as ``{"start": cq[i], "steps": [[rel, reverse, node], ...]}``
+    records, and "edges" adding every path's triples to the direct edges.
     """
 
     cq: list[int]
     ca: list[int]
     nodes: list[int] = field(default_factory=list)
     edges: list[tuple[int, int, int]] = field(default_factory=list)
-    paths: dict[tuple[int, int], list[Path]] = field(default_factory=dict)
+    paths: dict[tuple[int, int], list[PathSteps]] = field(default_factory=dict)
     truncated: set[tuple[int, int]] = field(default_factory=set)
 
     def rebuild_cover(self) -> None:
-        """Recompute nodes/edges to exactly cover current paths + intra edges."""
-        cq, ca = set(self.cq), set(self.ca)
-        edge_set = {(h, r, t) for h, r, t in self.edges
-                    if (h in cq and t in cq) or (h in ca and t in ca)}
-        node_set = cq | ca
-        for (i, _), plist in self.paths.items():
-            for steps in plist:
-                node_set.update(node for _, _, node in steps)
-                edge_set.update(path_triples(self.cq[i], steps))
-        self.nodes = sorted(node_set)
-        self.edges = sorted(edge_set)
+        """Recompute ``nodes``: the mention sets plus every node of a current path."""
+        self.nodes = sorted({*self.cq, *self.ca, *(
+            node for plist in self.paths.values() for p in plist for _, _, node in p)})
 
     def to_dict(self) -> dict:
+        edges = {*self.edges, *(tr for (i, _), plist in self.paths.items()
+                                for p in plist for tr in path_triples(self.cq[i], p))}
         return {
             "cq": list(self.cq),
             "ca": list(self.ca),
             "nodes": list(self.nodes),
-            "edges": [list(e) for e in self.edges],
+            "edges": [list(e) for e in sorted(edges)],
             "paths": {f"{i},{j}": [{"start": self.cq[i], "steps": [list(s) for s in p]}
                                    for p in plist]
                       for (i, j), plist in sorted(self.paths.items())},
@@ -171,7 +165,7 @@ def build_schema_graph(
     ca: MentionSet | Iterable[int],
     max_edges: int = 3,
     cap: int = 100,
-    found: dict[int, dict[int, tuple[list[Path], bool]]] | None = None,
+    found: dict[int, dict[int, tuple[list[PathSteps], bool]]] | None = None,
 ) -> SchemaGraph:
     """Ground one QA pair: per-pair path lists plus intra-set direct edges.
 

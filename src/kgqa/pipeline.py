@@ -19,9 +19,9 @@ slices it into the candidates' Instances, with no JSON parsing and no table
 building; a miss grounds the whole question, builds its tables once and
 writes them. Older ``.json`` and per-candidate ``_<candidate>.bin`` entries
 are never read, so they simply miss. An entry that is cut short, empty, of
-another kind, inconsistent, holding an index outside its tables, or holding
-another number of candidates than the example raises ContainerError naming
-the file.
+another kind, inconsistent, holding an index outside its tables or the graph,
+or holding another number of candidates than the example raises
+ContainerError naming the file.
 
 Training and prediction score a question's candidates in one pass: one
 statement-encoder call and one network call over the union of the
@@ -123,7 +123,7 @@ def preprocess(
         if cache_root is not None:
             try:  # opening the entry is the probe: no file, a miss
                 cands = read_cache_entry(cache_path(ex.id), ex.id, len(ex.candidates),
-                                         label=ex.label)
+                                         kg.n_concepts, kg.n_relations, label=ex.label)
                 insts.update(((ex.id, ci), inst) for ci, inst in enumerate(cands))
                 continue
             except FileNotFoundError:
@@ -159,15 +159,15 @@ def _cand_label(label: Optional[int], ci: int) -> Optional[int]:
 
 # the int64 sections of a cache entry's "ints" block, in order, as (Instance
 # field, meta "counts" key, per-count length, extra length per candidate,
-# "counts" key of the table its values index, or None); the indexing
-# sections come first, so that one slice of the block holds them all
+# the table its values index: a "counts" key, the graph's "concepts" or
+# "relations", or None for offsets, which are checked on their own)
 _INT_SECTIONS = (("q_rows", "pairs", 1, 0, "nodes"), ("a_rows", "pairs", 1, 0, "nodes"),
                  ("heads", "steps", 1, 0, "nodes"), ("tails", "steps", 1, 0, "nodes"),
                  ("und_edges", "edges", 2, 0, "nodes"), ("owner", "paths", 1, 0, "pairs"),
-                 ("offsets", "paths", 1, 1, None), ("node_ids", "nodes", 1, 0, None),
-                 ("rels", "steps", 1, 0, None))
+                 ("offsets", "paths", 1, 1, None), ("node_ids", "nodes", 1, 0, "concepts"),
+                 ("rels", "steps", 1, 0, "relations"))
 _SECTION_NAMES = tuple(name for name, *_ in _INT_SECTIONS)
-_OWNER = 5         # owner, the last section that indexes a table; offsets follow
+_OWNER = 5         # owner, the last section of row or pair indices; offsets follow
 _COUNTS = ("edges", "nodes", "pairs", "paths", "steps")
 
 
@@ -197,15 +197,17 @@ def write_cache_entry(path, insts: Sequence[Instance],
         {"ints": ints, "signs": np.concatenate([inst.signs for inst in insts])})
 
 
-def read_cache_entry(path, example_id: str, n_cands: int,
-                     label: Optional[int] = None) -> list[Instance]:
+def read_cache_entry(path, example_id: str, n_cands: int, n_concepts: int,
+                     n_relations: int, label: Optional[int] = None) -> list[Instance]:
     """The ``n_cands`` instances that ``write_cache_entry`` wrote to ``path``.
 
-    ``label`` is the index of the correct candidate, as in ``QAExample``. A
-    missing file raises FileNotFoundError. An entry that is cut short, of
-    another kind or of another candidate count, whose counts, block shapes
-    or tables do not fit together, or whose row, pair or step indices fall
-    outside its tables raises ContainerError naming ``path``.
+    ``n_concepts`` and ``n_relations`` are the sizes of the graph the entry
+    was grounded on. ``label`` is the index of the correct candidate, as in
+    ``QAExample``. A missing file raises FileNotFoundError. An entry that is
+    cut short, of another kind or of another candidate count, whose counts,
+    block shapes or tables do not fit together, or whose row, pair, step,
+    concept or relation indices fall outside their tables raises
+    ContainerError naming ``path``.
     """
     meta, blocks = io_utils.read_container(path, kind="instance")
     counts, ungrounded = meta.get("counts"), meta.get("ungrounded")
@@ -231,7 +233,8 @@ def read_cache_entry(path, example_id: str, n_cands: int,
         "ints": (("int64",), [bounds[-1]]),
         "signs": (("float64",), [sum(counts["steps"])])})
     ints = blocks["ints"]
-    _check_cache_indices(path, ints, counts, sizes, bounds)
+    _check_cache_indices(path, ints, {**counts, "concepts": [n_concepts] * n_cands,
+                                      "relations": [n_relations] * n_cands}, sizes, bounds)
     runs = [ints[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     ends = list(itertools.accumulate(counts["steps"], initial=0))
     signs = [blocks["signs"][lo:hi] for lo, hi in zip(ends, ends[1:])]
@@ -251,17 +254,20 @@ def _check_cache_indices(path, ints: np.ndarray, counts: dict, sizes: list,
                          bounds: list) -> None:
     """Raise ContainerError naming ``path`` unless every index in ``ints``, a
     cache entry's int block cut by ``sizes`` at ``bounds``, points inside its
-    candidate's tables: rows below the node count, ``owner`` sorted and below
-    the pair count, and ``offsets`` increasing from 0 to the step count, so
-    no path is empty. It costs a fixed dozen array operations per question."""
+    table: rows below the node count, ``owner`` sorted and below the pair
+    count, ``offsets`` increasing from 0 to the step count, so no path is
+    empty, and concept and relation ids below the graph's counts, which
+    ``counts`` holds per candidate beside the entry's own. It costs a fixed
+    dozen array operations per question."""
     n = len(sizes[0])
-    # one comparison checks every indexing section: read as uint64, a
-    # negative index is above any table size
+    # one comparison checks every section: read as uint64, a negative index
+    # is above any table size; offsets, limited to 0 here, are let through
     limit = np.repeat(
-        np.array([c for *_, table in _INT_SECTIONS[:_OWNER + 1] for c in counts[table]],
-                 dtype=np.uint64),
-        [size for section in sizes[:_OWNER + 1] for size in section])
-    inside = ints[:len(limit)].view(np.uint64) < limit
+        np.array([c for *_, table in _INT_SECTIONS
+                  for c in (counts[table] if table else [0] * n)], dtype=np.uint64),
+        [size for section in sizes for size in section])
+    inside = ints.view(np.uint64) < limit
+    inside[bounds[(_OWNER + 1) * n]:bounds[(_OWNER + 2) * n]] = True
     if not inside.all():
         at = int(np.argmin(inside))
         s, c = divmod(bisect.bisect_right(bounds, at) - 1, n)

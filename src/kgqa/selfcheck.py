@@ -38,7 +38,7 @@ from .model.gradcheck import check_gradients
 from .model.layers import scatter_rows
 from .model.network import (Instance, PathAttentionScorer, bce_loss, fallback_rows,
                             instance_from_schema_graph)
-from .paths import SchemaGraph, build_schema_graph, find_paths, path_sort_key
+from .paths import PathSteps, SchemaGraph, Step, build_schema_graph, find_paths, path_sort_key
 from .pipeline import ModelState, read_cache_entry, write_cache_entry
 from .statement import build_vocab
 
@@ -111,8 +111,8 @@ def random_instance(
     ``cfg.seed``.
 
     Paths are random simple walks over the nodes, whose concept ids equal
-    their rows; their hops are added to the edge set so the graph covers
-    them.
+    their rows; ``instance_from_schema_graph`` adds their hops to the graph's
+    edges.
     """
     n = int(rng.integers(3, max_nodes + 1))
     n_q = int(rng.integers(1, 3))
@@ -120,7 +120,6 @@ def random_instance(
     rows = rng.permutation(n)
     cq = [int(r) for r in rows[:n_q]]
     ca = [int(r) for r in rows[n_q:n_q + n_a]]
-    edges = []
     paths = {}
     for i, qi in enumerate(cq):
         for j, aj in enumerate(ca):
@@ -135,11 +134,11 @@ def random_instance(
                 seq = [qi] + mids + [aj]
                 rels = rng.integers(0, n_relations, size=len(seq) - 1)
                 reverse = rng.random(len(seq) - 1) >= 0.5
-                edges += [(hh, 0, tt) for hh, tt in zip(seq, seq[1:])]
                 plist.append(tuple((int(r), bool(v), t)
                                    for r, v, t in zip(rels, reverse, seq[1:])))
             paths[(i, j)] = plist
-    # a few extra background edges; the instance drops loops and repeats
+    # a few background edges; the instance drops loops and repeats
+    edges = []
     for _ in range(n):
         a, b = rng.integers(0, n, size=2)
         edges.append((int(a), 0, int(b)))
@@ -198,7 +197,7 @@ def brute_force_paths(
     src: int,
     dst: int,
     max_edges: int,
-) -> set[tuple]:
+) -> set[PathSteps]:
     """Exhaustive simple-path enumeration straight from the triple list.
 
     Walks every permutation of intermediate nodes and every combination of
@@ -230,7 +229,7 @@ def reference_find_paths(
     dst: int,
     max_edges: int = 3,
     cap: int = 100,
-) -> tuple[list[tuple], bool]:
+) -> tuple[list[PathSteps], bool]:
     """The plain depth-limited DFS from ``src`` that ``paths.find_paths``
     replaced, kept as its oracle: same contract, the same step tuples in the
     same order."""
@@ -242,8 +241,8 @@ def reference_find_paths(
         if not 0 <= c < kg.n_concepts:
             raise IndexError(f"concept id {c} out of range")
 
-    found: list[tuple] = []
-    steps: list[tuple[int, bool, int]] = []
+    found: list[PathSteps] = []
+    steps: list[Step] = []
     on_path = {src}
 
     def dfs(node: int) -> None:
@@ -679,7 +678,8 @@ def cache_round_trip_suite(seed: int = 0, n_instances: int = 25) -> CheckResult:
                      for ci, inst in enumerate(group)]
             path = Path(tmp) / f"{ex_id}.bin"
             write_cache_entry(path, group, [None] * len(group))
-            got = read_cache_entry(path, ex_id, len(group), label=label)
+            # the graph sizes are random_instance's defaults
+            got = read_cache_entry(path, ex_id, len(group), 6, 3, label=label)
             for ci, (want, have) in enumerate(zip(group, got)):
                 bad = instance_mismatch(want, have)
                 if bad is not None:

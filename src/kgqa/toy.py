@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import QAExample
 from .kg import KnowledgeGraph, build_graph
-from .paths import Path, SchemaGraph
+from .paths import PathSteps, SchemaGraph
 
 EVIDENCE = "evidence_of"
 HUB_REL = "common_trait"
@@ -122,7 +122,7 @@ def build_toy_world(seed: int = 0, n_families: int = 18, items_per_family: int =
     return ToyWorld(kg=kg, train=train, dev=dev)
 
 
-def is_pure_evidence(steps: Path, kg: KnowledgeGraph) -> bool:
+def is_pure_evidence(steps: PathSteps, kg: KnowledgeGraph) -> bool:
     evidence = kg.relations.index(EVIDENCE)
     return all(rel == evidence and not reverse for rel, reverse, _ in steps)
 

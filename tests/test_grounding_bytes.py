@@ -9,7 +9,13 @@ trained tables drop some paths but not all. A candidate is rendered as
 They were recorded from the per-pair search that the per-question search
 replaced: a change to the order of the search work must leave every schema
 graph and prune report as it was.
+
+``CACHE_DIGESTS`` pin the cache entries ``preprocess`` writes for the same
+worlds, pruned at 0.3: sha256 over each file's path under the cache directory,
+its length and its bytes, in path order.
 """
+
+import hashlib
 
 import pytest
 
@@ -23,13 +29,17 @@ from kgqa.toy import build_toy_world
 from perfbench import gen
 from perfbench.workloads import HUB_CFG
 
-from conftest import TOY_CFG
+from conftest import TOY_CFG, dir_bytes
 
 DIGESTS = {
     ("toy", False): "8bf42a6e23615067bfcd523e4b6b48782d7bf92c2f38b9de73e1abb525c242ba",
     ("toy", True): "4acdab58ad483883eb6db30f488930346aeebe94d601f49d4fc1eccf314ad114",
     ("hub", False): "a655a854421316ed74a84deb0c0d88c648b3f3385eb7156e583d7f6e2e21493e",
     ("hub", True): "42ed3a46e8edfc3ccedd6aa79b8babef5e5ccf0b904aedfc5cada67c0854cb9f",
+}
+CACHE_DIGESTS = {
+    "toy": "b701d2018321b29f981d4a6f618d1510885863ea2ec91aabfdf3b4118dbc8b0e",
+    "hub": "d4af766a9c9d74449671489ecf43809996304a87c4e65599ee1a176b8d3f3a62",
 }
 
 
@@ -75,6 +85,19 @@ def test_ground_question_payload_digest(worlds, world, prune):
     rows = [[render(sg, report) for sg, report in question] for question in grounded]
     digest = io_utils.sha256_bytes(io_utils.canonical_json(rows).encode())
     assert digest == DIGESTS[(world, prune)]
+
+
+@pytest.mark.parametrize("world", sorted(CACHE_DIGESTS))
+def test_cache_entry_bytes_are_pinned(worlds, tmp_path, world):
+    kg, examples, cfg, emb = worlds[world]
+    cfg = RunConfig(**{**cfg.to_dict(), "prune": True, "threshold": 0.3})
+    pipeline.preprocess(kg, emb, examples, cfg, load_stopwords(None), cache_dir=tmp_path)
+    files = dir_bytes(tmp_path)
+    assert len(files) == len(examples)
+    digest = hashlib.sha256()
+    for name, data in files.items():
+        digest.update(f"{name.as_posix()}\0{len(data)}\0".encode() + data)
+    assert digest.hexdigest() == CACHE_DIGESTS[world]
 
 
 def test_one_search_per_question_concept(worlds, monkeypatch):

@@ -59,16 +59,6 @@ def test_confidence_monotone_in_distance():
     assert scores == sorted(scores, reverse=True)
 
 
-@given(st.integers(0, 999))
-def test_reverse_consistency(seed):
-    rng = np.random.default_rng(seed)
-    table = EmbeddingTable(ent=rng.standard_normal((4, 6)),
-                           rel=rng.standard_normal((2, 6)), gamma=2.0)
-    f = table.triple_confidence(0, 1, 3, reverse=False)
-    r = table.triple_confidence(3, 1, 0, reverse=True)
-    assert f == pytest.approx(r, rel=1e-12)
-
-
 def path_for(kg, src, dst, **kw):
     from kgqa.paths import find_paths
     paths, _ = find_paths(kg, src, [dst], **kw)[dst]
@@ -239,9 +229,9 @@ def test_prune_scores_every_triple_in_one_call(monkeypatch):
     calls = []
     real = EmbeddingTable.triple_confidence
 
-    def counting(self, h, r, t, reverse=False):
+    def counting(self, h, r, t):
         calls.append(len(h))
-        return real(self, h, r, t, reverse)
+        return real(self, h, r, t)
 
     monkeypatch.setattr(EmbeddingTable, "triple_confidence", counting)
     prune_schema_graph(sg, table, threshold=0.15)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from kgqa import selfcheck
 from kgqa.config import RunConfig
+from kgqa.model import layers, network
 from kgqa.model.gradcheck import check_gradients
 from kgqa.model.network import (Instance, PathAttentionScorer, bce_loss, fallback_rows,
                                 fallback_vector, instance_from_schema_graph)
@@ -284,6 +285,20 @@ def test_selfcheck_suite_fails_on_a_broken_forward(monkeypatch, suite, old, new)
                         mutant(PathAttentionScorer.forward, old, new))
     result = QUICK_SUITES[suite]()
     assert result.name == suite
+    assert not result.passed, result.detail
+
+
+@pytest.mark.parametrize("module,func,old,new", [
+    # fallback rows keyed by their place in the instance, not by concept
+    (selfcheck, fallback_rows, "*key)", "len(rows))"),
+    # an adjacency holding each undirected edge in one direction only
+    (network, layers.normalized_adjacency, "adj[b, a] = 1.0", "pass"),
+], ids=["position-keyed-fallback", "one-way-adjacency"])
+def test_permutation_suite_fails_on_an_order_dependent_input(monkeypatch, module, func,
+                                                             old, new):
+    monkeypatch.setattr(module, func.__name__, mutant(func, old, new))
+    result = selfcheck.permutation_suite(n_instances=10)  # the --quick size
+    assert result.name == "permutation-invariance"
     assert not result.passed, result.detail
 
 

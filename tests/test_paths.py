@@ -286,7 +286,8 @@ def test_schema_graph_chain():
     kg = make_chain_kg(4)
     sg = build_schema_graph(kg, {0}, {3}, max_edges=3, cap=100)
     assert len(sg.nodes) == 4
-    assert len(sg.edges) == 3
+    assert sg.edges == []  # no direct edge inside {0} or {3}
+    assert len(sg.to_dict()["edges"]) == 3  # the path's triples
     assert len(sg.paths[(0, 0)]) == 1
 
 
@@ -336,7 +337,13 @@ def test_schema_graph_dict_round_trip(seed, threshold):
         d = sg.to_dict()
         assert json.loads(canonical_json(d)) == d
         assert (d["cq"], d["ca"], d["nodes"]) == (sg.cq, sg.ca, sg.nodes)
-        assert [tuple(e) for e in d["edges"]] == sg.edges
+        # edges holds the direct edges inside each mention set, and the JSON
+        # adds every path's triples to them
+        cq, ca = set(sg.cq), set(sg.ca)
+        assert all({h, t} <= cq or {h, t} <= ca for h, _, t in sg.edges)
+        assert [tuple(e) for e in d["edges"]] == sorted({*sg.edges, *(
+            tr for (i, _), plist in sg.paths.items() for p in plist
+            for tr in path_triples(sg.cq[i], p))})
         # each path's record starts at its pair's question concept
         assert d["paths"] == {
             f"{i},{j}": [{"start": sg.cq[i], "steps": [list(s) for s in p]} for p in plist]

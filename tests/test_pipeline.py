@@ -273,7 +273,8 @@ def test_bad_cache_entry_is_named(pathless, tmp_path, how):
 
 def two_candidate_entry():
     """Candidate 0: one question concept, two answer concepts, paths of one
-    and two steps; candidate 1: the ungrounded anchor."""
+    and two steps; candidate 1: the ungrounded anchor. The graph they come
+    from has ``TWO_CANDIDATE_GRAPH`` concepts and relations."""
     sg = SchemaGraph(
         cq=[0], ca=[1, 2], nodes=[0, 1, 2], edges=[(0, 0, 1), (1, 0, 2), (0, 0, 2)],
         paths={(0, 0): [((0, False, 1),)],
@@ -283,6 +284,9 @@ def two_candidate_entry():
     assert cands[0].owner.tolist() == [0, 1, 1]
     assert cands[0].offsets.tolist() == [0, 1, 2, 4]
     return cands
+
+
+TWO_CANDIDATE_GRAPH = (3, 1)
 
 
 def set_index(inst, field, i, value):
@@ -311,19 +315,24 @@ def set_index(inst, field, i, value):
     (1, "offsets", 0, 1, "offsets do not run from 0 to the step count"),
     (0, "offsets", 2, 0, "offsets decrease"),
     (0, "offsets", 2, 1, "a path has no steps"),
+    (0, "node_ids", 1, -1, "candidate 0: node_ids holds -1, outside its concept range [0, 3)"),
+    (1, "node_ids", 0, 3, "candidate 1: node_ids holds 3, outside its concept range [0, 3)"),
+    (0, "rels", 3, -2, "candidate 0: rels holds -2, outside its relation range [0, 1)"),
+    (0, "rels", 0, 10**6,
+     "candidate 0: rels holds 1000000, outside its relation range [0, 1)"),
 ])
 def test_cache_entry_index_outside_its_table_is_named(tmp_path, cand, field, i, value,
                                                       problem):
     path = tmp_path / "entry.bin"
     cands = two_candidate_entry()
     pipeline.write_cache_entry(path, cands, [None, None])
-    got = pipeline.read_cache_entry(path, "q", 2)
+    got = pipeline.read_cache_entry(path, "q", 2, *TWO_CANDIDATE_GRAPH)
     assert [selfcheck.instance_mismatch(a, b) for a, b in zip(cands, got)] == [None] * 2
     set_index(cands[cand], field, i, value)
     pipeline.write_cache_entry(path, cands, [None, None])
     with pytest.raises(io_utils.ContainerError,
                        match=f"^{re.escape(f'{path}: {problem}')}$"):
-        pipeline.read_cache_entry(path, "q", 2)
+        pipeline.read_cache_entry(path, "q", 2, *TWO_CANDIDATE_GRAPH)
 
 
 def test_cache_entry_with_the_older_fallback_block_still_reads(tmp_path):
@@ -334,18 +343,25 @@ def test_cache_entry_with_the_older_fallback_block_still_reads(tmp_path):
     meta, blocks = io_utils.read_container(path)
     meta["counts"]["fallbacks"] = [0, 1]
     io_utils.write_container(path, "instance", meta, {**blocks, "fallback": np.ones((1, 4))})
-    got = pipeline.read_cache_entry(path, "q", 2)
+    got = pipeline.read_cache_entry(path, "q", 2, *TWO_CANDIDATE_GRAPH)
     assert [selfcheck.instance_mismatch(a, b) for a, b in zip(cands, got)] == [None] * 2
+
+
+# the graph sizes of selfcheck.random_instance's defaults
+RANDOM_GRAPH = (6, 3)
 
 
 def index_problem(inst) -> bool:
     """Per-candidate loop reference of the checks a cache entry's read runs
-    on its indices."""
+    on its indices, for an entry of a graph of ``RANDOM_GRAPH`` sizes."""
     n, n_pairs = inst.n_nodes, len(inst.q_rows)
     rows = [*inst.q_rows, *inst.a_rows, *inst.heads, *inst.tails,
             *(r for edge in inst.und_edges for r in edge)]
     owner, offsets = inst.owner.tolist(), inst.offsets.tolist()
+    n_concepts, n_relations = RANDOM_GRAPH
     return not (all(0 <= r < n for r in rows)
+                and all(0 <= c < n_concepts for c in inst.node_ids)
+                and all(0 <= r < n_relations for r in inst.rels)
                 and all(0 <= o < n_pairs for o in owner) and owner == sorted(owner)
                 and offsets[0] == 0 and offsets[-1] == len(inst.heads)
                 and all(a < b for a, b in zip(offsets, offsets[1:])))
@@ -354,7 +370,8 @@ def index_problem(inst) -> bool:
 def test_cache_index_checks_equal_a_per_candidate_loop(tmp_path):
     rng = np.random.default_rng(17)
     path = tmp_path / "entry.bin"
-    fields = ("q_rows", "a_rows", "heads", "tails", "und_edges", "owner", "offsets")
+    fields = ("q_rows", "a_rows", "heads", "tails", "und_edges", "owner", "offsets",
+              "node_ids", "rels")
     n_bad = 0
     for trial in range(300):
         cands = [replace(selfcheck.random_instance(
@@ -375,7 +392,7 @@ def test_cache_index_checks_equal_a_per_candidate_loop(tmp_path):
         n_bad += want
         pipeline.write_cache_entry(path, cands, [None] * len(cands))
         try:
-            pipeline.read_cache_entry(path, "q", len(cands))
+            pipeline.read_cache_entry(path, "q", len(cands), *RANDOM_GRAPH)
             got = False
         except io_utils.ContainerError:
             got = True
@@ -392,6 +409,18 @@ def test_cache_entry_of_another_candidate_count_is_named(pathless, tmp_path):
                        match=f"^{re.escape(str(entry))}: entry holds 3 candidates, "
                              "example 'pathless' has 2$"):
         pathless_preprocess(fewer, tmp_path)
+
+
+def test_cache_entry_of_a_larger_graph_is_named(pathless, tmp_path):
+    # preprocess checks an entry's concept ids against the graph it is given
+    pathless_preprocess(pathless, tmp_path)
+    (entry,) = tmp_path.rglob("*.bin")
+    smaller = SimpleNamespace(**{**vars(pathless), "kg": build_graph(
+        ["apple", "tree", "river"], ["near"], [(0, 0, 1), (1, 0, 2)], np.ones(2))})
+    with pytest.raises(io_utils.ContainerError,
+                       match=f"^{re.escape(str(entry))}: candidate 0: node_ids holds 3, "
+                             r"outside its concept range \[0, 3\)$"):
+        pathless_preprocess(smaller, tmp_path)
 
 
 def test_cold_pass_writes_one_entry_per_question(mini, tmp_path):
