@@ -97,6 +97,18 @@ def _cache_dir(args, dataset) -> str | None:
     return str(Path(args.cache) / io_utils.sha256_bytes(digests.encode())[:16])
 
 
+def _graph_and_table(args) -> tuple[KnowledgeGraph, EmbeddingTable]:
+    """Load --kg and --kge; a table trained on another graph is a ValueError,
+    since its rows are read by concept and relation id."""
+    kg, emb = KnowledgeGraph.load(args.kg), EmbeddingTable.load(args.kge)
+    rows = (len(emb.ent), len(emb.rel))
+    if rows != (kg.n_concepts, kg.n_relations):
+        raise ValueError(f"{args.kge} holds {rows[0]} entity and {rows[1]} relation rows, "
+                         f"but {args.kg} has {kg.n_concepts} concepts and "
+                         f"{kg.n_relations} relations")
+    return kg, emb
+
+
 # ---------------------------------------------------------------- commands
 
 def cmd_ingest(args) -> int:
@@ -141,8 +153,7 @@ def cmd_schema_graphs(args) -> int:
     """`paths` writes unpruned schema graphs; `prune` prunes them with --kge
     and adds the summed prune report as a `.stats.json` sidecar and on stdout."""
     cfg = replace(_config_from_args(args), prune=args.command == "prune")
-    emb = EmbeddingTable.load(args.kge) if cfg.prune else None
-    kg = KnowledgeGraph.load(args.kg)
+    kg, emb = _graph_and_table(args) if cfg.prune else (KnowledgeGraph.load(args.kg), None)
     stop = _stopwords(args)
     total = PruneReport()
     with io_utils.atomic_open(args.out, "w", encoding="utf-8") as fh:
@@ -183,8 +194,7 @@ def cmd_train_kge(args) -> int:
 
 
 def _load_state_inputs(args, need_checkpoint: bool):
-    kg = KnowledgeGraph.load(args.kg)
-    emb = EmbeddingTable.load(args.kge)
+    kg, emb = _graph_and_table(args)
     features = FeatureStore.load(args.features) if getattr(args, "features", None) \
         else None
     state = None

@@ -19,8 +19,9 @@ class QAExample:
     label: Optional[int] = None  # index into candidates; None for test sets
 
     def __post_init__(self) -> None:
-        if len(self.candidates) < 2:
-            raise ValueError(f"{self.id}: needs at least 2 candidates")
+        if not 2 <= len(self.candidates) <= len(LABELS):
+            raise ValueError(f"{self.id}: needs 2 to {len(LABELS)} candidates, "
+                             f"found {len(self.candidates)}")
         if self.label is not None and not 0 <= self.label < len(self.candidates):
             raise ValueError(f"{self.id}: label {self.label} out of range")
 
@@ -57,16 +58,23 @@ def _parse_example(obj: dict) -> QAExample:
 
 
 def load_dataset(path) -> list[QAExample]:
-    """Parse a JSONL file of questions; malformed lines report their number."""
+    """Parse a JSONL file of questions; malformed lines and repeated ids
+    report their line number."""
+    first_line: dict[str, int] = {}
     out = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                out.append(_parse_example(json.loads(line)))
+                ex = _parse_example(json.loads(line))
             except (ValueError, KeyError, TypeError) as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
+            first = first_line.setdefault(ex.id, lineno)
+            if first != lineno:
+                raise ValueError(f"{path}:{lineno}: duplicate id {ex.id!r} "
+                                 f"(first on line {first})")
+            out.append(ex)
     return out
 
 

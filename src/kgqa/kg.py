@@ -1,10 +1,11 @@
 """Triple-store ingestion with relation merging and an immutable adjacency index.
 
 Accepts either the full ConceptNet 5.x assertion TSV (URI, relation, start,
-end, JSON metadata) or a simplified ``relation <tab> head <tab> tail [<tab>
-weight]`` TSV. Raw relation names are merged down via a two-column map file
-(``raw <tab> merged|DELETE``); duplicate merged triples collapse keeping the
-maximum weight.
+end, JSON metadata; rows with a non-English endpoint are skipped) or a
+simplified ``relation <tab> head <tab> tail [<tab> weight]`` TSV. Raw relation
+names are merged down by a map that ``load_merge_map`` reads from a two-column
+file (``raw <tab> merged|DELETE``); duplicate merged triples collapse keeping
+the maximum weight. Skipped lines are summarized per reason, not listed.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 from .io_utils import BYTES, ContainerError, read_container, require, write_container
 
 DELETE = "DELETE"
+LANGUAGE = "en"  # recognition (lemmatizer, stopwords) is English-only
 
 
 class IngestError(ValueError):
@@ -49,18 +51,28 @@ def default_merge_map_path() -> Path:
 
 @dataclass
 class IngestReport:
+    """Ingest counts. ``skipped`` summarizes skipped lines by reason key
+    (``"language filter"``, ``"malformed"``, ``"unmapped relation 'X'"``,
+    ``"deleted relation 'X'"``): a count, the first line number and that
+    line's message, so the report stays small on a dump of any length."""
+
     lines_read: int = 0
     triples_kept: int = 0
     duplicates_merged: int = 0
-    skipped: list[tuple[int, str]] = field(default_factory=list)
+    skipped: dict[str, dict] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
+
+    def skip(self, key: str, lineno: int, message: str) -> None:
+        entry = self.skipped.setdefault(
+            key, {"count": 0, "first_line": lineno, "first_message": message})
+        entry["count"] += 1
 
     def to_dict(self) -> dict:
         return {
             "lines_read": self.lines_read,
             "triples_kept": self.triples_kept,
             "duplicates_merged": self.duplicates_merged,
-            "skipped": [[n, why] for n, why in self.skipped],
+            "skipped": {key: dict(entry) for key, entry in self.skipped.items()},
             "warnings": list(self.warnings),
         }
 
@@ -191,9 +203,13 @@ def build_graph(concepts, relations, triples, weights) -> KnowledgeGraph:
     )
 
 
-def _parse_full_line(fields: list[str], language: str) -> tuple[str, str, str, float] | None:
-    """Parse a ConceptNet 5.x assertion row; None when an endpoint fails the
-    language filter."""
+class _Skip(ValueError):
+    """A well-formed line that ingestion leaves out; its message is its summary key."""
+
+
+def _parse_full_line(fields: list[str]) -> tuple[str, str, str, float]:
+    """Parse a ConceptNet 5.x assertion row; an endpoint outside ``LANGUAGE``
+    is a _Skip."""
     rel_uri, start, end, meta = fields[1], fields[2], fields[3], fields[4]
     if not rel_uri.startswith("/r/"):
         raise ValueError(f"bad relation URI {rel_uri!r}")
@@ -204,8 +220,8 @@ def _parse_full_line(fields: list[str], language: str) -> tuple[str, str, str, f
         # /c/<lang>/<surface>[/<sense>...]
         if len(parts) < 4 or parts[1] != "c":
             raise ValueError(f"bad concept URI {uri!r}")
-        if parts[2] != language:
-            return None
+        if parts[2] != LANGUAGE:
+            raise _Skip("language filter")
         endpoints.append(normalize_surface(parts[3]))
     try:
         weight = float(json.loads(meta).get("weight", 1.0))
@@ -232,27 +248,23 @@ def _parse_simple_line(fields: list[str]) -> tuple[str, str, str, float]:
 
 def ingest(
     assertions_file: str | Path,
-    merge_map: str | Path | dict[str, str] | None = None,
-    language_filter: str = "en",
+    merge_map: dict[str, str] | None = None,
 ) -> tuple[KnowledgeGraph, IngestReport]:
     """Read a triple dump, merge relation types, and build the graph.
 
-    ``merge_map`` may be a path, a preloaded dict, or None for the identity
-    mapping. Raw relations absent from a non-identity map are skipped and
-    counted; map entries never seen in the data produce a warning. Raises
-    IngestError when nothing survives.
+    ``merge_map`` is a loaded map (``load_merge_map``), or None to keep raw
+    relation names. With a map, relation ids follow its targets in first-use
+    order; without one, raw names in order of first use. A line that is
+    malformed, has a non-English endpoint, or whose relation the map lacks or
+    deletes is skipped and summarized; map entries never seen in the data
+    produce a warning. Raises IngestError when nothing survives.
     """
-    if isinstance(merge_map, (str, Path)):
-        merge_map = load_merge_map(merge_map)
     report = IngestReport()
-    best: dict[tuple[str, str, str], float] = {}
-    merged_order: list[str] = []
-    if merge_map is not None:
-        seen_targets = set()
-        for target in merge_map.values():
-            if target != DELETE and target not in seen_targets:
-                seen_targets.add(target)
-                merged_order.append(target)
+    rel_ids: dict[str, int] = {}
+    for target in (merge_map or {}).values():
+        if target != DELETE:
+            rel_ids.setdefault(target, len(rel_ids))
+    best: dict[tuple[str, int, str], float] = {}
     raw_seen: set[str] = set()
 
     with open(assertions_file, "r", encoding="utf-8") as f:
@@ -264,51 +276,37 @@ def ingest(
             fields = line.split("\t")
             try:
                 if len(fields) == 5 and fields[0].startswith("/a/"):
-                    parsed = _parse_full_line(fields, language_filter)
-                    if parsed is None:
-                        report.skipped.append((lineno, "language filter"))
-                        continue
+                    raw_rel, head, tail, weight = _parse_full_line(fields)
                 else:
-                    parsed = _parse_simple_line(fields)
+                    raw_rel, head, tail, weight = _parse_simple_line(fields)
+                raw_seen.add(raw_rel)
+                rel = raw_rel if merge_map is None else merge_map.get(raw_rel)
+                rid = rel_ids.get(rel)
+                if rid is None:
+                    if merge_map is not None:
+                        why = "deleted" if rel == DELETE else "unmapped"
+                        raise _Skip(f"{why} relation {raw_rel!r}")
+                    rid = rel_ids[rel] = len(rel_ids)
             except ValueError as exc:
-                report.skipped.append((lineno, f"malformed: {exc}"))
+                report.skip(str(exc) if isinstance(exc, _Skip) else "malformed",
+                            lineno, str(exc))
                 continue
-            raw_rel, head, tail, weight = parsed
-            raw_seen.add(raw_rel)
-            if merge_map is None:
-                rel = raw_rel
-                if rel not in merged_order:
-                    merged_order.append(rel)
-            else:
-                rel = merge_map.get(raw_rel)
-                if rel is None:
-                    report.skipped.append((lineno, f"unmapped relation {raw_rel!r}"))
-                    continue
-                if rel == DELETE:
-                    report.skipped.append((lineno, f"deleted relation {raw_rel!r}"))
-                    continue
-            key = (head, rel, tail)
-            if key in best:
+            key = (head, rid, tail)
+            old = best.get(key)
+            if old is not None:
                 report.duplicates_merged += 1
-                best[key] = max(best[key], weight)
-            else:
+            if old is None or weight > old:
                 best[key] = weight
 
-    if merge_map is not None:
-        unused = sorted(set(merge_map) - raw_seen)
-        for name in unused:
-            report.warnings.append(f"merge map relation never seen in data: {name!r}")
+    report.warnings = [f"merge map relation never seen in data: {name!r}"
+                       for name in sorted(set(merge_map or ()) - raw_seen)]
     if not best:
         raise IngestError("empty knowledge graph: no triples survived ingestion")
 
     concepts = sorted({h for h, _, _ in best} | {t for _, _, t in best})
     cindex = {s: i for i, s in enumerate(concepts)}
-    rindex = {r: i for i, r in enumerate(merged_order)}
-    rows = sorted(
-        (cindex[h], rindex[r], cindex[t], w) for (h, r, t), w in best.items()
-    )
+    rows = sorted((cindex[h], r, cindex[t], w) for (h, r, t), w in best.items())
     triples = np.array([(h, r, t) for h, r, t, _ in rows], dtype=np.uint32)
     weights = np.array([w for _, _, _, w in rows], dtype=np.float32)
     report.triples_kept = len(rows)
-    graph = build_graph(concepts, tuple(merged_order), triples, weights)
-    return graph, report
+    return build_graph(concepts, tuple(rel_ids), triples, weights), report

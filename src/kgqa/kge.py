@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import astuple, dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -146,19 +145,18 @@ def train_transe(
     batch_size: int = 512,
     neg_per_pos: int = 1,
     seed: int = 0,
-    word_vectors: dict[str, np.ndarray] | str | Path | None = None,
+    word_vectors: dict[str, np.ndarray] | None = None,
 ) -> tuple[EmbeddingTable, list[float]]:
     """Margin-ranking SGD over the graph's triples.
 
     Corruption replaces the head or the tail (fair coin) with a uniform random
-    entity. Returns the table plus mean epoch loss history; epochs=0 returns
-    the initial table untouched.
+    entity. ``word_vectors`` is a table read by ``load_word_vectors``, or None
+    for random entity rows. Returns the table plus mean epoch loss history;
+    epochs=0 returns the initial table untouched.
     """
     for name, value in (("dim", dim), ("batch_size", batch_size), ("neg_per_pos", neg_per_pos)):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value!r}")
-    if isinstance(word_vectors, (str, Path)):
-        word_vectors = load_word_vectors(word_vectors)
     rng = np.random.default_rng(seed)
     table = init_embeddings(kg, dim, rng, word_vectors)
     ent, rel = table.ent, table.rel

@@ -9,6 +9,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from conftest import (CACHE_DAMAGE, damage_cache_entry, dir_bytes, fail_writes_midway,
                       poison_optimizer_steps)
@@ -200,6 +201,45 @@ def test_stage_failure_prints_structured_error(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "FileNotFoundError"
     assert "missing.tsv" in err["error"]["message"]
+
+
+@pytest.mark.parametrize("command", ["prune", "predict"])
+@pytest.mark.parametrize("ent_delta,rel_delta", [(16, 0), (-1, 0), (0, 1)])
+def test_a_table_of_another_graph_is_refused(run, cli_world, tmp_path, capsys,
+                                             command, ent_delta, rel_delta):
+    # rows are read by concept and relation id, so a table trained on a
+    # larger or smaller graph would score with other concepts' rows
+    emb = EmbeddingTable.load(run.kge)
+    n_ent, n_rel = len(emb.ent) + ent_delta, len(emb.rel) + rel_delta
+    other = tmp_path / "other-kge.bin"
+    EmbeddingTable(ent=np.resize(emb.ent, (n_ent, emb.dim)),
+                   rel=np.resize(emb.rel, (n_rel, emb.dim))).save(other)
+    out = tmp_path / "out.jsonl"
+    flags = {"prune": ["--config", str(cli_world.config)],
+             "predict": ["--checkpoint", str(run.model_dir / "model.bin")]}[command]
+    code = main([command, "--kg", str(run.kg), "--kge", str(other),
+                 "--dataset", str(cli_world.dev_jsonl), "--out", str(out), *flags])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "ValueError"
+    assert err["message"] == (
+        f"{other} holds {n_ent} entity and {n_rel} relation rows, but {run.kg} has "
+        f"{len(emb.ent)} concepts and {len(emb.rel)} relations")
+    assert not out.exists()
+
+
+def test_a_question_with_nine_candidates_fails_with_structured_error(run, tmp_path,
+                                                                    capsys):
+    row = {"id": "q9", "question": {"stem": "which one?", "choices": [
+        {"label": label, "text": "glue"} for label in "ABCDEFGHI"]}}
+    dataset = tmp_path / "nine.jsonl"
+    dataset.write_text(json.dumps(row) + "\n", encoding="utf-8")
+    code = main(["ground", "--kg", str(run.kg), "--dataset", str(dataset),
+                 "--out", str(tmp_path / "grounded.jsonl")])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == {"type": "ValueError",
+                   "message": f"{dataset}:1: q9: needs 2 to 8 candidates, found 9"}
 
 
 @pytest.mark.parametrize("line", ["encoder = features", "loss = listwise"])

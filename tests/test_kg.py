@@ -32,7 +32,7 @@ def test_simple_line_single_triple(tmp_path):
     assert kg.relations[int(r)] == "HasProperty"
     assert kg.surface(int(t)) == "cold"
     assert report.triples_kept == 1
-    assert report.skipped == []
+    assert report.skipped == {}
 
 
 def test_empty_input_raises(tmp_path):
@@ -63,7 +63,8 @@ def test_full_format_line_and_language_filter(tmp_path):
     assert len(kg.triples) == 1
     assert kg.lookup_surface("ice") is not None
     assert kg.lookup_surface("glace") is None
-    assert [reason for _, reason in report.skipped] == ["language filter"]
+    assert report.skipped == {"language filter": {
+        "count": 1, "first_line": 2, "first_message": "language filter"}}
 
 
 def test_malformed_line_reported_with_number(tmp_path):
@@ -73,10 +74,10 @@ def test_malformed_line_reported_with_number(tmp_path):
               "r1\tb\tc\t1.0\n")
     kg, report = ingest(f)
     assert len(kg.triples) == 2
-    assert len(report.skipped) == 1
-    lineno, reason = report.skipped[0]
-    assert lineno == 2
-    assert "malformed" in reason
+    assert list(report.skipped) == ["malformed"]
+    entry = report.skipped["malformed"]
+    assert (entry["count"], entry["first_line"]) == (1, 2)
+    assert "expected 3 or 4 columns" in entry["first_message"]
 
 
 def test_merge_map_renames_and_deletes(tmp_path):
@@ -88,17 +89,18 @@ def test_merge_map_renames_and_deletes(tmp_path):
               "RelatedTo\trelatedto\n"
               "Antonym\trelatedto\n"
               "dbpedia/genre\tDELETE\n")
-    kg, report = ingest(f, merge_map=m)
+    kg, report = ingest(f, merge_map=load_merge_map(m))
     assert kg.relations == ("relatedto",)
     assert len(kg.triples) == 2
-    assert any("deleted relation" in reason for _, reason in report.skipped)
+    assert list(report.skipped) == ["deleted relation 'dbpedia/genre'"]
+    assert report.skipped["deleted relation 'dbpedia/genre'"]["first_line"] == 3
 
 
 def test_merge_map_unknown_entry_warns(tmp_path):
     f = write(tmp_path, "kg.tsv", "RelatedTo\ta\tb\t1.0\n")
     m = write(tmp_path, "merge.tsv",
               "RelatedTo\trelatedto\nNeverUsed\trelatedto\n")
-    _, report = ingest(f, merge_map=m)
+    _, report = ingest(f, merge_map=load_merge_map(m))
     assert any("NeverUsed" in w for w in report.warnings)
 
 
@@ -106,8 +108,36 @@ def test_relation_absent_from_map_is_skipped(tmp_path):
     f = write(tmp_path, "kg.tsv",
               "RelatedTo\ta\tb\t1.0\nMystery\tb\tc\t1.0\n")
     m = write(tmp_path, "merge.tsv", "RelatedTo\trelatedto\n")
-    kg, _ = ingest(f, merge_map=m)
+    kg, _ = ingest(f, merge_map=load_merge_map(m))
     assert len(kg.triples) == 1
+
+
+@pytest.mark.parametrize("n_foreign", [10, 1000])
+def test_skipped_lines_are_summarized_not_listed(tmp_path, n_foreign):
+    # a dump's non-English rows can run to millions; the report keeps one
+    # entry per reason, with a count, the first line and its message
+    rows = ["/a/x\t/r/IsA\t/c/en/ice\t/c/en/solid\t{}"]
+    rows += [f"/a/{i}\t/r/IsA\t/c/fr/glace{i}\t/c/en/solid\t{{}}" for i in range(n_foreign)]
+    rows += ["Mystery\ta\tb", "not a triple", "Mystery\tb\tc"]
+    f = write(tmp_path, "kg.tsv", "\n".join(rows) + "\n")
+    _, report = ingest(f, merge_map={"IsA": "isa"})
+    assert report.lines_read == n_foreign + 4
+    assert report.to_dict()["skipped"] == {
+        "language filter": {"count": n_foreign, "first_line": 2,
+                            "first_message": "language filter"},
+        "unmapped relation 'Mystery'": {"count": 2, "first_line": n_foreign + 2,
+                                        "first_message": "unmapped relation 'Mystery'"},
+        "malformed": {"count": 1, "first_line": n_foreign + 3,
+                      "first_message": "expected 3 or 4 columns, found 1"},
+    }
+
+
+def test_duplicates_without_a_weight_column_are_counted(tmp_path):
+    # every 3-column row carries the default weight 1.0
+    f = write(tmp_path, "kg.tsv", "r\ta\tb\nr\ta\tb\nr\ta\tb\t0.5\nr\ta\tb\t4\n")
+    kg, report = ingest(f)
+    assert report.duplicates_merged == 3
+    assert kg.weights.tolist() == [4.0]
 
 
 def test_default_merge_map_has_17_targets():

@@ -332,7 +332,7 @@ def test_unreadable_word_vectors_warn_and_fall_back(tmp_path):
     kg = planted_kg(seed=0)
     with pytest.warns(UserWarning):
         table, _ = train_transe(kg, dim=8, epochs=0, seed=0,
-                                word_vectors=str(tmp_path / "missing.txt"))
+                                word_vectors=load_word_vectors(tmp_path / "missing.txt"))
     assert np.isfinite(table.ent).all()
 
 

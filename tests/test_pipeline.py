@@ -87,6 +87,27 @@ def test_load_dataset_reports_bad_line_number(tmp_path):
         load_dataset(path)
 
 
+def test_load_dataset_rejects_a_repeated_id(tmp_path):
+    # instances, cache entries and features are keyed by id: a repeat would
+    # score one question on another's instances
+    other = json.loads(GLUE_LINE)
+    other["question"]["stem"] = "what holds paper together?"
+    path = write_jsonl(tmp_path / "d.jsonl", [GLUE_LINE, "", json.dumps(other)])
+    with pytest.raises(ValueError, match=r"d\.jsonl:3: duplicate id 'q-glue' \(first on line 1\)"):
+        load_dataset(path)
+
+
+def test_load_dataset_rejects_more_candidates_than_labels(tmp_path):
+    row = json.loads(GLUE_LINE)
+    row["question"]["choices"] = [{"label": label, "text": f"choice {label}"}
+                                  for label in "ABCDEFGHI"]
+    path = write_jsonl(tmp_path / "d.jsonl", [json.dumps(row)])
+    with pytest.raises(ValueError, match="d.jsonl:1: q-glue: needs 2 to 8 candidates, found 9"):
+        load_dataset(path)
+    eight = QAExample(id="e", question="q", candidates=list("abcdefgh"), label=7)
+    assert eight.to_json_obj()["answerKey"] == "H"
+
+
 def test_accuracy_scoring_and_empty_error():
     exs = [QAExample(id="a", question="q", candidates=["x", "y"], label=1),
            QAExample(id="b", question="q", candidates=["x", "y"], label=0)]
