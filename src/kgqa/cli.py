@@ -1,10 +1,10 @@
 """Command-line entry point: one subcommand per pipeline stage.
 
 Every file-producing stage also writes `<out>.manifest.json` recording the
-command, resolved config hash, input file hashes, and seed, so any artifact
-can be traced back to exactly what produced it. Flags override config-file
-values, which override built-in defaults. Exit codes: 0 success, 1 stage
-failure (structured JSON error on stderr), 2 usage errors.
+command, resolved config hash, the hash of every input file it read, and
+seed, so any artifact can be traced back to exactly what produced it. Flags
+override config-file values, which override built-in defaults. Exit codes:
+0 success, 1 stage failure (structured JSON error on stderr), 2 usage errors.
 """
 
 from __future__ import annotations
@@ -71,30 +71,45 @@ def _config_from_args(args) -> RunConfig:
     return resolve_config(getattr(args, "config", None), overrides)
 
 
-def _manifest(args, out_path, cfg: RunConfig | None, *input_flags: str) -> None:
-    inputs = {}
-    for flag in input_flags:
-        value = getattr(args, flag, None)
-        if value:
-            inputs[flag] = value
+# Each input-file flag's dest, with the packaged file read when it is absent;
+# not --config, whose values the config hash records
+INPUT_FILES = {"assertions": None, "merge_map": default_merge_map_path(), "kg": None,
+               "kge": None, "checkpoint": None, "dataset": None, "dev": None,
+               "features": None, "stopwords": default_stopwords_path(),
+               "word_vectors": None}
+
+
+def _input_files(args) -> dict[str, str]:
+    """The files a command reads, by dest; `--merge-map identity` reads none."""
+    files = ((dest, getattr(args, dest) or default)
+             for dest, default in INPUT_FILES.items() if hasattr(args, dest))
+    return {dest: str(path) for dest, path in files
+            if path and (dest, path) != ("merge_map", "identity")}
+
+
+def _digests(args) -> dict[str, str]:
+    """sha256 of each file in ``args.inputs`` by dest, hashed on first use so
+    that config and usage errors come before any input is read."""
+    if args.digests is None:
+        args.digests = {dest: io_utils.sha256_file(path)
+                        for dest, path in args.inputs.items()}
+    return args.digests
+
+
+def _manifest(args, out_path, cfg: RunConfig | None) -> None:
     io_utils.write_manifest(
         out_path, args.command,
         cfg.hash() if cfg is not None else "none",
-        inputs, cfg.seed if cfg is not None else None, __version__)
+        _digests(args), cfg.seed if cfg is not None else None, __version__)
 
 
-def _stopwords(args) -> frozenset[str]:
-    return load_stopwords(getattr(args, "stopwords", None))
-
-
-def _cache_dir(args, dataset) -> str | None:
+def _cache_dir(args, dataset: str) -> str | None:
     """`--cache DIR` in a subdirectory named by the hashes of the KG, KGE,
-    stopword and ``dataset`` files, so a changed input misses the cache."""
+    stopword and ``dataset`` or ``dev`` files, so a changed input misses it."""
     if args.cache is None:
         return None
-    inputs = (args.kg, args.kge, args.stopwords or default_stopwords_path(), dataset)
-    digests = "".join(io_utils.sha256_file(p) for p in inputs)
-    return str(Path(args.cache) / io_utils.sha256_bytes(digests.encode())[:16])
+    joined = "".join(_digests(args)[dest] for dest in ("kg", "kge", "stopwords", dataset))
+    return str(Path(args.cache) / io_utils.sha256_bytes(joined.encode())[:16])
 
 
 def _graph_and_table(args) -> tuple[KnowledgeGraph, EmbeddingTable]:
@@ -112,18 +127,11 @@ def _graph_and_table(args) -> tuple[KnowledgeGraph, EmbeddingTable]:
 # ---------------------------------------------------------------- commands
 
 def cmd_ingest(args) -> int:
-    if args.merge_map == "identity":
-        merge_map = None          # keep raw relation names untouched
-        args.merge_map = None     # nothing to hash in the manifest
-    else:
-        merge_path = args.merge_map
-        if merge_path is None:
-            merge_path = default_merge_map_path()
-        args.merge_map = str(merge_path)  # manifest records the resolved file
-        merge_map = load_merge_map(merge_path)
-    kg, report = ingest(args.assertions, merge_map=merge_map)
+    merge_path = args.inputs.get("merge_map")  # absent: keep raw relation names
+    kg, report = ingest(args.assertions,
+                        merge_map=load_merge_map(merge_path) if merge_path else None)
     kg.save(args.out)
-    _manifest(args, args.out, None, "assertions", "merge_map")
+    _manifest(args, args.out, None)
     print(io_utils.canonical_json({
         "concepts": kg.n_concepts, "relations": kg.n_relations,
         "triples": int(len(kg.triples)), **report.to_dict()}))
@@ -133,7 +141,7 @@ def cmd_ingest(args) -> int:
 def cmd_ground(args) -> int:
     cfg = _config_from_args(args)
     kg = KnowledgeGraph.load(args.kg)
-    stop = _stopwords(args)
+    stop = load_stopwords(args.inputs["stopwords"])
     examples = load_dataset(args.dataset)
     with io_utils.atomic_open(args.out, "w", encoding="utf-8") as fh:
         for ex in examples:
@@ -145,7 +153,7 @@ def cmd_ground(args) -> int:
                 row["candidates"].append(
                     {"index": ci, "answer_concepts": ca.to_dict(kg)["concepts"]})
             fh.write(io_utils.canonical_json(row) + "\n")
-    _manifest(args, args.out, cfg, "kg", "dataset", "stopwords")
+    _manifest(args, args.out, cfg)
     return 0
 
 
@@ -154,7 +162,7 @@ def cmd_schema_graphs(args) -> int:
     and adds the summed prune report as a `.stats.json` sidecar and on stdout."""
     cfg = replace(_config_from_args(args), prune=args.command == "prune")
     kg, emb = _graph_and_table(args) if cfg.prune else (KnowledgeGraph.load(args.kg), None)
-    stop = _stopwords(args)
+    stop = load_stopwords(args.inputs["stopwords"])
     total = PruneReport()
     with io_utils.atomic_open(args.out, "w", encoding="utf-8") as fh:
         for ex in load_dataset(args.dataset):
@@ -168,7 +176,7 @@ def cmd_schema_graphs(args) -> int:
                     row["prune"] = report.to_dict()
                     total += report
                 fh.write(io_utils.canonical_json(row) + "\n")
-    _manifest(args, args.out, cfg, "kg", "kge", "dataset", "stopwords")
+    _manifest(args, args.out, cfg)
     if cfg.prune:
         stats = io_utils.canonical_json({**total.to_dict(), "threshold": cfg.threshold})
         io_utils.write_text(str(args.out) + ".stats.json", stats + "\n")
@@ -187,7 +195,7 @@ def cmd_train_kge(args) -> int:
     table.gamma = cfg.gamma
     table.save(args.out, extra_meta={"epochs": cfg.kge_epochs,
                                      "final_loss": history[-1] if history else None})
-    _manifest(args, args.out, cfg, "kg", "word_vectors")
+    _manifest(args, args.out, cfg)
     if history:
         print(f"trained {cfg.kge_epochs} epochs, final loss {history[-1]:.4f}")
     return 0
@@ -195,8 +203,7 @@ def cmd_train_kge(args) -> int:
 
 def _load_state_inputs(args, need_checkpoint: bool):
     kg, emb = _graph_and_table(args)
-    features = FeatureStore.load(args.features) if getattr(args, "features", None) \
-        else None
+    features = FeatureStore.load(args.features) if "features" in args.inputs else None
     state = None
     if need_checkpoint:
         state = load_model_state(args.checkpoint, emb, features=features)
@@ -208,14 +215,14 @@ def cmd_train(args) -> int:
     kg, emb, features, _ = _load_state_inputs(args, need_checkpoint=False)
     train_examples = load_dataset(args.dataset)
     dev_examples = load_dataset(args.dev)
-    stop = _stopwords(args)
+    stop = load_stopwords(args.inputs["stopwords"])
     state = build_model_state(cfg, emb,
                               examples_for_vocab=train_examples + dev_examples,
                               features=features)
     train_inst = preprocess(kg, emb, train_examples, cfg, stop,
-                            cache_dir=_cache_dir(args, args.dataset), jobs=args.jobs)
+                            cache_dir=_cache_dir(args, "dataset"), jobs=args.jobs)
     dev_inst = preprocess(kg, emb, dev_examples, cfg, stop,
-                          cache_dir=_cache_dir(args, args.dev), jobs=args.jobs)
+                          cache_dir=_cache_dir(args, "dev"), jobs=args.jobs)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     result = train(state, train_examples, dev_examples, train_inst, dev_inst,
@@ -224,10 +231,8 @@ def cmd_train(args) -> int:
     state.save(model_path)
     metrics_path = out_dir / "metrics.csv"
     io_utils.write_text(metrics_path, result.metrics_csv())
-    _manifest(args, model_path, cfg, "kg", "kge", "dataset", "dev",
-              "features", "stopwords")
-    _manifest(args, metrics_path, cfg, "kg", "kge", "dataset", "dev",
-              "features", "stopwords")
+    _manifest(args, model_path, cfg)
+    _manifest(args, metrics_path, cfg)
     print(f"best dev accuracy {result.best_dev_accuracy:.4f} "
           f"at epoch {result.best_epoch}")
     return 0
@@ -237,15 +242,14 @@ def cmd_predict(args) -> int:
     kg, emb, features, state = _load_state_inputs(args, need_checkpoint=True)
     cfg = state.cfg
     examples = load_dataset(args.dataset)
-    stop = _stopwords(args)
+    stop = load_stopwords(args.inputs["stopwords"])
     instances = preprocess(kg, emb, examples, cfg, stop,
-                           cache_dir=_cache_dir(args, args.dataset), jobs=args.jobs)
+                           cache_dir=_cache_dir(args, "dataset"), jobs=args.jobs)
     predictions = predict(state, examples, instances)
     with io_utils.atomic_open(args.out, "w", encoding="utf-8") as fh:
         for pred in predictions:
             fh.write(io_utils.canonical_json(pred.to_json_obj()) + "\n")
-    _manifest(args, args.out, cfg, "kg", "kge", "checkpoint", "dataset",
-              "features", "stopwords")
+    _manifest(args, args.out, cfg)
     labeled = {ex.id: ex.label for ex in examples if ex.label is not None}
     if labeled:
         hits = sum(1 for p in predictions if labeled.get(p.example_id) == p.chosen)
@@ -260,9 +264,9 @@ def cmd_explain(args) -> int:
     if not examples:
         raise ValueError(f"example id {args.id!r} not found in {args.dataset}")
     ex = examples[0]
-    stop = _stopwords(args)
+    stop = load_stopwords(args.inputs["stopwords"])
     instances = preprocess(kg, emb, [ex], cfg, stop,
-                           cache_dir=_cache_dir(args, args.dataset))
+                           cache_dir=_cache_dir(args, "dataset"))
     if args.candidate is not None:
         cand = args.candidate
     else:
@@ -272,7 +276,7 @@ def cmd_explain(args) -> int:
     report = explain(state, kg, ex, cand, instances.get((ex.id, cand)),
                      top_pairs=args.top_pairs, top_paths=args.top_paths)
     io_utils.write_text(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
-    _manifest(args, args.out, cfg, "kg", "kge", "checkpoint", "dataset")
+    _manifest(args, args.out, cfg)
     return 0
 
 
@@ -287,14 +291,13 @@ def cmd_encode(args) -> int:
         s, _ = state.statements(ex, range(len(ex.candidates)))
         entries.update(((ex.id, ci), vec) for ci, vec in enumerate(s))
     FeatureStore.write(args.out, entries)
-    _manifest(args, args.out, state.cfg, "kg", "kge", "checkpoint", "dataset")
+    _manifest(args, args.out, state.cfg)
     print(f"encoded {len(entries)} statement vectors")
     return 0
 
 
 def cmd_selfcheck(args) -> int:
-    report = run_selfcheck(seed=args.seed if args.seed is not None else 0,
-                           quick=args.quick)
+    report = run_selfcheck(seed=args.seed, quick=args.quick)
     for check in report.checks:
         print(check.line())
     if args.out:
@@ -317,11 +320,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("ground", help="recognize question/answer concepts")
-    _add_common(p, "kg", "dataset", "stopwords?", "config?", "out", "seed?")
+    _add_common(p, "kg", "dataset", "stopwords?", "config?", "out")
     p.set_defaults(func=cmd_ground)
 
     p = sub.add_parser("paths", help="build unpruned schema graphs")
-    _add_common(p, "kg", "dataset", "stopwords?", "config?", "out", "seed?",
+    _add_common(p, "kg", "dataset", "stopwords?", "config?", "out",
                 "max-edges?", "cap?")
     p.set_defaults(func=cmd_schema_graphs)
 
@@ -332,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prune", help="score and prune schema-graph paths")
     _add_common(p, "kg", "kge", "dataset", "stopwords?", "config?", "out",
-                "seed?", "threshold?", "max-edges?", "cap?")
+                "threshold?", "max-edges?", "cap?")
     p.set_defaults(func=cmd_schema_graphs)
 
     p = sub.add_parser("encode", help="export statement vectors from a checkpoint")
@@ -368,6 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    args.inputs, args.digests = _input_files(args), None
     try:
         return args.func(args)
     except Exception as exc:  # surface stage failures as structured errors

@@ -245,18 +245,13 @@ def require(path, meta: dict, blocks: dict, meta_keys=(), block_specs=None,
 
 
 def write_manifest(out_path: str | Path, command: str, cfg_hash: str,
-                   inputs: dict[str, str | Path], seed: int | None,
+                   inputs: dict[str, str], seed: int | None,
                    version: str) -> Path:
-    """Write `<out>.manifest.json` recording how an output was produced."""
-    manifest = {
-        "command": command,
-        "config_hash": cfg_hash,
-        "inputs": {
-            str(name): sha256_file(p) for name, p in sorted(inputs.items()) if p
-        },
-        "seed": seed,
-        "package_version": version,
-    }
+    """Write `<out>.manifest.json` recording how an output was produced:
+    ``inputs`` maps each input's name (the command-line flag's dest) to the
+    sha256 of the file read for it, packaged defaults included."""
+    manifest = {"command": command, "config_hash": cfg_hash, "inputs": inputs,
+                "seed": seed, "package_version": version}
     path = Path(str(out_path) + ".manifest.json")
     write_text(path, canonical_json(manifest) + "\n")
     return path

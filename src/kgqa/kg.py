@@ -11,6 +11,7 @@ the maximum weight. Skipped lines are summarized per reason, not listed.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -233,17 +234,8 @@ def _parse_full_line(fields: list[str]) -> tuple[str, str, str, float]:
 def _parse_simple_line(fields: list[str]) -> tuple[str, str, str, float]:
     if len(fields) not in (3, 4):
         raise ValueError(f"expected 3 or 4 columns, found {len(fields)}")
-    rel = fields[0].strip()
-    head = normalize_surface(fields[1])
-    tail = normalize_surface(fields[2])
-    if not rel or not head or not tail:
-        raise ValueError("empty relation or endpoint")
-    weight = 1.0
-    if len(fields) == 4:
-        weight = float(fields[3])
-    if weight < 0:
-        raise ValueError(f"negative weight {weight}")
-    return rel, head, tail, weight
+    weight = float(fields[3]) if len(fields) == 4 else 1.0
+    return fields[0].strip(), normalize_surface(fields[1]), normalize_surface(fields[2]), weight
 
 
 def ingest(
@@ -255,9 +247,11 @@ def ingest(
     ``merge_map`` is a loaded map (``load_merge_map``), or None to keep raw
     relation names. With a map, relation ids follow its targets in first-use
     order; without one, raw names in order of first use. A line that is
-    malformed, has a non-English endpoint, or whose relation the map lacks or
-    deletes is skipped and summarized; map entries never seen in the data
-    produce a warning. Raises IngestError when nothing survives.
+    malformed (in either format: an empty relation or endpoint, or a weight
+    that is not finite and non-negative), has a non-English endpoint, or whose
+    relation the map lacks or deletes is skipped and summarized; map entries
+    never seen in the data produce a warning. Raises IngestError when nothing
+    survives.
     """
     report = IngestReport()
     rel_ids: dict[str, int] = {}
@@ -279,6 +273,10 @@ def ingest(
                     raw_rel, head, tail, weight = _parse_full_line(fields)
                 else:
                     raw_rel, head, tail, weight = _parse_simple_line(fields)
+                if not (raw_rel and head and tail and 0.0 <= weight < math.inf):
+                    raise ValueError(f"weight {weight} is not finite and non-negative"
+                                     if not 0.0 <= weight < math.inf
+                                     else "empty relation or endpoint")
                 raw_seen.add(raw_rel)
                 rel = raw_rel if merge_map is None else merge_map.get(raw_rel)
                 rid = rel_ids.get(rel)

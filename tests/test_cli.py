@@ -1,10 +1,14 @@
 """Command-line behavior: every stage wired end to end on a small world."""
 
+import builtins
+import io
 import itertools
 import json
 import math
 import re
+import shlex
 import shutil
+from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -15,14 +19,16 @@ from conftest import (CACHE_DAMAGE, damage_cache_entry, dir_bytes, fail_writes_m
                       poison_optimizer_steps)
 
 from kgqa import io_utils
-from kgqa.cli import main
+from kgqa.cli import build_parser, main
 from kgqa.config import RunConfig, resolve_config
 from kgqa.data import save_dataset
-from kgqa.ground import tokenize
+from kgqa.ground import default_stopwords_path, tokenize
+from kgqa.kg import default_merge_map_path
 from kgqa.kge import EmbeddingTable
 from kgqa.model.layers import BiLSTM
 
 MERGE_MAP = "evidence_of\tevidence_of\ncommon_trait\tcommon_trait\nvariant_of\tvariant_of\n"
+README = Path(__file__).parents[1] / "README.md"
 
 
 @pytest.fixture(scope="module")
@@ -403,7 +409,7 @@ def test_train_kge_names_a_bad_word_vector_row(run, cli_world, tmp_path, capsys)
 
 
 def test_readme_config_table_names_only_run_config_fields():
-    lines = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+    lines = README.read_text(encoding="utf-8").splitlines()
     start = lines.index("| key | default | meaning |") + 2
     rows = itertools.takewhile(lambda line: line.startswith("|"), lines[start:])
     keys = {k for row in rows for k in re.findall(r"`(\w+)`", row.split("|")[1])}
@@ -561,12 +567,6 @@ def test_output_in_a_missing_directory_is_named(run, cli_world, tmp_path, capsys
     assert err["message"].endswith(f"{str(out)!r}")
 
 
-def test_predict_takes_no_seed(run, cli_world, tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(predict_args(run, cli_world, tmp_path / "p.jsonl", "--seed", "1"))
-    assert exc.value.code == 2
-
-
 def test_ungrounded_candidate_scores_alike_in_predict_and_explain(run, cli_world,
                                                                   tmp_path):
     ex = cli_world.world.dev[0]
@@ -588,23 +588,32 @@ def test_ungrounded_candidate_scores_alike_in_predict_and_explain(run, cli_world
     assert row["scores"][1] == round(explained["score"], 10)
 
 
-def test_feature_mode_round_trip(run, cli_world, tmp_path):
-    both = tmp_path / "train-dev.jsonl"
+@pytest.fixture(scope="module")
+def feature_model(run, cli_world, tmp_path_factory):
+    """Statement vectors of the train and dev questions from the toy model, and
+    a model trained on them; returns (feature file, model file)."""
+    root = tmp_path_factory.mktemp("feature-model")
+    both = root / "train-dev.jsonl"
     save_dataset(both, cli_world.world.train + cli_world.world.dev)
-    features, model, preds = (tmp_path / "features.bin", tmp_path / "model" / "model.bin",
-                              tmp_path / "preds.jsonl")
+    features, model = root / "features.bin", root / "model" / "model.bin"
     common = ["--kg", str(run.kg), "--kge", str(run.kge)]
     assert main(["encode", *common, "--checkpoint", str(run.model_dir / "model.bin"),
                  "--dataset", str(both), "--out", str(features)]) == 0
     assert main(["train", *common, "--dataset", str(cli_world.train_jsonl),
                  "--dev", str(cli_world.dev_jsonl), "--features", str(features),
                  "--config", str(cli_world.config), "--out", str(model.parent)]) == 0
+    return features, model
+
+
+def test_feature_mode_round_trip(run, cli_world, feature_model, tmp_path):
+    features, model = feature_model
+    preds = tmp_path / "preds.jsonl"
     meta, _ = io_utils.read_container(model, kind="model")
     assert meta["encoder"] == "features"
     assert "enc_meta" not in meta
-    assert main(["predict", *common, "--checkpoint", str(model),
-                 "--dataset", str(cli_world.dev_jsonl), "--features", str(features),
-                 "--out", str(preds)]) == 0
+    assert main(["predict", "--kg", str(run.kg), "--kge", str(run.kge),
+                 "--checkpoint", str(model), "--dataset", str(cli_world.dev_jsonl),
+                 "--features", str(features), "--out", str(preds)]) == 0
     rows = [json.loads(l) for l in preds.read_text().splitlines()]
     assert [r["id"] for r in rows] == [ex.id for ex in cli_world.world.dev]
     assert all(math.isfinite(s) for r in rows for s in r["scores"])
@@ -656,3 +665,128 @@ def test_encode_runs_the_bilstm_once_per_token_length_per_question(
     monkeypatch.setattr(BiLSTM, "forward", counting)
     assert main(encode_args(run, both, tmp_path / "features.bin")) == 0
     assert len(calls) == want
+
+
+def reads_and_hashes(monkeypatch):
+    """Record every file opened for reading and count each ``sha256_file``
+    call per file; returns (set of files read, Counter of files hashed)."""
+    read, hashed = set(), Counter()
+    real_open = io.open
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        f = real_open(file, mode, *args, **kwargs)  # a missing file is no read
+        if not set(mode) & set("wax+"):
+            read.add(Path(file).resolve())
+        return f
+
+    def counting_hash(path):
+        hashed[Path(path).resolve()] += 1
+        with real_open(path, "rb") as f:
+            return io_utils.sha256_bytes(f.read())
+
+    monkeypatch.setattr(builtins, "open", recording_open)
+    monkeypatch.setattr(io, "open", recording_open)
+    monkeypatch.setattr(io_utils, "sha256_file", counting_hash)
+    return read, hashed
+
+
+def input_case(run, cli_world, feature_model, out, command):
+    """(argv, {input name: file it reads}, outputs with a manifest) of ``command``
+    run with its packaged defaults, or for explain with --features and
+    --stopwords; train, predict and explain also fill a --cache."""
+    kg, kge, ckpt = str(run.kg), str(run.kge), str(run.model_dir / "model.bin")
+    dev, cfg, cache = str(cli_world.dev_jsonl), str(cli_world.config), str(out / "cache")
+    stop = default_stopwords_path()
+    grounding = {"kg": kg, "dataset": dev, "stopwords": stop}
+    scoring = {"kg": kg, "kge": kge, "checkpoint": ckpt, "dataset": dev}
+    if command == "ingest":
+        tsv = out / "triples.tsv"
+        tsv.write_text("IsA\tice\twater\nAntonym\tcold\thot\n", encoding="utf-8")
+        return ([command, str(tsv), "--out", str(out / "kg.bin")],
+                {"assertions": tsv, "merge_map": default_merge_map_path()}, ["kg.bin"])
+    if command in ("ground", "paths"):
+        return ([command, "--kg", kg, "--dataset", dev, "--config", cfg,
+                 "--out", str(out / "o.jsonl")], grounding, ["o.jsonl"])
+    if command == "prune":
+        return ([command, "--kg", kg, "--kge", kge, "--dataset", dev, "--config", cfg,
+                 "--out", str(out / "o.jsonl")], {**grounding, "kge": kge}, ["o.jsonl"])
+    if command == "train-kge":
+        vecs = out / "vecs.txt"
+        vecs.write_text("ice" + " 0.25" * resolve_config(cfg).kge_dim + "\n",
+                        encoding="utf-8")
+        return ([command, "--kg", kg, "--config", cfg, "--word-vectors", str(vecs),
+                 "--out", str(out / "kge.bin")], {"kg": kg, "word_vectors": vecs},
+                ["kge.bin"])
+    if command == "encode":
+        return ([command, "--kg", kg, "--kge", kge, "--checkpoint", ckpt, "--dataset", dev,
+                 "--out", str(out / "f.bin")], scoring, ["f.bin"])
+    if command == "train":
+        return ([command, "--kg", kg, "--kge", kge, "--dataset", str(cli_world.train_jsonl),
+                 "--dev", dev, "--config", cfg, "--cache", cache, "--out", str(out / "m")],
+                {**grounding, "kge": kge, "dataset": cli_world.train_jsonl, "dev": dev},
+                ["m/model.bin", "m/metrics.csv"])
+    if command == "predict":
+        return (predict_args(run, cli_world, out / "p.jsonl", "--cache", cache),
+                {**scoring, "stopwords": stop}, ["p.jsonl"])
+    features, model = feature_model
+    stop = out / "stopwords.txt"
+    shutil.copyfile(default_stopwords_path(), stop)
+    return ([command, "--kg", kg, "--kge", kge, "--checkpoint", str(model), "--dataset", dev,
+             "--id", run.example_id, "--features", str(features), "--stopwords", str(stop),
+             "--cache", cache, "--out", str(out / "e.json")],
+            {**scoring, "checkpoint": model, "features": features, "stopwords": stop},
+            ["e.json"])
+
+
+@pytest.mark.parametrize("command", ["ingest", "ground", "paths", "train-kge", "prune",
+                                     "encode", "train", "predict", "explain"])
+def test_manifest_names_every_file_read_and_each_is_hashed_once(
+        run, cli_world, feature_model, tmp_path, monkeypatch, command):
+    argv, inputs, outputs = input_case(run, cli_world, feature_model, tmp_path, command)
+    files = {name: Path(path).resolve() for name, path in inputs.items()}
+    read, hashed = reads_and_hashes(monkeypatch)
+    assert main(argv) == 0
+    monkeypatch.undo()
+    assert read - {cli_world.config.resolve()} == set(files.values())
+    assert hashed == Counter(files.values())
+    for out in outputs:
+        manifest = json.loads((tmp_path / f"{out}.manifest.json").read_text())
+        assert manifest["inputs"] == {name: io_utils.sha256_file(path)
+                                      for name, path in files.items()}
+
+
+NO_SEED_FLAGS = {"ground": [], "paths": [], "prune": ["--kge", "kge.bin"],
+                 "predict": ["--kge", "kge.bin", "--checkpoint", "model.bin"]}
+
+
+@pytest.mark.parametrize("command", NO_SEED_FLAGS)
+def test_commands_that_draw_nothing_take_no_seed(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--kg", "kg.bin", "--dataset", "dev.jsonl", "--out", "out.jsonl",
+              *NO_SEED_FLAGS[command], "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+def test_a_dump_whose_only_relation_is_empty_writes_no_snapshot(tmp_path, capsys):
+    tsv, out = tmp_path / "assertions.tsv", tmp_path / "kg.bin"
+    tsv.write_text('/a/1\t/r/\t/c/en/ice\t/c/en/cold\t{"weight": 1.0}\n', encoding="utf-8")
+    assert main(["ingest", str(tsv), "--merge-map", "identity", "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "IngestError"
+    assert not out.exists()
+
+
+def test_every_readme_command_line_parses(capsys):
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line, comments=True) for line in lines
+                if line.startswith("kgqa ")]
+    assert len(commands) >= 11
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {shlex.join(argv)}\n"
+                        f"{capsys.readouterr().err}")

@@ -80,6 +80,31 @@ def test_malformed_line_reported_with_number(tmp_path):
     assert "expected 3 or 4 columns" in entry["first_message"]
 
 
+# rows that both line formats skip as malformed
+FULL_ROW = "/a/x\t/r/{}\t/c/en/{}\t/c/en/cold\t{{\"weight\": {}}}"
+MALFORMED_ROWS = {
+    "simple-nan": "r\tice\tcold\tnan",
+    "simple-inf": "r\tice\tcold\tinf",
+    "simple-negative": "r\tice\tcold\t-2",
+    "simple-empty-relation": "\tice\tcold\t1.0",
+    "simple-empty-endpoint": "r\t \tcold\t1.0",
+    "full-nan": FULL_ROW.format("r", "ice", "NaN"),
+    "full-inf": FULL_ROW.format("r", "ice", "Infinity"),
+    "full-negative": FULL_ROW.format("r", "ice", "-2"),
+    "full-empty-relation": FULL_ROW.format("", "ice", "1.0"),
+    "full-empty-endpoint": FULL_ROW.format("r", "", "1.0"),
+}
+
+
+@pytest.mark.parametrize("row", MALFORMED_ROWS.values(), ids=MALFORMED_ROWS)
+def test_both_formats_skip_the_same_malformed_rows(tmp_path, row):
+    kg, report = ingest(write(tmp_path, "kg.tsv", f"r\ta\tb\t1.0\n{row}\n"))
+    assert len(kg.triples) == 1
+    assert list(report.skipped) == ["malformed"]
+    entry = report.skipped["malformed"]
+    assert (entry["count"], entry["first_line"]) == (1, 2)
+
+
 def test_merge_map_renames_and_deletes(tmp_path):
     f = write(tmp_path, "kg.tsv",
               "RelatedTo\ta\tb\t1.0\n"
