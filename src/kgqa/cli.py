@@ -21,7 +21,7 @@ from .data import load_dataset
 from .ground import default_stopwords_path, load_stopwords, recognize
 from .kg import KnowledgeGraph, default_merge_map_path, ingest, load_merge_map
 from .kge import EmbeddingTable, PruneReport, load_word_vectors, train_transe
-from .pipeline import (build_model_state, explain, ground_question,
+from .pipeline import (build_model_state, explain, ground_questions,
                        load_model_state, predict, preprocess, train)
 from .selfcheck import run_selfcheck
 from .statement import FeatureStore
@@ -164,9 +164,11 @@ def cmd_schema_graphs(args) -> int:
     kg, emb = _graph_and_table(args) if cfg.prune else (KnowledgeGraph.load(args.kg), None)
     stop = load_stopwords(args.inputs["stopwords"])
     total = PruneReport()
+    examples = load_dataset(args.dataset)
+    grounded = ground_questions(kg, stop, cfg, examples, emb)
     with io_utils.atomic_open(args.out, "w", encoding="utf-8") as fh:
-        for ex in load_dataset(args.dataset):
-            for ci, (sg, report) in enumerate(ground_question(kg, stop, cfg, ex, emb)):
+        for ex, cands in zip(examples, grounded):
+            for ci, (sg, report) in enumerate(cands):
                 row = {"id": ex.id, "candidate": ci}
                 if sg is None:
                     row["ungrounded"] = True

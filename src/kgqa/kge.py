@@ -13,7 +13,6 @@ summed in index order, bit-identical to ``np.add.at`` (``layers.scatter_rows``).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -70,23 +69,16 @@ class EmbeddingTable:
         return cls(ent=blocks["ent"], rel=blocks["rel"], gamma=float(meta["gamma"]))
 
 
-def load_word_vectors(path) -> dict[str, np.ndarray] | None:
+def load_word_vectors(path) -> dict[str, np.ndarray]:
     """Plain-text vectors: one ``word v1 v2 ... vd`` row per line.
 
-    An unreadable file is a warning, not an error; callers fall back to
-    random initialization when this returns None. A non-numeric value, or a
-    row whose width differs from the first row's, is a ValueError naming
+    An unreadable file raises its OSError. A non-numeric value, or a row
+    whose width differs from the first row's, is a ValueError naming
     ``path:line``.
     """
     vecs: dict[str, np.ndarray] = {}
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        warnings.warn(f"word-vector file unreadable ({exc}); "
-                      "falling back to random initialization")
-        return None
     width = None
-    with fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.rstrip("\n").split(" ")
             if len(parts) < 2:

@@ -5,9 +5,10 @@ edges (default 3), traversing triples in either direction with a per-step
 ``reverse`` flag. A path is its ``(rel, reverse, node)`` steps (``PathSteps``)
 from ``cq[i]`` of its pair (i, j), from ``find_paths`` to the path table; only
 ``SchemaGraph.to_dict`` writes its start and lists its triples.
-A question's candidates share its question concepts, so each question concept
-is searched once, by one depth-limited DFS that collects the paths to the
-answer concepts of every candidate at once;
+Questions share question concepts, so ``pipeline.ground_questions`` searches
+each distinct one once per list of questions, by one depth-limited DFS that
+collects the paths to the answer concepts of every question that mentions it;
+a goal's paths do not depend on the other goals of the search, and
 ``build_schema_graph`` then takes each pair's list from those results. The
 last hop is a dictionary lookup in one table of the edges incident to every
 goal, so no node on the last level lists its neighbours. Results merge
@@ -172,8 +173,8 @@ def build_schema_graph(
     Concepts mentioned on both sides stay in the question set and leave the
     answer set. Raises GroundingError when either side ends up empty.
     ``found`` maps each question concept to its ``find_paths`` result over
-    goals that include this pair's answer concepts, as ``ground_question``
-    shares it between a question's candidates; with None, each question
+    goals that include this pair's answer concepts, as ``ground_questions``
+    shares it between every question of a list; with None, each question
     concept is searched here against this pair's answer concepts.
     """
     cq_set = set(cq.concepts if isinstance(cq, MentionSet) else cq)

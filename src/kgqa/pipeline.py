@@ -1,8 +1,10 @@
 """End-to-end orchestration: preprocess, train, predict, explain.
 
 Preprocessing turns each (question, candidate) into a model-ready Instance:
-recognize concepts (a question's once for all its candidates), build the
-schema graph, prune paths, convert to the path table. A candidate whose
+recognize concepts, build the schema graph, prune paths, convert to the path
+table. The questions it grounds are grounded as one list: each distinct text
+is recognized once and each distinct question concept searched once for all
+of them (``ground_questions``). A candidate whose
 question or answer grounds to nothing gets a single-anchor fallback instance
 (one pseudo-pair, no paths) and is flagged in prediction output rather than
 dropped, so every candidate stays scorable. The stand-in vectors of pairs
@@ -36,6 +38,7 @@ order, and metrics/checkpoint bytes are reproducible run to run.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import os
 from dataclasses import dataclass, field
@@ -59,39 +62,50 @@ from .statement import FeatureStore, ToyStatementEncoder, build_vocab
 
 # ---------------------------------------------------------------- preprocess
 
-def ground_question(
+def ground_questions(
     kg: KnowledgeGraph,
     stopwords: frozenset[str],
     cfg: RunConfig,
-    example: QAExample,
+    examples: Sequence[QAExample],
     emb: Optional[EmbeddingTable],
-) -> list[tuple[Optional[SchemaGraph], Optional[PruneReport]]]:
-    """(schema graph, prune report) of each candidate of ``example``: the
-    graph None when the candidate grounds to nothing, the report None when
-    it was not pruned.
+) -> list[list[tuple[Optional[SchemaGraph], Optional[PruneReport]]]]:
+    """(schema graph, prune report) of each candidate of each of ``examples``,
+    in order: the graph None when the candidate grounds to nothing, the
+    report None when ``cfg.prune`` is off. Pruning needs ``emb``; without it
+    ``cfg.prune`` is a ValueError.
 
-    The question is recognized once and each candidate once. Each question
-    concept is searched once against the answer concepts of every candidate;
-    each grounded pair takes its paths from those searches and is then
-    pruned when ``cfg.prune`` and ``emb`` allow it.
+    Each distinct text is recognized once. Each distinct question concept is
+    searched once, against the answer concepts of every question that
+    mentions it; a goal's paths do not depend on the other goals of its
+    search, so each grounded pair takes its paths from those searches
+    unchanged, and is then pruned.
     """
-    cq = recognize(example.question, kg, max_ngram=cfg.max_ngram, stopwords=stopwords)
-    cas = [recognize(cand, kg, max_ngram=cfg.max_ngram, stopwords=stopwords)
-           for cand in example.candidates]
-    goals = set().union(*(ca.concepts for ca in cas)) - cq.concepts
-    found = {qc: paths.find_paths(kg, qc, goals, max_edges=cfg.max_edges, cap=cfg.cap)
-             for qc in cq.concepts} if goals else {}
-    out = []
-    for ca in cas:
+    if cfg.prune and emb is None:
+        raise ValueError("cfg.prune needs an embedding table to score paths")
+    mentions = {text: recognize(text, kg, max_ngram=cfg.max_ngram, stopwords=stopwords)
+                for text in dict.fromkeys(itertools.chain.from_iterable(
+                    (ex.question, *ex.candidates) for ex in examples))}
+    questions = [(mentions[ex.question], [mentions[cand] for cand in ex.candidates])
+                 for ex in examples]
+    goals: dict[int, set[int]] = {}
+    for cq, cas in questions:
+        answers = set().union(*(ca.concepts for ca in cas)) - cq.concepts
+        if answers:
+            for qc in cq.concepts:
+                goals.setdefault(qc, set()).update(answers)
+    found = {qc: paths.find_paths(kg, qc, g, max_edges=cfg.max_edges, cap=cfg.cap)
+             for qc, g in goals.items()}
+
+    def ground(cq, ca):
         try:
             sg = build_schema_graph(kg, cq, ca, max_edges=cfg.max_edges, cap=cfg.cap,
                                     found=found)
         except GroundingError:
-            out.append((None, None))
-            continue
-        out.append((sg, prune_schema_graph(sg, emb, threshold=cfg.threshold)
-                    if cfg.prune and emb is not None else None))
-    return out
+            return None, None
+        return sg, (prune_schema_graph(sg, emb, threshold=cfg.threshold)
+                    if cfg.prune else None)
+
+    return [[ground(cq, ca) for ca in cas] for cq, cas in questions]
 
 
 def preprocess(
@@ -105,10 +119,11 @@ def preprocess(
 ) -> dict[tuple[str, int], Instance]:
     """Instances for every (example, candidate), cache-backed when dir given.
 
-    A cached question is read back from its ``.bin`` entry. Every other
-    question is grounded, one ``ground_question`` call per question
-    (``jobs > 1`` spreads the questions over worker processes), and its
-    candidates are built once and written to the cache as one entry.
+    A cached question is read back from its ``.bin`` entry. The other
+    questions are grounded together by one ``ground_questions`` call, or with
+    ``jobs > 1`` by one call per worker process over a contiguous slice of
+    them, and each question's candidates are built once and written to the
+    cache as one entry. Neither the cache nor the split changes an instance.
     """
     # plain string paths: a pathlib join per question costs microseconds that
     # a warm pass, one small file read per question, notices
@@ -130,23 +145,27 @@ def preprocess(
                 pass
         pending.append(ex)
 
-    if pending:
-        if jobs > 1:
-            computed = _parallel_ground(kg, stopwords, cfg, pending, emb, jobs)
-        else:
-            computed = [ground_question(kg, stopwords, cfg, ex, emb) for ex in pending]
+    ground = functools.partial(ground_questions, kg, stopwords, cfg, emb=emb)
+    if jobs > 1 and len(pending) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        size = -(-len(pending) // jobs)
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            computed = list(itertools.chain.from_iterable(pool.map(
+                ground, [pending[lo:lo + size] for lo in range(0, len(pending), size)])))
+    else:
+        computed = ground(pending)
+    if cache_root is not None and pending:
+        os.makedirs(cache_root, exist_ok=True)
+    for ex, grounded in zip(pending, computed):
+        # a candidate that grounds to nothing becomes the anchor instance
+        cands = [instance_from_schema_graph(
+            sg, ex.id, ci, label=_cand_label(ex.label, ci))
+            for ci, (sg, _) in enumerate(grounded)]
+        insts.update(((ex.id, ci), inst) for ci, inst in enumerate(cands))
         if cache_root is not None:
-            os.makedirs(cache_root, exist_ok=True)
-        for ex, grounded in zip(pending, computed):
-            # a candidate that grounds to nothing becomes the anchor instance
-            cands = [instance_from_schema_graph(
-                sg, ex.id, ci, label=_cand_label(ex.label, ci))
-                for ci, (sg, _) in enumerate(grounded)]
-            insts.update(((ex.id, ci), inst) for ci, inst in enumerate(cands))
-            if cache_root is not None:
-                write_cache_entry(cache_path(ex.id), cands, [
-                    None if report is None else report.to_dict()
-                    for _, report in grounded])
+            write_cache_entry(cache_path(ex.id), cands, [
+                None if report is None else report.to_dict()
+                for _, report in grounded])
 
     return {(ex.id, ci): insts[(ex.id, ci)]
             for ex in examples for ci in range(len(ex.candidates))}
@@ -299,26 +318,6 @@ def _check_cache_indices(path, ints: np.ndarray, counts: dict, sizes: list,
             else "offsets decrease" if walk[at + 1] < walk[at] - 1 else "a path has no steps"))
 
 
-_WORKER_STATE: dict = {}
-
-
-def _init_worker(kg, stopwords, cfg, emb) -> None:
-    _WORKER_STATE["args"] = (kg, stopwords, cfg, emb)
-
-
-def _worker_ground(ex: QAExample) -> list[tuple]:
-    kg, stopwords, cfg, emb = _WORKER_STATE["args"]
-    return ground_question(kg, stopwords, cfg, ex, emb)
-
-
-def _parallel_ground(kg, stopwords, cfg, pending, emb, jobs) -> list[list[tuple]]:
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_worker,
-            initargs=(kg, stopwords, cfg, emb)) as pool:
-        return list(pool.map(_worker_ground, pending, chunksize=4))
-
-
 # ---------------------------------------------------------------- model state
 
 class ModelState(Layer):
@@ -439,6 +438,8 @@ def load_model_state(path, emb: EmbeddingTable,
                        if k not in _RETIRED_RUN_CONFIG_KEYS})
     vocab = None
     if meta["encoder"] == "toy":
+        if features is not None:
+            raise ValueError("checkpoint has a toy encoder, which reads no --features")
         vocab = {k: int(i) for k, i in meta["enc_meta"]["vocab"].items()}
     elif features is None:
         raise ValueError("checkpoint uses feature files; pass --features")

@@ -269,8 +269,9 @@ def reference_find_paths(
 
 def path_oracle_suite(seed: int = 0, n_graphs: int = 200, max_nodes: int = 12,
                       density: float = 0.3, max_edges: int = 3) -> CheckResult:
-    """``find_paths`` as ``ground_question`` runs it, once per question
-    concept against the answer concepts of several candidates, checked pair
+    """``find_paths`` as ``ground_questions`` runs it, once per question
+    concept against the answer concepts of every question that mentions it
+    (here several candidates' overlapping answer sets), checked pair
     by pair: against brute-force enumeration (as a set) at ``max_edges``, and
     against ``reference_find_paths`` exactly (ordered list and ``truncated``
     flag, in full and at a cap that truncates) at depth 1 to 4 in turn. It

@@ -18,7 +18,7 @@ from kgqa.io_utils import write_container
 from kgqa.kg import build_graph
 from kgqa.kge import train_transe
 from kgqa.model.optim import Adam
-from kgqa.pipeline import build_model_state, ground_question, predict, preprocess, train
+from kgqa.pipeline import build_model_state, ground_questions, predict, preprocess, train
 from kgqa.toy import build_toy_world, rule_candidate_plausible
 
 settings.register_profile(
@@ -159,10 +159,10 @@ def toy_run():
     # question carries a pure evidence chain, and it is the labeled one
     rule_cfg = RunConfig(**{**TOY_CFG, "prune": False})
     rule_hits = 0
-    for ex in world.dev:
-        plausible = [
-            sg is not None and rule_candidate_plausible(sg, world.kg)
-            for sg, _ in ground_question(world.kg, stop, rule_cfg, ex, None)]
+    for ex, grounded in zip(world.dev, ground_questions(world.kg, stop, rule_cfg,
+                                                        world.dev, None)):
+        plausible = [sg is not None and rule_candidate_plausible(sg, world.kg)
+                     for sg, _ in grounded]
         if plausible.count(True) == 1 and plausible.index(True) == ex.label:
             rule_hits += 1
     rule_acc = rule_hits / len(world.dev)

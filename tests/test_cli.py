@@ -408,6 +408,18 @@ def test_train_kge_names_a_bad_word_vector_row(run, cli_world, tmp_path, capsys)
     assert err["message"].startswith(f"{vecs}:2: ")
 
 
+def test_train_kge_with_missing_word_vectors_writes_nothing(run, cli_world, tmp_path,
+                                                           capsys):
+    out = tmp_path / "kge.bin"
+    code = main(["train-kge", "--kg", str(run.kg), "--config", str(cli_world.config),
+                 "--word-vectors", str(tmp_path / "missing.txt"), "--out", str(out)])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "FileNotFoundError"
+    assert "missing.txt" in err["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_readme_config_table_names_only_run_config_fields():
     lines = README.read_text(encoding="utf-8").splitlines()
     start = lines.index("| key | default | meaning |") + 2
@@ -617,6 +629,24 @@ def test_feature_mode_round_trip(run, cli_world, feature_model, tmp_path):
     rows = [json.loads(l) for l in preds.read_text().splitlines()]
     assert [r["id"] for r in rows] == [ex.id for ex in cli_world.world.dev]
     assert all(math.isfinite(s) for r in rows for s in r["scores"])
+
+
+@pytest.mark.parametrize("command", ["predict", "explain"])
+def test_a_toy_encoder_checkpoint_refuses_features(run, cli_world, feature_model,
+                                                   tmp_path, capsys, command):
+    # a toy-encoder model builds its statements itself and would ignore the file
+    features, _ = feature_model
+    argv = [command, "--kg", str(run.kg), "--kge", str(run.kge),
+            "--checkpoint", str(run.model_dir / "model.bin"),
+            "--dataset", str(cli_world.dev_jsonl), "--features", str(features),
+            "--out", str(tmp_path / "out")]
+    if command == "explain":
+        argv += ["--id", run.example_id]
+    assert main(argv) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "ValueError"
+    assert "--features" in err["message"]
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("candidate", ["7", "-1"])

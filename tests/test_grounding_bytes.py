@@ -1,14 +1,15 @@
 """Pinned bytes of the grounding stage and its search count.
 
 The digests are sha256 over the canonical JSON of every candidate's
-``ground_question`` result, pruned and unpruned, on the seed-0 toy world and
-on the benchmark's tiny hub world; pruned at threshold 0.3, where the briefly
-trained tables drop some paths but not all. A candidate is rendered as
-``kgqa paths``/``prune`` render it, without its id and index:
-``{"sg": ..., "prune": ...}``, ``{"sg": ...}`` or ``{"ungrounded": true}``.
-They were recorded from the per-pair search that the per-question search
-replaced: a change to the order of the search work must leave every schema
-graph and prune report as it was.
+``ground_questions`` result, pruned and unpruned, from one call over the whole
+list of the seed-0 toy world and of the benchmark's tiny hub world; pruned at
+threshold 0.3, where the briefly trained tables drop some paths but not all.
+A candidate is rendered as ``kgqa paths``/``prune`` render it, without its id
+and index: ``{"sg": ..., "prune": ...}``, ``{"sg": ...}`` or
+``{"ungrounded": true}``. They were recorded from the per-pair search that the
+per-question search, and then the per-list search, replaced: a change to the
+order or the sharing of the search work must leave every schema graph and
+prune report as it was.
 
 ``CACHE_DIGESTS`` pin the cache entries ``preprocess`` writes for the same
 worlds, pruned at 0.3: sha256 over each file's path under the cache directory,
@@ -16,6 +17,7 @@ its length and its bytes, in path order.
 """
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
@@ -76,7 +78,7 @@ def test_ground_question_payload_digest(worlds, world, prune):
     kg, examples, cfg, emb = worlds[world]
     cfg = RunConfig(**{**cfg.to_dict(), "prune": prune, "threshold": 0.3})
     stop = load_stopwords(None)
-    grounded = [pipeline.ground_question(kg, stop, cfg, ex, emb) for ex in examples]
+    grounded = pipeline.ground_questions(kg, stop, cfg, examples, emb)
     flat = [cand for question in grounded for cand in question]
     assert sum(sg is not None for sg, _ in flat) > 0
     if prune:  # the digest covers dropped paths, not only exempt pairs
@@ -100,11 +102,8 @@ def test_cache_entry_bytes_are_pinned(worlds, tmp_path, world):
     assert digest.hexdigest() == CACHE_DIGESTS[world]
 
 
-def test_one_search_per_question_concept(worlds, monkeypatch):
-    # a question's candidates share its question concepts, so each distinct
-    # question concept is searched once, against every candidate's answers
-    kg, examples, cfg, emb = worlds["toy"]
-    stop = load_stopwords(None)
+def counted_searches(monkeypatch) -> list[int]:
+    """The source of every ``find_paths`` call from now on, in call order."""
     calls = []
     real = paths.find_paths
 
@@ -113,14 +112,54 @@ def test_one_search_per_question_concept(worlds, monkeypatch):
         return real(kg, src, goals, *args, **kwargs)
 
     monkeypatch.setattr(paths, "find_paths", counting)
+    return calls
+
+
+def test_one_search_per_question_concept(worlds, monkeypatch):
+    # a question's candidates share its question concepts, so each distinct
+    # question concept is searched once, against every candidate's answers
+    kg, examples, cfg, emb = worlds["toy"]
+    stop = load_stopwords(None)
+    calls = counted_searches(monkeypatch)
     n_pairs = n_searches = 0
+    searched = set()  # the question concepts of questions with any goal
     for ex in examples[:40]:
         calls.clear()
-        pipeline.ground_question(kg, stop, cfg, ex, emb)
+        pipeline.ground_questions(kg, stop, cfg, [ex], emb)
         cq = recognize(ex.question, kg, max_ngram=cfg.max_ngram, stopwords=stop).concepts
         cas = [recognize(c, kg, max_ngram=cfg.max_ngram, stopwords=stop).concepts - cq
                for c in ex.candidates]
         assert sorted(calls) == (sorted(cq) if any(cas) else [])
         n_pairs += len(cq) * sum(map(len, cas))
         n_searches += len(calls)
+        searched |= cq if any(cas) else set()
     assert n_pairs >= 3 * n_searches  # a search per pair would cost 3x or more
+
+    # over the list, questions share their question concepts too: one search
+    # per distinct question concept with any goal, however many ask it
+    calls.clear()
+    pipeline.preprocess(kg, emb, examples[:40], cfg, stop)
+    assert sorted(calls) == sorted(searched)
+    assert len(searched) < n_searches
+
+
+def test_cold_toy_train_pass_searches_each_question_concept_once(monkeypatch):
+    # the seed-1 world's 500 train questions ask 96 distinct question
+    # concepts; one search per question made 763 searches
+    world = build_toy_world(seed=1)
+    calls = counted_searches(monkeypatch)
+    pipeline.preprocess(world.kg, None, world.train, replace(RunConfig(), prune=False),
+                        load_stopwords(None))
+    assert len(calls) == len(set(calls)) == 96
+
+
+def test_pruning_without_a_table_is_refused(worlds, tmp_path):
+    # an unpruned entry must never land in a pruned config's cache namespace
+    kg, examples, cfg, _ = worlds["toy"]
+    assert cfg.prune
+    with pytest.raises(ValueError, match="cfg.prune"):
+        pipeline.preprocess(kg, None, examples[:3], cfg, load_stopwords(None),
+                            cache_dir=tmp_path)
+    assert not list(tmp_path.rglob("*.bin"))
+    assert pipeline.ground_questions(kg, load_stopwords(None), replace(cfg, prune=False),
+                                     examples[:3], None)

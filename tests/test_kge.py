@@ -328,14 +328,6 @@ def test_word_vector_initialization_mean_of_tokens(tmp_path):
                                abs=1e-12)
 
 
-def test_unreadable_word_vectors_warn_and_fall_back(tmp_path):
-    kg = planted_kg(seed=0)
-    with pytest.warns(UserWarning):
-        table, _ = train_transe(kg, dim=8, epochs=0, seed=0,
-                                word_vectors=load_word_vectors(tmp_path / "missing.txt"))
-    assert np.isfinite(table.ent).all()
-
-
 def test_non_finite_loss_aborts():
     kg = planted_kg(seed=0)
     bad = {kg.surface(i): np.full(8, np.nan) for i in range(kg.n_concepts)}

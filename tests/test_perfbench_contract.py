@@ -16,7 +16,7 @@ import pytest
 from kgqa.config import RunConfig
 from kgqa.ground import load_stopwords
 from kgqa.kge import PruneReport, train_transe
-from kgqa.pipeline import (build_model_state, explain, ground_question,
+from kgqa.pipeline import (build_model_state, explain, ground_questions,
                            load_model_state, predict, preprocess)
 from kgqa.toy import build_toy_world
 from perfbench.spans import Tracer, instrument
@@ -61,9 +61,9 @@ def test_perfbench_readers_see_the_program(tmp_path):
     # the path counters equal the path records and prune reports of the cold
     # pass (the warm one reads the cache and searches nothing)
     def records(cfg):
-        grounded = [(sg, report) for ex in examples
-                    for sg, report in ground_question(world.kg, stop, cfg, ex, emb)
-                    if sg is not None]
+        grounded = [(sg, report)
+                    for question in ground_questions(world.kg, stop, cfg, examples, emb)
+                    for sg, report in question if sg is not None]
         return grounded, sum(len(plist) for sg, _ in grounded
                              for plist in sg.paths.values())
 

@@ -18,7 +18,7 @@ from kgqa.kge import EmbeddingTable, train_transe
 from kgqa.model.layers import BiLSTM
 from kgqa.model.network import fallback_rows, fallback_vector
 from kgqa.paths import SchemaGraph
-from kgqa.pipeline import (ModelState, build_model_state, explain, ground_question,
+from kgqa.pipeline import (ModelState, build_model_state, explain, ground_questions,
                            load_model_state, predict, preprocess, train)
 from kgqa.statement import FeatureStore
 from kgqa.toy import EVIDENCE, build_toy_world
@@ -139,31 +139,32 @@ def test_preprocess_cache_round_trip(mini, tmp_path):
 
 
 def test_parallel_preprocess_equals_serial(mini, tmp_path):
-    examples = mini.world.dev[:4]
-    serial = preprocess(mini.world.kg, mini.emb, examples, mini.cfg, mini.stop,
-                        cache_dir=tmp_path / "serial")
-    parallel = preprocess(mini.world.kg, mini.emb, examples, mini.cfg,
-                          mini.stop, cache_dir=tmp_path / "parallel", jobs=2)
+    # seven questions, the last three asking the first three's questions again
+    # (candidates reversed), so question concepts repeat across the slice
+    # boundaries of 2 workers (4 + 3 questions) and of 3 (3 + 3 + 1)
+    base = mini.world.dev[:4]
+    examples = [*base, *(QAExample(f"{ex.id}-again", ex.question, ex.candidates[::-1],
+                                   len(ex.candidates) - 1 - ex.label)
+                         for ex in base[:3])]
 
-    def cache_bytes(root):
-        return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*.bin"))}
+    def run(name, calls, jobs=1):
+        out = {}
+        for part in calls:
+            out.update(preprocess(mini.world.kg, mini.emb, part, mini.cfg, mini.stop,
+                                  cache_dir=tmp_path / name, jobs=jobs))
+        return out, {p.relative_to(tmp_path / name): p.read_bytes()
+                     for p in sorted((tmp_path / name).rglob("*.bin"))}
 
-    assert len(cache_bytes(tmp_path / "serial")) == len(examples)
-    assert cache_bytes(tmp_path / "parallel") == cache_bytes(tmp_path / "serial")
-    assert list(serial) == list(parallel)
-    for key in serial:
-        a, b = serial[key], parallel[key]
-        assert (a.example_id, a.cand_index, a.label, a.ungrounded) == \
-            (b.example_id, b.cand_index, b.label, b.ungrounded)
-        assert np.array_equal(a.node_ids, b.node_ids)
-        assert a.und_edges == b.und_edges
-        assert len(a.q_rows) == len(b.q_rows)
-        assert np.array_equal(fallback_rows([a], mini.cfg.d_path, mini.cfg.seed),
-                              fallback_rows([b], mini.cfg.d_path, mini.cfg.seed))
-        for name in TABLE:
-            x, y = getattr(a, name), getattr(b, name)
-            assert x.dtype == y.dtype
-            assert np.array_equal(x, y)
+    serial, serial_bytes = run("serial", [examples])
+    assert len(serial_bytes) == len(examples)
+    routes = {"jobs2": run("jobs2", [examples], jobs=2),
+              "jobs3": run("jobs3", [examples], jobs=3),
+              "one-per-question": run("single", [[ex] for ex in examples])}
+    for name, (insts, cache_bytes) in routes.items():
+        assert cache_bytes == serial_bytes, name
+        assert list(insts) == list(serial), name
+        assert [selfcheck.instance_mismatch(insts[key], serial[key])
+                for key in serial] == [None] * len(serial), name
 
 
 def test_preprocess_grounds_each_question_once(mini, tmp_path, monkeypatch):
@@ -271,8 +272,8 @@ def test_cache_entry_holds_the_prune_report(pathless, tmp_path):
     pathless_preprocess(pathless, tmp_path)
     (entry,) = tmp_path.rglob("*.bin")
     meta = io_utils.read_container(entry, kind="instance")[0]
-    grounded = ground_question(pathless.kg, pathless.stop, pathless.cfg, pathless.ex,
-                               pathless.emb)
+    (grounded,) = ground_questions(pathless.kg, pathless.stop, pathless.cfg,
+                                   [pathless.ex], pathless.emb)
     assert meta["prune"] == [None if report is None else report.to_dict()
                              for _, report in grounded]
     assert meta["ungrounded"] == [False, False, True]
