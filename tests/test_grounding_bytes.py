@@ -14,6 +14,10 @@ prune report as it was.
 ``CACHE_DIGESTS`` pin the cache entries ``preprocess`` writes for the same
 worlds, pruned at 0.3: sha256 over each file's path under the cache directory,
 its length and its bytes, in path order.
+
+``GROUND_DIGEST`` pins the bytes ``kgqa ground`` writes for the seed-0 toy
+world's 100 dev questions, recorded from the per-question recognition loop
+that the shared recognition pass replaced.
 """
 
 import hashlib
@@ -23,8 +27,9 @@ import pytest
 
 from kgqa import io_utils, paths, pipeline
 from kgqa import kg as kg_mod
+from kgqa.cli import main
 from kgqa.config import RunConfig
-from kgqa.data import load_dataset
+from kgqa.data import load_dataset, save_dataset
 from kgqa.ground import load_stopwords, recognize
 from kgqa.kge import PruneReport, train_transe
 from kgqa.toy import build_toy_world
@@ -43,6 +48,8 @@ CACHE_DIGESTS = {
     "toy": "b701d2018321b29f981d4a6f618d1510885863ea2ec91aabfdf3b4118dbc8b0e",
     "hub": "d4af766a9c9d74449671489ecf43809996304a87c4e65599ee1a176b8d3f3a62",
 }
+
+GROUND_DIGEST = "f3f9f1532c884481f1696af1bd0ad152e9e397f74fd9648cfbcf2129daeba530"
 
 
 @pytest.fixture(scope="module")
@@ -163,3 +170,13 @@ def test_pruning_without_a_table_is_refused(worlds, tmp_path):
     assert not list(tmp_path.rglob("*.bin"))
     assert pipeline.ground_questions(kg, load_stopwords(None), replace(cfg, prune=False),
                                      examples[:3], None)
+
+
+def test_ground_command_output_bytes_are_pinned(tmp_path):
+    world = build_toy_world(seed=0)
+    kg, dev, out = tmp_path / "kg.bin", tmp_path / "dev.jsonl", tmp_path / "grounded.jsonl"
+    world.kg.save(kg)
+    save_dataset(dev, world.dev)
+    assert main(["ground", "--kg", str(kg), "--dataset", str(dev), "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == len(world.dev) == 100
+    assert io_utils.sha256_bytes(out.read_bytes()) == GROUND_DIGEST
