@@ -17,12 +17,12 @@ from pathlib import Path
 
 from . import __version__, io_utils
 from .config import RunConfig, resolve_config
-from .data import load_dataset
-from .ground import default_stopwords_path, load_stopwords, recognize
+from .data import accuracy, load_dataset
+from .ground import default_stopwords_path, load_stopwords
 from .kg import KnowledgeGraph, default_merge_map_path, ingest, load_merge_map
 from .kge import EmbeddingTable, PruneReport, load_word_vectors, train_transe
-from .pipeline import (build_model_state, explain, ground_questions,
-                       load_model_state, predict, preprocess, train)
+from .pipeline import (build_model_state, explain, ground_questions, load_model_state,
+                       mention_sets, predict, preprocess, train)
 from .selfcheck import run_selfcheck
 from .statement import FeatureStore
 
@@ -41,7 +41,6 @@ def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
         "threshold": dict(type=float, help="path-score pruning threshold"),
         "max-edges": dict(type=int, help="maximum edges per path"),
         "cap": dict(type=int, help="maximum paths kept per concept pair"),
-        "jobs": dict(type=int, default=1, help="parallel preprocessing workers"),
         "kge": dict(help="triple-embedding snapshot", required=True),
         "checkpoint": dict(help="model checkpoint", required=True),
         "cache": dict(help="schema-graph cache directory"),
@@ -143,15 +142,13 @@ def cmd_ground(args) -> int:
     kg = KnowledgeGraph.load(args.kg)
     stop = load_stopwords(args.inputs["stopwords"])
     examples = load_dataset(args.dataset)
+    concepts = {text: m.to_dict(kg)["concepts"]
+                for text, m in mention_sets(kg, stop, cfg, examples).items()}
     with io_utils.atomic_open(args.out, "w", encoding="utf-8") as fh:
         for ex in examples:
-            cq = recognize(ex.question, kg, max_ngram=cfg.max_ngram, stopwords=stop)
-            row = {"id": ex.id, "question_concepts": cq.to_dict(kg)["concepts"],
-                   "candidates": []}
-            for ci, cand in enumerate(ex.candidates):
-                ca = recognize(cand, kg, max_ngram=cfg.max_ngram, stopwords=stop)
-                row["candidates"].append(
-                    {"index": ci, "answer_concepts": ca.to_dict(kg)["concepts"]})
+            row = {"id": ex.id, "question_concepts": concepts[ex.question],
+                   "candidates": [{"index": ci, "answer_concepts": concepts[cand]}
+                                  for ci, cand in enumerate(ex.candidates)]}
             fh.write(io_utils.canonical_json(row) + "\n")
     _manifest(args, args.out, cfg)
     return 0
@@ -222,9 +219,9 @@ def cmd_train(args) -> int:
                               examples_for_vocab=train_examples + dev_examples,
                               features=features)
     train_inst = preprocess(kg, emb, train_examples, cfg, stop,
-                            cache_dir=_cache_dir(args, "dataset"), jobs=args.jobs)
+                            cache_dir=_cache_dir(args, "dataset"))
     dev_inst = preprocess(kg, emb, dev_examples, cfg, stop,
-                          cache_dir=_cache_dir(args, "dev"), jobs=args.jobs)
+                          cache_dir=_cache_dir(args, "dev"))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     result = train(state, train_examples, dev_examples, train_inst, dev_inst,
@@ -246,16 +243,16 @@ def cmd_predict(args) -> int:
     examples = load_dataset(args.dataset)
     stop = load_stopwords(args.inputs["stopwords"])
     instances = preprocess(kg, emb, examples, cfg, stop,
-                           cache_dir=_cache_dir(args, "dataset"), jobs=args.jobs)
+                           cache_dir=_cache_dir(args, "dataset"))
     predictions = predict(state, examples, instances)
     with io_utils.atomic_open(args.out, "w", encoding="utf-8") as fh:
         for pred in predictions:
             fh.write(io_utils.canonical_json(pred.to_json_obj()) + "\n")
     _manifest(args, args.out, cfg)
-    labeled = {ex.id: ex.label for ex in examples if ex.label is not None}
-    if labeled:
-        hits = sum(1 for p in predictions if labeled.get(p.example_id) == p.chosen)
-        print(f"accuracy {hits / len(labeled):.4f} over {len(labeled)} examples")
+    n_labeled = sum(ex.label is not None for ex in examples)
+    if n_labeled:
+        acc = accuracy({p.example_id: p.chosen for p in predictions}, examples)
+        print(f"accuracy {acc:.4f} over {n_labeled} examples")
     return 0
 
 
@@ -346,12 +343,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train the scoring network")
     _add_common(p, "kg", "kge", "dataset", "dev", "features?", "stopwords?",
-                "config?", "out", "seed?", "cache?", "jobs")
+                "config?", "out", "seed?", "cache?")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="score candidates and pick answers")
     _add_common(p, "kg", "kge", "checkpoint", "dataset", "features?",
-                "stopwords?", "out", "cache?", "jobs")
+                "stopwords?", "out", "cache?")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("explain", help="attention report for one example")

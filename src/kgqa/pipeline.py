@@ -2,9 +2,9 @@
 
 Preprocessing turns each (question, candidate) into a model-ready Instance:
 recognize concepts, build the schema graph, prune paths, convert to the path
-table. The questions it grounds are grounded as one list: each distinct text
-is recognized once and each distinct question concept searched once for all
-of them (``ground_questions``). A candidate whose
+table, in one serial pass over a list: each distinct text is recognized once
+(``mention_sets``) and each distinct question concept searched once for all
+the questions (``ground_questions``). A candidate whose
 question or answer grounds to nothing gets a single-anchor fallback instance
 (one pseudo-pair, no paths) and is flagged in prediction output rather than
 dropped, so every candidate stays scorable. The stand-in vectors of pairs
@@ -38,7 +38,6 @@ order, and metrics/checkpoint bytes are reproducible run to run.
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import os
 from dataclasses import dataclass, field
@@ -49,7 +48,7 @@ import numpy as np
 from . import io_utils, paths
 from .config import RunConfig
 from .data import LABELS, QAExample, accuracy
-from .ground import recognize
+from .ground import MentionSet, recognize
 from .kg import KnowledgeGraph
 from .kge import EmbeddingTable, PruneReport, prune_schema_graph
 from .model.layers import Layer
@@ -61,6 +60,15 @@ from .statement import FeatureStore, ToyStatementEncoder, build_vocab
 
 
 # ---------------------------------------------------------------- preprocess
+
+def mention_sets(kg: KnowledgeGraph, stopwords: frozenset[str], cfg: RunConfig,
+                 examples: Sequence[QAExample]) -> dict[str, MentionSet]:
+    """The mentions of each distinct question and candidate text of
+    ``examples``, each recognized once."""
+    return {text: recognize(text, kg, max_ngram=cfg.max_ngram, stopwords=stopwords)
+            for text in dict.fromkeys(itertools.chain.from_iterable(
+                (ex.question, *ex.candidates) for ex in examples))}
+
 
 def ground_questions(
     kg: KnowledgeGraph,
@@ -74,17 +82,15 @@ def ground_questions(
     report None when ``cfg.prune`` is off. Pruning needs ``emb``; without it
     ``cfg.prune`` is a ValueError.
 
-    Each distinct text is recognized once. Each distinct question concept is
-    searched once, against the answer concepts of every question that
-    mentions it; a goal's paths do not depend on the other goals of its
-    search, so each grounded pair takes its paths from those searches
-    unchanged, and is then pruned.
+    Each distinct text is recognized once (``mention_sets``). Each distinct
+    question concept is searched once, against the answer concepts of every
+    question that mentions it; a goal's paths do not depend on the other
+    goals of its search, so each grounded pair takes its paths from those
+    searches unchanged, and is then pruned.
     """
     if cfg.prune and emb is None:
         raise ValueError("cfg.prune needs an embedding table to score paths")
-    mentions = {text: recognize(text, kg, max_ngram=cfg.max_ngram, stopwords=stopwords)
-                for text in dict.fromkeys(itertools.chain.from_iterable(
-                    (ex.question, *ex.candidates) for ex in examples))}
+    mentions = mention_sets(kg, stopwords, cfg, examples)
     questions = [(mentions[ex.question], [mentions[cand] for cand in ex.candidates])
                  for ex in examples]
     goals: dict[int, set[int]] = {}
@@ -120,11 +126,12 @@ def preprocess(
     """Instances for every (example, candidate), cache-backed when dir given.
 
     A cached question is read back from its ``.bin`` entry. The other
-    questions are grounded together by one ``ground_questions`` call, or with
-    ``jobs > 1`` by one call per worker process over a contiguous slice of
-    them, and each question's candidates are built once and written to the
-    cache as one entry. Neither the cache nor the split changes an instance.
+    questions are grounded by one serial ``ground_questions`` call, and each
+    question's candidates are built once and written to the cache as one
+    entry. The cache does not change an instance.
     """
+    if jobs != 1:  # kept only for perfbench's jobs=1 call; there is no pool
+        raise ValueError(f"preprocess runs serially; jobs must be 1, got {jobs}")
     # plain string paths: a pathlib join per question costs microseconds that
     # a warm pass, one small file read per question, notices
     cache_root = None if cache_dir is None else os.path.join(cache_dir, cfg.hash())
@@ -145,15 +152,7 @@ def preprocess(
                 pass
         pending.append(ex)
 
-    ground = functools.partial(ground_questions, kg, stopwords, cfg, emb=emb)
-    if jobs > 1 and len(pending) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        size = -(-len(pending) // jobs)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            computed = list(itertools.chain.from_iterable(pool.map(
-                ground, [pending[lo:lo + size] for lo in range(0, len(pending), size)])))
-    else:
-        computed = ground(pending)
+    computed = ground_questions(kg, stopwords, cfg, pending, emb)
     if cache_root is not None and pending:
         os.makedirs(cache_root, exist_ok=True)
     for ex, grounded in zip(pending, computed):
@@ -500,6 +499,8 @@ def train(
     for ex in train_examples:
         if ex.label is None:
             raise ValueError(f"{ex.id}: training example lacks a label")
+    if all(ex.label is None for ex in dev_examples):
+        raise ValueError("the dev set (--dev) has no labeled example to pick an epoch by")
     tensors = state.params()
     opt = Adam(tensors, lr=cfg.lr)
     rng = np.random.default_rng(io_utils.stable_seed("train-shuffle", cfg.seed))

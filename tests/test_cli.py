@@ -397,6 +397,21 @@ def test_train_saves_no_model_with_a_non_finite_weight(run, cli_world, tmp_path,
     assert not (out / "model.bin").exists()
 
 
+def test_train_refuses_a_dev_set_without_labels(run, cli_world, tmp_path, capsys):
+    dev, out = tmp_path / "dev.jsonl", tmp_path / "model"
+    save_dataset(dev, [replace(ex, label=None) for ex in cli_world.world.dev])
+    code = main(["train", "--kg", str(run.kg), "--kge", str(run.kge),
+                 "--dataset", str(cli_world.train_jsonl), "--dev", str(dev),
+                 "--config", str(cli_world.config), "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "epoch" not in captured.out
+    err = json.loads(captured.err)["error"]
+    assert err["type"] == "ValueError"
+    assert err["message"].startswith("the dev set (--dev) has no labeled example")
+    assert not (out / "model.bin").exists()
+
+
 def test_train_kge_names_a_bad_word_vector_row(run, cli_world, tmp_path, capsys):
     vecs = tmp_path / "vecs.txt"
     vecs.write_text("glue 1 0\nstick 0 abc\n", encoding="utf-8")
@@ -457,16 +472,6 @@ def test_explain_top_counts_bound_the_report(run, cli_world):
     report = json.loads((run.out / "explain-extra.json").read_text())
     assert len(report["pairs"]) == 1
     assert len(report["pairs"][0]["paths"]) <= 1
-
-
-def test_parallel_predict_output_is_byte_identical(run, cli_world):
-    parallel = run.out / "preds-jobs2.jsonl"
-    code = main(["predict", "--kg", str(run.kg), "--kge", str(run.kge),
-                 "--checkpoint", str(run.model_dir / "model.bin"),
-                 "--dataset", str(cli_world.dev_jsonl), "--jobs", "2",
-                 "--out", str(parallel)])
-    assert code == 0
-    assert parallel.read_bytes() == run.preds.read_bytes()
 
 
 def predict_args(run, cli_world, out, *extra, kge=None):
@@ -785,17 +790,22 @@ def test_manifest_names_every_file_read_and_each_is_hashed_once(
                                       for name, path in files.items()}
 
 
-NO_SEED_FLAGS = {"ground": [], "paths": [], "prune": ["--kge", "kge.bin"],
-                 "predict": ["--kge", "kge.bin", "--checkpoint", "model.bin"]}
+REQUIRED_FLAGS = {"ground": [], "paths": [], "prune": ["--kge", "kge.bin"],
+                  "predict": ["--kge", "kge.bin", "--checkpoint", "model.bin"],
+                  "train": ["--kge", "kge.bin", "--dev", "dev.jsonl"]}
 
 
-@pytest.mark.parametrize("command", NO_SEED_FLAGS)
-def test_commands_that_draw_nothing_take_no_seed(command, capsys):
+# commands that draw nothing take no --seed, and preprocessing is serial, so
+# no command takes --jobs
+@pytest.mark.parametrize("command,flag", [
+    *(pytest.param(c, "--seed 1", id=c) for c in ("ground", "paths", "prune", "predict")),
+    *(pytest.param(c, "--jobs 2", id=f"{c}-jobs") for c in ("train", "predict"))])
+def test_commands_that_draw_nothing_take_no_seed(command, flag, capsys):
     with pytest.raises(SystemExit) as exc:
         main([command, "--kg", "kg.bin", "--dataset", "dev.jsonl", "--out", "out.jsonl",
-              *NO_SEED_FLAGS[command], "--seed", "1"])
+              *REQUIRED_FLAGS[command], *flag.split()])
     assert exc.value.code == 2
-    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_a_dump_whose_only_relation_is_empty_writes_no_snapshot(tmp_path, capsys):

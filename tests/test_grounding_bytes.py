@@ -180,3 +180,19 @@ def test_ground_command_output_bytes_are_pinned(tmp_path):
     assert main(["ground", "--kg", str(kg), "--dataset", str(dev), "--out", str(out)]) == 0
     assert len(out.read_text().splitlines()) == len(world.dev) == 100
     assert io_utils.sha256_bytes(out.read_bytes()) == GROUND_DIGEST
+
+
+def test_ground_command_recognizes_each_distinct_text_once(tmp_path, monkeypatch):
+    # the 100 dev questions hold 600 texts, 88 of them distinct
+    world = build_toy_world(seed=0)
+    kg, dev = tmp_path / "kg.bin", tmp_path / "dev.jsonl"
+    world.kg.save(kg)
+    save_dataset(dev, world.dev)
+    texts = []
+    real = pipeline.recognize
+    monkeypatch.setattr(pipeline, "recognize",
+                        lambda text, *args, **kwargs: texts.append(text) or real(
+                            text, *args, **kwargs))
+    assert main(["ground", "--kg", str(kg), "--dataset", str(dev),
+                 "--out", str(tmp_path / "grounded.jsonl")]) == 0
+    assert len(texts) == len(set(texts)) == 88

@@ -138,33 +138,36 @@ def test_preprocess_cache_round_trip(mini, tmp_path):
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
-def test_parallel_preprocess_equals_serial(mini, tmp_path):
+def test_preprocess_of_the_whole_list_equals_one_call_per_question(mini, tmp_path):
     # seven questions, the last three asking the first three's questions again
-    # (candidates reversed), so question concepts repeat across the slice
-    # boundaries of 2 workers (4 + 3 questions) and of 3 (3 + 3 + 1)
+    # (candidates reversed), so question concepts repeat across the list
     base = mini.world.dev[:4]
     examples = [*base, *(QAExample(f"{ex.id}-again", ex.question, ex.candidates[::-1],
                                    len(ex.candidates) - 1 - ex.label)
                          for ex in base[:3])]
 
-    def run(name, calls, jobs=1):
+    def run(name, calls):
         out = {}
         for part in calls:
             out.update(preprocess(mini.world.kg, mini.emb, part, mini.cfg, mini.stop,
-                                  cache_dir=tmp_path / name, jobs=jobs))
+                                  cache_dir=tmp_path / name))
         return out, {p.relative_to(tmp_path / name): p.read_bytes()
                      for p in sorted((tmp_path / name).rglob("*.bin"))}
 
-    serial, serial_bytes = run("serial", [examples])
-    assert len(serial_bytes) == len(examples)
-    routes = {"jobs2": run("jobs2", [examples], jobs=2),
-              "jobs3": run("jobs3", [examples], jobs=3),
-              "one-per-question": run("single", [[ex] for ex in examples])}
-    for name, (insts, cache_bytes) in routes.items():
-        assert cache_bytes == serial_bytes, name
-        assert list(insts) == list(serial), name
-        assert [selfcheck.instance_mismatch(insts[key], serial[key])
-                for key in serial] == [None] * len(serial), name
+    whole, whole_bytes = run("whole", [examples])
+    assert len(whole_bytes) == len(examples)
+    insts, cache_bytes = run("single", [[ex] for ex in examples])
+    assert cache_bytes == whole_bytes
+    assert list(insts) == list(whole)
+    assert [selfcheck.instance_mismatch(insts[key], whole[key])
+            for key in whole] == [None] * len(whole)
+
+
+def test_preprocess_refuses_more_than_one_job(mini, tmp_path):
+    with pytest.raises(ValueError, match="jobs must be 1, got 2"):
+        preprocess(mini.world.kg, mini.emb, mini.world.dev[:2], mini.cfg, mini.stop,
+                   cache_dir=tmp_path, jobs=2)
+    assert not list(tmp_path.rglob("*"))
 
 
 def test_preprocess_grounds_each_question_once(mini, tmp_path, monkeypatch):
@@ -580,6 +583,14 @@ def test_training_refuses_a_non_finite_model(mini, monkeypatch, what):
             replace(p, scores=[np.nan] * len(p.scores)) for p in real(*args)])
     with pytest.raises(FloatingPointError, match=f"non-finite {what}.* after epoch 1$"):
         train(state, mini.world.train, mini.world.dev, mini.train_inst, mini.dev_inst)
+
+
+def test_training_refuses_a_dev_set_without_labels_before_an_epoch(mini, monkeypatch):
+    state = fresh_state(mini)
+    unlabeled = [replace(ex, label=None) for ex in mini.world.dev]
+    monkeypatch.setattr(pipeline, "_example_forward", lambda *args: pytest.fail("scored"))
+    with pytest.raises(ValueError, match=r"dev set \(--dev\) has no labeled example"):
+        train(state, mini.world.train, unlabeled, mini.train_inst, mini.dev_inst)
 
 
 def test_exact_tie_chooses_lowest_index(mini):
