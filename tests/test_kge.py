@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kgqa import kg as kg_mod
 from kgqa import selfcheck
 from kgqa.kg import build_graph
 from kgqa.kge import (EmbeddingTable, eval_tail_mrr, init_embeddings,
@@ -17,8 +18,10 @@ from kgqa.kge import (EmbeddingTable, eval_tail_mrr, init_embeddings,
 from kgqa.paths import build_schema_graph, path_triples
 from kgqa.selfcheck import random_kg, reference_prune
 from kgqa.toy import build_toy_world
+from perfbench import gen
+from perfbench.workloads import HUB_CFG
 
-from conftest import make_chain_kg, mutant, planted_kg
+from conftest import TOY_CFG, make_chain_kg, mutant, planted_kg
 
 
 def table_with_distances(dists, gamma=2.0):
@@ -289,6 +292,31 @@ def test_training_bytes_unchanged_on_the_toy_world(dim, ent_sha, rel_sha):
                             neg_per_pos=2, seed=0)
     assert hashlib.sha256(table.ent.tobytes()).hexdigest() == ent_sha
     assert hashlib.sha256(table.rel.tobytes()).hexdigest() == rel_sha
+
+
+TRAINED_TABLE_DIGESTS = {
+    "toy": "b942900c5c4acd6882afbf4ad862597553204fe39851d0d4a93562f185da0c58",
+    "hub": "1bfbc6af3b7f62f8fa16bcf2f65251360084e3ce207ef6444b0ae4043fc7b29f",
+}
+
+
+@pytest.mark.parametrize("world", sorted(TRAINED_TABLE_DIGESTS))
+def test_trained_table_and_loss_bytes_are_pinned(world, tmp_path):
+    """sha256 over ``ent``, ``rel`` and the loss history that ``train_transe``
+    gives at the benchmark's settings on the seed-0 toy world and the tiny hub
+    world; recorded before the update step's gathers and scatters were
+    trimmed, which must leave every byte as it was."""
+    if world == "toy":
+        kg, cfg = build_toy_world(seed=0).kg, TOY_CFG
+    else:
+        tsv, _ = gen.write_hub_inputs(tmp_path, 0, gen.HUB_SIZES["tiny"])
+        (kg, _), cfg = kg_mod.ingest(tsv, merge_map=None), HUB_CFG
+    table, history = train_transe(kg, dim=cfg["kge_dim"], lr=cfg["kge_lr"],
+                                  epochs=cfg["kge_epochs"], batch_size=cfg["kge_batch"],
+                                  seed=cfg["seed"])
+    digest = hashlib.sha256(table.ent.tobytes() + table.rel.tobytes()
+                            + np.asarray(history).tobytes()).hexdigest()
+    assert digest == TRAINED_TABLE_DIGESTS[world]
 
 
 @pytest.mark.parametrize("key", ["dim", "batch_size", "neg_per_pos"])
