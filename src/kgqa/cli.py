@@ -21,8 +21,9 @@ from .data import accuracy, load_dataset
 from .ground import default_stopwords_path, load_stopwords
 from .kg import KnowledgeGraph, default_merge_map_path, ingest, load_merge_map
 from .kge import EmbeddingTable, PruneReport, load_word_vectors, train_transe
-from .pipeline import (build_model_state, explain, ground_questions, load_model_state,
-                       mention_sets, predict, preprocess, train)
+from .pipeline import (build_model_state, check_training_labels, explain,
+                       ground_questions, load_model_state, mention_sets, predict,
+                       preprocess, train)
 from .selfcheck import run_selfcheck
 from .statement import FeatureStore
 
@@ -214,6 +215,7 @@ def cmd_train(args) -> int:
     kg, emb, features, _ = _load_state_inputs(args, need_checkpoint=False)
     train_examples = load_dataset(args.dataset)
     dev_examples = load_dataset(args.dev)
+    check_training_labels(train_examples, dev_examples)
     stop = load_stopwords(args.inputs["stopwords"])
     state = build_model_state(cfg, emb,
                               examples_for_vocab=train_examples + dev_examples,

@@ -171,9 +171,11 @@ class KnowledgeGraph:
 
 def build_graph(concepts, relations, triples, weights) -> KnowledgeGraph:
     """Assemble the immutable graph, building the sorted adjacency index: one
-    stable argsort of the int64 key ``((src*nv + nbr)*n_rel + rel)*2 + rev``,
-    the order of ``np.lexsort((rev, rel, nbr, src))``. An id past its
-    vocabulary, or a vocabulary too large for the key, is a ValueError."""
+    argsort of the int64 key ``((src*nv + nbr)*n_rel + rel)*2 + rev``, the
+    order of ``np.lexsort((rev, rel, nbr, src))``. The key holds every field
+    of an entry, so entries with equal keys are equal and the sort need not
+    be stable. An id past its vocabulary, or a vocabulary too large for the
+    key, is a ValueError."""
     nv, n_rel = len(concepts), len(relations)
     if nv * nv * n_rel * 2 >= 2 ** 63:
         raise ValueError(f"{nv} concepts and {n_rel} relations overflow the int64 sort key")
@@ -189,14 +191,14 @@ def build_graph(concepts, relations, triples, weights) -> KnowledgeGraph:
     if len(counts) > nv or (n and int(rel.max()) >= n_rel):
         raise ValueError(f"triple ids must be below {nv} concepts and {n_rel} relations")
     key = ((src.astype(np.int64) * nv + nbr) * n_rel + rel) * 2 + rev
-    order = np.argsort(key, kind="stable")
+    order = np.argsort(key)
     nbr, rel, rev = nbr[order], rel[order], rev[order]
     return KnowledgeGraph(
         concepts=tuple(concepts),
         relations=tuple(relations),
         triples=triples,
         weights=weights,
-        _surface_index={s: i for i, s in enumerate(concepts)},
+        _surface_index=dict(zip(concepts, range(nv))),
         _adj_ptr=np.concatenate([np.zeros(1, np.int64), np.cumsum(counts)]),
         _adj_nbr=nbr,
         _adj_rel=rel,

@@ -171,12 +171,14 @@ def train_transe(
             hn = np.where(corrupt_head, corrupt, h)
             tn = np.where(corrupt_head, t, corrupt)
 
-            d_pos_vec = ent[h] + rel[r] - ent[t]
-            d_neg_vec = ent[hn] + rel[r] - ent[tn]
+            rr = rel[r]
+            d_pos_vec = ent[h] + rr - ent[t]
+            d_neg_vec = ent[hn] + rr - ent[tn]
             d_pos = np.linalg.norm(d_pos_vec, axis=1)
             d_neg = np.linalg.norm(d_neg_vec, axis=1)
-            viol = margin + d_pos - d_neg > 0
-            losses.append(float(np.mean(np.maximum(0.0, margin + d_pos - d_neg))))
+            gap = margin + d_pos - d_neg
+            viol = gap > 0
+            losses.append(float(np.mean(np.maximum(0.0, gap))))
             if not viol.any():
                 continue
 
@@ -189,10 +191,10 @@ def train_transe(
             gvec = np.concatenate([gp, -gp, -gn, gn])
             uniq, pos = np.unique(ids, return_inverse=True)
             upd_ent = scatter_rows(len(uniq), pos, gvec)
-            runiq, rpos = np.unique(r[viol], return_inverse=True)
-            upd_rel = scatter_rows(len(runiq), np.tile(rpos, 2), np.concatenate([gp, -gn]))
             ent[uniq] -= step * upd_ent
-            rel[runiq] -= step * upd_rel
+            # few relations: update every row, untouched ones by exactly zero
+            rel -= step * scatter_rows(len(rel), np.tile(r[viol], 2),
+                                       np.concatenate([gp, -gn]))
 
         _renorm_entities(ent)
         mean_loss = float(np.mean(losses)) if losses else 0.0

@@ -10,6 +10,8 @@ gradients are consumed; callers zero_grad() between steps.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 
@@ -128,65 +130,67 @@ class MLP(Layer):
 
 
 class LSTM(Layer):
-    """Single-direction LSTM over (B, T, d_in) batches; gate order i, f, g, o."""
+    """One direction's parameters, gate order i, f, g, o; ``BiLSTM`` runs them."""
 
     def __init__(self, rng: np.random.Generator, d_in: int, d_hidden: int) -> None:
         super().__init__()
-        self.d_in = d_in
         self.d_hidden = d_hidden
         self.Wx = self._register("Wx", glorot(rng, d_in, 4 * d_hidden))
         self.Wh = self._register("Wh", glorot(rng, d_hidden, 4 * d_hidden))
         self.b = self._register("b", np.zeros(4 * d_hidden))
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, dict]:
-        B, T, _ = x.shape
-        H = self.d_hidden
-        h = np.zeros((B, H))
-        c = np.zeros((B, H))
-        out = np.zeros((B, T, H))
-        steps = []
-        for t in range(T):
-            a = x[:, t] @ self.Wx + h @ self.Wh + self.b
-            gates = sigmoid(a)  # one call for i, f and o; the g block is unused
-            i, f, o = gates[:, :H], gates[:, H:2 * H], gates[:, 3 * H:]
-            g = np.tanh(a[:, 2 * H:3 * H])
-            c_new = f * c + i * g
-            hc = np.tanh(c_new)
-            steps.append((i, f, g, o, c, hc, h))
-            c = c_new
-            h = o * hc
-            out[:, t] = h
-        return out, {"x": x, "steps": steps}
 
-    def backward(self, dout: np.ndarray, cache: dict) -> np.ndarray:
-        x, steps = cache["x"], cache["steps"]
-        B, T, _ = x.shape
-        H = self.d_hidden
-        dx = np.zeros_like(x)
-        dh_next = np.zeros((B, H))
-        dc_next = np.zeros((B, H))
-        for t in range(T - 1, -1, -1):
-            i, f, g, o, c_prev, hc, h_prev = steps[t]
-            dh = dout[:, t] + dh_next
-            do = dh * hc
-            dc = dc_next + dh * o * (1.0 - hc * hc)
-            di = dc * g
-            df = dc * c_prev
-            dg = dc * i
-            dc_next = dc * f
-            da = np.concatenate(
-                [di * i * (1.0 - i), df * f * (1.0 - f),
-                 dg * (1.0 - g * g), do * o * (1.0 - o)], axis=1)
-            self._grads["Wx"] += x[:, t].T @ da
-            self._grads["Wh"] += h_prev.T @ da
-            self._grads["b"] += da.sum(axis=0)
-            dx[:, t] = da @ self.Wx.T
-            dh_next = da @ self.Wh.T
-        return dx
+class Packing(NamedTuple):
+    """The packed layout of K ragged sequences, longest first.
+
+    Sequences are put in slots by a stable sort on length, longest first, so
+    the sequences still running at step t fill slots ``0:n_t`` and their rows
+    are the packed block ``starts[t]:starts[t + 1]``; every step's block is a
+    prefix of the one before. Packed row r of the forward direction reads
+    input row ``fwd[r]``, of the reverse direction ``rev[r]``: each sequence
+    is reversed on its own, so nothing is padded or masked.
+    """
+
+    order: np.ndarray   # (K,) sequence in each slot
+    starts: np.ndarray  # (T + 1,) packed block bounds of the steps
+    last: np.ndarray    # (K,) packed row of each slot's last step
+    prev: np.ndarray    # (R - K,) row of the step before, for rows past step 0
+    fwd: np.ndarray     # (R,) input row of each packed row, forward direction
+    rev: np.ndarray     # (R,) input row of each packed row, reverse direction
+
+
+def pack(offsets: np.ndarray) -> Packing:
+    """The layout of the sequences ``offsets[k]:offsets[k + 1]``, each at
+    least one row long."""
+    offsets = np.asarray(offsets, dtype=np.int64)
+    lengths = np.diff(offsets)
+    if len(lengths) and lengths.min() < 1:
+        raise ValueError("every sequence needs at least one step")
+    order = np.argsort(-lengths, kind="stable")
+    by_slot = lengths[order]
+    T = int(by_slot[0]) if len(by_slot) else 0
+    counts = (by_slot > np.arange(T)[:, None]).sum(axis=1)  # (T,) sequences running
+    starts = np.concatenate([[0], np.cumsum(counts)])
+    step = np.repeat(np.arange(T), counts)
+    rows = np.arange(len(step))
+    seq = order[rows - starts[step]]
+    K = len(order)
+    return Packing(order=order, starts=starts, last=starts[by_slot - 1] + np.arange(K),
+                   prev=rows[K:] - counts[step[K:] - 1],
+                   fwd=offsets[seq] + step, rev=offsets[seq + 1] - 1 - step)
 
 
 class BiLSTM(Layer):
-    """Forward and reversed LSTM; output concatenated per original position."""
+    """Forward and reversed LSTM over a packed batch of ragged sequences.
+
+    ``forward(x, offsets)`` runs sequence k, the rows
+    ``x[offsets[k]:offsets[k + 1]]``, as it would run alone, and returns the
+    bi-states at its two ends. Each direction multiplies all its input rows
+    by ``Wx`` once before its recurrence, whose steps then compute only the
+    sequences still running (see ``Packing``); backward forms the gradients
+    of ``Wx``, ``Wh``, ``b`` and the input with one product each after its
+    loop.
+    """
 
     def __init__(self, rng: np.random.Generator, d_in: int, d_hidden: int) -> None:
         super().__init__()
@@ -196,48 +200,103 @@ class BiLSTM(Layer):
         self._adopt("fwd", self.fwd)
         self._adopt("bwd", self.bwd)
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
-        yf, cf = self.fwd.forward(x)
-        yb_rev, cb = self.bwd.forward(x[:, ::-1])
-        y = np.concatenate([yf, yb_rev[:, ::-1]], axis=2)
-        return y, (cf, cb)
-
-    def backward(self, dy: np.ndarray, cache: tuple) -> np.ndarray:
-        cf, cb = cache
-        H = self.d_hidden
-        dxf = self.fwd.backward(dy[:, :, :H], cf)
-        dxb = self.bwd.backward(dy[:, ::-1, H:], cb)
-        return dxf + dxb[:, ::-1]
-
-    def forward_ragged(self, x: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, tuple]:
+    def forward(self, x: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, tuple]:
         """Ends of K ragged sequences; sequence k is ``x[offsets[k]:offsets[k + 1]]``.
 
-        One unpadded ``forward`` batch per distinct length, so each sequence
-        gets the outputs it would get alone. Returns ((K, 2, 2H) ends, cache),
-        with ``ends[k, 0]`` at sequence k's first position and ``ends[k, 1]``
-        at its last."""
-        lengths = np.diff(offsets)
-        ends = np.zeros((len(lengths), 2, 2 * self.d_hidden))
-        groups = []
-        for length in np.unique(lengths):
-            index = np.flatnonzero(lengths == length)
-            pos = offsets[index, None] + np.arange(length)
-            y, cache = self.forward(x[pos])
-            ends[index, 0] = y[:, 0]
-            ends[index, 1] = y[:, -1]
-            groups.append((index, pos, cache))
-        return ends, (len(x), groups)
+        Returns ((K, 2, 2H) ends, cache), with ``ends[k, 0]`` at sequence k's
+        first position and ``ends[k, 1]`` at its last; the first H columns are
+        the forward direction's, the last H the reverse direction's."""
+        H = self.d_hidden
+        packing = pack(offsets)
+        runs = [self._run(self.fwd, x, packing.fwd, packing),
+                self._run(self.bwd, x, packing.rev, packing)]
+        hf, hb = runs[0][3], runs[1][3]
+        K = len(packing.order)
+        ends = np.zeros((K, 2, 2 * H))
+        ends[packing.order, 0, :H] = hf[:K]
+        ends[packing.order, 1, :H] = hf[packing.last]
+        ends[packing.order, 0, H:] = hb[packing.last]
+        ends[packing.order, 1, H:] = hb[:K]
+        return ends, (x, packing, runs)
 
-    def backward_ragged(self, d_ends: np.ndarray, cache: tuple) -> np.ndarray:
-        """Given dL/d(ends) of ``forward_ragged``, return the (S, d_in) dL/dx."""
-        n_rows, groups = cache
-        dx = np.zeros((n_rows, self.fwd.d_in))
-        for index, pos, lstm_cache in groups:
-            dy = np.zeros(pos.shape + (2 * self.d_hidden,))
-            dy[:, 0] = d_ends[index, 0]
-            dy[:, -1] += d_ends[index, 1]  # length 1: the first is the last
-            dx[pos] = self.backward(dy, lstm_cache)
+    @staticmethod
+    def _run(lstm: LSTM, x: np.ndarray, rows: np.ndarray, packing: Packing) -> tuple:
+        """One direction's recurrence over packed rows ``x[rows]``: returns
+        packed (gates, c, tanh(c), h), the g block of ``gates`` holding tanh(g)."""
+        H = lstm.d_hidden
+        gates = x[rows] @ lstm.Wx
+        gates += lstm.b
+        c = np.empty((len(rows), H))
+        hc = np.empty_like(c)
+        h = np.empty_like(c)
+        bounds = packing.starts.tolist()
+        for t, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            a = gates[lo:hi]
+            if t:  # the rows still running are a prefix of the step before
+                prev = slice(bounds[t - 1], bounds[t - 1] + hi - lo)
+                a += h[prev] @ lstm.Wh
+            g = np.tanh(a[:, 2 * H:3 * H])
+            a[...] = sigmoid(a)  # one call for i, f and o
+            a[:, 2 * H:3 * H] = g
+            c[lo:hi] = a[:, :H] * g
+            if t:
+                c[lo:hi] += a[:, H:2 * H] * c[prev]
+            hc[lo:hi] = np.tanh(c[lo:hi])
+            h[lo:hi] = a[:, 3 * H:] * hc[lo:hi]
+        return gates, c, hc, h
+
+    def backward(self, d_ends: np.ndarray, cache: tuple) -> np.ndarray:
+        """Given dL/d(ends) of ``forward``, return the (S, d_in) dL/dx."""
+        x, packing, (run_f, run_b) = cache
+        H = self.d_hidden
+        d = d_ends[packing.order]  # slot order
+        dx = self._back(self.fwd, x, packing.fwd, packing, run_f, d[:, 0, :H], d[:, 1, :H])
+        dx += self._back(self.bwd, x, packing.rev, packing, run_b, d[:, 1, H:], d[:, 0, H:])
         return dx
+
+    @staticmethod
+    def _back(lstm: LSTM, x: np.ndarray, rows: np.ndarray, packing: Packing, run: tuple,
+              d_first: np.ndarray, d_last: np.ndarray) -> np.ndarray:
+        """One direction's backward pass, given dL/dh at each slot's first and
+        last step; returns its dL/dx."""
+        gates, c, hc, h = run
+        H = lstm.d_hidden
+        K = len(packing.order)
+        dh = np.zeros((len(rows), H))  # packed; takes each step's carry too
+        dh[:K] = d_first
+        dh[packing.last] += d_last  # length 1: the first step is the last
+        D = np.zeros((len(x), 4 * H))  # dL/d(preactivation), input row order
+        dc_next = np.zeros((K, H))
+        bounds = packing.starts.tolist()
+        for t in range(len(bounds) - 2, -1, -1):
+            lo, hi = bounds[t], bounds[t + 1]
+            n = hi - lo
+            i, f = gates[lo:hi, :H], gates[lo:hi, H:2 * H]
+            g, o = gates[lo:hi, 2 * H:3 * H], gates[lo:hi, 3 * H:]
+            tc = hc[lo:hi]
+            dc = dc_next[:n] + dh[lo:hi] * o * (1.0 - tc * tc)
+            da = np.empty((n, 4 * H))
+            da[:, :H] = dc * g * i * (1.0 - i)
+            da[:, 2 * H:3 * H] = dc * i * (1.0 - g * g)
+            da[:, 3 * H:] = dh[lo:hi] * tc * o * (1.0 - o)
+            if t:
+                prev = slice(bounds[t - 1], bounds[t - 1] + n)
+                da[:, H:2 * H] = dc * c[prev] * f * (1.0 - f)
+                dh[prev] += da @ lstm.Wh.T
+                dc_next[:n] = dc * f
+            else:
+                da[:, H:2 * H] = 0.0  # the cell state before step 0 is zero
+            D[rows[lo:hi]] = da
+        # each buffer goes as soon as it is spent: this pass sets the memory
+        # peak of a training step
+        del dh, dc_next
+        h_prev = np.zeros((len(x), H))  # each row's h of the step before, input order
+        h_prev[rows[K:]] = h[packing.prev]
+        lstm._grads["Wh"] += h_prev.T @ D
+        del h_prev
+        lstm._grads["Wx"] += x.T @ D
+        lstm._grads["b"] += D.sum(axis=0)
+        return D @ lstm.Wx.T
 
 
 class GCNLayer(Layer):

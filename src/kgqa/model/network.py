@@ -8,8 +8,8 @@ scored independently; one pass only batches the work.
 
   1. GCN layers contextualize the schema-graph node vectors.
   2. Each step is encoded as [source state; signed relation vector;
-     destination state]; the paths run through the bidirectional LSTM's
-     ragged runner (``BiLSTM.forward_ragged``), and a path vector
+     destination state]; all the paths run through the bidirectional LSTM
+     as one packed batch (``BiLSTM.forward``), and a path vector
      concatenates the bi-hidden states at its first and last steps (4H
      dims). The path vectors form one (K, d_path) matrix V.
   3. Per concept pair (i, j): T_ij = MLP([s; c_i; c_j]), with the statement
@@ -249,7 +249,7 @@ class ForwardTrace:
     s: np.ndarray                       # (G, d_s) statement vectors
     rel_emb: np.ndarray
     gcn_caches: list
-    lstm_cache: tuple                   # the path BiLSTM's forward_ragged cache
+    lstm_cache: tuple                   # the path BiLSTM's forward cache
     V: np.ndarray                       # (K, d_path) path vectors
     t_cache: object
     T: np.ndarray                       # (P, d_t)
@@ -330,7 +330,7 @@ class PathAttentionScorer(Layer):
             [h[inst.heads], inst.signs[:, None] * rel_emb[inst.rels], h[inst.tails]],
             axis=1)
         # a path vector joins the bi-states at its first and last steps
-        ends, lstm_cache = self.path_lstm.forward_ragged(x, inst.offsets)
+        ends, lstm_cache = self.path_lstm.forward(x, inst.offsets)
         V = ends.reshape(K, c.d_path)
 
         cand = inst.pair_cand
@@ -406,8 +406,8 @@ class PathAttentionScorer(Layer):
             self._grads["W1"] += trace.T.T @ (d_logits @ V)
 
         inst = trace.inst
-        d_x = self.path_lstm.backward_ragged(dV.reshape(-1, 2, 2 * c.lstm_hidden),
-                                             trace.lstm_cache)
+        d_x = self.path_lstm.backward(dV.reshape(-1, 2, 2 * c.lstm_hidden),
+                                      trace.lstm_cache)
         d_rel = scatter_rows(len(trace.rel_emb), inst.rels,
                              inst.signs[:, None] * d_x[:, d:d + c.kge_dim])
         d_t_in = self.t_mlp.backward(dT, trace.t_cache)

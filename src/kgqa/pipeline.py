@@ -487,6 +487,17 @@ def _example_forward(state: ModelState, example: QAExample,
     return state.forward(example, cands, [instances[(example.id, ci)] for ci in cands])
 
 
+def check_training_labels(train_examples: list[QAExample],
+                          dev_examples: list[QAExample]) -> None:
+    """Refuse a training example without a label, or a dev set with no
+    labelled example to pick an epoch by, before any work is done."""
+    for ex in train_examples:
+        if ex.label is None:
+            raise ValueError(f"{ex.id}: training example lacks a label")
+    if all(ex.label is None for ex in dev_examples):
+        raise ValueError("the dev set (--dev) has no labeled example to pick an epoch by")
+
+
 def train(
     state: ModelState,
     train_examples: list[QAExample],
@@ -496,11 +507,7 @@ def train(
     log: Optional[Callable[[str], None]] = None,
 ) -> TrainResult:
     cfg = state.cfg
-    for ex in train_examples:
-        if ex.label is None:
-            raise ValueError(f"{ex.id}: training example lacks a label")
-    if all(ex.label is None for ex in dev_examples):
-        raise ValueError("the dev set (--dev) has no labeled example to pick an epoch by")
+    check_training_labels(train_examples, dev_examples)
     tensors = state.params()
     opt = Adam(tensors, lr=cfg.lr)
     rng = np.random.default_rng(io_utils.stable_seed("train-shuffle", cfg.seed))

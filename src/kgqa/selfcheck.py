@@ -10,7 +10,8 @@ rule it vectorized; attention against its closed-form degenerate cases; a
 preprocessing cache entry read back against the instance built from the
 schema graph and written to it; the bincount scatter against
 ``np.add.at`` and the packed-key adjacency sort against the four-key
-``np.lexsort`` they replaced. The
+``np.lexsort`` they replaced; the packed BiLSTM runner against the dense
+per-step loop, one batch per sequence length, that it replaced. The
 CLI `selfcheck` subcommand runs them all and reports pass/fail; the test
 suite calls the same functions with the sizes and tolerances pinned in the
 acceptance tests.
@@ -35,7 +36,7 @@ from .kg import KnowledgeGraph, build_graph
 from .kge import (PRUNE_EXEMPT_BELOW, EmbeddingTable, PruneReport,
                   prune_schema_graph)
 from .model.gradcheck import check_gradients
-from .model.layers import scatter_rows
+from .model.layers import LSTM, BiLSTM, scatter_rows, sigmoid
 from .model.network import (Instance, PathAttentionScorer, bce_loss, fallback_rows,
                             instance_from_schema_graph)
 from .paths import PathSteps, SchemaGraph, Step, build_schema_graph, find_paths, path_sort_key
@@ -752,6 +753,129 @@ def scatter_sort_suite(seed: int = 0, n_cases: int = 100) -> CheckResult:
                + f" ({n_cases} scatters, {n_cases} graphs)")
 
 
+# ------------------------------------------------------------ packed LSTM suite
+
+def reference_lstm_forward(lstm: LSTM, x: np.ndarray) -> tuple[np.ndarray, dict]:
+    """The dense per-step loop over a (B, T, d_in) batch of equal-length
+    sequences that ``BiLSTM``'s packed runner replaced: (B, T, H) outputs."""
+    B, T, _ = x.shape
+    H = lstm.d_hidden
+    h = np.zeros((B, H))
+    c = np.zeros((B, H))
+    out = np.zeros((B, T, H))
+    steps = []
+    for t in range(T):
+        a = x[:, t] @ lstm.Wx + h @ lstm.Wh + lstm.b
+        gates = sigmoid(a)  # one call for i, f and o; the g block is unused
+        i, f, o = gates[:, :H], gates[:, H:2 * H], gates[:, 3 * H:]
+        g = np.tanh(a[:, 2 * H:3 * H])
+        c_new = f * c + i * g
+        hc = np.tanh(c_new)
+        steps.append((i, f, g, o, c, hc, h))
+        c = c_new
+        h = o * hc
+        out[:, t] = h
+    return out, {"x": x, "steps": steps}
+
+
+def reference_lstm_backward(lstm: LSTM, dout: np.ndarray, cache: dict) -> np.ndarray:
+    """Backward of ``reference_lstm_forward``: accumulates ``lstm``'s
+    gradients one step at a time and returns dL/dx."""
+    x, steps = cache["x"], cache["steps"]
+    B, T, _ = x.shape
+    H = lstm.d_hidden
+    grads = lstm.grads()
+    dx = np.zeros_like(x)
+    dh_next = np.zeros((B, H))
+    dc_next = np.zeros((B, H))
+    for t in range(T - 1, -1, -1):
+        i, f, g, o, c_prev, hc, h_prev = steps[t]
+        dh = dout[:, t] + dh_next
+        do = dh * hc
+        dc = dc_next + dh * o * (1.0 - hc * hc)
+        di = dc * g
+        df = dc * c_prev
+        dg = dc * i
+        dc_next = dc * f
+        da = np.concatenate(
+            [di * i * (1.0 - i), df * f * (1.0 - f),
+             dg * (1.0 - g * g), do * o * (1.0 - o)], axis=1)
+        grads["Wx"] += x[:, t].T @ da
+        grads["Wh"] += h_prev.T @ da
+        grads["b"] += da.sum(axis=0)
+        dx[:, t] = da @ lstm.Wx.T
+        dh_next = da @ lstm.Wh.T
+    return dx
+
+
+def reference_bilstm(bi: BiLSTM, x: np.ndarray, offsets: np.ndarray,
+                     d_ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``BiLSTM.forward`` and ``backward`` as they ran before packing: one
+    dense batch per distinct sequence length, the reverse direction on the
+    batch flipped in time. Returns (ends, dL/dx) for the upstream
+    ``d_ends`` and accumulates ``bi``'s gradients."""
+    H = bi.d_hidden
+    lengths = np.diff(offsets)
+    ends = np.zeros((len(lengths), 2, 2 * H))
+    dx = np.zeros_like(x)
+    for length in np.unique(lengths):
+        index = np.flatnonzero(lengths == length)
+        pos = offsets[index, None] + np.arange(length)
+        yf, cf = reference_lstm_forward(bi.fwd, x[pos])
+        yb, cb = reference_lstm_forward(bi.bwd, x[pos][:, ::-1])
+        y = np.concatenate([yf, yb[:, ::-1]], axis=2)
+        ends[index, 0] = y[:, 0]
+        ends[index, 1] = y[:, -1]
+        dy = np.zeros_like(y)
+        dy[:, 0] = d_ends[index, 0]
+        dy[:, -1] += d_ends[index, 1]  # length 1: the first is the last
+        dx[pos] = (reference_lstm_backward(bi.fwd, dy[:, :, :H], cf)
+                   + reference_lstm_backward(bi.bwd, dy[:, ::-1, H:], cb)[:, ::-1])
+    return ends, dx
+
+
+def packed_lstm_suite(seed: int = 0, n_cases: int = 40,
+                      tol: float = 1e-12) -> CheckResult:
+    """``BiLSTM.forward`` and ``backward`` on a packed batch against
+    ``reference_bilstm``: the ends, dL/dx and every parameter gradient within
+    ``tol``. Batches hold 0 to 9 sequences of 1 to 6 steps in random order;
+    every fourth holds equal lengths and every fourth lone steps, and the
+    first is empty."""
+    rng = np.random.default_rng(stable_seed("packed-lstm", seed))
+    worst, worst_name = 0.0, ""
+    for ci in range(n_cases):
+        k = 0 if ci == 0 else int(rng.integers(1, 10))
+        if ci % 4 == 1:
+            lengths = np.full(k, int(rng.integers(1, 7)))
+        elif ci % 4 == 2:
+            lengths = np.ones(k, dtype=np.int64)
+        else:
+            lengths = rng.integers(1, 7, size=k)
+        offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+        d_in, H = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+        bi = BiLSTM(rng, d_in, H)
+        x = rng.standard_normal((int(offsets[-1]), d_in))
+        d_ends = rng.standard_normal((k, 2, 2 * H))
+        bi.zero_grad()
+        want = reference_bilstm(bi, x, offsets, d_ends)
+        want_grads = {name: g.copy() for name, g in bi.grads().items()}
+        bi.zero_grad()
+        ends, cache = bi.forward(x, offsets)
+        got = (ends, bi.backward(d_ends, cache))
+        pairs = [("ends", got[0], want[0]), ("dx", got[1], want[1])]
+        pairs += [(name, g, want_grads[name]) for name, g in bi.grads().items()]
+        for name, a, b in pairs:
+            err = float(np.max(np.abs(a - b), initial=0.0)) if a.shape == b.shape \
+                else np.inf
+            if err > worst or not np.isfinite(err):
+                worst, worst_name = err, f"{name}, case {ci}"
+    return CheckResult(
+        name="packed-lstm",
+        passed=worst <= tol,
+        detail=f"{n_cases} batches of 0-9 sequences, max |packed - one batch per "
+               f"length| {worst:.3e} ({worst_name}), tolerance {tol:g}")
+
+
 # ------------------------------------------------------------ entry point
 
 def run_selfcheck(seed: int = 0, quick: bool = False) -> SelfcheckReport:
@@ -770,4 +894,5 @@ def run_selfcheck(seed: int = 0, quick: bool = False) -> SelfcheckReport:
     report.checks.append(pruning_suite(seed, n_graphs=sizes["inst"] + 15))
     report.checks.append(cache_round_trip_suite(seed, n_instances=sizes["inst"]))
     report.checks.append(scatter_sort_suite(seed, n_cases=sizes["oracle"]))
+    report.checks.append(packed_lstm_suite(seed, n_cases=2 * sizes["inst"]))
     return report

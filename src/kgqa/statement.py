@@ -3,7 +3,7 @@
 The toy encoder embeds the token sequence "question [sep] answer" and runs a
 bidirectional LSTM; the statement vector concatenates the forward direction's
 final hidden state with the backward direction's final hidden state, giving
-d_s = 2 * hidden. Every statement vector comes from ``forward``, one ragged
+d_s = 2 * hidden. Every statement vector comes from ``forward``, one packed
 BiLSTM run over a question's candidates. Feature mode looks vectors up from a
 file keyed by (example id, candidate index), for any external encoder.
 """
@@ -54,12 +54,12 @@ class ToyStatementEncoder(Layer):
         return np.asarray([self.vocab.get(t, unk) for t in toks], dtype=np.int64)
 
     def forward(self, seqs: list[np.ndarray]) -> tuple[np.ndarray, tuple]:
-        """Statement vectors (G, d_s) of G token-id sequences, in one ragged
-        BiLSTM run (``BiLSTM.forward_ragged``)."""
+        """Statement vectors (G, d_s) of G token-id sequences, in one packed
+        BiLSTM run (``BiLSTM.forward``)."""
         H = self.d_hidden
         ids = np.concatenate(seqs)
         offsets = np.cumsum([0] + [len(s) for s in seqs])
-        ends, lstm_cache = self.lstm.forward_ragged(self.emb[ids], offsets)
+        ends, lstm_cache = self.lstm.forward(self.emb[ids], offsets)
         s = np.concatenate([ends[:, 1, :H], ends[:, 0, H:]], axis=1)
         return s, (ids, lstm_cache)
 
@@ -69,7 +69,7 @@ class ToyStatementEncoder(Layer):
         d_ends = np.zeros((len(ds), 2, 2 * H))
         d_ends[:, 1, :H] = ds[:, :H]
         d_ends[:, 0, H:] = ds[:, H:]
-        np.add.at(self._grads["emb"], ids, self.lstm.backward_ragged(d_ends, lstm_cache))
+        np.add.at(self._grads["emb"], ids, self.lstm.backward(d_ends, lstm_cache))
 
     def save_extra_meta(self) -> dict:
         """The vocabulary; the widths are the run config's enc_embed/enc_hidden."""

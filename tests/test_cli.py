@@ -22,7 +22,7 @@ from kgqa import io_utils
 from kgqa.cli import build_parser, main
 from kgqa.config import RunConfig, resolve_config
 from kgqa.data import save_dataset
-from kgqa.ground import default_stopwords_path, tokenize
+from kgqa.ground import default_stopwords_path
 from kgqa.kg import default_merge_map_path
 from kgqa.kge import EmbeddingTable
 from kgqa.model.layers import BiLSTM
@@ -397,19 +397,39 @@ def test_train_saves_no_model_with_a_non_finite_weight(run, cli_world, tmp_path,
     assert not (out / "model.bin").exists()
 
 
-def test_train_refuses_a_dev_set_without_labels(run, cli_world, tmp_path, capsys):
-    dev, out = tmp_path / "dev.jsonl", tmp_path / "model"
-    save_dataset(dev, [replace(ex, label=None) for ex in cli_world.world.dev])
+def refused_train_run(run, cli_world, tmp_path, capsys, train_rows, dev_rows):
+    """``kgqa train --cache`` on the given rows; asserts it grounded nothing,
+    cached nothing and made no --out directory, and returns the error."""
+    train, dev = tmp_path / "train.jsonl", tmp_path / "dev.jsonl"
+    out, cache = tmp_path / "model", tmp_path / "cache"
+    save_dataset(train, train_rows)
+    save_dataset(dev, dev_rows)
     code = main(["train", "--kg", str(run.kg), "--kge", str(run.kge),
-                 "--dataset", str(cli_world.train_jsonl), "--dev", str(dev),
+                 "--dataset", str(train), "--dev", str(dev), "--cache", str(cache),
                  "--config", str(cli_world.config), "--out", str(out)])
     assert code == 1
     captured = capsys.readouterr()
     assert "epoch" not in captured.out
+    assert not out.exists()
+    assert not cache.exists() or not any(cache.rglob("*.bin"))
     err = json.loads(captured.err)["error"]
     assert err["type"] == "ValueError"
-    assert err["message"].startswith("the dev set (--dev) has no labeled example")
-    assert not (out / "model.bin").exists()
+    return err["message"]
+
+
+def test_train_refuses_a_dev_set_without_labels(run, cli_world, tmp_path, capsys):
+    message = refused_train_run(run, cli_world, tmp_path, capsys, cli_world.world.train,
+                                [replace(ex, label=None) for ex in cli_world.world.dev])
+    assert message.startswith("the dev set (--dev) has no labeled example")
+
+
+def test_train_refuses_an_unlabelled_training_example_before_grounding(
+        run, cli_world, tmp_path, capsys):
+    rows = list(cli_world.world.train)
+    rows[3] = replace(rows[3], label=None)
+    message = refused_train_run(run, cli_world, tmp_path, capsys, rows,
+                                cli_world.world.dev)
+    assert message == f"{rows[3].id}: training example lacks a label"
 
 
 def test_train_kge_names_a_bad_word_vector_row(run, cli_world, tmp_path, capsys):
@@ -680,26 +700,21 @@ def test_encode_of_an_empty_dataset_names_the_output(run, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_encode_runs_the_bilstm_once_per_token_length_per_question(
-        run, cli_world, tmp_path, monkeypatch):
+def test_encode_runs_the_bilstm_once_per_question(run, cli_world, tmp_path, monkeypatch):
     examples = cli_world.world.train + cli_world.world.dev
     both = tmp_path / "train-dev.jsonl"
     save_dataset(both, examples)
-    lengths = [{len(tokenize(ex.question)) + 1 + len(tokenize(c)) for c in ex.candidates}
-               for ex in examples]
-    want = sum(map(len, lengths))
-    assert want < sum(len(ex.candidates) for ex in examples)
-    assert want == 20
+    assert len(examples) == 20
     calls = []
     real = BiLSTM.forward
 
-    def counting(self, x):
-        calls.append(x.shape)
-        return real(self, x)
+    def counting(self, x, offsets):
+        calls.append(len(offsets) - 1)
+        return real(self, x, offsets)
 
     monkeypatch.setattr(BiLSTM, "forward", counting)
     assert main(encode_args(run, both, tmp_path / "features.bin")) == 0
-    assert len(calls) == want
+    assert calls == [len(ex.candidates) for ex in examples]
 
 
 def reads_and_hashes(monkeypatch):

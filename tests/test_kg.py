@@ -263,6 +263,26 @@ def test_adjacency_bytes_unchanged_on_the_toy_world():
     assert got == want
 
 
+def test_a_snapshot_with_a_repeated_row_and_a_self_loop_loads_the_stable_order(tmp_path):
+    # equal sort keys are equal entries, so an unstable sort gives the arrays
+    # of the stable one
+    triples = np.array([(2, 1, 0), (1, 0, 1), (0, 1, 2), (2, 1, 0), (1, 0, 1),
+                        (0, 0, 2), (2, 1, 0)], dtype=np.uint32)
+    build_graph(["a", "b", "c"], ["r", "s"], triples, np.ones(7)).save(tmp_path / "kg.bin")
+    kg = KnowledgeGraph.load(tmp_path / "kg.bin")
+    src = np.concatenate([triples[:, 0], triples[:, 2]]).astype(np.int64)
+    nbr = np.concatenate([triples[:, 2], triples[:, 0]])
+    rel = np.concatenate([triples[:, 1], triples[:, 1]])
+    rev = np.repeat(np.array([0, 1], np.uint8), len(triples))
+    order = np.argsort(((src * 3 + nbr) * 2 + rel) * 2 + rev, kind="stable")
+    for name, want in (("_adj_nbr", nbr[order]), ("_adj_rel", rel[order]),
+                       ("_adj_rev", rev[order])):
+        got = getattr(kg, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    assert kg._adj_ptr.tolist() == [0, 5, 9, 14]
+    assert kg.neighbors(1) == [(1, 0, False), (1, 0, False), (1, 0, True), (1, 0, True)]
+
+
 def test_scatter_and_sort_oracle_catches_a_wrong_adjacency_order(monkeypatch):
     def by_source_only(concepts, relations, triples, weights):
         kg = build_graph(concepts, relations, triples, weights)

@@ -5,11 +5,14 @@ import pytest
 import scipy.special
 
 from kgqa import selfcheck
+from kgqa.model import layers
 from kgqa.model.gradcheck import check_gradients
-from kgqa.model.layers import (LSTM, BiLSTM, GCNLayer, Linear, MLP, glorot,
+from kgqa.model.layers import (BiLSTM, GCNLayer, Linear, MLP, glorot,
                                normalized_adjacency, scatter_rows, sigmoid,
                                softmax, softmax_backward)
-from kgqa.selfcheck import scatter_sort_suite
+from kgqa.selfcheck import packed_lstm_suite, scatter_sort_suite
+
+from conftest import mutant
 
 
 def test_sigmoid_matches_scipy_and_is_stable():
@@ -128,77 +131,8 @@ def reference_lstm(params, x):
     return np.stack(ys, axis=1)
 
 
-def test_lstm_forward_matches_reference():
-    rng = np.random.default_rng(5)
-    lstm = LSTM(rng, d_in=3, d_hidden=4)
-    x = rng.standard_normal((2, 6, 3))
-    y, _ = lstm.forward(x)
-    want = reference_lstm((lstm.Wx, lstm.Wh, lstm.b), x)
-    assert np.allclose(y, want, atol=1e-12)
-
-
-def test_lstm_zero_weights_zero_output():
-    rng = np.random.default_rng(6)
-    lstm = LSTM(rng, d_in=3, d_hidden=4)
-    for p in lstm.params().values():
-        p[:] = 0
-    y, _ = lstm.forward(np.ones((1, 5, 3)))
-    assert np.allclose(y, 0.0)
-
-
-def test_lstm_gradients():
-    rng = np.random.default_rng(7)
-    lstm = LSTM(rng, d_in=3, d_hidden=4)
-    x = rng.standard_normal((2, 5, 3))
-    proj = rng.standard_normal((2, 5, 4))
-
-    def loss_fn():
-        y, _ = lstm.forward(x)
-        return float((y * proj).sum())
-
-    lstm.zero_grad()
-    y, cache = lstm.forward(x)
-    dx = lstm.backward(proj, cache)
-    analytic = {name: g.copy() for name, g in lstm.grads().items()}
-    errs = check_gradients(loss_fn, lstm.params(), analytic)
-    assert max(errs.values()) < 1e-5
-    eps = 1e-6
-    for idx in [(0, 0, 0), (1, 4, 2), (0, 2, 1)]:
-        xp, xm = x.copy(), x.copy()
-        xp[idx] += eps
-        xm[idx] -= eps
-        f = (reference_lstm((lstm.Wx, lstm.Wh, lstm.b), xp) * proj).sum()
-        g = (reference_lstm((lstm.Wx, lstm.Wh, lstm.b), xm) * proj).sum()
-        assert dx[idx] == pytest.approx((f - g) / (2 * eps), abs=1e-6)
-
-
-def test_bilstm_halves_are_directional():
-    rng = np.random.default_rng(8)
-    bi = BiLSTM(rng, d_in=3, d_hidden=4)
-    x = rng.standard_normal((1, 5, 3))
-    y, _ = bi.forward(x)
-    fwd = reference_lstm((bi.fwd.Wx, bi.fwd.Wh, bi.fwd.b), x)
-    bwd = reference_lstm((bi.bwd.Wx, bi.bwd.Wh, bi.bwd.b), x[:, ::-1])[:, ::-1]
-    assert np.allclose(y[..., :4], fwd, atol=1e-12)
-    assert np.allclose(y[..., 4:], bwd, atol=1e-12)
-
-
-def test_bilstm_gradients():
-    rng = np.random.default_rng(9)
-    bi = BiLSTM(rng, d_in=2, d_hidden=3)
-    x = rng.standard_normal((2, 4, 2))
-    proj = rng.standard_normal((2, 4, 6))
-
-    def loss_fn():
-        y, _ = bi.forward(x)
-        return float((y * proj).sum())
-
-    bi.zero_grad()
-    y, cache = bi.forward(x)
-    bi.backward(proj, cache)
-    analytic = {name: g.copy() for name, g in bi.grads().items()}
-    errs = check_gradients(loss_fn, bi.params(), analytic)
-    assert max(errs.values()) < 1e-5
+def params_of(lstm):
+    return lstm.Wx, lstm.Wh, lstm.b
 
 
 RAGGED_LENGTHS = [[], [1], [3, 1, 5, 1, 2, 4, 3], [2, 2, 2], [5, 4, 3, 2, 1]]
@@ -209,26 +143,123 @@ def ragged_rows(rng, lengths, d_in):
     return rng.standard_normal((int(offsets[-1]), d_in)), offsets
 
 
+def test_lstm_forward_matches_reference():
+    # each sequence's forward half at its last step, and reverse half at its
+    # first, are the final states of the reference loop over it and over it
+    # reversed
+    rng = np.random.default_rng(5)
+    bi = BiLSTM(rng, d_in=3, d_hidden=4)
+    x, offsets = ragged_rows(rng, [6, 2, 6, 1], 3)
+    ends, _ = bi.forward(x, offsets)
+    for k, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
+        fwd = reference_lstm(params_of(bi.fwd), x[None, lo:hi])[0]
+        bwd = reference_lstm(params_of(bi.bwd), x[None, lo:hi][:, ::-1])[0]
+        assert np.max(np.abs(ends[k, 1, :4] - fwd[-1])) <= 1e-12
+        assert np.max(np.abs(ends[k, 0, 4:] - bwd[-1])) <= 1e-12
+
+
+def test_lstm_zero_weights_zero_output():
+    rng = np.random.default_rng(6)
+    bi = BiLSTM(rng, d_in=3, d_hidden=4)
+    for p in bi.params().values():
+        p[:] = 0
+    ends, _ = bi.forward(np.ones((8, 3)), np.array([0, 5, 8]))
+    assert np.allclose(ends, 0.0)
+
+
+def test_lstm_gradients():
+    # a batch of equal lengths: every step runs every sequence
+    rng = np.random.default_rng(7)
+    bi = BiLSTM(rng, d_in=3, d_hidden=4)
+    x, offsets = ragged_rows(rng, [5, 5], 3)
+    proj = rng.standard_normal((2, 2, 8))
+
+    def loss_fn():
+        return float((bi.forward(x, offsets)[0] * proj).sum())
+
+    bi.zero_grad()
+    _, cache = bi.forward(x, offsets)
+    dx = bi.backward(proj, cache)
+    analytic = {name: g.copy() for name, g in bi.grads().items()}
+    errs = check_gradients(loss_fn, bi.params(), analytic)
+    assert max(errs.values()) < 1e-5
+    eps = 1e-6
+
+    def reference_loss(x):
+        total = 0.0
+        for k, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
+            fwd = reference_lstm(params_of(bi.fwd), x[None, lo:hi])[0]
+            bwd = reference_lstm(params_of(bi.bwd), x[None, lo:hi][:, ::-1])[0][::-1]
+            y = np.concatenate([fwd, bwd], axis=1)
+            total += (y[0] * proj[k, 0]).sum() + (y[-1] * proj[k, 1]).sum()
+        return total
+
+    for idx in [(0, 0), (9, 2), (2, 1)]:
+        xp, xm = x.copy(), x.copy()
+        xp[idx] += eps
+        xm[idx] -= eps
+        num = (reference_loss(xp) - reference_loss(xm)) / (2 * eps)
+        assert dx[idx] == pytest.approx(num, abs=1e-6)
+
+
+def test_bilstm_halves_are_directional():
+    rng = np.random.default_rng(8)
+    bi = BiLSTM(rng, d_in=3, d_hidden=4)
+    x = rng.standard_normal((5, 3))
+    ends, _ = bi.forward(x, np.array([0, 5]))
+    fwd = reference_lstm(params_of(bi.fwd), x[None])[0]
+    bwd = reference_lstm(params_of(bi.bwd), x[None, ::-1])[0, ::-1]
+    assert np.allclose(ends[0, :, :4], fwd[[0, -1]], atol=1e-12)
+    assert np.allclose(ends[0, :, 4:], bwd[[0, -1]], atol=1e-12)
+
+
+def test_bilstm_gradients():
+    rng = np.random.default_rng(9)
+    bi = BiLSTM(rng, d_in=2, d_hidden=3)
+    x, offsets = ragged_rows(rng, [4, 1, 3, 4], 2)
+    proj = rng.standard_normal((4, 2, 6))
+
+    def loss_fn():
+        return float((bi.forward(x, offsets)[0] * proj).sum())
+
+    bi.zero_grad()
+    _, cache = bi.forward(x, offsets)
+    bi.backward(proj, cache)
+    analytic = {name: g.copy() for name, g in bi.grads().items()}
+    errs = check_gradients(loss_fn, bi.params(), analytic)
+    assert max(errs.values()) < 1e-5
+
+
 @pytest.mark.parametrize("lengths", RAGGED_LENGTHS)
 def test_ragged_ends_equal_lone_runs_one_call_per_length(lengths, monkeypatch):
+    # the packed batch gives each sequence the ends of its run alone and of
+    # one run per distinct length, and steps once per step of its longest
     rng = np.random.default_rng(11)
     bi = BiLSTM(rng, d_in=3, d_hidden=4)
     x, offsets = ragged_rows(rng, lengths, 3)
-    lone = [bi.forward(x[None, lo:hi])[0][0] for lo, hi in zip(offsets, offsets[1:])]
+    lone = [bi.forward(x[lo:hi], np.array([0, hi - lo]))[0][0]
+            for lo, hi in zip(offsets, offsets[1:])]
+    by_length = np.zeros((len(lengths), 2, 8))
+    for length in set(lengths):
+        index = np.flatnonzero(np.array(lengths) == length)
+        pos = offsets[index, None] + np.arange(length)
+        by_length[index] = bi.forward(x[pos].reshape(-1, 3),
+                                      length * np.arange(len(index) + 1))[0]
     calls = []
-    real = BiLSTM.forward
+    real = layers.sigmoid
 
-    def counting(self, x):
-        calls.append(x.shape)
-        return real(self, x)
+    def counting(z):
+        calls.append(len(z))
+        return real(z)
 
-    monkeypatch.setattr(BiLSTM, "forward", counting)
-    ends, _ = bi.forward_ragged(x, offsets)
+    monkeypatch.setattr(layers, "sigmoid", counting)
+    ends, _ = bi.forward(x, offsets)
     assert ends.shape == (len(lengths), 2, 8)
-    assert len(calls) == len(set(lengths))
+    assert len(calls) == 2 * max(lengths, default=0)  # one per step and direction
+    assert sum(calls) == 2 * sum(lengths)  # each step computes only its running rows
     for k, y in enumerate(lone):
-        assert np.max(np.abs(ends[k, 0] - y[0])) <= 1e-12
-        assert np.max(np.abs(ends[k, 1] - y[-1])) <= 1e-12
+        assert np.max(np.abs(ends[k] - y)) <= 1e-12
+    assert np.max(np.abs(ends - by_length), initial=0.0) <= 1e-12
 
 
 @pytest.mark.parametrize("lengths", RAGGED_LENGTHS)
@@ -239,17 +270,38 @@ def test_ragged_backward_matches_finite_differences(lengths):
     proj = rng.standard_normal((len(lengths), 2, 6))
 
     def loss_fn():
-        ends, _ = bi.forward_ragged(x, offsets)
+        ends, _ = bi.forward(x, offsets)
         return float((ends * proj).sum())
 
     bi.zero_grad()
-    _, cache = bi.forward_ragged(x, offsets)
-    dx = bi.backward_ragged(proj, cache)
+    _, cache = bi.forward(x, offsets)
+    dx = bi.backward(proj, cache)
     assert dx.shape == x.shape
     tensors = {**bi.params(), "x": x}
     analytic = {**{name: g.copy() for name, g in bi.grads().items()}, "x": dx}
     errs = check_gradients(loss_fn, tensors, analytic)
     assert max(errs.values()) < 1e-5
+
+
+def test_a_sequence_without_steps_is_refused():
+    bi = BiLSTM(np.random.default_rng(0), d_in=2, d_hidden=3)
+    with pytest.raises(ValueError, match="at least one step"):
+        bi.forward(np.zeros((2, 2)), np.array([0, 2, 2]))
+
+
+def whole_batch_reversed():
+    """``layers.pack`` with the reverse direction reading the whole batch
+    reversed, not each sequence: sequence k then reads another's rows."""
+    return mutant(layers.pack, "rev=offsets[seq + 1] - 1 - step",
+                  "rev=offsets[-1] - 1 - offsets[seq] - step")
+
+
+def test_packed_lstm_oracle_passes_and_catches_a_whole_batch_reversal(monkeypatch):
+    assert packed_lstm_suite(n_cases=20).passed  # the --quick size
+    monkeypatch.setattr(layers, "pack", whole_batch_reversed())
+    result = packed_lstm_suite(n_cases=20)
+    assert result.name == "packed-lstm"
+    assert not result.passed, result.detail
 
 
 def test_normalized_adjacency_rows():

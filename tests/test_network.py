@@ -444,7 +444,7 @@ def test_backward_input_grads_equal_the_add_at_scatter(config, monkeypatch):
             return seen[key]
         monkeypatch.setattr(layer, method, wrapped)
 
-    spy(net.path_lstm, "backward_ragged", "d_x")
+    spy(net.path_lstm, "backward", "d_x")
     spy(net.t_mlp, "backward", "d_t_in")
     got = net.backward(trace, rng.standard_normal(len(parts)))
 

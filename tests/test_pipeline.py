@@ -630,31 +630,29 @@ def test_candidate_score_independent_of_other_candidates(mini):
     assert mixed.raw[0] == pytest.approx(alone.raw[0], abs=1e-12, rel=0)
 
 
-def test_one_bilstm_run_per_length_per_question(mini, monkeypatch):
+def test_one_bilstm_run_per_pass_per_question(mini, monkeypatch):
     # a question's train step and its prediction each run the path BiLSTM
-    # once per distinct path length and the statement BiLSTM once per
-    # distinct token length, over all candidates together
+    # once and the statement BiLSTM once, over all candidates together, as
+    # one packed batch of every path or token sequence
     state = fresh_state(mini, epochs=1)
     ex = mini.world.train[0]
     insts = [mini.train_inst[(ex.id, ci)] for ci in range(len(ex.candidates))]
-    token_lengths = [{len(state.encoder.token_ids(ex.question, c))} for c in ex.candidates]
-    path_lengths = [set(np.diff(inst.offsets).tolist()) for inst in insts]
-    want = len(set().union(*path_lengths)) + len(set().union(*token_lengths))
-    per_candidate = sum(map(len, path_lengths + token_lengths))
-    assert want < per_candidate
+    n_paths = sum(len(inst.owner) for inst in insts)
+    assert len({len(np.diff(inst.offsets)) for inst in insts}) > 1
     calls = []
     real = BiLSTM.forward
 
-    def counting(self, x):
-        calls.append(x.shape)
-        return real(self, x)
+    def counting(self, x, offsets):
+        calls.append(len(offsets) - 1)
+        return real(self, x, offsets)
 
     monkeypatch.setattr(BiLSTM, "forward", counting)
     train(state, [ex], [ex], mini.train_inst, mini.train_inst)
-    assert len(calls) == 2 * want  # the train step, then the dev evaluation
+    # the train step, then the dev evaluation: statements, then paths
+    assert calls == 2 * [len(ex.candidates), n_paths]
     calls.clear()
     predict(state, [ex], mini.train_inst)
-    assert len(calls) == want
+    assert calls == [len(ex.candidates), n_paths]
 
 
 def test_prediction_json_shape(mini):
