@@ -289,16 +289,12 @@ def test_a_sequence_without_steps_is_refused():
         bi.forward(np.zeros((2, 2)), np.array([0, 2, 2]))
 
 
-def whole_batch_reversed():
-    """``layers.pack`` with the reverse direction reading the whole batch
-    reversed, not each sequence: sequence k then reads another's rows."""
-    return mutant(layers.pack, "rev=offsets[seq + 1] - 1 - step",
-                  "rev=offsets[-1] - 1 - offsets[seq] - step")
-
-
 def test_packed_lstm_oracle_passes_and_catches_a_whole_batch_reversal(monkeypatch):
     assert packed_lstm_suite(n_cases=20).passed  # the --quick size
-    monkeypatch.setattr(layers, "pack", whole_batch_reversed())
+    # the reverse direction reads the whole batch reversed, not each
+    # sequence, so sequence k reads another's rows
+    monkeypatch.setattr(layers, "pack", mutant(layers.pack, "rev=offsets[seq + 1] - 1 - step",
+                                               "rev=offsets[-1] - 1 - offsets[seq] - step"))
     result = packed_lstm_suite(n_cases=20)
     assert result.name == "packed-lstm"
     assert not result.passed, result.detail
