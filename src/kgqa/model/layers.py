@@ -25,6 +25,17 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
+def activate_gates(a: np.ndarray, half: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    """In place, ``half * tanh(half * a) + offset`` over ``a``'s columns: with
+    ``half`` 0.5 and ``offset`` 0.5 a column takes ``sigmoid`` bit for bit
+    (halving is exact), with ``half`` 1 and ``offset`` 0 it takes tanh."""
+    a *= half
+    np.tanh(a, out=a)
+    a *= half
+    a += offset
+    return a
+
+
 def softmax(x: np.ndarray) -> np.ndarray:
     """Softmax over the last axis, max-subtracted."""
     z = x - np.max(x, axis=-1, keepdims=True)
@@ -183,13 +194,15 @@ def pack(offsets: np.ndarray) -> Packing:
 class BiLSTM(Layer):
     """Forward and reversed LSTM over a packed batch of ragged sequences.
 
-    ``forward(x, offsets)`` runs sequence k, the rows
-    ``x[offsets[k]:offsets[k + 1]]``, as it would run alone, and returns the
-    bi-states at its two ends. Each direction multiplies all its input rows
-    by ``Wx`` once before its recurrence, whose steps then compute only the
-    sequences still running (see ``Packing``); backward forms the gradients
-    of ``Wx``, ``Wh``, ``b`` and the input with one product each after its
-    loop.
+    ``forward(table, index, offsets)`` runs sequence k, the rows
+    ``table[index[offsets[k]:offsets[k + 1]]]``, as it would run alone, and
+    returns the bi-states at its two ends. A caller passes each distinct
+    input row once in ``table``: each direction multiplies the table rows by
+    ``Wx`` once and gathers those products into its packed rows before its
+    recurrence, whose steps then compute only the sequences still running
+    (see ``Packing``). Backward sums dL/d(preactivation) per table row and
+    forms the gradients of ``Wx``, ``Wh``, ``b`` and the table with one
+    product each after its loop.
     """
 
     def __init__(self, rng: np.random.Generator, d_in: int, d_hidden: int) -> None:
@@ -200,16 +213,20 @@ class BiLSTM(Layer):
         self._adopt("fwd", self.fwd)
         self._adopt("bwd", self.bwd)
 
-    def forward(self, x: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, tuple]:
-        """Ends of K ragged sequences; sequence k is ``x[offsets[k]:offsets[k + 1]]``.
+    def forward(self, table: np.ndarray, index: np.ndarray,
+                offsets: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """Ends of K ragged sequences; sequence k is
+        ``table[index[offsets[k]:offsets[k + 1]]]``.
 
         Returns ((K, 2, 2H) ends, cache), with ``ends[k, 0]`` at sequence k's
         first position and ``ends[k, 1]`` at its last; the first H columns are
         the forward direction's, the last H the reverse direction's."""
         H = self.d_hidden
         packing = pack(offsets)
-        runs = [self._run(self.fwd, x, packing.fwd, packing),
-                self._run(self.bwd, x, packing.rev, packing)]
+        index = np.asarray(index, dtype=np.intp)
+        rows = (index[packing.fwd], index[packing.rev])  # table row of each packed row
+        runs = [self._run(self.fwd, table, rows[0], packing),
+                self._run(self.bwd, table, rows[1], packing)]
         hf, hb = runs[0][3], runs[1][3]
         K = len(packing.order)
         ends = np.zeros((K, 2, 2 * H))
@@ -217,15 +234,18 @@ class BiLSTM(Layer):
         ends[packing.order, 1, :H] = hf[packing.last]
         ends[packing.order, 0, H:] = hb[packing.last]
         ends[packing.order, 1, H:] = hb[:K]
-        return ends, (x, packing, runs)
+        return ends, (table, rows, packing, runs)
 
     @staticmethod
-    def _run(lstm: LSTM, x: np.ndarray, rows: np.ndarray, packing: Packing) -> tuple:
-        """One direction's recurrence over packed rows ``x[rows]``: returns
+    def _run(lstm: LSTM, table: np.ndarray, rows: np.ndarray, packing: Packing) -> tuple:
+        """One direction's recurrence over packed rows ``table[rows]``: returns
         packed (gates, c, tanh(c), h), the g block of ``gates`` holding tanh(g)."""
         H = lstm.d_hidden
-        gates = x[rows] @ lstm.Wx
-        gates += lstm.b
+        gates = (table @ lstm.Wx + lstm.b)[rows]
+        # sigmoid on the i, f and o blocks, tanh on g: one activate_gates call
+        half = np.full(4 * H, 0.5)
+        half[2 * H:3 * H] = 1.0
+        offset = 1.0 - half
         c = np.empty((len(rows), H))
         hc = np.empty_like(c)
         h = np.empty_like(c)
@@ -235,37 +255,35 @@ class BiLSTM(Layer):
             if t:  # the rows still running are a prefix of the step before
                 prev = slice(bounds[t - 1], bounds[t - 1] + hi - lo)
                 a += h[prev] @ lstm.Wh
-            g = np.tanh(a[:, 2 * H:3 * H])
-            a[...] = sigmoid(a)  # one call for i, f and o
-            a[:, 2 * H:3 * H] = g
-            c[lo:hi] = a[:, :H] * g
+            activate_gates(a, half, offset)
+            np.multiply(a[:, :H], a[:, 2 * H:3 * H], out=c[lo:hi])
             if t:
                 c[lo:hi] += a[:, H:2 * H] * c[prev]
-            hc[lo:hi] = np.tanh(c[lo:hi])
-            h[lo:hi] = a[:, 3 * H:] * hc[lo:hi]
+            np.tanh(c[lo:hi], out=hc[lo:hi])
+            np.multiply(a[:, 3 * H:], hc[lo:hi], out=h[lo:hi])
         return gates, c, hc, h
 
     def backward(self, d_ends: np.ndarray, cache: tuple) -> np.ndarray:
-        """Given dL/d(ends) of ``forward``, return the (S, d_in) dL/dx."""
-        x, packing, (run_f, run_b) = cache
+        """Given dL/d(ends) of ``forward``, return the (U, d_in) dL/d(table)."""
+        table, (rows_f, rows_b), packing, (run_f, run_b) = cache
         H = self.d_hidden
         d = d_ends[packing.order]  # slot order
-        dx = self._back(self.fwd, x, packing.fwd, packing, run_f, d[:, 0, :H], d[:, 1, :H])
-        dx += self._back(self.bwd, x, packing.rev, packing, run_b, d[:, 1, H:], d[:, 0, H:])
-        return dx
+        d_table = self._back(self.fwd, table, rows_f, packing, run_f, d[:, 0, :H], d[:, 1, :H])
+        d_table += self._back(self.bwd, table, rows_b, packing, run_b, d[:, 1, H:], d[:, 0, H:])
+        return d_table
 
     @staticmethod
-    def _back(lstm: LSTM, x: np.ndarray, rows: np.ndarray, packing: Packing, run: tuple,
-              d_first: np.ndarray, d_last: np.ndarray) -> np.ndarray:
-        """One direction's backward pass, given dL/dh at each slot's first and
-        last step; returns its dL/dx."""
+    def _back(lstm: LSTM, table: np.ndarray, rows: np.ndarray, packing: Packing,
+              run: tuple, d_first: np.ndarray, d_last: np.ndarray) -> np.ndarray:
+        """One direction's backward pass over packed rows ``table[rows]``, given
+        dL/dh at each slot's first and last step; returns its dL/d(table)."""
         gates, c, hc, h = run
         H = lstm.d_hidden
         K = len(packing.order)
         dh = np.zeros((len(rows), H))  # packed; takes each step's carry too
         dh[:K] = d_first
         dh[packing.last] += d_last  # length 1: the first step is the last
-        D = np.zeros((len(x), 4 * H))  # dL/d(preactivation), input row order
+        D = np.empty((len(rows), 4 * H))  # dL/d(preactivation), packed
         dc_next = np.zeros((K, H))
         bounds = packing.starts.tolist()
         for t in range(len(bounds) - 2, -1, -1):
@@ -275,7 +293,7 @@ class BiLSTM(Layer):
             g, o = gates[lo:hi, 2 * H:3 * H], gates[lo:hi, 3 * H:]
             tc = hc[lo:hi]
             dc = dc_next[:n] + dh[lo:hi] * o * (1.0 - tc * tc)
-            da = np.empty((n, 4 * H))
+            da = D[lo:hi]
             da[:, :H] = dc * g * i * (1.0 - i)
             da[:, 2 * H:3 * H] = dc * i * (1.0 - g * g)
             da[:, 3 * H:] = dh[lo:hi] * tc * o * (1.0 - o)
@@ -286,17 +304,15 @@ class BiLSTM(Layer):
                 dc_next[:n] = dc * f
             else:
                 da[:, H:2 * H] = 0.0  # the cell state before step 0 is zero
-            D[rows[lo:hi]] = da
         # each buffer goes as soon as it is spent: this pass sets the memory
         # peak of a training step
         del dh, dc_next
-        h_prev = np.zeros((len(x), H))  # each row's h of the step before, input order
-        h_prev[rows[K:]] = h[packing.prev]
-        lstm._grads["Wh"] += h_prev.T @ D
-        del h_prev
-        lstm._grads["Wx"] += x.T @ D
+        lstm._grads["Wh"] += h[packing.prev].T @ D[K:]  # step 0 has no h before it
         lstm._grads["b"] += D.sum(axis=0)
-        return D @ lstm.Wx.T
+        D_table = scatter_rows(len(table), rows, D)  # summed per table row
+        del D
+        lstm._grads["Wx"] += table.T @ D_table
+        return D_table @ lstm.Wx.T
 
 
 class GCNLayer(Layer):

@@ -7,9 +7,10 @@ Candidates share no node rows, pairs or paths in the union, so each one is still
 scored independently; one pass only batches the work.
 
   1. GCN layers contextualize the schema-graph node vectors.
-  2. Each step is encoded as [source state; signed relation vector;
-     destination state]; all the paths run through the bidirectional LSTM
-     as one packed batch (``BiLSTM.forward``), and a path vector
+  2. Each distinct step (head, relation, sign, tail) is encoded once as
+     [source state; signed relation vector; destination state]; all the
+     paths run through the bidirectional LSTM as one packed batch over that
+     table of steps (``BiLSTM.forward``), and a path vector
      concatenates the bi-hidden states at its first and last steps (4H
      dims). The path vectors form one (K, d_path) matrix V.
   3. Per concept pair (i, j): T_ij = MLP([s; c_i; c_j]), with the statement
@@ -242,14 +243,18 @@ class ForwardTrace:
     a pair with no paths has a zero row and its fallback row as ``R_hat``.
     In the same way ``beta_hat`` holds the pair attention of candidate g over
     its own pairs in row g, and row g of ``s``, ``g_hat``, ``raw`` and
-    ``score`` is candidate g's.
+    ``score`` is candidate g's. The path BiLSTM's input table holds one row
+    per distinct (head, rel, sign, tail) step of the instance, in ``steps``
+    order, and its gradient comes back in that order.
     """
 
     inst: Instance
     s: np.ndarray                       # (G, d_s) statement vectors
     rel_emb: np.ndarray
     gcn_caches: list
-    lstm_cache: tuple                   # the path BiLSTM's forward cache
+    steps: np.ndarray                   # (U,) first table position of each distinct step
+    lstm_cache: tuple                   # the path BiLSTM's cache: (U, d_step) table,
+                                        # (S,) index into it, packing and gates
     V: np.ndarray                       # (K, d_path) path vectors
     t_cache: object
     T: np.ndarray                       # (P, d_t)
@@ -326,11 +331,14 @@ class PathAttentionScorer(Layer):
             h, cache = layer.forward(h, adj)
             gcn_caches.append(cache)
 
-        x = np.concatenate(
-            [h[inst.heads], inst.signs[:, None] * rel_emb[inst.rels], h[inst.tails]],
-            axis=1)
+        # one LSTM input row per distinct (head, rel, sign, tail) step
+        key = ((inst.heads * len(rel_emb) + inst.rels) * 2 + (inst.signs < 0)) * n + inst.tails
+        _, steps, index = np.unique(key, return_index=True, return_inverse=True)
+        heads, rels, signs, tails = (a[steps] for a in (
+            inst.heads, inst.rels, inst.signs, inst.tails))
+        x = np.concatenate([h[heads], signs[:, None] * rel_emb[rels], h[tails]], axis=1)
         # a path vector joins the bi-states at its first and last steps
-        ends, lstm_cache = self.path_lstm.forward(x, inst.offsets)
+        ends, lstm_cache = self.path_lstm.forward(x, index, inst.offsets)
         V = ends.reshape(K, c.d_path)
 
         cand = inst.pair_cand
@@ -357,7 +365,7 @@ class PathAttentionScorer(Layer):
         raw = raw_col[:, 0]
         score = np.clip(sigmoid(raw), SCORE_EPS, 1.0 - SCORE_EPS)
         return ForwardTrace(
-            inst=inst, s=s, rel_emb=rel_emb, gcn_caches=gcn_caches,
+            inst=inst, s=s, rel_emb=rel_emb, gcn_caches=gcn_caches, steps=steps,
             lstm_cache=lstm_cache, V=V, t_cache=t_cache, T=T, alpha=alpha, R_hat=R_hat,
             beta_hat=beta_hat, g_hat=g_hat, score_cache=score_cache, raw=raw, score=score)
 
@@ -406,14 +414,16 @@ class PathAttentionScorer(Layer):
             self._grads["W1"] += trace.T.T @ (d_logits @ V)
 
         inst = trace.inst
+        heads, rels, signs, tails = (a[trace.steps] for a in (
+            inst.heads, inst.rels, inst.signs, inst.tails))
         d_x = self.path_lstm.backward(dV.reshape(-1, 2, 2 * c.lstm_hidden),
-                                      trace.lstm_cache)
-        d_rel = scatter_rows(len(trace.rel_emb), inst.rels,
-                             inst.signs[:, None] * d_x[:, d:d + c.kge_dim])
+                                      trace.lstm_cache)  # one row per distinct step
+        d_rel = scatter_rows(len(trace.rel_emb), rels,
+                             signs[:, None] * d_x[:, d:d + c.kge_dim])
         d_t_in = self.t_mlp.backward(dT, trace.t_cache)
         np.add.at(ds, inst.pair_cand, d_t_in[:, :self.d_s])
         dh = scatter_rows(
-            inst.n_nodes, np.concatenate([inst.heads, inst.tails, inst.q_rows, inst.a_rows]),
+            inst.n_nodes, np.concatenate([heads, tails, inst.q_rows, inst.a_rows]),
             np.concatenate([d_x[:, :d], d_x[:, d + c.kge_dim:],
                             d_t_in[:, self.d_s:self.d_s + d], d_t_in[:, self.d_s + d:]]))
 

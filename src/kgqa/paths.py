@@ -150,7 +150,8 @@ class SchemaGraph:
         }
 
 
-def _intra_edges(kg: KnowledgeGraph, members: Iterable[int]) -> set[tuple[int, int, int]]:
+def intra_edges(kg: KnowledgeGraph, members: Iterable[int]) -> set[tuple[int, int, int]]:
+    """The direct (head, rel, tail) edges between two distinct ``members``."""
     members = set(members)
     edges = set()
     for c in members:
@@ -167,6 +168,7 @@ def build_schema_graph(
     max_edges: int = 3,
     cap: int = 100,
     found: dict[int, dict[int, tuple[list[PathSteps], bool]]] | None = None,
+    q_edges: set[tuple[int, int, int]] | None = None,
 ) -> SchemaGraph:
     """Ground one QA pair: per-pair path lists plus intra-set direct edges.
 
@@ -176,6 +178,8 @@ def build_schema_graph(
     goals that include this pair's answer concepts, as ``ground_questions``
     shares it between every question of a list; with None, each question
     concept is searched here against this pair's answer concepts.
+    ``q_edges`` is ``intra_edges`` of the question set, which every candidate
+    of a question shares; with None it is listed here.
     """
     cq_set = set(cq.concepts if isinstance(cq, MentionSet) else cq)
     ca_set = set(ca.concepts if isinstance(ca, MentionSet) else ca)
@@ -191,6 +195,8 @@ def build_schema_graph(
             sg.paths[(i, j)], truncated = by_goal[ac]
             if truncated:
                 sg.truncated.add((i, j))
-    sg.edges = sorted(_intra_edges(kg, cq_set) | _intra_edges(kg, ca_set))
+    if q_edges is None:
+        q_edges = intra_edges(kg, cq_set)
+    sg.edges = sorted(q_edges | intra_edges(kg, ca_set))
     sg.rebuild_cover()
     return sg

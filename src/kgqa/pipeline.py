@@ -86,7 +86,8 @@ def ground_questions(
     question concept is searched once, against the answer concepts of every
     question that mentions it; a goal's paths do not depend on the other
     goals of its search, so each grounded pair takes its paths from those
-    searches unchanged, and is then pruned.
+    searches unchanged, and is then pruned. The direct edges inside a
+    question's concept set are listed once for all its candidates.
     """
     if cfg.prune and emb is None:
         raise ValueError("cfg.prune needs an embedding table to score paths")
@@ -94,24 +95,27 @@ def ground_questions(
     questions = [(mentions[ex.question], [mentions[cand] for cand in ex.candidates])
                  for ex in examples]
     goals: dict[int, set[int]] = {}
+    q_edges = []  # per question; unused when no candidate can ground
     for cq, cas in questions:
         answers = set().union(*(ca.concepts for ca in cas)) - cq.concepts
         if answers:
             for qc in cq.concepts:
                 goals.setdefault(qc, set()).update(answers)
+        q_edges.append(paths.intra_edges(kg, cq.concepts) if answers else set())
     found = {qc: paths.find_paths(kg, qc, g, max_edges=cfg.max_edges, cap=cfg.cap)
              for qc, g in goals.items()}
 
-    def ground(cq, ca):
+    def ground(cq, ca, edges):
         try:
             sg = build_schema_graph(kg, cq, ca, max_edges=cfg.max_edges, cap=cfg.cap,
-                                    found=found)
+                                    found=found, q_edges=edges)
         except GroundingError:
             return None, None
         return sg, (prune_schema_graph(sg, emb, threshold=cfg.threshold)
                     if cfg.prune else None)
 
-    return [[ground(cq, ca) for ca in cas] for cq, cas in questions]
+    return [[ground(cq, ca, edges) for ca in cas]
+            for (cq, cas), edges in zip(questions, q_edges)]
 
 
 def preprocess(

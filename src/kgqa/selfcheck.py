@@ -10,8 +10,9 @@ rule it vectorized; attention against its closed-form degenerate cases; a
 preprocessing cache entry read back against the instance built from the
 schema graph and written to it; the bincount scatter against
 ``np.add.at`` and the packed-key adjacency sort against the four-key
-``np.lexsort`` they replaced; the packed BiLSTM runner against the dense
-per-step loop, one batch per sequence length, that it replaced. The
+``np.lexsort`` they replaced; the packed BiLSTM runner, over tables whose
+rows repeat, against the dense per-step loop, one batch per sequence length,
+that it replaced. The
 CLI `selfcheck` subcommand runs them all and reports pass/fail; the test
 suite calls the same functions with the sizes and tolerances pinned in the
 acceptance tests.
@@ -837,10 +838,13 @@ def reference_bilstm(bi: BiLSTM, x: np.ndarray, offsets: np.ndarray,
 def packed_lstm_suite(seed: int = 0, n_cases: int = 40,
                       tol: float = 1e-12) -> CheckResult:
     """``BiLSTM.forward`` and ``backward`` on a packed batch against
-    ``reference_bilstm``: the ends, dL/dx and every parameter gradient within
-    ``tol``. Batches hold 0 to 9 sequences of 1 to 6 steps in random order;
-    every fourth holds equal lengths and every fourth lone steps, and the
-    first is empty."""
+    ``reference_bilstm`` on the rows it reads, ``table[index]``: the ends,
+    dL/d(table) against the reference dL/dx summed per table row, and every
+    parameter gradient within ``tol``. Batches hold 0 to 9 sequences of 1 to
+    6 steps in random order; every fourth holds equal lengths and every
+    fourth lone steps, and the first is empty. Each table holds from one row
+    to two more rows than its batch has steps, so rows repeat and some go
+    unread."""
     rng = np.random.default_rng(stable_seed("packed-lstm", seed))
     worst, worst_name = 0.0, ""
     for ci in range(n_cases):
@@ -854,15 +858,18 @@ def packed_lstm_suite(seed: int = 0, n_cases: int = 40,
         offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
         d_in, H = int(rng.integers(1, 7)), int(rng.integers(1, 6))
         bi = BiLSTM(rng, d_in, H)
-        x = rng.standard_normal((int(offsets[-1]), d_in))
+        n_rows = int(offsets[-1])
+        table = rng.standard_normal((int(rng.integers(1, n_rows + 3)), d_in))
+        index = rng.integers(0, len(table), size=n_rows)
         d_ends = rng.standard_normal((k, 2, 2 * H))
         bi.zero_grad()
-        want = reference_bilstm(bi, x, offsets, d_ends)
+        want_ends, want_dx = reference_bilstm(bi, table[index], offsets, d_ends)
         want_grads = {name: g.copy() for name, g in bi.grads().items()}
         bi.zero_grad()
-        ends, cache = bi.forward(x, offsets)
-        got = (ends, bi.backward(d_ends, cache))
-        pairs = [("ends", got[0], want[0]), ("dx", got[1], want[1])]
+        ends, cache = bi.forward(table, index, offsets)
+        pairs = [("ends", ends, want_ends),
+                 ("d_table", bi.backward(d_ends, cache),
+                  scatter_rows(len(table), index, want_dx))]
         pairs += [(name, g, want_grads[name]) for name, g in bi.grads().items()]
         for name, a, b in pairs:
             err = float(np.max(np.abs(a - b), initial=0.0)) if a.shape == b.shape \
@@ -872,8 +879,9 @@ def packed_lstm_suite(seed: int = 0, n_cases: int = 40,
     return CheckResult(
         name="packed-lstm",
         passed=worst <= tol,
-        detail=f"{n_cases} batches of 0-9 sequences, max |packed - one batch per "
-               f"length| {worst:.3e} ({worst_name}), tolerance {tol:g}")
+        detail=f"{n_cases} batches of 0-9 sequences over tables with repeated and "
+               f"unread rows, max |packed - one batch per length| {worst:.3e} "
+               f"({worst_name}), tolerance {tol:g}")
 
 
 # ------------------------------------------------------------ entry point

@@ -4,7 +4,7 @@ The toy encoder embeds the token sequence "question [sep] answer" and runs a
 bidirectional LSTM; the statement vector concatenates the forward direction's
 final hidden state with the backward direction's final hidden state, giving
 d_s = 2 * hidden. Every statement vector comes from ``forward``, one packed
-BiLSTM run over a question's candidates. Feature mode looks vectors up from a
+BiLSTM run over a question's candidates that embeds each distinct token once. Feature mode looks vectors up from a
 file keyed by (example id, candidate index), for any external encoder.
 """
 
@@ -55,21 +55,22 @@ class ToyStatementEncoder(Layer):
 
     def forward(self, seqs: list[np.ndarray]) -> tuple[np.ndarray, tuple]:
         """Statement vectors (G, d_s) of G token-id sequences, in one packed
-        BiLSTM run (``BiLSTM.forward``)."""
+        BiLSTM run (``BiLSTM.forward``) over the embeddings of their distinct
+        tokens."""
         H = self.d_hidden
-        ids = np.concatenate(seqs)
+        words, index = np.unique(np.concatenate(seqs), return_inverse=True)
         offsets = np.cumsum([0] + [len(s) for s in seqs])
-        ends, lstm_cache = self.lstm.forward(self.emb[ids], offsets)
+        ends, lstm_cache = self.lstm.forward(self.emb[words], index, offsets)
         s = np.concatenate([ends[:, 1, :H], ends[:, 0, H:]], axis=1)
-        return s, (ids, lstm_cache)
+        return s, (words, lstm_cache)
 
     def backward(self, ds: np.ndarray, cache: tuple) -> None:
         H = self.d_hidden
-        ids, lstm_cache = cache
+        words, lstm_cache = cache
         d_ends = np.zeros((len(ds), 2, 2 * H))
         d_ends[:, 1, :H] = ds[:, :H]
         d_ends[:, 0, H:] = ds[:, H:]
-        np.add.at(self._grads["emb"], ids, self.lstm.backward(d_ends, lstm_cache))
+        self._grads["emb"][words] += self.lstm.backward(d_ends, lstm_cache)
 
     def save_extra_meta(self) -> dict:
         """The vocabulary; the widths are the run config's enc_embed/enc_hidden."""

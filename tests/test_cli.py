@@ -708,9 +708,9 @@ def test_encode_runs_the_bilstm_once_per_question(run, cli_world, tmp_path, monk
     calls = []
     real = BiLSTM.forward
 
-    def counting(self, x, offsets):
+    def counting(self, table, index, offsets):
         calls.append(len(offsets) - 1)
-        return real(self, x, offsets)
+        return real(self, table, index, offsets)
 
     monkeypatch.setattr(BiLSTM, "forward", counting)
     assert main(encode_args(run, both, tmp_path / "features.bin")) == 0

@@ -150,6 +150,26 @@ def test_one_search_per_question_concept(worlds, monkeypatch):
     assert len(searched) < n_searches
 
 
+def test_question_edges_are_listed_once_per_question(worlds, monkeypatch):
+    # a question's candidates share the direct edges inside its question set,
+    # so they are listed once per question: 3897 of the seed-0 toy world's
+    # 6203 neighbour lists, where one listing per candidate made 7485 of 9791
+    kg, examples, cfg, emb = worlds["toy"]
+    listed, members = [], []
+    real_neighbors, real_intra = kg_mod.KnowledgeGraph.neighbors, paths.intra_edges
+    monkeypatch.setattr(kg_mod.KnowledgeGraph, "neighbors",
+                        lambda self, c: listed.append(c) or real_neighbors(self, c))
+    monkeypatch.setattr(paths, "intra_edges",
+                        lambda kg, concepts: members.append(len(set(concepts))) or real_intra(
+                            kg, concepts))
+    grounded = pipeline.ground_questions(kg, load_stopwords(None), cfg, examples, emb)
+    n_grounded = sum(sg is not None for question in grounded for sg, _ in question)
+    assert len(listed) == 6203
+    assert sum(members) == 3897
+    # one listing per question with a goal, one per grounded candidate
+    assert n_grounded < len(members) <= n_grounded + len(examples)
+
+
 def test_cold_toy_train_pass_searches_each_question_concept_once(monkeypatch):
     # the seed-1 world's 500 train questions ask 96 distinct question
     # concepts; one search per question made 763 searches

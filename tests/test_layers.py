@@ -150,7 +150,7 @@ def test_lstm_forward_matches_reference():
     rng = np.random.default_rng(5)
     bi = BiLSTM(rng, d_in=3, d_hidden=4)
     x, offsets = ragged_rows(rng, [6, 2, 6, 1], 3)
-    ends, _ = bi.forward(x, offsets)
+    ends, _ = bi.forward(x, np.arange(len(x)), offsets)
     for k, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
         fwd = reference_lstm(params_of(bi.fwd), x[None, lo:hi])[0]
         bwd = reference_lstm(params_of(bi.bwd), x[None, lo:hi][:, ::-1])[0]
@@ -163,7 +163,7 @@ def test_lstm_zero_weights_zero_output():
     bi = BiLSTM(rng, d_in=3, d_hidden=4)
     for p in bi.params().values():
         p[:] = 0
-    ends, _ = bi.forward(np.ones((8, 3)), np.array([0, 5, 8]))
+    ends, _ = bi.forward(np.ones((8, 3)), np.arange(8), np.array([0, 5, 8]))
     assert np.allclose(ends, 0.0)
 
 
@@ -175,10 +175,10 @@ def test_lstm_gradients():
     proj = rng.standard_normal((2, 2, 8))
 
     def loss_fn():
-        return float((bi.forward(x, offsets)[0] * proj).sum())
+        return float((bi.forward(x, np.arange(len(x)), offsets)[0] * proj).sum())
 
     bi.zero_grad()
-    _, cache = bi.forward(x, offsets)
+    _, cache = bi.forward(x, np.arange(len(x)), offsets)
     dx = bi.backward(proj, cache)
     analytic = {name: g.copy() for name, g in bi.grads().items()}
     errs = check_gradients(loss_fn, bi.params(), analytic)
@@ -206,7 +206,7 @@ def test_bilstm_halves_are_directional():
     rng = np.random.default_rng(8)
     bi = BiLSTM(rng, d_in=3, d_hidden=4)
     x = rng.standard_normal((5, 3))
-    ends, _ = bi.forward(x, np.array([0, 5]))
+    ends, _ = bi.forward(x, np.arange(5), np.array([0, 5]))
     fwd = reference_lstm(params_of(bi.fwd), x[None])[0]
     bwd = reference_lstm(params_of(bi.bwd), x[None, ::-1])[0, ::-1]
     assert np.allclose(ends[0, :, :4], fwd[[0, -1]], atol=1e-12)
@@ -220,10 +220,10 @@ def test_bilstm_gradients():
     proj = rng.standard_normal((4, 2, 6))
 
     def loss_fn():
-        return float((bi.forward(x, offsets)[0] * proj).sum())
+        return float((bi.forward(x, np.arange(len(x)), offsets)[0] * proj).sum())
 
     bi.zero_grad()
-    _, cache = bi.forward(x, offsets)
+    _, cache = bi.forward(x, np.arange(len(x)), offsets)
     bi.backward(proj, cache)
     analytic = {name: g.copy() for name, g in bi.grads().items()}
     errs = check_gradients(loss_fn, bi.params(), analytic)
@@ -237,23 +237,22 @@ def test_ragged_ends_equal_lone_runs_one_call_per_length(lengths, monkeypatch):
     rng = np.random.default_rng(11)
     bi = BiLSTM(rng, d_in=3, d_hidden=4)
     x, offsets = ragged_rows(rng, lengths, 3)
-    lone = [bi.forward(x[lo:hi], np.array([0, hi - lo]))[0][0]
+    lone = [bi.forward(x[lo:hi], np.arange(hi - lo), np.array([0, hi - lo]))[0][0]
             for lo, hi in zip(offsets, offsets[1:])]
     by_length = np.zeros((len(lengths), 2, 8))
     for length in set(lengths):
         index = np.flatnonzero(np.array(lengths) == length)
         pos = offsets[index, None] + np.arange(length)
-        by_length[index] = bi.forward(x[pos].reshape(-1, 3),
-                                      length * np.arange(len(index) + 1))[0]
+        by_length[index] = bi.forward(x, pos.ravel(), length * np.arange(len(index) + 1))[0]
     calls = []
-    real = layers.sigmoid
+    real = layers.activate_gates
 
-    def counting(z):
+    def counting(z, *args):
         calls.append(len(z))
-        return real(z)
+        return real(z, *args)
 
-    monkeypatch.setattr(layers, "sigmoid", counting)
-    ends, _ = bi.forward(x, offsets)
+    monkeypatch.setattr(layers, "activate_gates", counting)
+    ends, _ = bi.forward(x, np.arange(len(x)), offsets)
     assert ends.shape == (len(lengths), 2, 8)
     assert len(calls) == 2 * max(lengths, default=0)  # one per step and direction
     assert sum(calls) == 2 * sum(lengths)  # each step computes only its running rows
@@ -270,11 +269,11 @@ def test_ragged_backward_matches_finite_differences(lengths):
     proj = rng.standard_normal((len(lengths), 2, 6))
 
     def loss_fn():
-        ends, _ = bi.forward(x, offsets)
+        ends, _ = bi.forward(x, np.arange(len(x)), offsets)
         return float((ends * proj).sum())
 
     bi.zero_grad()
-    _, cache = bi.forward(x, offsets)
+    _, cache = bi.forward(x, np.arange(len(x)), offsets)
     dx = bi.backward(proj, cache)
     assert dx.shape == x.shape
     tensors = {**bi.params(), "x": x}
@@ -286,7 +285,7 @@ def test_ragged_backward_matches_finite_differences(lengths):
 def test_a_sequence_without_steps_is_refused():
     bi = BiLSTM(np.random.default_rng(0), d_in=2, d_hidden=3)
     with pytest.raises(ValueError, match="at least one step"):
-        bi.forward(np.zeros((2, 2)), np.array([0, 2, 2]))
+        bi.forward(np.zeros((2, 2)), np.arange(2), np.array([0, 2, 2]))
 
 
 def test_packed_lstm_oracle_passes_and_catches_a_whole_batch_reversal(monkeypatch):
@@ -298,6 +297,18 @@ def test_packed_lstm_oracle_passes_and_catches_a_whole_batch_reversal(monkeypatc
     result = packed_lstm_suite(n_cases=20)
     assert result.name == "packed-lstm"
     assert not result.passed, result.detail
+
+
+def test_packed_lstm_oracle_catches_a_table_gradient_that_keeps_one_repeat(monkeypatch):
+    # dL/d(table) assigned per table row instead of summed: a row read by
+    # several steps keeps only one step's gradient
+    monkeypatch.setattr(BiLSTM, "_back", mutant(
+        BiLSTM._back, "D_table = scatter_rows(len(table), rows, D)",
+        "D_table = np.zeros((len(table), 4 * H)); D_table[rows] = D"))
+    result = packed_lstm_suite(n_cases=20)
+    assert result.name == "packed-lstm"
+    assert not result.passed, result.detail
+    assert "d_table" in result.detail or "Wx" in result.detail
 
 
 def test_normalized_adjacency_rows():

@@ -277,7 +277,7 @@ UNMASKED = ("inst.owner == np.arange(P)[:, None]", "True")
     ("attention-normalization", *UNMASKED),
     ("batch-equivalence", *UNMASKED),
     ("attention-degeneracy", "R_hat[~with_paths] = fallback", "R_hat[~with_paths] = 0.0"),
-    ("gradient-oracle", "inst.signs[:, None] * rel_emb[inst.rels]", "rel_emb[inst.rels]"),
+    ("gradient-oracle", "signs[:, None] * rel_emb[rels]", "rel_emb[rels]"),
 ], ids=["unmasked-degeneracy", "unmasked-normalization", "unmasked-batch",
         "zero-fallback-degeneracy", "unsigned-gradient"])
 def test_selfcheck_suite_fails_on_a_broken_forward(monkeypatch, suite, old, new):
@@ -423,8 +423,9 @@ def test_check_config_gradients_full_tolerance():
 @pytest.mark.parametrize("config", [CFG, replace(CFG, gcn_dims="")])
 def test_backward_input_grads_equal_the_add_at_scatter(config, monkeypatch):
     """``d_node_init`` and ``d_rel_emb`` equal, byte for byte, the ``np.add.at``
-    sums they replaced, recomputed from the same trace: step heads, relations
-    and tails, then question and answer rows, each in table order."""
+    sums they replaced, recomputed from the same trace: the heads, relations
+    and tails of its distinct steps, then question and answer rows, each in
+    table order."""
     rng = np.random.default_rng(21)
     parts = [random_instance(rng, config, D_S, n_relations=2)[0] for _ in range(4)]
     parts.append(instance_from_schema_graph(None, "x", 4))
@@ -450,15 +451,18 @@ def test_backward_input_grads_equal_the_add_at_scatter(config, monkeypatch):
 
     d, e, d_s = config.d_gcn_out, config.kge_dim, D_S
     d_x, d_t_in = seen["d_x"], seen["d_t_in"]
+    heads, rels, signs, tails = (a[trace.steps] for a in (
+        inst.heads, inst.rels, inst.signs, inst.tails))
+    assert len(d_x) == len(trace.steps) < len(inst.heads)  # steps repeat
     d_node = np.zeros((inst.n_nodes, d))
     d_rel = np.zeros_like(rel_emb)
-    np.add.at(d_node, inst.heads, d_x[:, :d])
-    np.add.at(d_rel, inst.rels, inst.signs[:, None] * d_x[:, d:d + e])
-    np.add.at(d_node, inst.tails, d_x[:, d + e:])
+    np.add.at(d_node, heads, d_x[:, :d])
+    np.add.at(d_rel, rels, signs[:, None] * d_x[:, d:d + e])
+    np.add.at(d_node, tails, d_x[:, d + e:])
     np.add.at(d_node, inst.q_rows, d_t_in[:, d_s:d_s + d])
     np.add.at(d_node, inst.a_rows, d_t_in[:, d_s + d:])
     for layer, cache in zip(reversed(net.gcn), reversed(trace.gcn_caches)):
         d_node = layer.backward(d_node, cache)
     assert got.d_rel_emb.tobytes() == d_rel.tobytes()
     assert got.d_node_init.tobytes() == d_node.tobytes()
-    assert len(np.unique(inst.heads)) < len(inst.heads)  # rows repeat
+    assert len(np.unique(heads)) < len(heads)  # rows repeat

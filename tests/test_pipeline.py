@@ -16,7 +16,7 @@ from kgqa.ground import load_stopwords
 from kgqa.kg import build_graph
 from kgqa.kge import EmbeddingTable, train_transe
 from kgqa.model.layers import BiLSTM
-from kgqa.model.network import fallback_rows, fallback_vector
+from kgqa.model.network import Instance, fallback_rows, fallback_vector
 from kgqa.paths import SchemaGraph
 from kgqa.pipeline import (ModelState, build_model_state, explain, ground_questions,
                            load_model_state, predict, preprocess, train)
@@ -642,9 +642,9 @@ def test_one_bilstm_run_per_pass_per_question(mini, monkeypatch):
     calls = []
     real = BiLSTM.forward
 
-    def counting(self, x, offsets):
+    def counting(self, table, index, offsets):
         calls.append(len(offsets) - 1)
-        return real(self, x, offsets)
+        return real(self, table, index, offsets)
 
     monkeypatch.setattr(BiLSTM, "forward", counting)
     train(state, [ex], [ex], mini.train_inst, mini.train_inst)
@@ -653,6 +653,36 @@ def test_one_bilstm_run_per_pass_per_question(mini, monkeypatch):
     calls.clear()
     predict(state, [ex], mini.train_inst)
     assert calls == [len(ex.candidates), n_paths]
+
+
+def test_bilstm_tables_hold_one_row_per_distinct_token_and_step(mini, monkeypatch):
+    # the statement run reads one embedding row per distinct token, the path
+    # run one input row per distinct (head, rel, sign, tail) step
+    state = fresh_state(mini)
+    ex = mini.world.train[0]
+    inst = Instance.concat([mini.train_inst[(ex.id, ci)] for ci in range(len(ex.candidates))])
+    seen = []
+    real = BiLSTM.forward
+
+    def recording(self, table, index, offsets):
+        seen.append((table, index, offsets))
+        return real(self, table, index, offsets)
+
+    monkeypatch.setattr(BiLSTM, "forward", recording)
+    predict(state, [ex], mini.train_inst)
+    (words, word_index, _), (steps, step_index, step_offsets) = seen
+
+    ids = np.concatenate([state.encoder.token_ids(ex.question, c) for c in ex.candidates])
+    assert len(words) == len(set(ids.tolist())) < len(ids)
+    assert np.array_equal(words[word_index], state.encoder.emb[ids])
+
+    keys = list(zip(inst.heads.tolist(), inst.rels.tolist(), inst.signs.tolist(),
+                    inst.tails.tolist()))
+    assert np.array_equal(step_offsets, inst.offsets)
+    assert len(steps) == len(set(keys)) < len(keys)
+    # equal steps read one row and distinct steps distinct rows
+    assert len(set(zip(keys, step_index.tolist()))) == len(steps)
+    assert sorted(set(step_index.tolist())) == list(range(len(steps)))
 
 
 def test_prediction_json_shape(mini):
