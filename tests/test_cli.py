@@ -128,6 +128,41 @@ def test_paths_and_prune_output_bytes_are_pinned(run):
         "a2dfd55c1b30d08294877e9a4eaa7174f0a0285c50f2714f7e31b6107320e955"
 
 
+def test_ingest_report_bytes_are_pinned(cli_world, tmp_path, capsys):
+    # a deleted, an unmapped and a malformed row and a never-seen map entry,
+    # so every field of the report is filled
+    tsv = tmp_path / "kg.tsv"
+    tsv.write_text(cli_world.kg_tsv.read_text(encoding="utf-8") + "one column\n",
+                   encoding="utf-8")
+    merge = tmp_path / "merge.tsv"
+    merge.write_text("evidence_of\tevidence_of\ncommon_trait\tDELETE\n"
+                     "NeverSeen\tvariant_of\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["ingest", str(tsv), "--merge-map", str(merge),
+                 "--out", str(tmp_path / "kg.bin")]) == 0
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    assert set(report["skipped"]) == {"malformed", "deleted relation 'common_trait'",
+                                      "unmapped relation 'variant_of'"}
+    assert report["warnings"] and report["duplicates_merged"] == 0
+    assert io_utils.sha256_bytes(out.encode("utf-8")) == \
+        "40a233a0a2b08bdaa6df8b37a7ded359ca823311fd48881fcdb0566b1e0cd3ce"
+
+
+def test_prune_stats_and_checkpoint_run_config_bytes_are_pinned(run):
+    stats = (run.out / "pruned.jsonl.stats.json").read_bytes()
+    assert io_utils.sha256_bytes(stats) == \
+        "42fffe147b5d4eb89c21dd34989db680eee50dd4ead007ecf3189f520ebb7c36"
+    meta, _ = io_utils.read_container(run.model_dir / "model.bin", kind="model")
+    assert io_utils.canonical_json(meta["run_config"]) == (
+        '{"batch_examples":16,"cap":20,"d_t":8,"enc_embed":8,"enc_hidden":8,"epochs":2,'
+        '"gamma":2.0,"gcn_dims":"16,12","kge_batch":512,"kge_dim":16,"kge_epochs":20,'
+        '"kge_lr":0.05,"kge_margin":1.0,"kge_neg":1,"lr":0.003,"lstm_hidden":8,'
+        '"max_edges":3,"max_ngram":4,"pair_attention":true,"path_attention":true,'
+        '"patience":2,"prune":true,"score_hidden":8,"seed":0,"t_hidden":8,'
+        '"threshold":0.15,"train_node_emb":false,"train_rel_emb":true}')
+
+
 def path_lengths(jsonl_path):
     rows = [json.loads(l) for l in jsonl_path.read_text().splitlines()]
     return [len(p["steps"])
