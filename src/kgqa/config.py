@@ -1,7 +1,9 @@
 """Run configuration: one flat key=value namespace for every pipeline stage.
 
 Files hold ``key = value`` lines ('#' comments allowed); command-line flags
-override file values, which override the defaults below. A run's identity is
+override file values, which override the defaults below. These fields are
+the only place a default setting is written: a stage function's keyword
+defaults read them (``RunConfig.threshold`` and so on). A run's identity is
 the hash of the fully resolved config, embedded in output manifests and used
 to key the preprocessing cache.
 """
@@ -9,10 +11,10 @@ to key the preprocessing cache.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import get_type_hints
 
-from .io_utils import config_hash
+from .io_utils import canonical_json, sha256_bytes
 
 
 @dataclass(frozen=True)
@@ -110,13 +112,14 @@ class RunConfig:
         return 2 * self.d_gcn_out + self.kge_dim
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return asdict(self)
 
     def hash(self) -> str:
-        """``config_hash`` of every key, computed once: ``preprocess`` asks
-        for it on every call, and a frozen config never changes a key."""
+        """The first 16 hex chars of the sha256 of every key's canonical JSON,
+        computed once: ``preprocess`` asks for it on every call, and a frozen
+        config never changes a key."""
         if "_hash" not in self.__dict__:
-            self.__dict__["_hash"] = config_hash(self.to_dict())
+            self.__dict__["_hash"] = sha256_bytes(canonical_json(asdict(self)).encode())[:16]
         return self.__dict__["_hash"]
 
 

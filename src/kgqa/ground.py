@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 
+from .config import RunConfig
 from .kg import KnowledgeGraph
 
 _TOKEN_RE = re.compile(r"[a-z0-9_']+")
@@ -115,14 +116,11 @@ class MentionSet:
         if (start, end) not in self.spans[concept]:
             self.spans[concept].append((start, end))
 
-    def sorted_concepts(self) -> list[int]:
-        return sorted(self.concepts)
-
     def to_dict(self, kg: KnowledgeGraph) -> dict:
         return {
             "concepts": [
                 {"id": c, "surface": kg.surface(c), "spans": self.spans[c]}
-                for c in self.sorted_concepts()
+                for c in sorted(self.concepts)
             ]
         }
 
@@ -130,7 +128,7 @@ class MentionSet:
 def recognize(
     text: str,
     kg: KnowledgeGraph,
-    max_ngram: int = 4,
+    max_ngram: int = RunConfig.max_ngram,
     stopwords: frozenset[str] | set[str] = frozenset(),
 ) -> MentionSet:
     """All vocabulary concepts whose surface matches an n-gram of the text.

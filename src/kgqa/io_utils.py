@@ -60,11 +60,6 @@ def sha256_file(path: str | Path) -> str:
     return h.hexdigest()
 
 
-def config_hash(obj) -> str:
-    """Stable hash of a config-like dict (first 16 hex chars)."""
-    return sha256_bytes(canonical_json(obj).encode("utf-8"))[:16]
-
-
 @contextmanager
 def atomic_open(path: str | Path, mode: str = "w", encoding: str | None = None):
     """A file opened for writing ``path``, which appears whole or not at all.

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -69,13 +69,7 @@ class IngestReport:
         entry["count"] += 1
 
     def to_dict(self) -> dict:
-        return {
-            "lines_read": self.lines_read,
-            "triples_kept": self.triples_kept,
-            "duplicates_merged": self.duplicates_merged,
-            "skipped": {key: dict(entry) for key, entry in self.skipped.items()},
-            "warnings": list(self.warnings),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,17 +13,16 @@ summed in index order, bit-identical to ``np.add.at`` (``layers.scatter_rows``).
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
 from . import io_utils
+from .config import RunConfig
 from .kg import KnowledgeGraph
 from .model.layers import scatter_rows
 from .paths import PathSteps, SchemaGraph, path_triples
 
-DEFAULT_GAMMA = 2.0
-DEFAULT_THRESHOLD = 0.15
 PRUNE_EXEMPT_BELOW = 3  # pairs with fewer paths are never pruned
 
 
@@ -31,7 +30,7 @@ PRUNE_EXEMPT_BELOW = 3  # pairs with fewer paths are never pruned
 class EmbeddingTable:
     ent: np.ndarray  # (n_concepts, d) float64
     rel: np.ndarray  # (n_relations, d) float64, forward orientation
-    gamma: float = DEFAULT_GAMMA
+    gamma: float = RunConfig.gamma
 
     @property
     def dim(self) -> int:
@@ -130,13 +129,13 @@ def init_embeddings(
 
 def train_transe(
     kg: KnowledgeGraph,
-    dim: int = 100,
-    margin: float = 1.0,
-    lr: float = 0.01,
-    epochs: int = 100,
-    batch_size: int = 512,
-    neg_per_pos: int = 1,
-    seed: int = 0,
+    dim: int = RunConfig.kge_dim,
+    margin: float = RunConfig.kge_margin,
+    lr: float = RunConfig.kge_lr,
+    epochs: int = RunConfig.kge_epochs,
+    batch_size: int = RunConfig.kge_batch,
+    neg_per_pos: int = RunConfig.kge_neg,
+    seed: int = RunConfig.seed,
     word_vectors: dict[str, np.ndarray] | None = None,
 ) -> tuple[EmbeddingTable, list[float]]:
     """Margin-ranking SGD over the graph's triples.
@@ -179,8 +178,6 @@ def train_transe(
             gap = margin + d_pos - d_neg
             viol = gap > 0
             losses.append(float(np.mean(np.maximum(0.0, gap))))
-            if not viol.any():
-                continue
 
             # d ||v|| / dv = v / ||v||
             gp = d_pos_vec[viol] / np.maximum(d_pos[viol, None], 1e-12)
@@ -245,19 +242,13 @@ class PruneReport:
         return PruneReport(*(a + b for a, b in zip(astuple(self), astuple(other))))
 
     def to_dict(self) -> dict:
-        return {
-            "pairs_total": self.pairs_total,
-            "pairs_exempt": self.pairs_exempt,
-            "paths_before": self.paths_before,
-            "paths_after": self.paths_after,
-            "kept_fraction": self.kept_fraction,
-        }
+        return {**asdict(self), "kept_fraction": self.kept_fraction}
 
 
 def prune_schema_graph(
     sg: SchemaGraph,
     table: EmbeddingTable,
-    threshold: float = DEFAULT_THRESHOLD,
+    threshold: float = RunConfig.threshold,
 ) -> PruneReport:
     """Drop low-confidence paths in place; sparse pairs are left alone.
 

@@ -8,6 +8,7 @@ import numpy as np
 
 DEFAULT_STEP = 1e-5
 REL_FLOOR = 1e-6
+MAX_ENTRIES_PER_TENSOR = 200
 
 
 def check_gradients(
@@ -15,7 +16,6 @@ def check_gradients(
     tensors: dict[str, np.ndarray],
     analytic: dict[str, np.ndarray],
     step: float = DEFAULT_STEP,
-    max_entries_per_tensor: int = 200,
     seed: int = 0,
 ) -> dict[str, float]:
     """Max relative error per tensor between analytic and numeric gradients.
@@ -34,10 +34,10 @@ def check_gradients(
         if arr.shape != grad.shape:
             raise ValueError(f"{name}: tensor {arr.shape} vs gradient {grad.shape}")
         n_entries = arr.size
-        if n_entries <= max_entries_per_tensor:
+        if n_entries <= MAX_ENTRIES_PER_TENSOR:
             idxs = np.arange(n_entries)
         else:
-            idxs = rng.choice(n_entries, size=max_entries_per_tensor, replace=False)
+            idxs = rng.choice(n_entries, size=MAX_ENTRIES_PER_TENSOR, replace=False)
             idxs.sort()
         flat = arr.reshape(-1)
         gflat = grad.reshape(-1)

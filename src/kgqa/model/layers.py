@@ -102,12 +102,10 @@ class Linear(Layer):
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return x @ self.W + self.b, x
 
-    def backward(self, dy: np.ndarray, cache: np.ndarray) -> np.ndarray:
-        x = cache
-        xf = x.reshape(-1, x.shape[-1])
-        dyf = dy.reshape(-1, dy.shape[-1])
-        self._grads["W"] += xf.T @ dyf
-        self._grads["b"] += dyf.sum(axis=0)
+    def backward(self, dy: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Gradients of 2-D ``x`` (m, n_in) from ``dy`` (m, n_out)."""
+        self._grads["W"] += x.T @ dy
+        self._grads["b"] += dy.sum(axis=0)
         return dy @ self.W.T
 
 

@@ -4,38 +4,29 @@ from __future__ import annotations
 
 import numpy as np
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 class Adam:
-    def __init__(
-        self,
-        tensors: dict[str, np.ndarray],
-        lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ) -> None:
+    def __init__(self, tensors: dict[str, np.ndarray], lr: float) -> None:
         self.tensors = tensors
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in tensors.items()}
         self.v = {k: np.zeros_like(v) for k, v in tensors.items()}
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        bias1 = 1.0 - b1 ** self.t
-        bias2 = 1.0 - b2 ** self.t
+        bias1 = 1.0 - BETA1 ** self.t
+        bias2 = 1.0 - BETA2 ** self.t
         for name in sorted(self.tensors):
             g = grads[name]
             m = self.m[name]
             v = self.v[name]
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * (g * g)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
             mhat = m / bias1
             vhat = v / bias2
-            self.tensors[name] -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            self.tensors[name] -= self.lr * mhat / (np.sqrt(vhat) + EPS)

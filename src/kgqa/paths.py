@@ -1,7 +1,7 @@
 """Schema-graph construction: bounded simple-path search between concept sets.
 
 Paths run from a question concept to an answer concept, at most ``max_edges``
-edges (default 3), traversing triples in either direction with a per-step
+edges, traversing triples in either direction with a per-step
 ``reverse`` flag. A path is its ``(rel, reverse, node)`` steps (``PathSteps``)
 from ``cq[i]`` of its pair (i, j), from ``find_paths`` to the path table; only
 ``SchemaGraph.to_dict`` writes its start and lists its triples.
@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from .config import RunConfig
 from .ground import MentionSet
 from .kg import KnowledgeGraph
 
@@ -51,8 +52,8 @@ def find_paths(
     kg: KnowledgeGraph,
     src: int,
     goals: Iterable[int],
-    max_edges: int = 3,
-    cap: int = 100,
+    max_edges: int = RunConfig.max_edges,
+    cap: int = RunConfig.cap,
 ) -> dict[int, tuple[list[PathSteps], bool]]:
     """All simple paths from ``src`` to each of ``goals``, at most ``max_edges``
     edges, from one depth-limited DFS.
@@ -165,8 +166,8 @@ def build_schema_graph(
     kg: KnowledgeGraph,
     cq: MentionSet | Iterable[int],
     ca: MentionSet | Iterable[int],
-    max_edges: int = 3,
-    cap: int = 100,
+    max_edges: int = RunConfig.max_edges,
+    cap: int = RunConfig.cap,
     found: dict[int, dict[int, tuple[list[PathSteps], bool]]] | None = None,
     q_edges: set[tuple[int, int, int]] | None = None,
 ) -> SchemaGraph:

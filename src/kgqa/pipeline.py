@@ -466,9 +466,6 @@ class EpochMetrics:
     train_loss: float
     dev_accuracy: float
 
-    def csv_row(self) -> str:
-        return f"{self.epoch},{self.train_loss:.6f},{self.dev_accuracy:.6f}"
-
 
 @dataclass
 class TrainResult:
@@ -479,7 +476,7 @@ class TrainResult:
 
     def metrics_csv(self) -> str:
         lines = ["epoch,train_loss,dev_accuracy"]
-        lines += [m.csv_row() for m in self.metrics]
+        lines += [f"{m.epoch},{m.train_loss:.6f},{m.dev_accuracy:.6f}" for m in self.metrics]
         return "\n".join(lines) + "\n"
 
 
