@@ -150,8 +150,13 @@ class KnowledgeGraph:
         require(path, meta, blocks, (), {
             "concepts": BYTES, "relations": BYTES,
             "triples": (("uint32",), ("n", 3)), "weights": (("float32",), ("n",))})
-        concepts = blocks["concepts"].decode("utf-8").split("\n") if blocks["concepts"] else []
-        relations = blocks["relations"].decode("utf-8").split("\n") if blocks["relations"] else []
+        vocab = {}
+        for name in ("concepts", "relations"):
+            try:
+                vocab[name] = blocks[name].decode("utf-8").split("\n") if blocks[name] else []
+            except UnicodeDecodeError as exc:
+                raise ContainerError(f"{path}: block {name!r} is not UTF-8: {exc}") from None
+        concepts, relations = vocab["concepts"], vocab["relations"]
         triples = blocks["triples"]
         for col, name, size in ((0, "concepts", len(concepts)),
                                 (1, "relations", len(relations)),
@@ -160,7 +165,11 @@ class KnowledgeGraph:
             if top >= size:
                 raise ContainerError(f"{path}: block 'triples' holds id {top} "
                                      f"of block {name!r}, which lists {size}")
-        return build_graph(concepts, relations, triples, blocks["weights"])
+        kg = build_graph(concepts, relations, triples, blocks["weights"])
+        if len(kg._surface_index) != kg.n_concepts:  # recognition would see one of two
+            raise ContainerError(f"{path}: block 'concepts' repeats a surface: "
+                                 f"{kg.n_concepts} concepts, {len(kg._surface_index)} distinct")
+        return kg
 
 
 def build_graph(concepts, relations, triples, weights) -> KnowledgeGraph:

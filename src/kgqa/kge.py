@@ -13,6 +13,7 @@ summed in index order, bit-identical to ``np.add.at`` (``layers.scatter_rows``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
@@ -65,7 +66,11 @@ class EmbeddingTable:
         meta, blocks = io_utils.read_container(path, kind="kge")
         io_utils.require(path, meta, blocks, ("gamma",), {
             "ent": (io_utils.FLOATS, (None, "d")), "rel": (io_utils.FLOATS, (None, "d"))})
-        return cls(ent=blocks["ent"], rel=blocks["rel"], gamma=float(meta["gamma"]))
+        gamma = meta["gamma"]
+        if type(gamma) not in (int, float) or not math.isfinite(gamma):
+            raise io_utils.ContainerError(f"{path}: meta 'gamma' is {gamma!r}, "
+                                          "not a finite number")
+        return cls(ent=blocks["ent"], rel=blocks["rel"], gamma=float(gamma))
 
 
 def load_word_vectors(path) -> dict[str, np.ndarray]:

@@ -437,12 +437,20 @@ _RETIRED_RUN_CONFIG_KEYS = ("d_s", "encoder", "loss")
 def load_model_state(path, emb: EmbeddingTable,
                      features: Optional[FeatureStore] = None) -> ModelState:
     meta, blocks = io_utils.read_container(path, kind="model")
+    io_utils.require(path, meta, blocks, ("run_config", "encoder"))
+    if not isinstance(meta["run_config"], dict):
+        raise io_utils.ContainerError(
+            f"{path}: meta 'run_config' is {meta['run_config']!r}, not an object")
+    if meta["encoder"] not in ("toy", "features"):
+        raise io_utils.ContainerError(
+            f"{path}: meta 'encoder' is {meta['encoder']!r}, not 'toy' or 'features'")
     cfg = RunConfig(**{k: v for k, v in meta["run_config"].items()
                        if k not in _RETIRED_RUN_CONFIG_KEYS})
     vocab = None
     if meta["encoder"] == "toy":
         if features is not None:
             raise ValueError("checkpoint has a toy encoder, which reads no --features")
+        io_utils.require(path, meta, blocks, ("enc_meta",))
         vocab = {k: int(i) for k, i in meta["enc_meta"]["vocab"].items()}
     elif features is None:
         raise ValueError("checkpoint uses feature files; pass --features")

@@ -1,9 +1,13 @@
 """Shared fixtures: tiny graphs, the synthetic KGE benchmark, the toy QA run."""
 
+import contextlib
 import errno
 import inspect
+import io
+import sys
 import textwrap
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from kgqa import io_utils
+from kgqa.cli import main
 from kgqa.config import RunConfig
 from kgqa.data import accuracy, save_dataset
 from kgqa.ground import load_stopwords
@@ -86,13 +91,22 @@ def poison_optimizer_steps(monkeypatch):
     monkeypatch.setattr(Adam, "step", step)
 
 
+# the lines of every kgqa module, read as the suite imports kgqa: a mutant is
+# cut from the code under test even if a source file is edited mid-run
+SOURCES = {m.__file__: Path(m.__file__).read_text(encoding="utf-8").splitlines(True)
+           for name, m in list(sys.modules.items()) if name.split(".")[0] == "kgqa"}
+
+
 def mutant(func, old, new):
-    """``func`` recompiled from its source with ``old``, which must occur there
-    exactly once, replaced by ``new``; it sees its module's globals."""
-    source = textwrap.dedent(inspect.getsource(func))
+    """``func`` recompiled from the source it was imported from with ``old``,
+    which must occur there exactly once, replaced by ``new``; it sees its
+    module's globals."""
+    code = func.__code__
+    lines = inspect.getblock(SOURCES[code.co_filename][code.co_firstlineno - 1:])
+    source = textwrap.dedent("".join(lines))
     assert source.count(old) == 1, f"{old!r} is not in {func.__name__} exactly once"
     namespace = dict(func.__globals__)
-    exec(compile(source.replace(old, new), inspect.getsourcefile(func), "exec"), namespace)
+    exec(compile(source.replace(old, new), code.co_filename, "exec"), namespace)
     return namespace[func.__name__]
 
 
@@ -184,6 +198,21 @@ def toy_run():
         train_inst=train_inst, dev_inst=dev_inst, state=state,
         result=result, full_acc=full_acc, abl_acc=abl_acc,
         rule_acc=rule_acc, elapsed=time.monotonic() - t0)
+
+
+@pytest.fixture(scope="session")
+def selfcheck_runs(tmp_path_factory):
+    """`kgqa selfcheck --quick --seed 0` run twice: each run's exit code,
+    stdout lines and report bytes."""
+    root = tmp_path_factory.mktemp("selfcheck")
+    runs = []
+    for tag in ("a", "b"):
+        out, stdout = root / f"{tag}.json", io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main(["selfcheck", "--quick", "--seed", "0", "--out", str(out)])
+        runs.append(SimpleNamespace(code=code, lines=stdout.getvalue().splitlines(),
+                                    report=out.read_bytes()))
+    return runs
 
 
 CLI_CFG_TEXT = """\

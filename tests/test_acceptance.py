@@ -172,7 +172,7 @@ def test_criterion_09_conceptnet_prune_rate(report, capsys, tmp_path):
                   f"± {PRUNE_KEEP_TOL}")
 
 
-def test_criterion_10_byte_determinism(report, cli_world, tmp_path):
+def test_criterion_10_byte_determinism(report, cli_world, selfcheck_runs, tmp_path):
     shared = tmp_path / "shared"
     shared.mkdir()
     merge = shared / "merge.tsv"
@@ -186,12 +186,10 @@ def test_criterion_10_byte_determinism(report, cli_world, tmp_path):
                  "--config", str(cli_world.config), "--out", str(kge)]) == 0
 
     outputs = {}
-    for tag in ("a", "b"):
+    for tag, sc in zip(("a", "b"), selfcheck_runs):
         d = tmp_path / tag
         d.mkdir()
-        sc = d / "selfcheck.json"
-        code = main(["selfcheck", "--quick", "--seed", "0", "--out", str(sc)])
-        assert code == 0
+        assert sc.code == 0
         assert main(["train", "--kg", str(kg), "--kge", str(kge),
                      "--dataset", str(cli_world.train_jsonl),
                      "--dev", str(cli_world.dev_jsonl),
@@ -203,7 +201,7 @@ def test_criterion_10_byte_determinism(report, cli_world, tmp_path):
                      "--dataset", str(cli_world.dev_jsonl),
                      "--out", str(preds)]) == 0
         outputs[tag] = {
-            "selfcheck.json": sc.read_bytes(),
+            "selfcheck.json": sc.report,
             "model.bin": (d / "model" / "model.bin").read_bytes(),
             "metrics.csv": (d / "model" / "metrics.csv").read_bytes(),
             "preds.jsonl": preds.read_bytes(),

@@ -44,7 +44,7 @@ def run(cli_world, tmp_path_factory):
         out=out, merge=merge, kg=kg, kge=kge, model_dir=model_dir,
         grounded=out / "grounded.jsonl", sgs=out / "sgs.jsonl",
         pruned=out / "pruned.jsonl", preds=out / "preds.jsonl",
-        explain=out / "explain.json", selfcheck=out / "selfcheck.json")
+        explain=out / "explain.json")
 
     cfg = str(cli_world.config)
     codes = {}
@@ -219,12 +219,12 @@ def test_explain_report_structure(run):
             assert "->" in path["rendering"] or "<-" in path["rendering"]
 
 
-def test_selfcheck_quick_exit_zero_and_report(run, capsys):
-    code = main(["selfcheck", "--quick", "--out", str(run.selfcheck)])
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert code == 0
+def test_selfcheck_quick_exit_zero_and_report(selfcheck_runs):
+    first = selfcheck_runs[0]
+    lines = first.lines
+    assert first.code == 0
     assert lines and all(l.startswith(("PASS ", "FAIL ")) for l in lines)
-    report = json.loads(run.selfcheck.read_text())
+    report = json.loads(first.report)
     assert report["all_passed"] is True
     assert len(report["checks"]) == len(lines)
 

@@ -3,6 +3,7 @@ ContainerError, each loader names a block or meta key it needs, and a write
 that fails midway leaves the previous file."""
 
 import json
+import re
 import struct
 import tempfile
 from pathlib import Path
@@ -199,6 +200,31 @@ def test_kg_loader_names_a_triple_id_out_of_range(tmp_path, triple, message):
     with pytest.raises(ContainerError, match=message):
         load_rewritten(tmp_path, "kg", block_name="triples",
                        block=np.array([triple], dtype=np.uint32))
+
+
+@pytest.mark.parametrize("gamma", ["x", None, float("nan"), float("inf"), True])
+def test_kge_loader_refuses_a_gamma_that_is_not_a_finite_number(tmp_path, gamma):
+    # a NaN gamma scores every path NaN, so pruning kept only each pair's first
+    path = tmp_path / "kge.bin"
+    save_kge(path)
+    meta, blocks = read_container(path, kind="kge")
+    write_container(path, "kge", {**meta, "gamma": gamma}, blocks)
+    with pytest.raises(ContainerError, match=re.escape(
+            f"{path}: meta 'gamma' is {gamma!r}, not a finite number")):
+        EmbeddingTable.load(path)
+
+
+@pytest.mark.parametrize("block_name", ["concepts", "relations"])
+def test_kg_loader_names_a_vocabulary_that_is_not_utf8(tmp_path, block_name):
+    with pytest.raises(ContainerError, match=f"block '{block_name}' is not UTF-8"):
+        load_rewritten(tmp_path, "kg", block_name=block_name, block=b"a\n\xff")
+
+
+def test_kg_loader_refuses_a_repeated_concept_surface(tmp_path):
+    # the second "a" would shadow the first in recognition
+    with pytest.raises(ContainerError, match="block 'concepts' repeats a surface: "
+                                             "2 concepts, 1 distinct"):
+        load_rewritten(tmp_path, "kg", block_name="concepts", block=b"a\na")
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import copy
 import hashlib
+import linecache
 import math
 from functools import partial
 
@@ -137,6 +138,14 @@ def keeps_the_path_scoring_the_threshold(prune) -> bool:
 def test_prune_keeps_a_path_scoring_exactly_the_threshold():
     # a path is dropped only when its score falls below the threshold
     assert keeps_the_path_scoring_the_threshold(prune_schema_graph)
+
+
+def test_a_mutant_is_cut_from_the_source_kgqa_was_imported_from(monkeypatch):
+    # as if kge.py gained a line at its top after the suite imported it
+    real = linecache.getlines
+    monkeypatch.setattr(linecache, "getlines", lambda *a, **kw: ["\n", *real(*a, **kw)])
+    strict = mutant(prune_schema_graph, "s >= threshold", "s > threshold")
+    assert not keeps_the_path_scoring_the_threshold(strict)
 
 
 def test_pruning_checks_catch_a_strict_threshold(monkeypatch):

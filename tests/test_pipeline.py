@@ -856,6 +856,25 @@ def test_checkpoint_missing_block_is_named(mini, tmp_path):
         load_model_state(path, mini.emb)
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("run_config", None, "missing meta key 'run_config'"),
+    ("encoder", None, "missing meta key 'encoder'"),
+    ("enc_meta", None, "missing meta key 'enc_meta'"),
+    ("run_config", "x", "meta 'run_config' is 'x', not an object"),
+    ("encoder", "bogus", "meta 'encoder' is 'bogus', not 'toy' or 'features'"),
+])
+def test_checkpoint_with_malformed_meta_is_named(mini, tmp_path, key, value, message):
+    path = tmp_path / "model.bin"
+    fresh_state(mini).save(path)
+    meta, blocks = io_utils.read_container(path, kind="model")
+    meta[key] = value
+    if value is None:
+        del meta[key]
+    io_utils.write_container(path, "model", meta, blocks)
+    with pytest.raises(io_utils.ContainerError, match=re.escape(f"{path}: {message}")):
+        load_model_state(path, mini.emb)
+
+
 def test_feature_file_of_another_width_fails_to_load(mini, tmp_path):
     path = tmp_path / "model.bin"
     build_model_state(mini.cfg, mini.emb, features=feature_store(mini)).save(path)
