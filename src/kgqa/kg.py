@@ -10,6 +10,7 @@ the maximum weight. Skipped lines are summarized per reason, not listed.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -213,34 +214,21 @@ class _Skip(ValueError):
     """A well-formed line that ingestion leaves out; its message is its summary key."""
 
 
-def _parse_full_line(fields: list[str]) -> tuple[str, str, str, float]:
-    """Parse a ConceptNet 5.x assertion row; an endpoint outside ``LANGUAGE``
-    is a _Skip."""
-    rel_uri, start, end, meta = fields[1], fields[2], fields[3], fields[4]
-    if not rel_uri.startswith("/r/"):
-        raise ValueError(f"bad relation URI {rel_uri!r}")
-    rel = rel_uri[len("/r/"):]
-    endpoints = []
-    for uri in (start, end):
-        parts = uri.split("/")
-        # /c/<lang>/<surface>[/<sense>...]
+FOREIGN, BAD = -1, -2  # endpoint codes: a URI outside ``LANGUAGE``, not a /c/ URI
+
+
+def _endpoint_code(raw: str, full: bool, surfaces: dict[str, int]) -> int:
+    """The id of a raw endpoint's normalized surface in ``surfaces`` (added
+    when new; "" is id 0), or a code above for a full-format URI that is not
+    ``/c/<lang>/<surface>[/<sense>...]`` in ``LANGUAGE``."""
+    if full:
+        parts = raw.split("/")
         if len(parts) < 4 or parts[1] != "c":
-            raise ValueError(f"bad concept URI {uri!r}")
+            return BAD
         if parts[2] != LANGUAGE:
-            raise _Skip("language filter")
-        endpoints.append(normalize_surface(parts[3]))
-    try:
-        weight = float(json.loads(meta).get("weight", 1.0))
-    except (json.JSONDecodeError, TypeError, ValueError) as exc:
-        raise ValueError(f"bad metadata JSON: {exc}") from exc
-    return rel, endpoints[0], endpoints[1], weight
-
-
-def _parse_simple_line(fields: list[str]) -> tuple[str, str, str, float]:
-    if len(fields) not in (3, 4):
-        raise ValueError(f"expected 3 or 4 columns, found {len(fields)}")
-    weight = float(fields[3]) if len(fields) == 4 else 1.0
-    return fields[0].strip(), normalize_surface(fields[1]), normalize_surface(fields[2]), weight
+            return FOREIGN
+        raw = parts[3]
+    return surfaces.setdefault(normalize_surface(raw), len(surfaces))
 
 
 def ingest(
@@ -257,27 +245,55 @@ def ingest(
     relation the map lacks or deletes is skipped and summarized; map entries
     never seen in the data produce a warning. Raises IngestError when nothing
     survives.
+
+    Each distinct raw endpoint is normalized once, to an integer surface id
+    that keys the triples; the end renumbers the ids alphabetically with one
+    gather and orders the triples with one ``np.lexsort``.
     """
     report = IngestReport()
     rel_ids: dict[str, int] = {}
     for target in (merge_map or {}).values():
         if target != DELETE:
             rel_ids.setdefault(target, len(rel_ids))
-    best: dict[tuple[str, int, str], float] = {}
+    surfaces = {"": 0}  # normalized surface -> id, in first-seen order
+    codes: tuple[dict[str, int], dict[str, int]] = ({}, {})  # simple, full: raw -> code
+    best: dict[tuple[int, int, int], float] = {}
     raw_seen: set[str] = set()
 
     with open(assertions_file, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
             line = line.rstrip("\n")
-            if not line or line.startswith("#"):
+            if not line or line[0] == "#":
                 continue
             report.lines_read += 1
             fields = line.split("\t")
+            full = len(fields) == 5 and fields[0].startswith("/a/")
             try:
-                if len(fields) == 5 and fields[0].startswith("/a/"):
-                    raw_rel, head, tail, weight = _parse_full_line(fields)
+                if full:
+                    if not fields[1].startswith("/r/"):
+                        raise ValueError(f"bad relation URI {fields[1]!r}")
+                    raw_rel = fields[1][len("/r/"):]
+                elif len(fields) not in (3, 4):
+                    raise ValueError(f"expected 3 or 4 columns, found {len(fields)}")
                 else:
-                    raw_rel, head, tail, weight = _parse_simple_line(fields)
+                    raw_rel = fields[0].strip()
+                cache, first, second = codes[full], fields[1 + full], fields[2 + full]
+                head, tail = cache.get(first), cache.get(second)
+                if head is None:
+                    head = cache[first] = _endpoint_code(first, full, surfaces)
+                if tail is None:
+                    tail = cache[second] = _endpoint_code(second, full, surfaces)
+                if head < 0 or tail < 0:
+                    code, uri = (head, first) if head < 0 else (tail, second)
+                    raise _Skip("language filter") if code == FOREIGN else ValueError(
+                        f"bad concept URI {uri!r}")
+                if full:
+                    try:
+                        weight = float(json.loads(fields[4]).get("weight", 1.0))
+                    except (json.JSONDecodeError, TypeError, ValueError) as exc:
+                        raise ValueError(f"bad metadata JSON: {exc}") from exc
+                else:
+                    weight = float(fields[3]) if len(fields) == 4 else 1.0
                 if not (raw_rel and head and tail and 0.0 <= weight < math.inf):
                     raise ValueError(f"weight {weight} is not finite and non-negative"
                                      if not 0.0 <= weight < math.inf
@@ -306,10 +322,13 @@ def ingest(
     if not best:
         raise IngestError("empty knowledge graph: no triples survived ingestion")
 
-    concepts = sorted({h for h, _, _ in best} | {t for _, _, t in best})
-    cindex = {s: i for i, s in enumerate(concepts)}
-    rows = sorted((cindex[h], r, cindex[t], w) for (h, r, t), w in best.items())
-    triples = np.array([(h, r, t) for h, r, t, _ in rows], dtype=np.uint32)
-    weights = np.array([w for _, _, _, w in rows], dtype=np.float32)
-    report.triples_kept = len(rows)
-    return build_graph(concepts, tuple(rel_ids), triples, weights), report
+    n = report.triples_kept = len(best)
+    ids = np.fromiter(itertools.chain.from_iterable(best), np.int64, 3 * n).reshape(n, 3)
+    by_id = list(surfaces)
+    order = sorted(np.unique(ids[:, ::2]).tolist(), key=by_id.__getitem__)
+    alphabetical = np.zeros(len(by_id), np.int64)  # surface id -> concept id
+    alphabetical[order] = np.arange(len(order))
+    ids[:, ::2] = alphabetical[ids[:, ::2]]
+    rows = np.lexsort(ids.T[::-1])  # by head, then relation, then tail
+    weights = np.fromiter(best.values(), np.float64, n)[rows]
+    return build_graph([by_id[i] for i in order], tuple(rel_ids), ids[rows], weights), report

@@ -41,7 +41,7 @@ import bisect
 import itertools
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, get_type_hints
 
 import numpy as np
 
@@ -432,6 +432,7 @@ def build_model_state(
 # older checkpoints also carry a top-level "model_config", which is ignored
 # because every width it held follows from run_config and the encoder
 _RETIRED_RUN_CONFIG_KEYS = ("d_s", "encoder", "loss")
+_RUN_CONFIG_TYPES = get_type_hints(RunConfig)  # a float key also takes an int
 
 
 def load_model_state(path, emb: EmbeddingTable,
@@ -444,14 +445,23 @@ def load_model_state(path, emb: EmbeddingTable,
     if meta["encoder"] not in ("toy", "features"):
         raise io_utils.ContainerError(
             f"{path}: meta 'encoder' is {meta['encoder']!r}, not 'toy' or 'features'")
-    cfg = RunConfig(**{k: v for k, v in meta["run_config"].items()
-                       if k not in _RETIRED_RUN_CONFIG_KEYS})
+    record = {k: v for k, v in meta["run_config"].items() if k not in _RETIRED_RUN_CONFIG_KEYS}
+    for key, value in record.items():
+        want = _RUN_CONFIG_TYPES.get(key)
+        if want is None or not (type(value) is want or want is float and type(value) is int):
+            raise io_utils.ContainerError(
+                f"{path}: meta 'run_config' key {key!r} is {value!r}, "
+                + (f"not of type {want.__name__}" if want else "not a config key"))
+    cfg = RunConfig(**record)
     vocab = None
     if meta["encoder"] == "toy":
         if features is not None:
             raise ValueError("checkpoint has a toy encoder, which reads no --features")
         io_utils.require(path, meta, blocks, ("enc_meta",))
-        vocab = {k: int(i) for k, i in meta["enc_meta"]["vocab"].items()}
+        vocab = meta["enc_meta"].get("vocab") if isinstance(meta["enc_meta"], dict) else None
+        if not (isinstance(vocab, dict) and all(type(i) is int for i in vocab.values())):
+            raise io_utils.ContainerError(
+                f"{path}: meta 'enc_meta' has no 'vocab' object of integer ids")
     elif features is None:
         raise ValueError("checkpoint uses feature files; pass --features")
     state = ModelState(cfg, emb, np.random.default_rng(0), vocab=vocab,

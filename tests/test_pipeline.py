@@ -875,6 +875,39 @@ def test_checkpoint_with_malformed_meta_is_named(mini, tmp_path, key, value, mes
         load_model_state(path, mini.emb)
 
 
+def _set_first_vocab_id(value):
+    def change(meta):
+        vocab = meta["enc_meta"]["vocab"]
+        vocab[min(vocab)] = value
+    return change
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda meta: meta["run_config"].update(bogus=1),
+     "meta 'run_config' key 'bogus' is 1, not a config key"),
+    (lambda meta: meta["run_config"].update(lstm_hidden="4"),
+     "meta 'run_config' key 'lstm_hidden' is '4', not of type int"),
+    (lambda meta: meta["run_config"].update(lstm_hidden=float("nan")),
+     "meta 'run_config' key 'lstm_hidden' is nan, not of type int"),
+    (lambda meta: meta.update(enc_meta="x"),
+     "meta 'enc_meta' has no 'vocab' object of integer ids"),
+    (lambda meta: meta.update(enc_meta={}),
+     "meta 'enc_meta' has no 'vocab' object of integer ids"),
+    (_set_first_vocab_id("x"), "meta 'enc_meta' has no 'vocab' object of integer ids"),
+    (_set_first_vocab_id(1.5), "meta 'enc_meta' has no 'vocab' object of integer ids"),
+    (_set_first_vocab_id(True), "meta 'enc_meta' has no 'vocab' object of integer ids"),
+], ids=["unknown-key", "width-string", "width-nan", "enc-meta-string",
+        "enc-meta-without-vocab", "vocab-id-string", "vocab-id-float", "vocab-id-bool"])
+def test_checkpoint_with_malformed_nested_meta_is_named(mini, tmp_path, change, message):
+    path = tmp_path / "model.bin"
+    fresh_state(mini).save(path)
+    meta, blocks = io_utils.read_container(path, kind="model")
+    change(meta)
+    io_utils.write_container(path, "model", meta, blocks)
+    with pytest.raises(io_utils.ContainerError, match=re.escape(f"{path}: {message}")):
+        load_model_state(path, mini.emb)
+
+
 def test_feature_file_of_another_width_fails_to_load(mini, tmp_path):
     path = tmp_path / "model.bin"
     build_model_state(mini.cfg, mini.emb, features=feature_store(mini)).save(path)
