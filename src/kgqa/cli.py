@@ -62,13 +62,10 @@ def _positive_int(raw: str) -> int:
 
 
 def _config_from_args(args) -> RunConfig:
-    overrides = {}
-    for flag, key in (("seed", "seed"), ("threshold", "threshold"),
-                      ("max_edges", "max_edges"), ("cap", "cap")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[key] = value
-    return resolve_config(getattr(args, "config", None), overrides)
+    """The config file's settings, overridden by the flags named as config keys."""
+    flags = {key: getattr(args, key, None) for key in ("seed", "threshold", "max_edges", "cap")}
+    return resolve_config(getattr(args, "config", None),
+                          {key: value for key, value in flags.items() if value is not None})
 
 
 # Each input-file flag's dest, with the packaged file read when it is absent;

@@ -11,7 +11,7 @@ to key the preprocessing cache.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import get_type_hints
 
 from .io_utils import canonical_json, sha256_bytes
@@ -64,33 +64,19 @@ class RunConfig:
     patience: int = 3
 
     def __post_init__(self) -> None:
-        """Reject settings that would ground nothing, build a network without
-        a unit, fail partway through a run, train at a rate not above 0, or
-        write a non-finite table or a non-JSON header, naming the key."""
-        if not (math.isfinite(self.threshold) and 0.0 <= self.threshold <= 1.0):
-            raise ValueError(f"threshold must be a finite number in [0, 1], "
-                             f"got {self.threshold!r}")
-        for key, low in (("seed", 0), ("max_ngram", 1), ("max_edges", 1), ("cap", 1),
-                         ("kge_dim", 1), ("kge_batch", 1), ("kge_neg", 1),
-                         ("kge_epochs", 0), ("lstm_hidden", 1), ("d_t", 1),
-                         ("t_hidden", 1), ("score_hidden", 1), ("enc_embed", 1),
-                         ("enc_hidden", 1), ("epochs", 0), ("batch_examples", 1),
-                         ("patience", 0)):
-            if getattr(self, key) < low:
-                raise ValueError(f"{key} must be at least {low}, got {getattr(self, key)!r}")
-        for key in ("lr", "kge_lr"):
-            if not (math.isfinite(getattr(self, key)) and getattr(self, key) > 0):
-                raise ValueError(f"{key} must be a finite number above 0, "
-                                 f"got {getattr(self, key)!r}")
-        dims = self.gcn_dims.split(",") if self.gcn_dims.strip() else []
-        if not all(d.strip().isdecimal() and int(d) > 0 for d in dims):
-            raise ValueError(f"gcn_dims must be empty or comma-separated positive "
-                             f"integers, got {self.gcn_dims!r}")
-        for key in ("kge_margin", "gamma"):
-            if not math.isfinite(getattr(self, key)):
-                raise ValueError(f"{key} must be a finite number, got {getattr(self, key)!r}")
-        if self.kge_margin < 0:
-            raise ValueError(f"kge_margin must be at least 0, got {self.kge_margin!r}")
+        """Reject a value of another type than its key's annotation (a float
+        key also takes an int; a bool is not an int), and settings that would
+        ground nothing, build a network without a unit, fail partway through
+        a run, train at a rate not above 0, or write a non-finite table or a
+        non-JSON header, naming the key."""
+        for key, want in _TYPES.items():
+            value = getattr(self, key)
+            if not (type(value) is want or want is float and type(value) is int):
+                raise ValueError(f"key {key!r} is {value!r}, not of type {want.__name__}")
+        for keys, allowed, what in _RANGES:
+            for key in keys:
+                if not allowed(getattr(self, key)):
+                    raise ValueError(f"{key} must be {what}, got {getattr(self, key)!r}")
 
     # network widths derived from the keys above; kge_dim is both the node
     # and the relation width
@@ -122,6 +108,22 @@ class RunConfig:
             self.__dict__["_hash"] = sha256_bytes(canonical_json(asdict(self)).encode())[:16]
         return self.__dict__["_hash"]
 
+
+_TYPES = get_type_hints(RunConfig)
+# the values each key takes beyond its type: (keys, test, what they must be)
+_RANGES = (
+    (("seed", "kge_epochs", "epochs", "patience"), lambda v: v >= 0, "at least 0"),
+    (("max_ngram", "max_edges", "cap", "kge_dim", "kge_batch", "kge_neg", "lstm_hidden",
+      "d_t", "t_hidden", "score_hidden", "enc_embed", "enc_hidden", "batch_examples"),
+     lambda v: v >= 1, "at least 1"),
+    (("threshold",), lambda v: 0.0 <= v <= 1.0, "a finite number in [0, 1]"),
+    (("lr", "kge_lr"), lambda v: 0.0 < v < math.inf, "a finite number above 0"),
+    (("kge_margin", "gamma"), math.isfinite, "a finite number"),
+    (("kge_margin",), lambda v: v >= 0, "at least 0"),
+    (("gcn_dims",), lambda v: all(d.strip().isdecimal() and int(d) > 0
+                                  for d in (v.split(",") if v.strip() else [])),
+     "empty or comma-separated positive integers"),
+)
 
 _BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
                "false": False, "no": False, "off": False, "0": False}
@@ -155,20 +157,13 @@ def parse_config_file(path) -> dict[str, str]:
 
 def resolve_config(file_path=None, overrides: dict[str, object] | None = None) -> RunConfig:
     """Defaults <- config file <- overrides, unknown keys rejected."""
-    hints = get_type_hints(RunConfig)
-    valid = {f.name for f in fields(RunConfig)}
     values: dict[str, object] = {}
-
-    def apply(source: dict, where: str) -> None:
+    from_file = parse_config_file(file_path) if file_path is not None else {}
+    for source, where in ((from_file, str(file_path)), (overrides or {}, "flags")):
         for key, value in source.items():
-            if key not in valid:
+            if key not in _TYPES:
                 raise ValueError(f"{where}: unknown config key {key!r}")
-            if isinstance(value, str) and hints[key] is not str:
-                value = _coerce(key, value, hints[key])
+            if isinstance(value, str) and _TYPES[key] is not str:
+                value = _coerce(key, value, _TYPES[key])
             values[key] = value
-
-    if file_path is not None:
-        apply(parse_config_file(file_path), str(file_path))
-    if overrides:
-        apply(overrides, "flags")
     return RunConfig(**values)

@@ -13,6 +13,12 @@ reproducible byte for byte:
 "bytes" blocks carry raw byte strings (shape = [length]); every other dtype
 is a numpy array.
 
+What each kind must hold is declared once, as a ``Spec`` beside its writer:
+``kg.KG_SPEC``, ``kge.KGE_SPEC``, ``statement.FEATURES_SPEC``, and
+``pipeline.MODEL_SPEC`` and ``pipeline.INSTANCE_SPEC``. ``read_container``
+applies the spec it is given, so a loader reads without checking; without
+one it is the raw reader.
+
 Every artifact is written through ``atomic_open``, so a run killed mid-write
 leaves the previous file, never a part of a new one.
 """
@@ -26,6 +32,7 @@ import os
 import struct
 from contextlib import contextmanager, suppress
 from pathlib import Path
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -37,6 +44,7 @@ _DTYPES = {
     "uint32": np.dtype("<u4"),
     "int64": np.dtype("<i8"),
 }
+_NAMES = {dtype: name for name, dtype in _DTYPES.items()}
 
 
 class ContainerError(ValueError):
@@ -104,8 +112,8 @@ def write_container(path: str | Path, kind: str, meta: dict, blocks: dict) -> No
             payloads.append(value)
         else:
             arr = np.asarray(value)
-            # match dtype objects: formatting a dtype's name costs microseconds
-            dtype = next((d for d, want in _DTYPES.items() if arr.dtype == want), None)
+            # a dict lookup: formatting a dtype's name costs microseconds
+            dtype = _NAMES.get(arr.dtype)
             if dtype is None:
                 raise ContainerError(
                     f"unsupported block dtype {str(arr.dtype)!r} for {name!r}")
@@ -122,6 +130,78 @@ def write_container(path: str | Path, kind: str, meta: dict, blocks: dict) -> No
         f.write(header)
         for payload in payloads:
             f.write(payload)
+
+
+BYTES = (("bytes",), None)
+FLOATS = ("float64", "float32")
+
+
+def rule(test: Callable[[object], bool], what: str) -> Callable[[object], Optional[str]]:
+    """A meta rule: None for a value ``test`` accepts, else the complaint
+    ``is <value>, not <what>``."""
+    return lambda value: None if test(value) else f"is {value!r}, not {what}"
+
+
+OBJECT = rule(lambda v: isinstance(v, dict), "an object")
+FINITE = rule(lambda v: type(v) in (int, float) and math.isfinite(v), "a finite number")
+STRINGS = rule(lambda v: isinstance(v, list) and set(map(type, v)) <= {str},
+               "a list of strings")
+
+
+def _finite(block: np.ndarray) -> Optional[str]:
+    return None if np.isfinite(block).all() else "holds a value that is not finite"
+
+
+class Spec(NamedTuple):
+    """What a container of one kind holds beyond the header layout.
+
+    ``meta`` maps each meta key the kind needs to its rule: a function of the
+    value that returns None, or the complaint that follows ``meta '<key>'``
+    in the error. ``blocks`` maps each block it needs to (dtype names, shape),
+    shape None for a bytes block, optionally with a third entry, a rule of
+    the array; a float block without one must be finite. A shape entry is an
+    int, None for any length, or a name for a length that must be the same
+    wherever the name appears; ``dims``, given the meta once it passes, fixes
+    the lengths of some names.
+    """
+
+    meta: dict = {}
+    blocks: dict = {}
+    dims: Optional[Callable[[dict], dict]] = None
+
+
+def check(path, meta: dict, blocks: dict, spec: Spec) -> None:
+    """Raise ContainerError naming ``path`` and the first meta key or block
+    of ``spec`` that ``meta`` or ``blocks`` lacks or holds otherwise."""
+    for key, allowed in spec.meta.items():
+        if key not in meta:
+            raise ContainerError(f"{path}: missing meta key {key!r}")
+        if (complaint := allowed(meta[key])) is not None:
+            raise ContainerError(f"{path}: meta {key!r} {complaint}")
+    dims = spec.dims(meta) if spec.dims else {}
+    for name, (dtypes, shape, *values) in spec.blocks.items():
+        if name not in blocks:
+            raise ContainerError(f"{path}: missing block {name!r}")
+        value = blocks[name]
+        # a dict lookup: reading dtype.name costs microseconds per block
+        dtype = "bytes" if isinstance(value, bytes) else _NAMES[value.dtype]
+        if dtype not in dtypes:
+            raise ContainerError(f"{path}: block {name!r} has dtype {dtype!r}, "
+                                 f"expected {' or '.join(map(repr, dtypes))}")
+        if shape is not None and shape != value.shape:
+            want = tuple(dims.get(n) if isinstance(n, str) else n for n in shape)
+            if want != value.shape:  # some names are not known yet, or it does not fit
+                if value.ndim != len(shape) or any(
+                        w not in (None, size) for w, size in zip(want, value.shape)):
+                    expected = ", ".join("*" if n is None else f"{n}={dims[n]}"
+                                         if n in dims else str(n) for n in shape)
+                    raise ContainerError(f"{path}: block {name!r} has shape "
+                                         f"{list(value.shape)}, expected [{expected}]")
+                dims.update((n, size) for n, size in zip(shape, value.shape)
+                            if isinstance(n, str))
+        allowed = values[0] if values else _finite if dtype in FLOATS else None
+        if allowed is not None and (complaint := allowed(value)) is not None:
+            raise ContainerError(f"{path}: block {name!r} {complaint}")
 
 
 def _span_end(size: int, pos: int, n: int, path, what: str) -> int:
@@ -154,11 +234,13 @@ def _check_header(header, path) -> None:
                 "not a list of non-negative ints")
 
 
-def read_container(path: str | Path, kind: str | None = None) -> tuple[dict, dict]:
+def read_container(path: str | Path, kind: str | None = None,
+                   spec: Spec | None = None) -> tuple[dict, dict]:
     """Read back (meta, blocks); verifies magic and, if given, the kind.
 
     A file cut short anywhere, an unreadable or malformed header or an unknown
-    block dtype raises ContainerError.
+    block dtype raises ContainerError, and so does whatever ``check`` refuses
+    of ``spec``, if given: a float block it names that holds NaN or inf, say.
     """
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
@@ -193,50 +275,8 @@ def read_container(path: str | Path, kind: str | None = None) -> tuple[dict, dic
             if f.readinto(arr) != n:
                 raise ContainerError(f"{path}: truncated block {name!r} while reading")
             blocks[name] = arr
+    check(path, header["meta"], blocks, spec or Spec())
     return header["meta"], blocks
-
-
-BYTES = (("bytes",), None)
-FLOATS = ("float64", "float32")
-
-
-def require(path, meta: dict, blocks: dict, meta_keys=(), block_specs=None,
-            dims=None) -> None:
-    """Raise ContainerError naming the first meta key or block that a loader
-    needs and a container read by ``read_container`` lacks, or the first
-    block whose dtype or shape is not the one the loader reads.
-
-    ``block_specs`` maps each needed block to (dtype names, shape), with
-    shape None for a bytes block. A shape entry is an int, None for any
-    length, or a name for a length that must be the same wherever the name
-    appears, and equal to ``dims[name]`` when ``dims`` gives one.
-    """
-    for key in meta_keys:
-        if key not in meta:
-            raise ContainerError(f"{path}: missing meta key {key!r}")
-    dims = dict(dims or {})
-    for name, (dtypes, shape) in (block_specs or {}).items():
-        if name not in blocks:
-            raise ContainerError(f"{path}: missing block {name!r}")
-        value = blocks[name]
-        is_bytes = isinstance(value, bytes)
-        # compare dtype objects: reading dtype.name costs microseconds per block
-        if not ("bytes" in dtypes if is_bytes else
-                any(d in _DTYPES and value.dtype == _DTYPES[d] for d in dtypes)):
-            dtype = "bytes" if is_bytes else value.dtype.name
-            raise ContainerError(f"{path}: block {name!r} has dtype {dtype!r}, "
-                                 f"expected {' or '.join(map(repr, dtypes))}")
-        if shape is None:
-            continue
-        want = [dims.get(n) if isinstance(n, str) else n for n in shape]
-        if value.ndim != len(shape) or any(
-                w not in (None, size) for w, size in zip(want, value.shape)):
-            expected = ", ".join("*" if n is None else f"{n}={dims[n]}" if n in dims
-                                 else str(n) for n in shape)
-            raise ContainerError(f"{path}: block {name!r} has shape "
-                                 f"{list(value.shape)}, expected [{expected}]")
-        dims.update((n, size) for n, size in zip(shape, value.shape)
-                    if isinstance(n, str))
 
 
 def write_manifest(out_path: str | Path, command: str, cfg_hash: str,

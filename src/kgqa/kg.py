@@ -12,16 +12,16 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .io_utils import BYTES, ContainerError, read_container, require, write_container
+from .io_utils import BYTES, ContainerError, Spec, read_container, write_container
 
 DELETE = "DELETE"
 LANGUAGE = "en"  # recognition (lemmatizer, stopwords) is English-only
+FLOAT32_END = 2.0 ** 128 - 2.0 ** 103  # the least double that float32 rounds to inf
 
 
 class IngestError(ValueError):
@@ -71,6 +71,12 @@ class IngestReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+# what ``KnowledgeGraph.save`` writes; its meta counts are for readers of the
+# file, and the blocks carry them
+KG_SPEC = Spec(blocks={"concepts": BYTES, "relations": BYTES,
+                       "triples": (("uint32",), ("n", 3)), "weights": (("float32",), ("n",))})
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,10 +153,7 @@ class KnowledgeGraph:
 
     @classmethod
     def load(cls, path: str | Path) -> "KnowledgeGraph":
-        meta, blocks = read_container(path, "kg-snapshot")
-        require(path, meta, blocks, (), {
-            "concepts": BYTES, "relations": BYTES,
-            "triples": (("uint32",), ("n", 3)), "weights": (("float32",), ("n",))})
+        _, blocks = read_container(path, "kg-snapshot", KG_SPEC)
         vocab = {}
         for name in ("concepts", "relations"):
             try:
@@ -240,11 +243,12 @@ def ingest(
     ``merge_map`` is a loaded map (``load_merge_map``), or None to keep raw
     relation names. With a map, relation ids follow its targets in first-use
     order; without one, raw names in order of first use. A line that is
-    malformed (in either format: an empty relation or endpoint, or a weight
-    that is not finite and non-negative), has a non-English endpoint, or whose
-    relation the map lacks or deletes is skipped and summarized; map entries
-    never seen in the data produce a warning. Raises IngestError when nothing
-    survives.
+    malformed (in either format: an empty relation or endpoint, a weight that
+    is not finite and non-negative or that overflows the snapshot's float32,
+    or full-format metadata that is not a JSON object), has a non-English
+    endpoint, or whose relation the map lacks or deletes is skipped and
+    summarized; map entries never seen in the data produce a warning. Raises
+    IngestError when nothing survives.
 
     Each distinct raw endpoint is normalized once, to an integer surface id
     that keys the triples; the end renumbers the ids alphabetically with one
@@ -288,15 +292,15 @@ def ingest(
                     raise _Skip("language filter") if code == FOREIGN else ValueError(
                         f"bad concept URI {uri!r}")
                 if full:
-                    try:
+                    try:  # metadata that is not an object has no .get
                         weight = float(json.loads(fields[4]).get("weight", 1.0))
-                    except (json.JSONDecodeError, TypeError, ValueError) as exc:
+                    except (json.JSONDecodeError, AttributeError, TypeError, ValueError) as exc:
                         raise ValueError(f"bad metadata JSON: {exc}") from exc
                 else:
                     weight = float(fields[3]) if len(fields) == 4 else 1.0
-                if not (raw_rel and head and tail and 0.0 <= weight < math.inf):
-                    raise ValueError(f"weight {weight} is not finite and non-negative"
-                                     if not 0.0 <= weight < math.inf
+                if not (raw_rel and head and tail and 0.0 <= weight < FLOAT32_END):
+                    raise ValueError(f"weight {weight} is not a finite non-negative float32"
+                                     if not 0.0 <= weight < FLOAT32_END
                                      else "empty relation or endpoint")
                 raw_seen.add(raw_rel)
                 rel = raw_rel if merge_map is None else merge_map.get(raw_rel)

@@ -13,7 +13,6 @@ summed in index order, bit-identical to ``np.add.at`` (``layers.scatter_rows``).
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
@@ -25,6 +24,13 @@ from .model.layers import scatter_rows
 from .paths import PathSteps, SchemaGraph, path_triples
 
 PRUNE_EXEMPT_BELOW = 3  # pairs with fewer paths are never pruned
+
+
+# what ``EmbeddingTable.save`` writes; dim, n_entities and n_relations are
+# for readers of the file, and the blocks carry them
+KGE_SPEC = io_utils.Spec(
+    meta={"gamma": io_utils.FINITE},
+    blocks={"ent": (io_utils.FLOATS, (None, "d")), "rel": (io_utils.FLOATS, (None, "d"))})
 
 
 @dataclass
@@ -54,23 +60,14 @@ class EmbeddingTable:
         return conf
 
     def save(self, path, extra_meta: dict | None = None) -> None:
-        meta = {"gamma": self.gamma, "dim": self.dim,
-                "n_entities": int(self.ent.shape[0]),
-                "n_relations": int(self.rel.shape[0])}
-        if extra_meta:
-            meta.update(extra_meta)
+        meta = {"gamma": self.gamma, "dim": self.dim, "n_entities": int(self.ent.shape[0]),
+                "n_relations": int(self.rel.shape[0]), **(extra_meta or {})}
         io_utils.write_container(path, "kge", meta, {"ent": self.ent, "rel": self.rel})
 
     @classmethod
     def load(cls, path) -> "EmbeddingTable":
-        meta, blocks = io_utils.read_container(path, kind="kge")
-        io_utils.require(path, meta, blocks, ("gamma",), {
-            "ent": (io_utils.FLOATS, (None, "d")), "rel": (io_utils.FLOATS, (None, "d"))})
-        gamma = meta["gamma"]
-        if type(gamma) not in (int, float) or not math.isfinite(gamma):
-            raise io_utils.ContainerError(f"{path}: meta 'gamma' is {gamma!r}, "
-                                          "not a finite number")
-        return cls(ent=blocks["ent"], rel=blocks["rel"], gamma=float(gamma))
+        meta, blocks = io_utils.read_container(path, "kge", KGE_SPEC)
+        return cls(ent=blocks["ent"], rel=blocks["rel"], gamma=float(meta["gamma"]))
 
 
 def load_word_vectors(path) -> dict[str, np.ndarray]:

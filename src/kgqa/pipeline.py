@@ -41,7 +41,7 @@ import bisect
 import itertools
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, get_type_hints
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -56,7 +56,7 @@ from .model.network import (ForwardTrace, Instance, PathAttentionScorer,
                             bce_loss, fallback_rows, instance_from_schema_graph)
 from .model.optim import Adam
 from .paths import GroundingError, SchemaGraph, build_schema_graph
-from .statement import FeatureStore, ToyStatementEncoder, build_vocab
+from .statement import SEP, UNK, FeatureStore, ToyStatementEncoder, build_vocab
 
 
 # ---------------------------------------------------------------- preprocess
@@ -193,6 +193,30 @@ _OWNER = 5         # owner, the last section of row or pair indices; offsets fol
 _COUNTS = ("edges", "nodes", "pairs", "paths", "steps")
 
 
+def _counts(counts) -> bool:
+    columns = [counts.get(key) for key in _COUNTS] if isinstance(counts, dict) else [None]
+    # set and min loop in C: an entry is read once per question on every warm pass
+    flat = list(itertools.chain(*columns)) if set(map(type, columns)) == {list} else [None]
+    return set(map(type, flat)) <= {int} and min(flat, default=0) >= 0
+
+
+# what ``write_cache_entry`` writes; each candidate's "prune" report is for
+# readers of the file
+INSTANCE_SPEC = io_utils.Spec(
+    meta={"counts": io_utils.rule(_counts, "an object of lists of non-negative ints: "
+                                  + ", ".join(_COUNTS)),
+          "ungrounded": io_utils.rule(
+              lambda v: isinstance(v, list) and set(map(type, v)) <= {bool},
+              "a list of bools")},
+    blocks={"ints": (("int64",), ("ints",)),
+            "signs": (("float64",), ("steps",), lambda signs: None if (
+                np.abs(signs) == 1).all() else "holds a sign other than 1 or -1")},
+    # every section of every candidate end to end, and one sign per step
+    dims=lambda meta: {"steps": sum(meta["counts"]["steps"]), "ints": sum(
+        scale * sum(meta["counts"][key]) + extra * len(meta["counts"][key])
+        for _, key, scale, extra, _ in _INT_SECTIONS)})
+
+
 def write_cache_entry(path, insts: Sequence[Instance],
                       prunes: Sequence[Optional[dict]]) -> None:
     """Write a question's candidates, ``insts`` in order, as one ``instance``
@@ -225,35 +249,24 @@ def read_cache_entry(path, example_id: str, n_cands: int, n_concepts: int,
 
     ``n_concepts`` and ``n_relations`` are the sizes of the graph the entry
     was grounded on. ``label`` is the index of the correct candidate, as in
-    ``QAExample``. A missing file raises FileNotFoundError. An entry that is
-    cut short, of another kind or of another candidate count, whose counts,
-    block shapes or tables do not fit together, or whose row, pair, step,
-    concept or relation indices fall outside their tables raises
-    ContainerError naming ``path``.
+    ``QAExample``. A missing file raises FileNotFoundError. An entry that
+    ``INSTANCE_SPEC`` refuses, that holds another candidate count, or whose
+    row, pair, step, concept or relation indices fall outside their tables
+    raises ContainerError naming ``path``.
     """
-    meta, blocks = io_utils.read_container(path, kind="instance")
-    counts, ungrounded = meta.get("counts"), meta.get("ungrounded")
-    columns = [counts.get(k) for k in _COUNTS] if isinstance(counts, dict) else None
-    if not (columns is not None and isinstance(ungrounded, list)
-            and all(type(u) is bool for u in ungrounded)
-            and all(isinstance(col, list) and len(col) == len(ungrounded)
-                    for col in columns)
-            and all(type(n) is int and n >= 0 for n in itertools.chain(*columns))):
+    meta, blocks = io_utils.read_container(path, "instance", INSTANCE_SPEC)
+    counts, ungrounded = meta["counts"], meta["ungrounded"]
+    held = {len(ungrounded), *map(len, map(counts.__getitem__, _COUNTS))}
+    if held != {n_cands}:
         raise io_utils.ContainerError(
-            f"{path}: meta needs a bool list 'ungrounded' and 'counts' "
-            f"{', '.join(_COUNTS)}: lists of non-negative ints, one per candidate")
-    if len(ungrounded) != n_cands:
-        raise io_utils.ContainerError(
-            f"{path}: entry holds {len(ungrounded)} candidates, "
+            f"{path}: entry holds {' or '.join(map(str, sorted(held)))} candidates, "
             f"example {example_id!r} has {n_cands}")
-    # sizes[s][c]: the length of section s of candidate c; bounds: where
-    # each of those runs starts in the ints block, and the block's end
-    sizes = [[n * scale + extra for n in counts[key]]
+    # sizes[s][c]: the length of section s of candidate c; bounds: where each
+    # of those runs starts in the ints block, and the block's end. A section
+    # of one int per count takes the count list as it is.
+    sizes = [[n * scale + extra for n in counts[key]] if scale != 1 or extra else counts[key]
              for _, key, scale, extra, _ in _INT_SECTIONS]
     bounds = list(itertools.accumulate(itertools.chain.from_iterable(sizes), initial=0))
-    io_utils.require(path, meta, blocks, block_specs={
-        "ints": (("int64",), [bounds[-1]]),
-        "signs": (("float64",), [sum(counts["steps"])])})
     ints = blocks["ints"]
     _check_cache_indices(path, ints, {**counts, "concepts": [n_concepts] * n_cands,
                                       "relations": [n_relations] * n_cands}, sizes, bounds)
@@ -432,46 +445,53 @@ def build_model_state(
 # older checkpoints also carry a top-level "model_config", which is ignored
 # because every width it held follows from run_config and the encoder
 _RETIRED_RUN_CONFIG_KEYS = ("d_s", "encoder", "loss")
-_RUN_CONFIG_TYPES = get_type_hints(RunConfig)  # a float key also takes an int
+
+
+def _vocab(enc_meta) -> Optional[str]:
+    ids = enc_meta.get("vocab") if isinstance(enc_meta, dict) else None
+    ok = (isinstance(ids, dict) and set(map(type, ids.values())) <= {int}
+          and sorted(ids.values()) == list(range(len(ids)))
+          and (ids.get(SEP), ids.get(UNK)) == (0, 1))  # as build_vocab reserves them
+    return None if ok else f"has no 'vocab' object of integer ids 0..n-1, {SEP!r} 0, {UNK!r} 1"
+
+
+# what ``ModelState.save`` writes; its tensors are those of the network that
+# run_config describes, so ``load_model_state`` checks them once it is built,
+# and a vocabulary only when the encoder is "toy"
+MODEL_SPEC = io_utils.Spec(meta={"run_config": io_utils.OBJECT, "encoder": io_utils.rule(
+    lambda v: v in ("toy", "features"), "'toy' or 'features'")})
+TOY_ENCODER_SPEC = io_utils.Spec(meta={"enc_meta": _vocab})
 
 
 def load_model_state(path, emb: EmbeddingTable,
                      features: Optional[FeatureStore] = None) -> ModelState:
-    meta, blocks = io_utils.read_container(path, kind="model")
-    io_utils.require(path, meta, blocks, ("run_config", "encoder"))
-    if not isinstance(meta["run_config"], dict):
-        raise io_utils.ContainerError(
-            f"{path}: meta 'run_config' is {meta['run_config']!r}, not an object")
-    if meta["encoder"] not in ("toy", "features"):
-        raise io_utils.ContainerError(
-            f"{path}: meta 'encoder' is {meta['encoder']!r}, not 'toy' or 'features'")
-    record = {k: v for k, v in meta["run_config"].items() if k not in _RETIRED_RUN_CONFIG_KEYS}
-    for key, value in record.items():
-        want = _RUN_CONFIG_TYPES.get(key)
-        if want is None or not (type(value) is want or want is float and type(value) is int):
-            raise io_utils.ContainerError(
-                f"{path}: meta 'run_config' key {key!r} is {value!r}, "
-                + (f"not of type {want.__name__}" if want else "not a config key"))
-    cfg = RunConfig(**record)
+    """The model ``ModelState.save`` wrote to ``path``, scoring with ``emb``
+    and, for a checkpoint without a toy encoder, ``features``. A checkpoint
+    that ``MODEL_SPEC`` refuses, whose run_config does not make a RunConfig
+    or a network for ``emb``, or whose tensors are not that network's raises
+    ContainerError naming ``path``."""
+    meta, blocks = io_utils.read_container(path, "model", MODEL_SPEC)
     vocab = None
     if meta["encoder"] == "toy":
         if features is not None:
             raise ValueError("checkpoint has a toy encoder, which reads no --features")
-        io_utils.require(path, meta, blocks, ("enc_meta",))
-        vocab = meta["enc_meta"].get("vocab") if isinstance(meta["enc_meta"], dict) else None
-        if not (isinstance(vocab, dict) and all(type(i) is int for i in vocab.values())):
-            raise io_utils.ContainerError(
-                f"{path}: meta 'enc_meta' has no 'vocab' object of integer ids")
+        io_utils.check(path, meta, blocks, TOY_ENCODER_SPEC)
+        vocab = meta["enc_meta"]["vocab"]
     elif features is None:
         raise ValueError("checkpoint uses feature files; pass --features")
-    state = ModelState(cfg, emb, np.random.default_rng(0), vocab=vocab,
-                       features=features)
-    for name, v in state.checkpoint_blocks().items():
-        if name not in blocks:
-            raise ValueError(f"checkpoint {path} has no block {name!r}")
-        if blocks[name].shape != v.shape:
-            raise ValueError(f"checkpoint block {name!r} has shape "
-                             f"{blocks[name].shape}, model expects {v.shape}")
+    record = {k: v for k, v in meta["run_config"].items() if k not in _RETIRED_RUN_CONFIG_KEYS}
+    try:
+        for key, value in record.items():
+            if key not in RunConfig.__dataclass_fields__:
+                raise ValueError(f"key {key!r} is {value!r}, not a config key")
+        state = ModelState(RunConfig(**record), emb, np.random.default_rng(0),
+                           vocab=vocab, features=features)
+    except ValueError as exc:
+        raise io_utils.ContainerError(f"{path}: meta 'run_config' {exc}") from None
+    tensors = state.checkpoint_blocks()
+    io_utils.check(path, meta, blocks, io_utils.Spec(
+        blocks={name: (io_utils.FLOATS, v.shape) for name, v in tensors.items()}))
+    for name, v in tensors.items():
         v[...] = blocks[name]
     return state
 

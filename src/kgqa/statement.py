@@ -77,6 +77,13 @@ class ToyStatementEncoder(Layer):
         return {"vocab": self.vocab}
 
 
+# what ``FeatureStore.write`` writes: one row per key; dim is for readers of
+# the file, and the rows carry it
+FEATURES_SPEC = io_utils.Spec(meta={"keys": io_utils.STRINGS},
+                              blocks={"rows": (io_utils.FLOATS, ("keys", None))},
+                              dims=lambda meta: {"keys": len(meta["keys"])})
+
+
 class FeatureStore:
     """Read-only statement vectors keyed by (example id, candidate index)."""
 
@@ -100,13 +107,10 @@ class FeatureStore:
         path = Path(path)
         if path.suffix == ".jsonl":
             return cls._load_jsonl(path)
-        meta, blocks = io_utils.read_container(path, kind="features")
-        io_utils.require(path, meta, blocks, ("keys",),
-                         {"rows": (io_utils.FLOATS, ("keys", None))},
-                         dims={"keys": len(meta.get("keys", ()))})
+        meta, blocks = io_utils.read_container(path, "features", FEATURES_SPEC)
         keys = {}
         for pos, key in enumerate(meta["keys"]):
-            ex_id, sep, idx = str(key).rpartition("#")
+            ex_id, sep, idx = key.rpartition("#")
             if not sep or not idx.isdecimal():
                 raise io_utils.ContainerError(
                     f"{path}: feature key {key!r} is not '<example id>#<candidate index>'")

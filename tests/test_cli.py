@@ -598,6 +598,26 @@ def test_train_names_a_bad_cache_entry(train_cache, tmp_path, how, capsys):
     assert err["message"].startswith(f"{entry}: ")
 
 
+def test_predict_refuses_a_checkpoint_holding_nan(run, cli_world, tmp_path, capsys):
+    # it used to score every candidate NaN and write NaN, which is not JSON
+    meta, blocks = io_utils.read_container(run.model_dir / "model.bin", kind="model")
+    blocks["net.W1"][0, 0] = np.nan
+    model = tmp_path / "model.bin"
+    io_utils.write_container(model, "model", meta, blocks)
+    out = tmp_path / "preds.jsonl"
+    capsys.readouterr()
+    code = main(["predict", "--kg", str(run.kg), "--kge", str(run.kge),
+                 "--dataset", str(cli_world.dev_jsonl), "--checkpoint", str(model),
+                 "--out", str(out)])
+    assert code == 1
+    printed = capsys.readouterr()
+    assert json.loads(printed.err) == {"error": {
+        "type": "ContainerError",
+        "message": f"{model}: block 'net.W1' holds a value that is not finite"}}
+    assert "NaN" not in printed.out + printed.err
+    assert not out.exists()
+
+
 def output_args(run, cli_world, command, out):
     """A command line of ``command`` that writes its outputs under ``out``."""
     common = ["--kg", str(run.kg), "--dataset", str(cli_world.dev_jsonl)]

@@ -9,7 +9,7 @@ snapshot bytes and the same report, or raise the same error.
 
 import json
 import math
-import warnings
+import struct
 
 import numpy as np
 import pytest
@@ -41,7 +41,7 @@ def _parse_full_line(fields):
         endpoints.append(normalize_surface(parts[3]))
     try:
         weight = float(json.loads(meta).get("weight", 1.0))
-    except (json.JSONDecodeError, TypeError, ValueError) as exc:
+    except (json.JSONDecodeError, AttributeError, TypeError, ValueError) as exc:
         raise ValueError(f"bad metadata JSON: {exc}") from exc
     return rel, endpoints[0], endpoints[1], weight
 
@@ -51,6 +51,14 @@ def _parse_simple_line(fields):
         raise ValueError(f"expected 3 or 4 columns, found {len(fields)}")
     weight = float(fields[3]) if len(fields) == 4 else 1.0
     return fields[0].strip(), normalize_surface(fields[1]), normalize_surface(fields[2]), weight
+
+
+def _fits_float32(weight):
+    try:
+        struct.pack("<f", weight)  # refuses a double that float32 rounds to inf
+    except OverflowError:
+        return False
+    return True
 
 
 def reference_ingest(assertions_file, merge_map=None):
@@ -73,10 +81,10 @@ def reference_ingest(assertions_file, merge_map=None):
                     raw_rel, head, tail, weight = _parse_full_line(fields)
                 else:
                     raw_rel, head, tail, weight = _parse_simple_line(fields)
-                if not (raw_rel and head and tail and 0.0 <= weight < math.inf):
-                    raise ValueError(f"weight {weight} is not finite and non-negative"
-                                     if not 0.0 <= weight < math.inf
-                                     else "empty relation or endpoint")
+                if not (0.0 <= weight < math.inf and _fits_float32(weight)):
+                    raise ValueError(f"weight {weight} is not a finite non-negative float32")
+                if not (raw_rel and head and tail):
+                    raise ValueError("empty relation or endpoint")
                 raw_seen.add(raw_rel)
                 rel = raw_rel if merge_map is None else merge_map.get(raw_rel)
                 rid = rel_ids.get(rel)
@@ -117,11 +125,12 @@ SURFACES = ("ice", "Ice", " ICE ", "ice cube", "Ice  Cube", "ice_cube", "cold",
 RELATIONS = ("IsA", " IsA", "isa", "RelatedTo", "usedfor", "Other", "")
 # most weights and metadata are valid, so most drawn dumps keep some triples
 WEIGHTS = ("1.0", "0.5", "2", " 3 ", "0", "-0", "0.25", "1.5", "4",
-           "nan", "-1", "inf", "1e39", "abc", "")
+           "nan", "-1", "inf", "1e39", "3.4028235e38", "3.4028236e38", "abc", "")
 LANGUAGES = (LANGUAGE, LANGUAGE, LANGUAGE, LANGUAGE, "fr", "de")
 METAS = ('{"weight": 1.5}', '{"weight": 0.25}', "{}", '{"weight": "2.5"}', '{"weight": 3}',
          '{"weight": 0.5}', '{"weight": "heavy"}', '{"weight": NaN}', '{"weight": -1}',
-         '{"weight": Infinity}', '{"weight": null}', "not json")
+         '{"weight": Infinity}', '{"weight": null}', '{"weight": 1e39}', "not json",
+         "[1]", "1", '"x"')
 
 
 @st.composite
@@ -164,12 +173,10 @@ merge_maps = st.none() | st.dictionaries(
 
 def outcome(ingest_fn, path, merge_map):
     """The snapshot bytes and report dict of one ingest, or the error it raised."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # 1e39 is inf as float32
-        try:
-            graph, report = ingest_fn(path, merge_map=merge_map)
-        except Exception as exc:  # noqa: BLE001 - the two readers must raise alike
-            return type(exc), str(exc)
+    try:
+        graph, report = ingest_fn(path, merge_map=merge_map)
+    except Exception as exc:  # noqa: BLE001 - the two readers must raise alike
+        return type(exc), str(exc)
     graph.save(path.with_suffix(".bin"))
     return path.with_suffix(".bin").read_bytes(), report.to_dict()
 

@@ -1,6 +1,7 @@
 """Graph store: ingest, merging, adjacency, persistence."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -93,6 +94,8 @@ MALFORMED_ROWS = {
     "full-negative": FULL_ROW.format("r", "ice", "-2"),
     "full-empty-relation": FULL_ROW.format("", "ice", "1.0"),
     "full-empty-endpoint": FULL_ROW.format("r", "", "1.0"),
+    "simple-float32-overflow": "r\tice\tcold\t1e39",
+    "full-float32-overflow": FULL_ROW.format("r", "ice", "1e39"),
 }
 
 
@@ -103,6 +106,27 @@ def test_both_formats_skip_the_same_malformed_rows(tmp_path, row):
     assert list(report.skipped) == ["malformed"]
     entry = report.skipped["malformed"]
     assert (entry["count"], entry["first_line"]) == (1, 2)
+
+
+def test_a_weight_that_overflows_float32_is_named(tmp_path):
+    # the snapshot stores weights as float32, where 1e39 would be inf
+    _, report = ingest(write(tmp_path, "kg.tsv", "r\ta\tb\t3.4028235e38\nr\ta\tc\t1e39\n"))
+    assert report.triples_kept == 1
+    assert report.skipped == {"malformed": {
+        "count": 1, "first_line": 2,
+        "first_message": "weight 1e+39 is not a finite non-negative float32"}}
+
+
+@pytest.mark.parametrize("metadata", ["[1]", "1", '"x"'])
+def test_full_format_metadata_that_is_not_an_object_is_malformed(tmp_path, metadata):
+    kg, report = ingest(write(tmp_path, "kg.tsv",
+                              "r\ta\tb\t1.0\n"
+                              f"/a/x\t/r/r\t/c/en/ice\t/c/en/cold\t{metadata}\n"))
+    assert len(kg.triples) == 1
+    assert report.skipped == {"malformed": {
+        "count": 1, "first_line": 2,
+        "first_message": "bad metadata JSON: "
+                         f"'{type(json.loads(metadata)).__name__}' object has no attribute 'get'"}}
 
 
 def test_merge_map_renames_and_deletes(tmp_path):

@@ -20,7 +20,7 @@ from kgqa.model.network import Instance, fallback_rows, fallback_vector
 from kgqa.paths import SchemaGraph
 from kgqa.pipeline import (ModelState, build_model_state, explain, ground_questions,
                            load_model_state, predict, preprocess, train)
-from kgqa.statement import FeatureStore
+from kgqa.statement import UNK, FeatureStore
 from kgqa.toy import EVIDENCE, build_toy_world
 
 GLUE_LINE = json.dumps({
@@ -360,6 +360,18 @@ def test_cache_entry_index_outside_its_table_is_named(tmp_path, cand, field, i, 
         pipeline.read_cache_entry(path, "q", 2, *TWO_CANDIDATE_GRAPH)
 
 
+def test_cache_entry_with_a_sign_other_than_one_or_minus_one_is_named(tmp_path):
+    # signs of 0.5 used to be read and scored
+    path = tmp_path / "entry.bin"
+    cands = two_candidate_entry()
+    cands[0].signs = np.full_like(cands[0].signs, 0.5)
+    pipeline.write_cache_entry(path, cands, [None, None])
+    with pytest.raises(io_utils.ContainerError,
+                       match=f"^{re.escape(f'{path}: ')}block 'signs' holds a sign "
+                             "other than 1 or -1$"):
+        pipeline.read_cache_entry(path, "q", 2, *TWO_CANDIDATE_GRAPH)
+
+
 def test_cache_entry_with_the_older_fallback_block_still_reads(tmp_path):
     # earlier entries also stored one float64 row per pathless pair
     path = tmp_path / "entry.bin"
@@ -504,8 +516,20 @@ def test_bad_grounding_setting_is_rejected_wherever_a_config_is_built(
     meta, blocks = io_utils.read_container(path, kind="model")
     meta["run_config"][key] = value
     io_utils.write_container(path, "model", meta, blocks)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(io_utils.ContainerError,
+                       match=f"^{re.escape(str(path))}: meta 'run_config' {key} must be"):
         load_model_state(path, mini.emb)
+
+
+@pytest.mark.parametrize("key, value, type_name", [
+    ("max_edges", "3", "int"), ("max_edges", 3.0, "int"), ("seed", True, "int"),
+    ("threshold", True, "float"), ("threshold", "0.5", "float"), ("prune", 1, "bool"),
+    ("gcn_dims", 8, "str")])
+def test_a_config_value_of_another_type_is_named(key, value, type_name):
+    # a library caller's value fails by name, as a config file's does
+    with pytest.raises(ValueError, match=re.escape(
+            f"key {key!r} is {value!r}, not of type {type_name}")):
+        RunConfig(**{key: value})
 
 
 def test_grounding_bounds_are_accepted_and_the_config_hash_is_unchanged():
@@ -852,7 +876,8 @@ def test_checkpoint_missing_block_is_named(mini, tmp_path):
     meta, blocks = io_utils.read_container(path, kind="model")
     del blocks["net.W1"]
     io_utils.write_container(path, "model", meta, blocks)
-    with pytest.raises(ValueError, match="no block 'net.W1'"):
+    with pytest.raises(io_utils.ContainerError,
+                       match=f"^{re.escape(str(path))}: missing block 'net.W1'$"):
         load_model_state(path, mini.emb)
 
 
@@ -896,8 +921,13 @@ def _set_first_vocab_id(value):
     (_set_first_vocab_id("x"), "meta 'enc_meta' has no 'vocab' object of integer ids"),
     (_set_first_vocab_id(1.5), "meta 'enc_meta' has no 'vocab' object of integer ids"),
     (_set_first_vocab_id(True), "meta 'enc_meta' has no 'vocab' object of integer ids"),
+    (_set_first_vocab_id(-1), "meta 'enc_meta' has no 'vocab' object of integer ids"),
+    (_set_first_vocab_id(1), "meta 'enc_meta' has no 'vocab' object of integer ids"),
+    (lambda meta: meta["enc_meta"]["vocab"].update({"zzz": meta["enc_meta"]["vocab"].pop(UNK)}),
+     "meta 'enc_meta' has no 'vocab' object of integer ids"),
 ], ids=["unknown-key", "width-string", "width-nan", "enc-meta-string",
-        "enc-meta-without-vocab", "vocab-id-string", "vocab-id-float", "vocab-id-bool"])
+        "enc-meta-without-vocab", "vocab-id-string", "vocab-id-float", "vocab-id-bool",
+        "vocab-id-negative", "vocab-id-repeated", "vocab-without-unknown-word"])
 def test_checkpoint_with_malformed_nested_meta_is_named(mini, tmp_path, change, message):
     path = tmp_path / "model.bin"
     fresh_state(mini).save(path)
@@ -911,7 +941,8 @@ def test_checkpoint_with_malformed_nested_meta_is_named(mini, tmp_path, change, 
 def test_feature_file_of_another_width_fails_to_load(mini, tmp_path):
     path = tmp_path / "model.bin"
     build_model_state(mini.cfg, mini.emb, features=feature_store(mini)).save(path)
-    with pytest.raises(ValueError, match="checkpoint block 'net.W2' has shape"):
+    with pytest.raises(io_utils.ContainerError, match=re.escape(
+            f"{path}: block 'net.W2' has shape [6, 8], expected [7, 8]")):
         load_model_state(path, mini.emb, features=feature_store(mini, width=7))
 
 

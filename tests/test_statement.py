@@ -1,6 +1,7 @@
 """Statement encoder and feature-store behavior."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -134,6 +135,18 @@ def test_feature_store_binary_key_without_index_is_named(tmp_path, key):
     meta, blocks = io_utils.read_container(path, kind="features")
     io_utils.write_container(path, "features", {**meta, "keys": [key]}, blocks)
     with pytest.raises(io_utils.ContainerError, match=f"feature key '{key}'"):
+        FeatureStore.load(path)
+
+
+@pytest.mark.parametrize("keys", [5, "q#0", ["q#0", 0], None])
+def test_feature_store_binary_keys_that_are_not_strings_are_named(tmp_path, keys):
+    # a key list of 5 used to raise a bare TypeError
+    path = tmp_path / "feat.bin"
+    FeatureStore.write(path, {("q", 0): np.ones(3)})
+    meta, blocks = io_utils.read_container(path, kind="features")
+    io_utils.write_container(path, "features", {**meta, "keys": keys}, blocks)
+    with pytest.raises(io_utils.ContainerError, match=re.escape(
+            f"{path}: meta 'keys' is {keys!r}, not a list of strings")):
         FeatureStore.load(path)
 
 
